@@ -7,7 +7,9 @@ Each phase runs in a fresh interpreter started by perfbench/run.py:
 
 ``setup`` makes a run's inputs from the seed.  ``measure`` runs whole rounds
 of operations until the time is up, one client, one thread, then checks every
-output against perfbench/checks.py.  With ``--spans`` it records a span
+output against perfbench/checks.py.  Both time the reference loop of
+perfbench/speed.py, so that the machine's speed can be taken out of their
+times.  With ``--spans`` it records a span
 around every call into ngtrace and replays the first rounds layer by layer.
 """
 
@@ -30,6 +32,7 @@ sys.path.insert(0, str(HERE))
 
 import checks  # noqa: E402
 from spans import Tracer  # noqa: E402
+from speed import ScaledClock, reference_ns  # noqa: E402
 
 from ngtrace import cli  # noqa: E402
 from ngtrace.corpus import check_instance  # noqa: E402
@@ -62,7 +65,6 @@ WORKLOADS = ("corpus", "trace-scan", "cli-queries")
 BOUND = 150  # the acceptance corpus bound
 CLASSES_PER_ROUND = 3  # corpus: dihedral classes per round, next to one side round
 CHECKS_PER_ROUND = 50  # trace-scan: check_instance calls per round, next to one side round
-SCAN_SAMPLE = 800  # trace-scan: semigroups, one per Frobenius-number stratum
 REPLAY_ROUNDS = {"corpus": 30, "trace-scan": 20, "cli-queries": 12}
 # Query rounds.  (command, n, pool): "grid" and "trace" pools as in
 # make_pools.py; "true"/"false" pick deformations by the verdict, "alt" takes
@@ -157,25 +159,31 @@ def dihedral_class(m, ell) -> tuple:
     return tuple(sorted(out))
 
 
-def setup(workload: str, seed: int) -> dict:
+def setup(workload: str, seed: int, tick=lambda: None) -> dict:
+    """A run's inputs; ``tick`` is called between stretches of costly work."""
     rng = random.Random(seed)
     if workload == "cli-queries":
         return {"cli": cli_rounds(rng, MIX_ROUND, set())}
     if workload == "corpus":
         rounds = cli_rounds(rng, SIDE_ROUND, set())
         taken = {(tuple(q[2]["m"]), tuple(q[2]["ell"])) for r in rounds for q in r}
-        # Each stratum (n, verdict) is sorted by cost in the pool.  Cut it
-        # into STRATA blocks, take one random class from each block in turn,
-        # and spread the result evenly over the plan: every prefix of the
-        # plan then holds the strata in the grid's proportions, each with
-        # the same mix of cheap and costly classes.
+        # The classes, and their order, are the same for every seed.  Each
+        # stratum (n, verdict) is sorted by cost in the pool; cut it into
+        # STRATA blocks, take one class from each block in turn, and spread
+        # the result evenly over the plan: every prefix of the plan then holds
+        # the strata in the grid's proportions, each with the same mix of
+        # cheap and costly classes.  The 2n tuples of a class cost about the
+        # same, so a run's slowest 1% of instances come from one or two
+        # classes, and a plan drawn by the seed moves instance_ms_p99 by a
+        # quarter from seed to seed.  The seed picks the side-round queries.
+        plan = random.Random(0)
         spread = []
         for key, rows in sorted(load_pool("corpus").items()):
             blocks = [rows[k * len(rows) // STRATA : (k + 1) * len(rows) // STRATA] for k in range(STRATA)]
             for block in blocks:
-                rng.shuffle(block)
+                plan.shuffle(block)
             rows = [block[i] for i in range(max(map(len, blocks))) for block in blocks if i < len(block)]
-            u = rng.random()
+            u = plan.random()
             spread += [((k + u) / len(rows), key, row) for k, row in enumerate(rows)]
         spread.sort()
         classes = []
@@ -188,18 +196,28 @@ def setup(workload: str, seed: int) -> dict:
                 break
         return {"cli": rounds, "classes": classes}
     if workload == "trace-scan":
-        pool = load_pool("trace_scan")  # sorted by Frobenius number
+        # Every semigroup of the pool once, with one seeded arrangement.  The
+        # pool is sorted by Frobenius number; cut it into CHECKS_PER_ROUND
+        # blocks and deal them out in turn, so that every stretch of
+        # CHECKS_PER_ROUND checks holds one semigroup from each block.
+        pool = load_pool("trace_scan")
+        k = CHECKS_PER_ROUND
+        blocks = [pool[b * len(pool) // k : (b + 1) * len(pool) // k] for b in range(k)]
+        for block in blocks:
+            rng.shuffle(block)
         sample = []
-        for k in range(SCAN_SAMPLE):
-            stratum = pool[k * len(pool) // SCAN_SAMPLE : (k + 1) * len(pool) // SCAN_SAMPLE]
-            _, _, arrangements = rng.choice(stratum)
-            m, ell = rng.choice(arrangements)
-            found = search_instances(m, ell, BOUND)
-            if len(found) != 1:
-                raise RuntimeError(f"pool presentation m={m} ell={ell} did not validate")
-            inst = found[0]
-            sample.append([list(inst.order), m, ell, inst.c])
-        rng.shuffle(sample)
+        for i in range(max(map(len, blocks))):
+            if i % 2 == 0:
+                tick()
+            for block in blocks:
+                if i >= len(block):
+                    continue
+                m, ell = rng.choice(block[i][2])
+                found = search_instances(m, ell, BOUND)
+                if len(found) != 1:
+                    raise RuntimeError(f"pool presentation m={m} ell={ell} did not validate")
+                inst = found[0]
+                sample.append([list(inst.order), m, ell, inst.c])
         return {"cli": cli_rounds(rng, SIDE_ROUND, {tuple(s[0]) for s in sample}), "instances": sample}
     raise ValueError(f"unknown workload {workload}")
 
@@ -253,10 +271,16 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_op(op: int, kind: str, ref, inputs: dict, scan: list, tracer) -> tuple[dict, list, dict]:
-    """One operation: its record, the instances it checked, its top-level spans."""
+def run_op(op: int, kind: str, ref, inputs: dict, tracer) -> tuple[dict, list, dict]:
+    """One operation: its record, the instances it checked, its top-level spans.
+
+    A trace-scan check gets an instance object of its own, built before the
+    clock starts, so nothing cached on an earlier check's object is reused.
+    """
     rec, found, top = {"kind": kind, "ref": ref}, [], {}
-    t0, c0 = time.perf_counter_ns(), time.thread_time_ns()
+    if kind == "check":
+        found = [instance_from(*inputs["instances"][ref])]
+    c0 = time.thread_time_ns()
     if kind == "cli":
         qkind, _, data = inputs["cli"][ref[0]][ref[1]]
         code, out, err = call(tracer, op, "cli", run_cli, argv_for(qkind, data), top=top)
@@ -270,12 +294,10 @@ def run_op(op: int, kind: str, ref, inputs: dict, scan: list, tracer) -> tuple[d
                 rec["inst"] = [[list(i.order), i.c] for i in found]
                 rec["reports"] = [report_fields(r) for r in reports]
             else:
-                found = [scan[ref]]
                 rec["report"] = report_fields(call(tracer, op, "corpus.check", check_instance, found[0], top=top))
         except Exception:  # a crash is a failed operation, recorded with its traceback
             rec["error"] = traceback.format_exc()[-2000:]
     rec["ns"] = time.thread_time_ns() - c0
-    rec["wall_ns"] = time.perf_counter_ns() - t0
     return rec, found, top
 
 
@@ -284,9 +306,9 @@ def measure(workload: str, inputs: dict, seconds: float, spans: bool) -> dict:
 
     With spans, the operations of the first REPLAY_ROUNDS rounds (all of
     them, however long they take, so the counts repeat) are each followed by
-    the replay of their inputs through the layers below.
+    the replay of their inputs through the layers below.  The reference loop
+    is timed just before each operation, and the operation carries that time.
     """
-    scan = [instance_from(*row) for row in inputs.get("instances", [])]
     tracer = Tracer() if spans else None
     records, rounds, replayed_ops = [], 0, 0
     start = time.perf_counter()
@@ -295,7 +317,9 @@ def measure(workload: str, inputs: dict, seconds: float, spans: bool) -> dict:
         if not replaying and time.perf_counter() - start >= seconds:
             break
         for kind, ref in ops:
-            rec, found, top = run_op(len(records), kind, ref, inputs, scan, tracer)
+            ref_ns = reference_ns()
+            rec, found, top = run_op(len(records), kind, ref, inputs, tracer)
+            rec["ref_ns"] = ref_ns
             if replaying and "error" not in rec:
                 replay_op(tracer, len(records), rec, inputs, found, top)
             records.append(rec)
@@ -310,10 +334,10 @@ def measure(workload: str, inputs: dict, seconds: float, spans: bool) -> dict:
                 top = {}
                 call(tracer, -1, "determinantal.search", search_instances, m, ell, BOUND, top=top)
                 replay_search(tracer, -1, top["determinantal.search"][0], tuple(m), tuple(ell))
-        probe, t0 = Tracer(), time.perf_counter_ns()  # what one span costs, around nothing
+        probe, t0 = Tracer(), time.thread_time_ns()  # what one span costs, around nothing
         for _ in range(20000):
             call(probe, 0, "probe", int, top={})
-        span_ns = (time.perf_counter_ns() - t0) / 20000
+        span_ns = (time.thread_time_ns() - t0) / 20000
     problems = check_records(workload, inputs, records)
     if tracer is not None and tracer.counts["replay.disagreements"]:
         problems.append(f"{tracer.counts['replay.disagreements']} replays disagree with the real call")
@@ -590,7 +614,10 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     if args.phase == "setup":
-        result = setup(args.workload, args.seed)
+        clock = ScaledClock()
+        result = setup(args.workload, args.seed, clock.tick)
+        clock.tick()
+        print(json.dumps({"cpu_s": clock.cpu_ns / 1e9, "scaled_s": clock.scaled_ns / 1e9}))
     else:
         inputs = json.loads(Path(args.inputs).read_text())
         result = measure(args.workload, inputs, args.seconds, args.spans)

@@ -77,26 +77,45 @@ class Facts:
         F = H.frobenius
         self.gens = H.gens
         self.frobenius = F
+        # Sets of integers are kept as bit masks: bit x stands for x, S << z
+        # is the translate S + z and S >> z is S - z cut at 0.
+        window = (1 << (F + 1)) - 1
+        gaps = _mask(x not in H for x in range(F + 1))
         # K = {x : F - x not in H}; every x > F is in K, every x < 0 is not
-        K = [x for x in range(F + 1) if (F - x) not in H]
+        K = _mask((F - x) not in H for x in range(F + 1))
         # H - K = {z : z + K inside H}; 0 in K forces z in H, and z > F always works
-        HK = [z for z in range(F + 1) if z in H and all((z + k) in H for k in K)]
+        HK = [z for z in range(F + 1) if z in H and not (K << z) & gaps]
         # K + (H - K): everything past F is reached by z > F, k = 0
-        low = {k + z for z in HK for k in K if k + z <= F}
-        T = lambda y: y > F or y in low
+        low = 0
+        for z in HK:
+            low |= (K << z) & window
+        # the trace up to F + max(gens), and its minimal generators: the
+        # members not reached from a member by adding a generator
         top = F + max(self.gens)
-        self.trace = tuple(
-            t
-            for t in range(top + 1)
-            if T(t) and not any(t - a >= 0 and T(t - a) for a in self.gens)
-        )
-        self.nearly_gorenstein = all(T(a) for a in self.gens)
-        gaps = [x for x in range(F + 1) if x not in H]
-        pf = [x for x in gaps if all((x + a) in H for a in self.gens)]
-        self.type = len(pf)
+        T = low | ((1 << (top + 1)) - 1) & ~window
+        reached = 0
+        for a in self.gens:
+            reached |= T << a
+        self.trace = _members(T & ~reached)
+        self.nearly_gorenstein = all(T >> a & 1 for a in self.gens)
+        # pseudo-Frobenius numbers: gaps x with every x + a in H
+        shifted = 0
+        for a in self.gens:
+            shifted |= gaps >> a
+        self.type = (gaps & ~shifted).bit_count()
         # Nari: almost symmetric iff 2 * genus = F + type
-        self.almost_symmetric = 2 * len(gaps) == F + self.type
+        self.almost_symmetric = 2 * gaps.bit_count() == F + self.type
         self.H = H
+
+
+def _mask(bits) -> int:
+    """The bit mask whose bit x is the x-th truth value of ``bits``."""
+    return int("".join("1" if b else "0" for b in bits)[::-1] or "0", 2)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, in increasing order."""
+    return tuple(x for x, b in enumerate(reversed(bin(mask)[2:])) if b == "1")
 
 
 def cyclic_minors(order, m, ell, symbols):

@@ -1,12 +1,16 @@
 """Run one workload of the ngtrace benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload corpus --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload corpus --seed 1 --seconds 20 --trace 0
 
 Run from the root of a source checkout; ngtrace is imported from src/.
-Set-up runs three times, each in a fresh interpreter, and setup_s is the
-median.  The measured run is a fourth fresh interpreter.  With --trace 1 a
-fifth measures again with spans and replays the first rounds layer by
-layer (see bench.py).
+Set-up runs three to nine times, each in a fresh interpreter, and setup_s
+is the median.  The measured run is another fresh interpreter.  With
+--trace 1 one more measures again with spans and replays the first rounds
+layer by layer (see bench.py).
+
+Every time is CPU time scaled to the machine speed of perfbench/speed.py:
+an operation's time by the reference loop timed just before it, a set-up's
+stretch by stretch (speed.ScaledClock).
 
 The last line of standard output is
 {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}; the line
@@ -19,7 +23,6 @@ import argparse
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -31,8 +34,11 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
 from spans import layer_table  # noqa: E402
+from speed import REFERENCE_NS  # noqa: E402
 
-SETUPS = 3
+SETUPS = 3  # set-ups per run at least; cheap ones repeat, up to MAX_SETUPS,
+MAX_SETUPS = 9  # until SETUP_WALL_S have passed, so their median steadies
+SETUP_WALL_S = 3.0
 DEADLINE_S = 170  # a run must end within 180 s, so children are stopped after this
 LAYER_TIMES = [
     "semigroup.construct", "determinantal.validate", "determinantal.classify",
@@ -55,12 +61,11 @@ class ChildFailed(RuntimeError):
     pass
 
 
-def child(args: list[str], deadline: float) -> float:
-    """Run bench.py in a fresh interpreter; returns the CPU seconds it used."""
+def child(args: list[str], deadline: float) -> str:
+    """Run bench.py in a fresh interpreter; returns its standard output."""
     timeout = max(1.0, deadline - time.monotonic())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
         proc = subprocess.run(
             [sys.executable, str(HERE / "bench.py"), *args],
@@ -70,8 +75,12 @@ def child(args: list[str], deadline: float) -> float:
         raise ChildFailed(f"bench.py {args[0]} timed out after {timeout:.0f}s") from exc
     if proc.returncode != 0:
         raise ChildFailed(f"bench.py {args[0]} exited {proc.returncode}:\n{proc.stderr[-3000:]}")
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+    return proc.stdout
+
+
+def cost_ns(rec: dict) -> float:
+    """An operation's CPU time at the reference speed."""
+    return rec["ns"] * REFERENCE_NS / rec["ref_ns"]
 
 
 def p99(values: list[float]) -> float:
@@ -82,12 +91,12 @@ def end_to_end(workload: str, measured: dict, setup_times: list[float]) -> tuple
     recs = [r for r in measured["records"] if "error" not in r and r.get("code", 0) == 0]
     queries = [r for r in recs if r["kind"] == "cli"]
     batch = queries if workload == "cli-queries" else [r for r in recs if r["kind"] != "cli"]
-    ms = lambda rs: [r["ns"] / 1e6 for r in rs]
+    ms = lambda rs: [cost_ns(r) / 1e6 for r in rs]
     if workload == "corpus":  # an instance's latency is that of the search that found it
-        per_instance = [r["ns"] / 1e6 for r in batch for _ in r["inst"]]
+        per_instance = [cost_ns(r) / 1e6 for r in batch for _ in r["inst"]]
     else:
         per_instance = ms(batch)
-    batch_s = sum(r["ns"] for r in batch) / 1e9
+    batch_s = sum(map(cost_ns, batch)) / 1e9
     by_kind = {k: ms([r for r in queries if r["q"] == k]) for k in ("classify", "verify", "higher", "trace")}
     metrics = {
         "setup_s": (statistics.median(setup_times), "s"),
@@ -108,6 +117,10 @@ def end_to_end(workload: str, measured: dict, setup_times: list[float]) -> tuple
 def per_layer(measured: dict, traced: dict) -> tuple[dict, dict]:
     ops = traced["replayed_ops"]
     table = layer_table([s for s in traced["spans"] if s[1] < ops])
+    scale = REFERENCE_NS / statistics.median(r["ref_ns"] for r in traced["records"])
+    for row in table.values():
+        row["total_s"] *= scale
+        row["self_s"] *= scale
     counts = traced["counts"]
     metrics = {f"{name}_s": (table.get(name, {}).get("self_s", 0.0), "s") for name in LAYER_TIMES}
     metrics["cli.self_s"] = (table.get("cli", {}).get("self_s", 0.0), "s")
@@ -117,8 +130,8 @@ def per_layer(measured: dict, traced: dict) -> tuple[dict, dict]:
     metrics["determinantal.validate_accept_ratio"] = (
         counts.get("determinantal.instances", 0) / calls if calls else 0.0, "ratio")
     common = min(len(measured["records"]), len(traced["records"]))
-    plain = sum(r["ns"] for r in measured["records"][:common])
-    spanned = sum(r["ns"] for r in traced["records"][:common])
+    plain = sum(map(cost_ns, measured["records"][:common]))
+    spanned = sum(map(cost_ns, traced["records"][:common]))
     metrics["tracing.overhead_pct"] = (100.0 * (spanned / plain - 1.0), "%")
     spans = sum(1 for s in traced["spans"] if s[3] is None and s[1] >= 0)
     metrics["tracing.span_cost_pct"] = (
@@ -134,11 +147,13 @@ def run(args) -> int:
     work.mkdir(parents=True, exist_ok=True)
     deadline = time.monotonic() + DEADLINE_S
     common = ["--workload", args.workload]
-    setup_times = []
-    for k in range(SETUPS):
-        setup_times.append(child(["setup", *common, "--seed", str(args.seed), "--out", str(work / f"inputs{k}.json")], deadline))
+    setups, started = [], time.monotonic()
+    while len(setups) < SETUPS or (len(setups) < MAX_SETUPS and time.monotonic() - started < SETUP_WALL_S):
+        out = child(["setup", *common, "--seed", str(args.seed), "--out", str(work / f"inputs{len(setups)}.json")], deadline)
+        setups.append(json.loads(out.splitlines()[-1]))
+    setup_times = [s["scaled_s"] for s in setups]
     inputs = work / "inputs0.json"
-    for k in range(1, SETUPS):
+    for k in range(1, len(setups)):
         if (work / f"inputs{k}.json").read_bytes() != inputs.read_bytes():
             raise ChildFailed("set-up made different inputs from the same seed")
         (work / f"inputs{k}.json").unlink()
@@ -151,6 +166,8 @@ def run(args) -> int:
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "rounds": measured["rounds"], "measured_s": measured["elapsed_s"],
         "inputs_exhausted": measured["exhausted"], "setup_runs_s": setup_times,
+        "setup_runs_cpu_s": [s["cpu_s"] for s in setups],
+        "reference_ns": {"measured": statistics.median(r["ref_ns"] for r in measured["records"])},
         "samples": samples, "end_to_end": metrics,
     }
     if args.trace:
@@ -158,6 +175,7 @@ def run(args) -> int:
         traced = json.loads((work / "traced.json").read_text())
         metrics, table = per_layer(measured, traced)
         runs.append(traced)
+        report["reference_ns"]["traced"] = statistics.median(r["ref_ns"] for r in traced["records"])
         report.update(per_layer=metrics, layer_table=table, replayed_ops=traced["replayed_ops"])
         (work / "spans.json").write_text(json.dumps(
             {"fields": ["id", "op", "name", "parent", "start_ns", "end_ns"], "spans": traced["spans"]}))

@@ -4,6 +4,7 @@ A span is (id, op, name, parent, start_ns, end_ns).  ``op`` is the index of
 the benchmark operation that caused it, shared by every span of that
 operation.  Replayed spans name as parent the span whose inner calls they
 stand in for; a layer's self time is its span minus its replayed children.
+Start and end are the thread's CPU time, as are the operations' times.
 """
 
 from __future__ import annotations
@@ -14,20 +15,20 @@ from contextlib import contextmanager
 
 
 class Tracer:
-    def __init__(self, first_id: int = 0):
+    def __init__(self):
         self.spans: list[list] = []
         self.counts: Counter = Counter()
-        self._next = first_id
+        self._next = 0
 
     @contextmanager
     def span(self, op: int, name: str, parent=None):
         sid = self._next
         self._next += 1
-        rec = [sid, op, name, parent, time.perf_counter_ns(), 0]
+        rec = [sid, op, name, parent, time.thread_time_ns(), 0]
         try:
             yield sid
         finally:
-            rec[5] = time.perf_counter_ns()
+            rec[5] = time.thread_time_ns()
             self.spans.append(rec)
 
 
