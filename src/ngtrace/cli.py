@@ -1,13 +1,14 @@
 """Command line front end.
 
 Subcommands: sgp, classify, trace, search, higher, corpus, verify.
-Exit codes: 0 success, 2 input validation, 3 defining-ideal mismatch,
-4 unsupported case, 5 property violation.
+Exit codes: 0 success, 2 input validation or a resource cap hit,
+3 defining-ideal mismatch, 4 unsupported case, 5 property violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -27,7 +28,13 @@ from .errors import (
     UnsupportedBaseCase,
     WitnessFailed,
 )
-from .higher_dim import HigherDimInstance, classify as classify_hd, verify_witness, witness_rows
+from .higher_dim import (
+    HigherDimInstance,
+    classify as classify_hd,
+    rearranged,
+    verify_witness,
+    witness_rows,
+)
 from .ideals import trace_canonical_oracle
 from .lambda_rows import (
     lambda_membership,
@@ -104,8 +111,6 @@ def _build_instance(arg: str) -> tuple[int, DeterminantalInstance | None, str | 
         inst = DeterminantalInstance.from_json(payload)
     except (InhomogeneousMatrix, IdealMismatch) as exc:
         return EXIT_IDEAL, None, f"not a determinantal presentation: {exc}"
-    except ResourceLimit as exc:
-        return EXIT_INPUT, None, f"resource limit: {exc}"
     except (ValueError, KeyError) as exc:
         return EXIT_INPUT, None, f"bad input: {exc}"
     return EXIT_OK, inst, None
@@ -160,11 +165,7 @@ def cmd_trace(args, out) -> int:
     if args.method in ("lambda", "all"):
         results["lambda"] = list(trace_canonical_lambda(inst).generators)
     if args.method == "syzygy" or (args.method == "all" and args.stretch_syzygy):
-        try:
-            results["syzygy"] = list(trace_canonical_syzygy(inst).generators)
-        except ResourceLimit as exc:
-            print(f"error: resource limit: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        results["syzygy"] = list(trace_canonical_syzygy(inst).generators)
     report.update(results)
     if args.method in ("lambda", "all"):
         rows = []
@@ -224,7 +225,8 @@ def cmd_higher(args, out) -> int:
         hd = HigherDimInstance(
             inst, frozenset(payload.get("I", [])), frozenset(payload.get("J", []))
         )
-        res = classify_hd(hd, rearrange=args.rearrange)
+        sym, target = rearranged(hd) if args.rearrange else (None, hd)
+        res = classify_hd(target)
     except UnsupportedBaseCase as exc:
         print(f"error: unsupported base case: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -238,12 +240,13 @@ def cmd_higher(args, out) -> int:
         "nearly_gorenstein": res.is_ng,
         "rule": res.rule,
     }
-    if res.symmetry is not None:
-        report["rearranged_via"] = res.symmetry.describe()
+    via = sym or res.symmetry
+    if via is not None:
+        report["rearranged_via"] = via.describe()
     if res.is_ng:
         try:
-            rows = witness_rows(hd)
-            verify_witness(hd, rows)
+            rows = witness_rows(target)
+            verify_witness(target, rows)
             report["witness"] = "verified"
             report["witness_rows"] = [
                 "(" + ", ".join(str(p) for p in row) + ")" for row in rows
@@ -359,8 +362,13 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every call in the process
+_parser = functools.cache(make_parser)
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out = sys.stdout
     handlers = {
         "sgp": cmd_sgp,
@@ -371,7 +379,12 @@ def main(argv=None) -> int:
         "corpus": cmd_corpus,
         "verify": cmd_verify,
     }
-    return handlers[args.command](args, out)
+    try:
+        return handlers[args.command](args, out)
+    except ResourceLimit as exc:
+        # a cap leaves the question undecided: an input the tool cannot handle
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -109,14 +109,6 @@ class DeterminantalInstance:
     def minors(self) -> list[Polynomial]:
         return two_minors(self.matrix)
 
-    @cached_property
-    def minors_gb(self) -> GroebnerBasis:
-        return buchberger(self.minors)
-
-    @cached_property
-    def toric_gb(self) -> GroebnerBasis:
-        return toric_for_order(self.order, seed=self.minors)
-
     def to_json(self) -> dict:
         return {
             "generators": list(self.H.generators),
@@ -260,6 +252,8 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
     integer point is the only candidate with gcd 1, so the result has at most
     one element.  Degenerate exponent data (equal products, so gap 0) and
     candidates failing positivity, minimality or ideal validation give [].
+    A validation that hits a resource cap raises ResourceLimit: the
+    candidate is undecided, not rejected.
     """
     if bound > SEARCH_BOUND_CAP:
         raise ValueError(f"bound {bound} exceeds cap {SEARCH_BOUND_CAP}")
@@ -286,8 +280,6 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
     try:
         inst = build(H, order, m, ell)
     except (IdealMismatch, InhomogeneousMatrix):
-        return []
-    except ResourceLimit:
         return []
     return [inst]
 

@@ -1,9 +1,11 @@
 """Buchberger Groebner bases, toric ideals by saturation, module syzygies.
 
-Everything is deterministic: S-pairs are processed by smallest weighted
-degree of the pair lcm, ties broken by creation index, and the returned
-basis is auto-reduced, monic and sorted.  Size and degree caps raise
-ResourceLimit explicitly rather than truncating.
+One Buchberger serves ideals of a PolyRing and submodules of a FreeModule;
+the term format and the pair rule belong to the ring, so nothing here
+depends on it.  Everything is deterministic: S-pairs are processed by
+smallest weighted degree of the pair lcm, ties broken by creation index,
+and the returned basis is auto-reduced, monic and sorted.  Size and degree
+caps raise ResourceLimit explicitly rather than truncating.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from fractions import Fraction
 
 from .errors import ResourceLimit
 from .polyring import (
+    FreeModule,
     Mono,
     PolyRing,
     Polynomial,
-    mono_coprime,
     mono_div,
     mono_lcm,
     mono_mul,
@@ -31,26 +33,30 @@ def _default_degree_cap(ring: PolyRing) -> int:
     return DEGREE_CAP_FACTOR * sum(ring.weights)
 
 
-def _reduce_terms(terms: dict, leads, key) -> dict:
-    """Core division loop on raw term dicts against precomputed lead data.
+def _reduce_terms(p: Polynomial, leads) -> Polynomial:
+    """Core division loop: p fully reduced against precomputed lead data.
 
-    ``leads`` holds (lead monomial, lead coefficient, tail term items).
+    ``leads`` holds (lead monomial, lead coefficient, tail term items, lead
+    support).  The last entry of the ring's sort key is the support bit set
+    of a term; a lead with support outside the term's cannot divide it and
+    is skipped before mono_div.
     """
-    work = dict(terms)
+    key = p.ring.sort_key
+    work = dict(p.terms)
     remainder: dict[Mono, object] = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        hit = None
-        for lm, lc, tail in leads:
+        outside = ~key(m)[-1]
+        for lm, lc, tail, support in leads:
+            if support & outside:
+                continue
             q = mono_div(m, lm)
             if q is not None:
-                hit = (q, lc, tail)
                 break
-        if hit is None:
+        else:
             remainder[m] = c
             continue
-        q, lc, tail = hit
         factor = c if lc == 1 else (-c if lc == -1 else Fraction(c) / Fraction(lc))
         for gm, gc in tail:
             mm = mono_mul(gm, q)
@@ -59,20 +65,19 @@ def _reduce_terms(terms: dict, leads, key) -> dict:
                 work.pop(mm, None)
             else:
                 work[mm] = s
-    return remainder
+    return Polynomial(p.ring, remainder)
 
 
 def _lead_entry(g: Polynomial):
     lm, lc = g.lt()
     tail = [(m, c) for m, c in g.terms.items() if m != lm]
-    return (lm, lc, tail)
+    return (lm, lc, tail, g.ring.sort_key(lm)[-1])
 
 
 def reduce_full(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
     """Remainder of p under multivariate division by basis (all terms reduced)."""
-    ring = p.ring
     leads = [_lead_entry(g) for g in basis if not g.is_zero()]
-    return Polynomial(ring, _reduce_terms(p.terms, leads, ring.sort_key))
+    return _reduce_terms(p, leads)
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
@@ -85,14 +90,17 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
 class GroebnerBasis:
     """Reduced basis plus the ring (which carries the order)."""
 
-    __slots__ = ("ring", "polys")
+    __slots__ = ("ring", "polys", "_leads")
 
     def __init__(self, ring: PolyRing, polys):
         self.ring = ring
         self.polys = tuple(polys)
+        self._leads = None
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return reduce_full(p, list(self.polys))
+        if self._leads is None:
+            self._leads = [_lead_entry(g) for g in self.polys]
+        return _reduce_terms(p, self._leads)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -102,6 +110,8 @@ class GroebnerBasis:
         polys = list(self.polys)
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
+                if self.ring.skip_pair(polys[i].lm(), polys[j].lm()):
+                    continue
                 s = _spoly(polys[i], polys[j])
                 if not reduce_full(s, polys).is_zero():
                     return False
@@ -118,12 +128,23 @@ class GroebnerBasis:
 
 
 def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    gamma = mono_lcm(f.lm(), g.lm())
-    uf = mono_div(gamma, f.lm())
-    ug = mono_div(gamma, g.lm())
-    cf, cg = f.lc(), g.lc()
+    """uf*f - ratio*ug*g, built from the tails: the leading terms cancel."""
+    (lf, cf), (lg, cg) = f.lt(), g.lt()
+    gamma = mono_lcm(lf, lg)
+    uf = mono_div(gamma, lf)
+    ug = mono_div(gamma, lg)
     ratio = 1 if cf == cg else Fraction(cf) / Fraction(cg)
-    return f.term_mul(uf) - g.term_mul(ug, ratio)
+    terms = {mono_mul(m, uf): c for m, c in f.terms.items() if m != lf}
+    for m, c in g.terms.items():
+        if m == lg:
+            continue
+        mm = mono_mul(m, ug)
+        s = terms.get(mm, 0) - ratio * c
+        if s == 0:
+            terms.pop(mm, None)
+        else:
+            terms[mm] = s
+    return Polynomial(f.ring, terms)
 
 
 def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
@@ -139,9 +160,7 @@ def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
     reduced = []
     for i, p in enumerate(kept):
         others = entries[:i] + entries[i + 1 :]
-        reduced.append(
-            Polynomial(ring, _reduce_terms(p.terms, others, ring.sort_key)).monic()
-        )
+        reduced.append(_reduce_terms(p, others).monic())
     reduced.sort(key=lambda p: ring.sort_key(p.lm()))
     return reduced
 
@@ -154,23 +173,26 @@ def buchberger(
     max_wdeg: int | None = None,
     verify: bool = False,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal or submodule generated by gens.
 
-    Pair selection is the normal strategy: smallest weighted degree of the
-    pair lcm first, ties by pair creation index.  The product criterion and
-    the classic chain criterion (both companion pairs already treated) prune
-    superfluous pairs.
+    ``gens`` are polynomials over a PolyRing (an ideal) or vectors over a
+    FreeModule (a submodule).  Pair selection is the normal strategy:
+    smallest weighted degree of the pair lcm first, ties by pair creation
+    index.  Pairs the ring's skip_pair rules out (coprime leads in a ring,
+    leads at different positions in a free module) are never queued and
+    count as treated; the classic chain criterion (both companion pairs
+    already treated) prunes the rest.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return GroebnerBasis(ring if ring is not None else PolyRing(("X",), (1,)), ())
     ring = gens[0].ring
-    key = ring.sort_key
     cap = _default_degree_cap(ring) if max_wdeg is None else max_wdeg
 
     basis: list[Polynomial] = []
     leads: list[tuple] = []
     lms: list[Mono] = []
+    supports: list[int] = []
 
     def admit(p: Polynomial):
         if ring.wdeg(p.lm()) > cap:
@@ -180,52 +202,57 @@ def buchberger(
         basis.append(p)
         if len(basis) > max_basis:
             raise ResourceLimit(f"basis size exceeds cap {max_basis}")
-        leads.append(_lead_entry(p))
-        lms.append(p.lm())
+        entry = _lead_entry(p)
+        leads.append(entry)
+        lms.append(entry[0])
+        supports.append(entry[3])
 
     for g in gens:
-        r = Polynomial(ring, _reduce_terms(g.terms, leads, key)).monic()
+        r = _reduce_terms(g, leads).monic()
         if not r.is_zero():
             admit(r)
 
     pairs: list[tuple[int, int, int, int]] = []
     seq = 0
-    done: set[tuple[int, int]] = set()
+    # bit i of treated[j] is set once the pair i < j is treated; bits keep a
+    # submodule's many cross-position pairs to a few bytes each
+    treated: list[int] = []
 
     def push_pairs(j: int):
         nonlocal seq
+        skipped = 0
         for i in range(j):
+            if ring.skip_pair(lms[i], lms[j]):
+                skipped |= 1 << i
+                continue
             gamma = mono_lcm(lms[i], lms[j])
             heapq.heappush(pairs, (ring.wdeg(gamma), seq, i, j))
             seq += 1
+        treated.append(skipped)
+
+    def is_treated(a: int, b: int) -> bool:
+        return treated[max(a, b)] >> min(a, b) & 1
 
     for j in range(len(basis)):
         push_pairs(j)
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        if (i, j) in done:
-            continue
-        if mono_coprime(lms[i], lms[j]):
-            done.add((i, j))
-            continue
         gamma = mono_lcm(lms[i], lms[j])
+        outside = ~(supports[i] | supports[j])
         chained = False
         for k in range(len(basis)):
-            if k == i or k == j:
+            if k == i or k == j or supports[k] & outside:
                 continue
             if mono_div(gamma, lms[k]) is None:
                 continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
+            if is_treated(i, k) and is_treated(j, k):
                 chained = True
                 break
-        done.add((i, j))
+        treated[j] |= 1 << i
         if chained:
             continue
-        s = _spoly(basis[i], basis[j])
-        r = Polynomial(ring, _reduce_terms(s.terms, leads, key))
+        r = _reduce_terms(_spoly(basis[i], basis[j]), leads)
         if r.is_zero():
             continue
         admit(r.monic())
@@ -293,7 +320,7 @@ def _size_reduce(vectors: list[list[int]]) -> list[list[int]]:
                 nj = norm(vj)
                 if nj == 0:
                     continue
-                t = round(sum(a * b for a, b in zip(vi, vj)) / nj)
+                t = round(Fraction(sum(a * b for a, b in zip(vi, vj)), nj))
                 if t == 0:
                     continue
                 cand = [a - t * b for a, b in zip(vi, vj)]
@@ -381,130 +408,6 @@ def toric_ideal(
 
 
 # -- left kernels over a quotient ring (module syzygies) ----------------------
-#
-# Vectors live in a free module with "value" positions 0..q-1 and "tag"
-# positions q..q+r-1.  A position-over-term order with value positions
-# dominating makes the tag parts of basis elements with vanishing value part
-# a generating set of {f : f.N = 0 over ring/ideal}.
-
-VecTerm = tuple[int, Mono]
-
-
-def _vec_lt(v: dict, key) -> VecTerm:
-    return max(v, key=lambda t: (-t[0], key(t[1])))
-
-
-def _vec_monic(v: dict, key) -> dict:
-    c = v[_vec_lt(v, key)]
-    if c == 1:
-        return v
-    if c == -1:
-        return {t: -x for t, x in v.items()}
-    inv = Fraction(1) / Fraction(c)
-    out = {}
-    for t, x in v.items():
-        y = x * inv
-        out[t] = int(y) if isinstance(y, Fraction) and y.denominator == 1 else y
-    return out
-
-
-def _vec_reduce(v: dict, basis: list[tuple[VecTerm, object, dict]], key) -> dict:
-    work = dict(v)
-    remainder: dict[VecTerm, object] = {}
-    while work:
-        t = max(work, key=lambda u: (-u[0], key(u[1])))
-        c = work.pop(t)
-        pos, mono = t
-        hit = None
-        for lead, blc, bterms in basis:
-            if lead[0] != pos:
-                continue
-            q = mono_div(mono, lead[1])
-            if q is not None:
-                hit = (lead, q, blc, bterms)
-                break
-        if hit is None:
-            remainder[t] = c
-            continue
-        lead, q, blc, bterms = hit
-        factor = c if blc == 1 else (-c if blc == -1 else Fraction(c) / Fraction(blc))
-        for bt, bc in bterms.items():
-            if bt == lead:
-                continue
-            tt = (bt[0], mono_mul(bt[1], q))
-            s = work.get(tt, 0) - factor * bc
-            if s == 0:
-                work.pop(tt, None)
-            else:
-                work[tt] = s
-    return remainder
-
-
-def _module_groebner(vectors: list[dict], ring: PolyRing, max_basis: int) -> list[dict]:
-    """Buchberger for submodules of a free module, position-over-term order."""
-    key = ring.sort_key
-    basis: list[dict] = []
-    leads: list[tuple[VecTerm, object, dict]] = []
-
-    def admit(v: dict):
-        v = _vec_reduce(v, leads, key)
-        if not v:
-            return
-        v = _vec_monic(v, key)
-        basis.append(v)
-        lead = _vec_lt(v, key)
-        leads.append((lead, v[lead], v))
-
-    for v in vectors:
-        admit(v)
-
-    pairs: list[tuple[int, int, int, int]] = []
-    seq = 0
-
-    def push(j: int):
-        nonlocal seq
-        lj = _vec_lt(basis[j], key)
-        for i in range(j):
-            li = _vec_lt(basis[i], key)
-            if li[0] != lj[0]:
-                continue
-            gamma = mono_lcm(li[1], lj[1])
-            heapq.heappush(pairs, (ring.wdeg(gamma), seq, i, j))
-            seq += 1
-
-    for j in range(len(basis)):
-        push(j)
-
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        vi, vj = basis[i], basis[j]
-        li, lj = _vec_lt(vi, key), _vec_lt(vj, key)
-        gamma = mono_lcm(li[1], lj[1])
-        qi = mono_div(gamma, li[1])
-        qj = mono_div(gamma, lj[1])
-        s: dict[VecTerm, object] = {}
-        for t, c in vi.items():
-            tt = (t[0], mono_mul(t[1], qi))
-            s[tt] = s.get(tt, 0) + c
-        for t, c in vj.items():
-            tt = (t[0], mono_mul(t[1], qj))
-            x = s.get(tt, 0) - c
-            if x == 0:
-                s.pop(tt, None)
-            else:
-                s[tt] = x
-        r = _vec_reduce(s, leads, key)
-        if not r:
-            continue
-        r = _vec_monic(r, key)
-        basis.append(r)
-        if len(basis) > max_basis:
-            raise ResourceLimit(f"module basis size exceeds cap {max_basis}")
-        lead = _vec_lt(r, key)
-        leads.append((lead, r[lead], r))
-        push(len(basis) - 1)
-
-    return basis
 
 
 def kernel_over_quotient(
@@ -518,6 +421,13 @@ def kernel_over_quotient(
     ``rows`` are the rows of the matrix N.  Returns tag rows f (length =
     number of rows of N); every returned row satisfies f.N = 0 modulo the
     ideal, which is asserted before returning.
+
+    Row i of N becomes the vector (N_i, e_i) in a free module with "value"
+    positions 0..q-1 for the columns and "tag" positions q..q+r-1, next to
+    h * e_j for every ideal generator h and column j.  In the position-over-
+    term order the value positions lead, so the basis elements whose lead
+    sits at a tag position have no value part, and their tag parts generate
+    the kernel.
     """
     if not rows:
         return []
@@ -533,35 +443,24 @@ def kernel_over_quotient(
     if any(len(row) != q for row in rows):
         raise ValueError("ragged matrix")
 
-    zero_mono = (0,) * ring.nvars
-    vectors: list[dict] = []
-    for i, row in enumerate(rows):
-        v: dict[VecTerm, object] = {}
-        for j, p in enumerate(row):
-            for m, c in p.terms.items():
-                v[(j, m)] = c
-        v[(q + i, zero_mono)] = 1
-        vectors.append(v)
+    module = FreeModule(ring, q + r)
+    vectors = [
+        module.vector({**dict(enumerate(row)), q + i: ring.one()})
+        for i, row in enumerate(rows)
+    ]
     for h in ideal_gens:
-        if h.is_zero():
-            continue
-        for j in range(q):
-            vectors.append({(j, m): c for m, c in h.terms.items()})
+        if not h.is_zero():
+            vectors.extend(module.vector({j: h}) for j in range(q))
 
-    gb = _module_groebner(vectors, ring, max_basis)
+    gb = buchberger(vectors, max_basis=max_basis)
 
     ideal_gb = buchberger(ideal_gens, ring=ring) if ideal_gens else None
     out: list[tuple[Polynomial, ...]] = []
     seen = set()
     for v in gb:
-        if any(t[0] < q for t in v):
+        if module.position(v.lm()) < q:
             continue
-        comps = []
-        for i in range(r):
-            terms = {t[1]: c for t, c in v.items() if t[0] == q + i}
-            comps.append(Polynomial(ring, terms))
-        if all(p.is_zero() for p in comps):
-            continue
+        comps = module.components(v)[q:]
         if ideal_gb is not None and all(
             ideal_gb.normal_form(p).is_zero() for p in comps
         ):

@@ -158,10 +158,6 @@ def build_matrices(hd: HigherDimInstance):
     return D, M
 
 
-def dimension(hd: HigherDimInstance) -> int:
-    return hd.dimension()
-
-
 # -- classification --------------------------------------------------------
 
 
@@ -181,11 +177,10 @@ def classify(hd: HigherDimInstance, rearrange: bool = False) -> HDResult:
         res = classify_nearly_gorenstein(hd.base)
         tag = f"base({res.case})" if res.is_ng else "base(not-ng)"
         return HDResult(res.is_ng, tag, res.symmetry)
-    if hd.base_case == OTHER and rearrange:
-        moved = _rearranged_variant(hd)
-        if moved is not None:
-            sym, hd2 = moved
-            inner = classify(hd2)
+    if rearrange:
+        sym, moved = rearranged(hd)
+        if sym is not None:
+            inner = classify(moved)
             return HDResult(inner.is_ng, inner.rule, sym)
     if hd.base_case == OTHER:
         raise UnsupportedBaseCase(
@@ -269,10 +264,16 @@ def _classify_n4plus(hd: HigherDimInstance) -> HDResult:
     return HDResult(ok, "tail(2b)")
 
 
-def _rearranged_variant(hd: HigherDimInstance):
-    """First dihedral rearrangement whose base falls in a classified block."""
+def rearranged(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstance]:
+    """The instance classify(hd, rearrange=True) decides, and the symmetry to it.
+
+    A deformed instance whose base fits neither classified block moves to
+    the first dihedral rearrangement that fits one; any other instance stays.
+    """
     base = hd.base
     n = base.n
+    if not (hd.I or hd.J) or hd.base_case != OTHER:
+        return None, hd
     for sym in symmetries(n):
         order, m, ell = sym.apply(base.order, base.m, base.ell)
         cand = DeterminantalInstance(
@@ -290,7 +291,7 @@ def _rearranged_variant(hd: HigherDimInstance):
             newI = frozenset(_wrapi(n + 1 - p - s, n) for p in hd.J)
             newJ = frozenset(_wrapi(n + 1 - p - s, n) for p in hd.I)
         return sym, HigherDimInstance(cand, newI, newJ)
-    return None
+    return None, hd
 
 
 # -- tabulated witness rows ---------------------------------------------------

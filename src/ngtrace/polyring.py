@@ -5,6 +5,8 @@ Coefficients are exact (int or Fraction; ints are kept as long as possible
 since almost everything here is a signed binomial).  The monomial order is
 weighted-degree with a degree-reverse-lexicographic tie break; a ring may
 additionally mark one variable for elimination, which is compared first.
+A FreeModule over a ring is a second term format for the same Polynomial
+class, so one Buchberger serves ideals and submodules.
 """
 
 from __future__ import annotations
@@ -35,6 +37,17 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
 
 def mono_coprime(a: Mono, b: Mono) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def mono_support(a: Mono) -> int:
+    """Bit set of the coordinates where a is nonzero."""
+    s = 0
+    bit = 1
+    for x in a:
+        if x:
+            s |= bit
+        bit <<= 1
+    return s
 
 
 class PolyRing:
@@ -69,16 +82,25 @@ class PolyRing:
 
     def sort_key(self, mono: Mono):
         """Tuple comparable key; larger key = larger monomial.  Memoized:
-        the same monomials are compared over and over during reduction."""
+        the same monomials are compared over and over during reduction.
+
+        The last entry is the support bit set of mono.  It never decides a
+        comparison, since the entries before it already determine mono;
+        division loops read it to skip leads that cannot divide.
+        """
         key = self._keys.get(mono)
         if key is None:
-            key = (self.wdeg(mono), tuple(-e for e in reversed(mono)))
+            key = (self.wdeg(mono), tuple(-e for e in reversed(mono)), mono_support(mono))
             if self.elim is not None:
                 key = (mono[self.elim],) + key
             if len(self._keys) > 500_000:
                 self._keys.clear()
             self._keys[mono] = key
         return key
+
+    def skip_pair(self, a: Mono, b: Mono) -> bool:
+        """Leads whose S-polynomial reduces to zero: coprime ones (product criterion)."""
+        return mono_coprime(a, b)
 
     # -- element constructors ---------------------------------------------
 
@@ -105,10 +127,6 @@ class PolyRing:
         if coeff == 0:
             return self.zero()
         return Polynomial(self, {tuple(mono): coeff})
-
-    def restrict(self, keep: list[int]) -> "PolyRing":
-        """Subring on the listed variable indices (order preserved)."""
-        return PolyRing([self.names[i] for i in keep], [self.weights[i] for i in keep])
 
     # -- parsing ------------------------------------------------------------
 
@@ -187,6 +205,63 @@ class PolyRing:
     def __repr__(self):
         elim = f", elim={self.names[self.elim]!r}" if self.elim is not None else ""
         return f"PolyRing({list(self.names)}, weights={list(self.weights)}{elim})"
+
+
+class FreeModule:
+    """Free module base^rank, as a term format for Polynomial.
+
+    The term x^a e_p is the tuple a + (one-hot vector of p), so mono_mul,
+    mono_div and mono_lcm work on terms unchanged: a ring monomial padded
+    with zeros keeps a term's position, and division fails across
+    positions.  The order is position over term: a lower position is
+    larger, and within a position the base ring's order decides.  Positions
+    weigh nothing, so degree caps bound the ring part.
+    """
+
+    __slots__ = ("base", "rank", "names", "weights", "_nv", "_keys")
+
+    def __init__(self, base: PolyRing, rank: int):
+        self.base = base
+        self.rank = rank
+        self.names = base.names + tuple(f"e{p + 1}" for p in range(rank))
+        self.weights = base.weights
+        self._nv = base.nvars
+        self._keys: dict[Mono, tuple] = {}
+
+    def position(self, mono: Mono) -> int:
+        return mono.index(1, self._nv) - self._nv
+
+    def wdeg(self, mono: Mono) -> int:
+        return self.base.wdeg(mono[: self._nv])
+
+    def sort_key(self, mono: Mono):
+        """As PolyRing.sort_key, led by the negated position."""
+        key = self._keys.get(mono)
+        if key is None:
+            ring_key = self.base.sort_key(mono[: self._nv])
+            key = (-self.position(mono),) + ring_key[:-1] + (mono_support(mono),)
+            self._keys[mono] = key
+        return key
+
+    def skip_pair(self, a: Mono, b: Mono) -> bool:
+        """Leads at different positions have no S-polynomial."""
+        return a[self._nv :] != b[self._nv :]
+
+    def vector(self, entries: dict[int, "Polynomial"]) -> "Polynomial":
+        """The element sum of entries[p] * e_p, from base-ring polynomials."""
+        terms: dict[Mono, object] = {}
+        for p, f in entries.items():
+            unit = tuple(1 if k == p else 0 for k in range(self.rank))
+            for m, c in f.terms.items():
+                terms[m + unit] = c
+        return Polynomial(self, terms)
+
+    def components(self, v: "Polynomial") -> list["Polynomial"]:
+        """The base-ring coordinates of v, one per position."""
+        parts: list[dict] = [{} for _ in range(self.rank)]
+        for m, c in v.terms.items():
+            parts[self.position(m)][m[: self._nv]] = c
+        return [Polynomial(self.base, t) for t in parts]
 
 
 def _tighten(c):

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from ngtrace import cli
 from ngtrace.cli import main
+from ngtrace.determinantal import classify_nearly_gorenstein
+from ngtrace.errors import ResourceLimit
 
 
 def run(capsys, *argv):
@@ -227,3 +230,70 @@ def test_higher_n3_untabulated_true_case(capsys, command, marks):
     assert payload["rule"] == "n3-allones"
     assert payload["witness"].startswith("no tabulated row")
     assert "trace_n3_decision" in payload["witness"]
+
+
+def test_search_resource_limit_exit_2(capsys):
+    # the weight cap of the toric route leaves the candidate undecided: an
+    # error, not "found: 0"
+    code, out, err = run(capsys, "search", "--m", "1,4,3,3", "--ell", "2,4,4,4", "--bound", "500")
+    assert code == 2
+    assert "resource limit:" in err
+    assert "found" not in out
+
+
+def _raise_cap(*args, **kwargs):
+    raise ResourceLimit("cap for the test")
+
+
+def test_corpus_resource_limit_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("ngtrace.corpus.search_instances", _raise_cap)
+    code, out, err = run(capsys, "corpus", "--ns", "3", "--emax", "1")
+    assert code == 2
+    assert "resource limit: cap for the test" in err
+
+
+def test_classify_full_perm_resource_limit_exit_2(capsys, monkeypatch):
+    # not nearly Gorenstein in any rearrangement, so --full-perm scans the
+    # other presentations, and those searches hit the cap
+    not_ng = json.dumps({"generators": [3, 7, 8], "order": [8, 7, 3], "m": [1, 1, 2], "ell": [1, 1, 3]})
+    monkeypatch.setattr("ngtrace.determinantal.search_instances", _raise_cap)
+    code, _, err = run(capsys, "classify", "--full-perm", not_ng)
+    assert code == 2
+    assert "resource limit: cap for the test" in err
+
+
+REARRANGED = [
+    # base fits no classified block as given; true after shift(2), with no
+    # tabulated row at n = 3
+    ({"generators": [3, 4, 5], "order": [4, 5, 3], "m": [1, 1, 2], "ell": [1, 1, 1], "I": [1], "J": []},
+     "shift(2)", "no tabulated row"),
+    ({"generators": [4, 5, 6, 7], "order": [5, 6, 7, 4], "m": [1, 1, 1, 2], "ell": [1, 1, 1, 1], "I": [2], "J": []},
+     "reversal+shift(0)", "verified"),
+]
+
+
+@pytest.mark.parametrize("command", ["higher", "verify"])
+@pytest.mark.parametrize("data, via, witness", REARRANGED)
+def test_higher_rearrange_witness(capsys, command, data, via, witness):
+    code, payload, err = run_json(capsys, command, "--rearrange", json.dumps(data))
+    assert code == 0, err
+    assert payload["nearly_gorenstein"] is True
+    assert payload["rearranged_via"] == via
+    assert payload["witness"].startswith(witness)
+
+
+def test_parser_state_does_not_leak(capsys, monkeypatch):
+    seen = []
+
+    def spy(inst, full_perm=False, emax=None):
+        seen.append(full_perm)
+        return classify_nearly_gorenstein(inst)
+
+    monkeypatch.setattr("ngtrace.cli.classify_nearly_gorenstein", spy)
+    code, payload, _ = run_json(capsys, "classify", "--full-perm", INST_345)
+    assert code == 0 and payload["ng_theorem"] is True
+    code, out, _ = run(capsys, "classify", INST_345)
+    assert code == 0
+    assert out.startswith("instance: ")  # table format again
+    assert seen == [True, False]
+    assert cli._parser() is cli._parser()  # built once per process

@@ -5,6 +5,7 @@ import pytest
 
 from ngtrace.errors import ResourceLimit
 from ngtrace.groebner import (
+    _size_reduce,
     buchberger,
     ideal_membership,
     kernel_over_quotient,
@@ -12,7 +13,7 @@ from ngtrace.groebner import (
     toric_ideal,
     two_minors,
 )
-from ngtrace.polyring import PolyRing, Polynomial
+from ngtrace.polyring import FreeModule, PolyRing, Polynomial, mono_div, mono_mul
 
 
 def ring_345():
@@ -161,6 +162,11 @@ def test_toric_resource_limits():
         toric_ideal([201, 202])
 
 
+def test_size_reduce_is_exact():
+    # a quotient past the float range: true division would overflow
+    assert _size_reduce([[10**400, 1], [1, 0]]) == [[0, 1], [1, 0]]
+
+
 def test_degree_cap_raises():
     R = PolyRing(["x", "y"], [1, 1])
     with pytest.raises(ResourceLimit):
@@ -233,3 +239,42 @@ def test_kernel_size_guard():
     z = R.zero()
     with pytest.raises(ResourceLimit):
         kernel_over_quotient([[z]] * 5, [])
+
+
+def test_kernel_koszul_row():
+    # one column (x, y): the kernel is the Koszul row (y, -x).  Its leads sit
+    # at the same position, so a product criterion there would lose it.
+    R = PolyRing(["x", "y"], [1, 1])
+    x, y = R.parse("x"), R.parse("y")
+    ((f, g),) = kernel_over_quotient([[x], [y]], [])
+    unit = f.lc()
+    assert f == y.scale(unit) and g == x.scale(-unit)
+
+
+def test_free_module_term_format():
+    R = PolyRing(["x", "y"], [1, 1])
+    F = FreeModule(R, 3)
+    v = F.vector({0: R.parse("x^2 - y"), 2: R.parse("y")})
+    assert [str(p) for p in F.components(v)] == ["x^2 - y", "0", "y"]
+    assert F.position(v.lm()) == 0 and v.lm()[:2] == (2, 0)
+    xe1, ye2 = F.vector({0: R.parse("x")}).lm(), F.vector({1: R.parse("y")}).lm()
+    # ring monomials act on terms unchanged; division fails across positions
+    assert mono_mul(xe1, (0, 1, 0, 0, 0)) == F.vector({0: R.parse("x*y")}).lm()
+    assert mono_div(xe1, ye2) is None
+    # position over term: position 0 beats any degree at position 1
+    assert F.sort_key(xe1) > F.sort_key(F.vector({1: R.parse("x^5")}).lm())
+    assert F.skip_pair(xe1, ye2) and not F.skip_pair(xe1, F.vector({0: R.parse("y")}).lm())
+
+
+def test_buchberger_on_submodule():
+    R = PolyRing(["x", "y"], [1, 1])
+    F = FreeModule(R, 2)
+    gens = [
+        F.vector({0: R.parse("x"), 1: R.parse("y")}),
+        F.vector({0: R.parse("y"), 1: R.parse("x")}),
+    ]
+    gb = buchberger(gens, verify=True)
+    assert all(gb.contains(g) for g in gens)
+    # (x^2 - y^2) e2 = x * g1 - y * g0 lies in the submodule, e2 does not
+    assert gb.contains(F.vector({1: R.parse("x^2 - y^2")}))
+    assert not gb.contains(F.vector({1: R.one()}))

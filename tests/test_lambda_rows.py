@@ -142,3 +142,25 @@ def test_syzygy_trace_345():
 def test_syzygy_trace_second_instance():
     inst = search_instances((1, 1, 2), (1, 1, 3), 150)[0]
     assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
+
+
+# (m, ell) at n = 4 and n = 5, half of them nearly Gorenstein, half not;
+# criterion 10 samples only n = 3
+SYZYGY_SAMPLE = [
+    ((1, 1, 1, 1), (2, 2, 1, 1)),
+    ((1, 2, 2, 2), (1, 1, 1, 1)),
+    ((1, 1, 1, 1), (2, 1, 1, 1)),
+    ((1, 1, 2, 1), (1, 2, 2, 1)),
+    ((1, 2, 2, 2), (2, 1, 1, 2)),
+    ((2, 2, 2, 1), (2, 1, 1, 1)),
+    ((1, 1, 1, 1, 1), (1, 1, 2, 1, 1)),
+    ((2, 1, 2, 2, 1), (1, 1, 1, 1, 1)),
+    ((1, 1, 1, 1, 2), (2, 2, 1, 1, 1)),
+    ((1, 2, 2, 1, 1), (1, 1, 1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("m, ell", SYZYGY_SAMPLE)
+def test_syzygy_trace_n4_n5(m, ell):
+    (inst,) = search_instances(m, ell, 150)
+    assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
