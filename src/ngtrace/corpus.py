@@ -21,6 +21,7 @@ from .determinantal import (
     classify_almost_gorenstein,
     classify_nearly_gorenstein,
     search_instances,
+    symmetries,
 )
 from .ideals import from_generators, trace_canonical_oracle
 from .lambda_rows import trace_canonical_lambda
@@ -112,6 +113,9 @@ def build_corpus(
 
     Subsampling draws exponent tuples deterministically from the given seed
     before the (expensive) validation, so a seeded run is reproducible.
+    Whether a tuple gives an instance is constant on its dihedral class (see
+    DeterminantalInstance.rearranged), so each class is searched once, at
+    its first tuple, and its other tuples are rearrangements of that result.
     """
     out: list[DeterminantalInstance] = []
     for n in ns:
@@ -119,8 +123,19 @@ def build_corpus(
         if sample is not None and sample < len(tuples):
             rng = random.Random(0 if seed is None else seed)
             tuples = rng.sample(tuples, sample)
+        positions = tuple(range(n))
+        searched: dict[tuple, list[DeterminantalInstance]] = {}
         for m, ell in tuples:
-            out.extend(search_instances(m, ell, bound))
+            key = min(sym.apply(positions, m, ell)[1:] for sym in symmetries(n))
+            if key not in searched:
+                searched[key] = search_instances(m, ell, bound)
+                out.extend(searched[key])
+                continue
+            for inst in searched[key]:
+                sym = next(
+                    s for s in symmetries(n) if s.apply(inst.order, inst.m, inst.ell)[1:] == (m, ell)
+                )
+                out.append(inst.rearranged(sym))
     return out
 
 

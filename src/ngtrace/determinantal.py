@@ -7,10 +7,11 @@ together with exponent vectors m, ell such that the matrix
     ( X_1^l_1   X_2^l_2  ...  X_{n-1}^l_{n-1}   X_n^l_n )
 
 has constant column degree gap c = m_[i+1] a_[i+1] - l_i a_i and its 2-minors
-generate the defining ideal of the semigroup ring.  Validation checks both
-inclusions exactly; classification decides the nearly Gorenstein and almost
-Gorenstein properties from the exponent patterns alone, scanning the cyclic
-shifts and the reversal (which swaps the roles of m and ell).
+generate the defining ideal of the semigroup ring.  Validation decides that
+exactly by a colength count on the Groebner basis of the minors (see
+validate_defining_ideal); classification decides the nearly Gorenstein and
+almost Gorenstein properties from the exponent patterns alone, scanning the
+cyclic shifts and the reversal (which swaps the roles of m and ell).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from functools import cached_property
 from itertools import permutations, product
 
 from .errors import IdealMismatch, InhomogeneousMatrix, ResourceLimit
-from .groebner import GroebnerBasis, buchberger, toric_ideal, two_minors
-from .polyring import PolyRing, Polynomial
+from .groebner import buchberger, two_minors
+from .polyring import Mono, PolyRing, Polynomial, mono_div, mono_support
 from .semigroup import NumericalSemigroup
 
 SEARCH_BOUND_CAP = 500
@@ -109,6 +110,17 @@ class DeterminantalInstance:
     def minors(self) -> list[Polynomial]:
         return two_minors(self.matrix)
 
+    def rearranged(self, sym: Symmetry) -> "DeterminantalInstance":
+        """The instance after a dihedral rearrangement, without revalidation.
+
+        A shift permutes the columns of the matrix cyclically; the reversal
+        also swaps its rows.  Either way the minors are those of the original
+        matrix up to sign and a renaming of the variables, so validity is
+        invariant; the reversal negates c.
+        """
+        order, m, ell = sym.apply(self.order, self.m, self.ell)
+        return DeterminantalInstance(self.H, order, m, ell, homogeneity_constant(order, m, ell))
+
     def to_json(self) -> dict:
         return {
             "generators": list(self.H.generators),
@@ -155,43 +167,67 @@ def homogeneity_constant(order, m, ell) -> int:
     return gaps[0]
 
 
-_TORIC_CACHE: dict[tuple[int, ...], GroebnerBasis] = {}
+def _standard_count(leads: list[Mono], nvars: int, cap: int) -> int | None:
+    """Monomials in nvars variables divisible by no lead, counted up to cap + 1.
 
-
-def toric_for_order(order: tuple[int, ...], seed=()) -> GroebnerBasis:
-    """Toric basis for an arrangement, cached: the reduced basis is canonical,
-    so the (correctness-neutral) saturation seed does not affect the result."""
-    gb = _TORIC_CACHE.get(order)
-    if gb is None:
-        gb = toric_ideal(order, seed=seed)
-        if len(_TORIC_CACHE) > 4096:
-            _TORIC_CACHE.clear()
-        _TORIC_CACHE[order] = gb
-    return gb
+    Returns None when there are infinitely many, that is when some variable
+    has no pure power among the leads; otherwise the count, or cap + 1 as
+    soon as it passes cap.  The standard monomials are closed under
+    division, so a depth-first walk that appends variables in nondecreasing
+    index order meets each once and may stop at the first non-standard one.
+    """
+    powers = {mono_support(lm) for lm in leads}
+    if any(1 << i not in powers for i in range(nvars)):
+        return None
+    count = 0
+    stack = [((0,) * nvars, 0)]
+    while stack:
+        mono, first = stack.pop()
+        if any(mono_div(mono, lm) is not None for lm in leads):
+            continue
+        count += 1
+        if count > cap:
+            return count
+        for i in range(first, nvars):
+            stack.append((mono[:i] + (mono[i] + 1,) + mono[i + 1 :], i))
+    return count
 
 
 def validate_defining_ideal(H, order, m, ell) -> ValidationReport:
-    """Exact two-sided check that the 2-minors generate the defining ideal.
+    """Exact check that the 2-minors generate the defining ideal P of H.
 
-    Containment of the minors is a degree computation (each minor is a
-    binomial with equal weighted degrees); the reverse containment reduces
-    every toric basis element against the minor basis.
+    The minors are homogeneous binomials, so I_2 lies in P.  Write X_n for
+    the last variable, of weight a_n = order[-1].  If S/(I_2 + X_n) has
+    finite length, I_2 has the maximal height n - 1 and S/I_2 is
+    Cohen-Macaulay (Eagon-Northcott), so X_n is a nonzerodivisor on it and
+    the length is the multiplicity e(X_n; S/I_2) >= e(X_n; S/P) = a_n, with
+    equality exactly when I_2 = P.  In the ring's weighted revlex order, with
+    X_n last, in(I_2 + X_n) = in(I_2) + (X_n) (Bayer-Stillman), so the length
+    is the number of monomials in X_1..X_{n-1} outside the leads of the
+    reduced basis of I_2: no second Groebner basis is needed.  The count
+    stops at a_n + 1, and NumericalSemigroup caps the generators.
     """
     order = tuple(order)
-    ring = PolyRing([f"X{i+1}" for i in range(len(order))], order)
+    n = len(order)
+    ring = PolyRing([f"X{i+1}" for i in range(n)], order)
     minors = two_minors(build_matrix(ring, tuple(m), tuple(ell)))
     for p in minors:
         if not p.is_homogeneous():
             return ValidationReport(False, failing=f"minor not homogeneous: {p}")
-    gb_minors = buchberger(minors)
-    gb_toric = toric_for_order(order, seed=minors)
-    if gb_toric.polys == gb_minors.polys:
-        # reduced bases are unique per ideal, so equality settles both inclusions
+    leads = [g.lm()[:-1] for g in buchberger(minors) if not g.lm()[-1]]
+    a_n = order[-1]
+    count = _standard_count(leads, n - 1, a_n)
+    if count == a_n:
         return ValidationReport(True)
-    for p in gb_toric:
-        if not gb_minors.contains(p):
-            return ValidationReport(False, failing=str(p))
-    return ValidationReport(True)
+    if count is None:
+        found = "infinite"
+    elif count > a_n:
+        found = f"above {a_n}"
+    else:
+        found = str(count)
+    return ValidationReport(
+        False, failing=f"colength of the 2-minors + X{n} is {found}, not a_{n} = {a_n}"
+    )
 
 
 def build(H: NumericalSemigroup, order, m, ell) -> DeterminantalInstance:
@@ -211,7 +247,7 @@ def build(H: NumericalSemigroup, order, m, ell) -> DeterminantalInstance:
     c = homogeneity_constant(order, m, ell)
     report = validate_defining_ideal(H, order, m, ell)
     if not report:
-        raise IdealMismatch(report.failing or "unknown")
+        raise IdealMismatch(report.failing)
     return DeterminantalInstance(H, order, m, ell, c)
 
 

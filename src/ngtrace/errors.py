@@ -48,9 +48,9 @@ class InhomogeneousMatrix(ValueError):
 class IdealMismatch(ValueError):
     """The 2-minor ideal differs from the semigroup's defining ideal."""
 
-    def __init__(self, witness: str):
-        self.witness = witness
-        super().__init__(f"defining-ideal generator not reachable from the 2-minors: {witness}")
+    def __init__(self, detail: str):
+        self.detail = detail
+        super().__init__(f"the 2-minors do not generate the defining ideal: {detail}")
 
 
 class NotApplicable(ValueError):

@@ -275,10 +275,7 @@ def rearranged(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstanc
     if not (hd.I or hd.J) or hd.base_case != OTHER:
         return None, hd
     for sym in symmetries(n):
-        order, m, ell = sym.apply(base.order, base.m, base.ell)
-        cand = DeterminantalInstance(
-            base.H, order, m, ell, m[1] * order[1] - ell[0] * order[0]
-        )
+        cand = base.rearranged(sym)
         if base_case_of(cand) == OTHER:
             continue
         s = sym.shift

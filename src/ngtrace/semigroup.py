@@ -15,6 +15,10 @@ import math
 from .errors import GcdNotOne, NonMinimalGenerators, NotInSemigroup, ResourceLimit
 
 _FACTORIZATION_CAP = 10**7
+# construction allocates a sieve as long as the largest generator, an Apery
+# list as long as the multiplicity and a gap list as long as the genus
+_GENERATOR_CAP = 10**5
+_FROBENIUS_CAP = 10**6
 
 
 def _representable(h: int, gens: tuple[int, ...]) -> bool:
@@ -66,6 +70,8 @@ class NumericalSemigroup:
         if math.gcd(*gens) != 1:
             raise GcdNotOne(f"gcd of {gens} is {math.gcd(*gens)}, must be 1")
         ordered = tuple(sorted(gens))
+        if ordered[-1] > _GENERATOR_CAP:
+            raise ResourceLimit(f"generator {ordered[-1]} exceeds cap {_GENERATOR_CAP}")
         for i, g in enumerate(ordered):
             others = ordered[:i] + ordered[i + 1 :]
             if not others:
@@ -76,6 +82,10 @@ class NumericalSemigroup:
         self.multiplicity = ordered[0]
         self.apery = tuple(_apery_by_dijkstra(ordered, self.multiplicity))
         self._frobenius = max(self.apery) - self.multiplicity
+        if self._frobenius > _FROBENIUS_CAP:
+            raise ResourceLimit(
+                f"Frobenius number {self._frobenius} exceeds cap {_FROBENIUS_CAP}"
+            )
         gaps = []
         for w in self.apery:
             x = w - self.multiplicity

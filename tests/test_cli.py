@@ -232,17 +232,37 @@ def test_higher_n3_untabulated_true_case(capsys, command, marks):
     assert "trace_n3_decision" in payload["witness"]
 
 
-def test_search_resource_limit_exit_2(capsys):
-    # the weight cap of the toric route leaves the candidate undecided: an
-    # error, not "found: 0"
+def _raise_cap(*args, **kwargs):
+    raise ResourceLimit("cap for the test")
+
+
+def test_search_resource_limit_exit_2(capsys, monkeypatch):
+    # a cap hit in validation leaves the candidate undecided: an error, not
+    # "found: 0"
+    monkeypatch.setattr("ngtrace.determinantal.validate_defining_ideal", _raise_cap)
     code, out, err = run(capsys, "search", "--m", "1,4,3,3", "--ell", "2,4,4,4", "--bound", "500")
     assert code == 2
-    assert "resource limit:" in err
+    assert "resource limit: cap for the test" in err
     assert "found" not in out
 
 
-def _raise_cap(*args, **kwargs):
-    raise ResourceLimit("cap for the test")
+def test_search_weights_above_200(capsys):
+    # colength of the 2-minors + X4 is 76 = a_4: a valid presentation, which
+    # the weight cap of the toric route used to leave undecided
+    code, payload, err = run_json(capsys, "search", "--m", "1,4,3,3", "--ell", "2,4,4,4", "--bound", "500")
+    assert code == 0, err
+    assert len(payload) == 1
+    assert payload[0]["generators"] == [76, 80, 83, 212]
+    assert payload[0]["order"] == [212, 83, 80, 76]
+
+
+def test_classify_huge_generators_exit_2(capsys):
+    # Frobenius number about 5 * 10^7: capped before the gap list is built
+    huge = json.dumps({"generators": [9967, 9973, 9979], "m": [1, 1, 1], "ell": [1, 1, 1]})
+    code, out, err = run(capsys, "classify", huge)
+    assert code == 2
+    assert "resource limit: Frobenius number" in err
+    assert out == ""
 
 
 def test_corpus_resource_limit_exit_2(capsys, monkeypatch):

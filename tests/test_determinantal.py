@@ -1,14 +1,18 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngtrace.corpus import build_corpus, exponent_tuples
 from ngtrace.determinantal import (
     DeterminantalInstance,
     Symmetry,
+    _standard_count,
     arithmetic_progression_check,
     build,
+    build_matrix,
     classify_almost_gorenstein,
     classify_nearly_gorenstein,
     degree_gaps,
@@ -20,7 +24,9 @@ from ngtrace.determinantal import (
     validate_defining_ideal,
 )
 from ngtrace.errors import IdealMismatch, InhomogeneousMatrix
+from ngtrace.groebner import buchberger, toric_ideal, two_minors
 from ngtrace.ideals import is_nearly_gorenstein_oracle
+from ngtrace.polyring import PolyRing
 from ngtrace.semigroup import NumericalSemigroup
 
 
@@ -55,7 +61,7 @@ def test_inhomogeneous_rejected_with_columns():
 
 def test_homogeneous_but_wrong_ideal_rejected():
     # constant gap 5 on (3,4,5) with large exponents: minors generate a
-    # strictly smaller ideal, and the failing toric generator is reported
+    # strictly smaller ideal, and the colength found is reported
     H = NumericalSemigroup([3, 4, 5])
     assert homogeneity_constant((3, 4, 5), (5, 2, 5), (1, 5, 2)) == 5
     report = validate_defining_ideal(H, (3, 4, 5), (5, 2, 5), (1, 5, 2))
@@ -63,6 +69,72 @@ def test_homogeneous_but_wrong_ideal_rejected():
     assert report.failing is not None
     with pytest.raises(IdealMismatch):
         build(H, (3, 4, 5), (5, 2, 5), (1, 5, 2))
+
+
+def test_colength_above_a_n_rejected():
+    H = NumericalSemigroup([7, 8, 11, 20])
+    report = validate_defining_ideal(H, (20, 7, 8, 11), (1, 1, 1, 1), (1, 3, 3, 3))
+    assert report.failing == "colength of the 2-minors + X4 is above 11, not a_4 = 11"
+    with pytest.raises(IdealMismatch, match="do not generate the defining ideal"):
+        build(H, (20, 7, 8, 11), (1, 1, 1, 1), (1, 3, 3, 3))
+
+
+def test_standard_count():
+    # leads x^2, y^3: the standard monomials are x^i y^j, i < 2, j < 3
+    assert _standard_count([(2, 0), (0, 3)], 2, 10) == 6
+    assert _standard_count([(2, 0), (0, 3)], 2, 6) == 6
+    assert _standard_count([(2, 0), (0, 3)], 2, 4) == 5  # stops one past the cap
+    assert _standard_count([(2, 0), (1, 1), (0, 3)], 2, 10) == 4
+    # no power of y among the leads: infinitely many, rejected at once
+    assert _standard_count([(2, 0), (1, 1)], 2, 10) is None
+    assert _standard_count([], 2, 10) is None
+
+
+def _candidates(n):
+    """(order, m, ell) of every corpus tuple (exponents <= 3, bound 150) that
+    reaches validation: nondegenerate, distinct and minimal generators."""
+    out = []
+    for m, ell in exponent_tuples(n, 3):
+        if math.prod(m) == math.prod(ell):
+            continue
+        d = remark_degrees(m, ell)
+        order = tuple(x // math.gcd(*d) for x in d)
+        if max(order) > 150 or len(set(order)) != n:
+            continue
+        try:
+            NumericalSemigroup(order)
+        except ValueError:
+            continue
+        out.append((order, m, ell))
+    return out
+
+
+def _toric_verdict(order, m, ell) -> bool:
+    """The saturation route: the minors generate the toric ideal iff every
+    element of its reduced basis lies in the ideal of the minors."""
+    ring = PolyRing([f"X{i+1}" for i in range(len(order))], order)
+    minors = two_minors(build_matrix(ring, m, ell))
+    gb_minors = buchberger(minors)
+    gb_toric = toric_ideal(order, seed=minors)
+    return gb_toric.polys == gb_minors.polys or all(gb_minors.contains(p) for p in gb_toric)
+
+
+def test_colength_verdict_matches_toric_route():
+    n3, n4 = _candidates(3), _candidates(4)
+    assert (len(n3), len(n4)) == (522, 4256)
+    for order, m, ell in n3 + n4[::8]:
+        H = NumericalSemigroup(order)
+        assert bool(validate_defining_ideal(H, order, m, ell)) == _toric_verdict(order, m, ell), (
+            order, m, ell,
+        )
+
+
+def test_build_corpus_matches_per_tuple_search():
+    per_tuple = [
+        inst for n in (3, 4) for m, ell in exponent_tuples(n, 3) for inst in search_instances(m, ell, 150)
+    ]
+    assert len(per_tuple) == 444 + 2960
+    assert build_corpus(ns=(3, 4)) == per_tuple
 
 
 def test_build_validates_order_is_arrangement():

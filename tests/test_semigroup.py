@@ -160,3 +160,13 @@ def test_closure_sieve_helper():
 def test_json_round_trip():
     H = NumericalSemigroup([7, 8, 9, 10])
     assert NumericalSemigroup.from_json(H.to_json()) == H
+
+
+def test_construction_caps():
+    # each raises before its allocation: the minimality sieve is as long as
+    # the largest generator, the gap list as the genus (about 2.5 * 10^7 here)
+    with pytest.raises(ResourceLimit, match="generator 100004 exceeds cap"):
+        NumericalSemigroup([100003, 100004])
+    with pytest.raises(ResourceLimit, match="Frobenius number 49715390 exceeds cap"):
+        NumericalSemigroup([9967, 9973, 9979])
+    assert NumericalSemigroup([3, 100000]).frobenius() == 199997
