@@ -30,7 +30,6 @@ from .higher_dim import HigherDimInstance, build_matrices, classify, trace_n3, v
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
-    from_generators,
     is_nearly_gorenstein_oracle,
     trace_canonical_oracle,
     unit_ideal,

@@ -23,7 +23,7 @@ from .determinantal import (
     search_instances,
     symmetries,
 )
-from .ideals import from_generators, trace_canonical_oracle
+from .ideals import RelativeIdeal, trace_canonical_oracle
 from .lambda_rows import trace_canonical_lambda
 
 
@@ -77,7 +77,7 @@ def check_instance(inst: DeterminantalInstance) -> InstanceReport:
     ag_nari = H.is_almost_symmetric()
     herzog_ok = None
     if inst.n == 3:
-        closed = from_generators(
+        closed = RelativeIdeal(
             H,
             [inst.m[i] * inst.order[i] for i in range(3)]
             + [inst.ell[i] * inst.order[i] for i in range(3)],

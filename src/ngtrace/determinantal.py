@@ -43,13 +43,10 @@ class Symmetry:
     reversed: bool = False
 
     def apply(self, order, m, ell):
-        n = len(order)
         if self.reversed:
-            order = tuple(reversed(order))
-            m, ell = tuple(reversed(ell)), tuple(reversed(m))
+            order, m, ell = order[::-1], ell[::-1], m[::-1]
         s = self.shift
-        rot = lambda t: tuple(t[(k + s) % n] for k in range(n))
-        return rot(order), rot(m), rot(ell)
+        return order[s:] + order[:s], m[s:] + m[:s], ell[s:] + ell[:s]
 
     def describe(self) -> str:
         base = f"shift({self.shift})"

@@ -2,10 +2,14 @@
 
 A relative ideal is a set E of integers, bounded below, with E + H inside E.
 It is stored as its minimal generators: no generator lies in another
-generator's translate of H.  These sets are the ground-truth route to the
-canonical trace ideal in dimension one: every homomorphism from a fractional
-ideal into the ring is multiplication by an element of the colon ideal, so
-the trace of the canonical ideal K is K + (H - K).
+generator's translate of H.  Sums, colons and minimal generators are computed
+on bit masks: bit i of an ideal's mask says whether lo + i is a member, for a
+lower bound lo, and the int is negative because every element more than
+one Frobenius number past the least is a member.  These sets are the
+ground-truth route to the canonical trace ideal in dimension one: every
+homomorphism from a fractional ideal into the ring is multiplication by an
+element of the colon ideal, so the trace of the canonical ideal K is
+K + (H - K).
 """
 
 from __future__ import annotations
@@ -13,16 +17,27 @@ from __future__ import annotations
 import json
 
 from .errors import BaseMismatch
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, bit_positions
 
 
-def _minimalize(H: NumericalSemigroup, values) -> tuple[int, ...]:
-    """Keep the elements not reachable from a smaller one by adding H."""
-    kept: list[int] = []
-    for g in sorted(set(values)):
-        if not any(H.contains(g - g0) for g0 in kept):
-            kept.append(g)
-    return tuple(kept)
+def _values_mask(H: NumericalSemigroup, lo: int, values) -> int:
+    """Bit i says whether lo + i lies in values + H; lo is the least value."""
+    F = H.frobenius()
+    E = 0
+    for v in values:
+        if v - lo <= F:  # larger values lie in lo + H already
+            E |= H.mask << (v - lo)
+    return E
+
+
+def _minimal_generators(H: NumericalSemigroup, lo: int, E: int) -> tuple[int, ...]:
+    """Minimal generators E & ~OR_a (E << a) of the ideal with mask E from lo."""
+    reached = 0
+    for a in H.generators:
+        reached |= E << a
+    if not E or reached & ~E:
+        raise ValueError("not the mask of a nonempty relative ideal")
+    return tuple(lo + i for i in bit_positions(E & ~reached))
 
 
 class RelativeIdeal:
@@ -31,10 +46,29 @@ class RelativeIdeal:
     __slots__ = ("base", "generators")
 
     def __init__(self, base: NumericalSemigroup, generators):
-        if not generators:
+        values = set(generators)
+        if not values:
             raise ValueError("a relative ideal needs at least one generator")
+        lo = min(values)
         self.base = base
-        self.generators = _minimalize(base, generators)
+        self.generators = _minimal_generators(base, lo, _values_mask(base, lo, values))
+
+    @classmethod
+    def from_mask(cls, base: NumericalSemigroup, mask: int, lo: int = 0) -> "RelativeIdeal":
+        """The ideal whose members are lo + i for the set bits i of mask.
+
+        The mask must hold the ideal at every i >= 0, so it is closed under
+        adding the generators of base (and hence a negative int); anything
+        else raises ValueError.
+        """
+        ideal = cls.__new__(cls)
+        ideal.base = base
+        ideal.generators = _minimal_generators(base, lo, mask)
+        return ideal
+
+    def _mask(self) -> int:
+        """The ideal's mask with bit i for the element minimum() + i."""
+        return _values_mask(self.base, self.minimum(), self.generators)
 
     # -- membership and comparisons ---------------------------------------
 
@@ -69,37 +103,39 @@ class RelativeIdeal:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, other: "RelativeIdeal") -> "RelativeIdeal":
-        """Minkowski sum, generated by pairwise sums of generators."""
+        """Minkowski sum: the union of self's translates by other's generators."""
         if self.base != other.base:
             raise BaseMismatch("cannot add ideals over different semigroups")
-        sums = {a + b for a in self.generators for b in other.generators}
-        return RelativeIdeal(self.base, sums)
+        E = self._mask()
+        low = other.minimum()
+        S = 0
+        for b in other.generators:
+            S |= E << (b - low)
+        return RelativeIdeal.from_mask(self.base, S, self.minimum() + low)
 
     def colon(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """The ideal {z : z + other is contained in self}.
 
-        Membership of z only requires checking the generators of ``other``.
-        Everything at or past min(self) + F + 1 - min(other gens) is a
-        member, so the minimum of the colon exists inside a finite scan;
-        minimal generators then live within one Frobenius number of that
-        minimum, and the element just past that range is asserted as a
-        sentinel.
+        Membership of z only requires checking the generators of ``other``,
+        so the colon's mask is the AND of self's mask shifted back by each of
+        them.  No z below min(self) - max(other gens) is a member; from there
+        the masks are exact.  Minimal generators live within one Frobenius
+        number of the colon's minimum, and every element past that range is
+        asserted to be a member as a sentinel.
         """
         if self.base != other.base:
             raise BaseMismatch("cannot divide ideals over different semigroups")
         H = self.base
-        F = H.frobenius()
-        lo = self.minimum() - max(other.generators)
-        threshold = self.minimum() + F + 1 - min(other.generators)
-
-        def member(z: int) -> bool:
-            return all(self.contains(z + g) for g in other.generators)
-
-        low = next(z for z in range(lo, threshold + 1) if member(z))
-        members = [z for z in range(low, low + F + 1) if member(z)]
-        if not member(low + F + 1):  # sentinel: just past the window is inside
+        E = self._mask()
+        top = max(other.generators)
+        lo = self.minimum() - top
+        C = -1
+        for g in other.generators:
+            C &= E << (top - g)  # bit i: lo + i + g is in self
+        low = (C & -C).bit_length() - 1
+        if C >> (low + H.frobenius() + 1) != -1:  # sentinel: past the window is inside
             raise AssertionError("colon window sentinel failed; bound reasoning broken")
-        return RelativeIdeal(H, members)
+        return RelativeIdeal.from_mask(H, C, lo)
 
     # -- serialization -----------------------------------------------------
 
@@ -119,10 +155,6 @@ class RelativeIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ") + " + str(self.base)
 
 
-def from_generators(H: NumericalSemigroup, gens) -> RelativeIdeal:
-    return RelativeIdeal(H, gens)
-
-
 def unit_ideal(H: NumericalSemigroup) -> RelativeIdeal:
     """H itself viewed as the relative ideal generated by 0."""
     return RelativeIdeal(H, [0])
@@ -131,13 +163,14 @@ def unit_ideal(H: NumericalSemigroup) -> RelativeIdeal:
 def canonical_ideal(H: NumericalSemigroup) -> RelativeIdeal:
     """The canonical ideal K = {x : F - x not in H}.
 
-    Its minimal generators are exactly F - f over the pseudo-Frobenius
-    numbers f; that identity is recomputed here and checked rather than
-    assumed.
+    Its mask over 0..F is the gap mask reversed, and every x > F is a
+    member.  Its minimal generators are exactly F - f over the
+    pseudo-Frobenius numbers f; that identity is recomputed here and
+    checked rather than assumed.
     """
     F = H.frobenius()
-    members = [x for x in range(0, F + 1) if not H.contains(F - x)]
-    K = RelativeIdeal(H, members)
+    gaps = format(~H.mask, f"0{F + 1}b")  # character j is whether F - j is a gap
+    K = RelativeIdeal.from_mask(H, int(gaps[::-1], 2) | (-1 << (F + 1)))
     expected = tuple(sorted(F - f for f in H.pseudo_frobenius()))
     if K.generators != expected:
         raise AssertionError(

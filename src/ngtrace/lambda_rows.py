@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .determinantal import DeterminantalInstance, classify_nearly_gorenstein
 from .errors import NotApplicable
-from .ideals import RelativeIdeal, canonical_ideal, from_generators
-from .semigroup import NumericalSemigroup
+from .ideals import RelativeIdeal, canonical_ideal
+from .semigroup import sieve_mask
 
 
 @dataclass(frozen=True)
@@ -72,39 +72,42 @@ def trace_window(inst: DeterminantalInstance) -> int:
     return 2 * inst.H.frobenius() + 2 * max(inst.order) + (inst.n - 1) * abs(inst.c)
 
 
+def _shift_down(mask: int, s: int) -> int:
+    """Bit v of the result is bit v + s of mask (bits below 0 read as unset)."""
+    return mask >> s if s >= 0 else mask << -s
+
+
 def trace_canonical_lambda(inst: DeterminantalInstance) -> RelativeIdeal:
     """The canonical trace ideal collected from all monomial rows.
 
-    Scans degrees up to a window past which membership is eventually
+    The row starts v are AND_k (H >> k*c) and the members OR_k (starts << k*c),
+    over degrees up to a window past which membership is eventually
     constant; the window end doubles as a sentinel and is asserted.
     """
     H = inst.H
     c, n = inst.c, inst.n
     W = trace_window(inst)
     reach = W + (n - 1) * abs(c)  # rows covering the window may start past it
-    table = H.membership_table(reach + (n - 1) * abs(c) + 1)
-    limit = len(table)
-
-    def in_H(x: int) -> bool:
-        return 0 <= x < limit and bool(table[x])
-
-    starts = [
-        v
-        for v in range(0, reach + 1)
-        if all(in_H(v + k * c) for k in range(n - 1))
-    ]
-    members: set[int] = set()
-    for v in starts:
-        members.update(v + k * c for k in range(n - 1))
-    members = {u for u in members if 0 <= u <= W}
-    if W not in members and lambda_membership(inst, W) is None:
+    starts = (1 << (reach + 1)) - 1
+    for k in range(n - 1):
+        starts &= _shift_down(H.mask, k * c)
+    members = 0
+    for k in range(n - 1):
+        members |= _shift_down(starts, -k * c)
+    members &= (1 << (W + 1)) - 1
+    if not (members >> W) & 1 and lambda_membership(inst, W) is None:
         raise AssertionError("trace window sentinel failed; bound reasoning broken")
-    return from_generators(H, sorted(members))
+    # the members generate the trace: close them under H from the least one,
+    # past which everything beyond one Frobenius number is a member
+    low = (members & -members).bit_length() - 1
+    F = H.frobenius()
+    E = sieve_mask(H.generators, F, members >> low) | (-1 << (F + 1))
+    return RelativeIdeal.from_mask(H, E, low)
 
 
 def row_generates_canonical(inst: DeterminantalInstance, row: LambdaRow) -> bool:
     """True iff the row entries generate an integer translate of the canonical ideal."""
-    E = from_generators(inst.H, row.entries)
+    E = RelativeIdeal(inst.H, row.entries)
     K = canonical_ideal(inst.H)
     return E.is_translate_of(K)
 
@@ -184,4 +187,4 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
             members.append(u)
     if not members or W not in members:
         raise AssertionError("syzygy trace sentinel failed; window reasoning broken")
-    return from_generators(H, members)
+    return RelativeIdeal(H, members)

@@ -16,23 +16,40 @@ from .errors import GcdNotOne, NonMinimalGenerators, NotInSemigroup, ResourceLim
 
 _FACTORIZATION_CAP = 10**7
 # construction allocates a sieve as long as the largest generator, an Apery
-# list as long as the multiplicity and a gap list as long as the genus
+# list as long as the multiplicity, and a gap list and a membership mask as
+# long as the Frobenius number
 _GENERATOR_CAP = 10**5
 _FROBENIUS_CAP = 10**6
 
 
-def _representable(h: int, gens: tuple[int, ...]) -> bool:
-    """Plain DP sieve; used only for the minimality check at construction."""
-    if h < 0:
-        return False
-    ok = bytearray(h + 1)
-    ok[0] = 1
-    for x in range(1, h + 1):
-        for a in gens:
-            if a <= x and ok[x - a]:
-                ok[x] = 1
-                break
-    return bool(ok[h])
+def sieve_mask(gens, bound: int, seed: int = 1) -> int:
+    """Bit mask of seed + <gens> over 0..bound.
+
+    Bit x (0 <= x <= bound) is set iff x = s + a nonnegative combination of
+    gens for some set bit s of seed; the default seed {0} gives the
+    semigroup generated by gens.  Adding all multiples of a generator a is
+    log2(bound / a) shift-ORs: after shifts a, 2a, ..., 2^j a every multiple
+    below 2^(j+1) a has been added.
+    """
+    window = (1 << (bound + 1)) - 1
+    mask = seed & window
+    for a in gens:
+        step = a
+        while 0 < step <= bound:
+            mask |= (mask << step) & window
+            step <<= 1
+    return mask
+
+
+def bit_positions(x: int) -> list[int]:
+    """The set bits of a nonnegative int, in increasing order."""
+    digits = bin(x)[:1:-1]  # least significant first, without the "0b"
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def _apery_by_dijkstra(gens: tuple[int, ...], s: int) -> list[int]:
@@ -57,9 +74,14 @@ def _apery_by_dijkstra(gens: tuple[int, ...], s: int) -> list[int]:
 
 
 class NumericalSemigroup:
-    """Immutable numerical semigroup with cached classical invariants."""
+    """Immutable numerical semigroup with cached classical invariants.
 
-    __slots__ = ("generators", "multiplicity", "apery", "_frobenius", "_gaps", "_pf")
+    ``mask`` is the membership bit mask: bit x is set iff x lies in H, for
+    every x >= 0.  All x > F are members, so it is a negative int (infinite
+    ones past F in two's complement), and ``~mask`` is the finite gap mask.
+    """
+
+    __slots__ = ("generators", "multiplicity", "apery", "mask", "_frobenius", "_gaps", "_pf")
 
     def __init__(self, gens):
         gens = [int(g) for g in gens]
@@ -72,30 +94,30 @@ class NumericalSemigroup:
         ordered = tuple(sorted(gens))
         if ordered[-1] > _GENERATOR_CAP:
             raise ResourceLimit(f"generator {ordered[-1]} exceeds cap {_GENERATOR_CAP}")
+        # g is not minimal iff it repeats or g - a is in H minus {0} for a generator a
+        nonzero = sieve_mask(ordered, ordered[-1]) & ~1
+        sums = 0
+        for a in ordered:
+            sums |= nonzero << a
         for i, g in enumerate(ordered):
-            others = ordered[:i] + ordered[i + 1 :]
-            if not others:
-                continue
-            if _representable(g, others):
+            if (sums >> g) & 1 or (i and ordered[i - 1] == g):
                 raise NonMinimalGenerators(g)
         self.generators = ordered
-        self.multiplicity = ordered[0]
-        self.apery = tuple(_apery_by_dijkstra(ordered, self.multiplicity))
-        self._frobenius = max(self.apery) - self.multiplicity
-        if self._frobenius > _FROBENIUS_CAP:
-            raise ResourceLimit(
-                f"Frobenius number {self._frobenius} exceeds cap {_FROBENIUS_CAP}"
-            )
-        gaps = []
-        for w in self.apery:
-            x = w - self.multiplicity
-            while x > 0:
-                gaps.append(x)
-                x -= self.multiplicity
-        self._gaps = tuple(sorted(gaps))
-        self._pf = tuple(
-            x for x in self._gaps if all(self.contains(x + a) for a in ordered)
-        )
+        m = self.multiplicity = ordered[0]
+        self.apery = tuple(_apery_by_dijkstra(ordered, m))
+        F = self._frobenius = max(self.apery) - m
+        if F > _FROBENIUS_CAP:
+            raise ResourceLimit(f"Frobenius number {F} exceeds cap {_FROBENIUS_CAP}")
+        # the gaps of residue r are r, r + m, ..., apery[r] - m
+        row = bytearray(b"1") * (F + 1)
+        for r, w in enumerate(self.apery):
+            row[r:w:m] = b"0" * ((w - r) // m)
+        self.mask = int(row[::-1] or b"0", 2) | (-1 << (F + 1))
+        self._gaps = tuple(bit_positions(~self.mask))
+        pf = ~self.mask
+        for a in ordered:
+            pf &= self.mask >> a
+        self._pf = tuple(bit_positions(pf))
 
     # -- membership ------------------------------------------------------
 
@@ -104,12 +126,6 @@ class NumericalSemigroup:
         if h < 0:
             return False
         return h >= self.apery[h % self.multiplicity]
-
-    def membership_table(self, bound: int) -> bytearray:
-        """Bitmap of contains(x) for 0 <= x <= bound; handy for window scans."""
-        m = self.multiplicity
-        ap = self.apery
-        return bytearray(1 if x >= ap[x % m] else 0 for x in range(bound + 1))
 
     # -- classical invariants ---------------------------------------------
 
@@ -203,36 +219,20 @@ class NumericalSemigroup:
 
 
 def one_factorization(h: int, gens: tuple[int, ...]) -> tuple[int, ...] | None:
-    """A single exponent vector over gens (in the given order) summing to h."""
+    """A single exponent vector over gens (in the given order) summing to h.
+
+    Walks down from h, each step taking the first generator whose
+    remainder is representable.
+    """
     if h < 0:
         return None
-    parent = [None] * (h + 1)
-    ok = bytearray(h + 1)
-    ok[0] = 1
-    for x in range(1, h + 1):
-        for idx, a in enumerate(gens):
-            if a <= x and ok[x - a]:
-                ok[x] = 1
-                parent[x] = idx
-                break
-    if not ok[h]:
+    ok = sieve_mask(gens, h)
+    if not (ok >> h) & 1:
         return None
     vec = [0] * len(gens)
     x = h
     while x > 0:
-        idx = parent[x]
+        idx = next(i for i, a in enumerate(gens) if a <= x and (ok >> (x - a)) & 1)
         vec[idx] += 1
         x -= gens[idx]
     return tuple(vec)
-
-
-def semigroup_closure_sieve(gens, bound: int) -> bytearray:
-    """Independent DP membership sieve used as a cross-check oracle in tests."""
-    ok = bytearray(bound + 1)
-    ok[0] = 1
-    for x in range(1, bound + 1):
-        for a in gens:
-            if a <= x and ok[x - a]:
-                ok[x] = 1
-                break
-    return ok

@@ -6,7 +6,6 @@ from ngtrace.errors import BaseMismatch
 from ngtrace.ideals import (
     RelativeIdeal,
     canonical_ideal,
-    from_generators,
     is_nearly_gorenstein_oracle,
     trace_canonical_oracle,
     unit_ideal,
@@ -34,14 +33,14 @@ def set_oracle_minimal(H, members):
 
 
 def test_normalization_absorbs():
-    assert from_generators(H345, [0, 3]).generators == (0,)
-    assert from_generators(H345, [1, 2]).generators == (1, 2)
-    assert from_generators(H7890, [0, 11, 12, 13]).generators == (0, 11, 12, 13)
+    assert RelativeIdeal(H345, [0, 3]).generators == (0,)
+    assert RelativeIdeal(H345, [1, 2]).generators == (1, 2)
+    assert RelativeIdeal(H7890, [0, 11, 12, 13]).generators == (0, 11, 12, 13)
 
 
 def test_normalization_is_ideal_preserving():
-    E = from_generators(H345, [1, 2, 4, 5, 6, 8])
-    F = from_generators(H345, [1, 2])
+    E = RelativeIdeal(H345, [1, 2, 4, 5, 6, 8])
+    F = RelativeIdeal(H345, [1, 2])
     assert E == F
 
 
@@ -68,7 +67,7 @@ def test_add_identity_and_colon_identity():
 
 
 def test_add_example():
-    E = from_generators(H345, [1, 2])
+    E = RelativeIdeal(H345, [1, 2])
     assert E.add(E).generators == (2, 3, 4)
 
 
@@ -133,6 +132,31 @@ def test_almost_symmetric_implies_nearly_gorenstein():
             assert is_nearly_gorenstein_oracle(H)
 
 
+@given(
+    st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=5, unique=True)
+)
+@settings(max_examples=60, deadline=None)
+def test_oracle_matches_set_arithmetic(gens):
+    try:
+        H = NumericalSemigroup(gens)
+    except ValueError:
+        return
+    F = H.frobenius()
+    T = 2 * F + 2 * max(H.generators) + 2  # past every minimal generator below
+    ok = sieve(H.generators, 2 * T)
+
+    def in_H(x):
+        return x >= 0 and ok[x]
+
+    K = set_oracle_minimal(H, [x for x in range(T + 1) if not in_H(F - x)])
+    # z + K lies in H iff z + k does for the generators k of K
+    colon = set_oracle_minimal(H, [z for z in range(-T, T + 1) if all(in_H(z + k) for k in K)])
+    trace = set_oracle_minimal(H, [k + z for k in K for z in colon])
+    assert canonical_ideal(H).generators == K
+    assert unit_ideal(H).colon(canonical_ideal(H)).generators == colon
+    assert trace_canonical_oracle(H).generators == trace
+
+
 small_ideal_gens = st.lists(
     st.integers(min_value=-6, max_value=14), min_size=1, max_size=4
 )
@@ -141,8 +165,8 @@ small_ideal_gens = st.lists(
 @given(small_ideal_gens, small_ideal_gens)
 @settings(max_examples=80, deadline=None)
 def test_add_colon_galois_connection(gens_e, gens_f):
-    E = from_generators(H345, gens_e)
-    F = from_generators(H345, gens_f)
+    E = RelativeIdeal(H345, gens_e)
+    F = RelativeIdeal(H345, gens_f)
     # E is contained in (E+F) - F, and ((E-F)+F) is contained in E
     left = E.add(F).colon(F)
     assert all(left.contains(g) for g in E.generators)
@@ -151,5 +175,5 @@ def test_add_colon_galois_connection(gens_e, gens_f):
 
 
 def test_json_round_trip():
-    E = from_generators(H7890, [0, 11, 12, 13])
+    E = RelativeIdeal(H7890, [0, 11, 12, 13])
     assert RelativeIdeal.from_json(E.to_json()) == E

@@ -63,6 +63,13 @@ def test_negative_step_instance_trace():
     assert trace_canonical_lambda(inst) == trace_canonical_oracle(inst.H)
 
 
+def test_negative_step_traces_match_oracle(n3_corpus):
+    negative = [inst for inst in n3_corpus if inst.c < 0]
+    assert negative
+    for inst in negative:
+        assert trace_canonical_lambda(inst) == trace_canonical_oracle(inst.H), inst
+
+
 def test_rows_generate_canonical_translates():
     inst = inst_345()
     row, _ = lambda_membership(inst, 3)

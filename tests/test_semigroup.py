@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngtrace.errors import GcdNotOne, NonMinimalGenerators, NotInSemigroup, ResourceLimit
-from ngtrace.semigroup import NumericalSemigroup, one_factorization, semigroup_closure_sieve
+from ngtrace.semigroup import NumericalSemigroup, bit_positions, one_factorization, sieve_mask
 
 from conftest import sieve
 
@@ -146,15 +146,44 @@ def test_eventual_fullness():
     assert all(H.contains(F + k) for k in range(1, 1001))
 
 
-def test_membership_table_agrees():
-    H = NumericalSemigroup([7, 8, 9, 10])
-    table = H.membership_table(60)
-    assert all(bool(table[x]) == H.contains(x) for x in range(61))
+@given(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=200),
+)
+@settings(max_examples=60, deadline=None)
+def test_sieve_mask_matches_sieve(gens, bound):
+    oracle = sieve(gens, bound)
+    assert bit_positions(sieve_mask(gens, bound)) == [x for x in range(bound + 1) if oracle[x]]
 
 
-def test_closure_sieve_helper():
-    ok = semigroup_closure_sieve((3, 4, 5), 10)
-    assert [x for x in range(11) if ok[x]] == [0, 3, 4, 5, 6, 7, 8, 9, 10]
+def test_sieve_mask_seed():
+    # {1, 2} + <3, 5> over 0..12
+    assert bit_positions(sieve_mask((3, 5), 12, seed=0b110)) == [1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+
+
+@given(
+    st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=5, unique=True)
+)
+@settings(max_examples=60, deadline=None)
+def test_membership_mask_matches_sieve(gens):
+    try:
+        H = NumericalSemigroup(gens)
+    except ValueError:
+        return
+    bound = H.frobenius() + max(gens) + 1
+    oracle = sieve(H.generators, bound)
+    assert H.mask < 0  # every x > F is a member
+    assert bit_positions(H.mask & ((1 << (bound + 1)) - 1)) == [x for x in range(bound + 1) if oracle[x]]
+    assert bit_positions(~H.mask) == H.gaps()
+
+
+def test_minimality_of_many_generators():
+    # 200 consecutive generators: minimality comes from one sieve, not one per generator
+    gens = list(range(10000, 10200))
+    assert NumericalSemigroup(gens).frobenius() == 509_999
+    with pytest.raises(NonMinimalGenerators) as exc:
+        NumericalSemigroup(gens + [20001])  # 10000 + 10001
+    assert exc.value.generator == 20001
 
 
 def test_json_round_trip():
