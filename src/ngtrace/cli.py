@@ -3,6 +3,7 @@
 Subcommands: sgp, classify, trace, search, higher, corpus, verify.
 Exit codes: 0 success, 2 input validation or a resource cap hit,
 3 defining-ideal mismatch, 4 unsupported case, 5 property violation.
+The subcommands raise; main maps the exceptions to exit codes in one place.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
+from .corpus import InstanceReport, check_instance, run_corpus
 from .determinantal import (
     DeterminantalInstance,
     classify_almost_gorenstein,
@@ -51,22 +52,36 @@ EXIT_UNSUPPORTED = 4
 EXIT_VIOLATION = 5
 
 
-def _load_payload(arg: str) -> dict:
-    """Accept a JSON string, a file path, or '-' for stdin."""
+def _load_payload(arg: str, required=("generators", "m", "ell")) -> dict:
+    """Read a JSON object given inline, as a file path, or as '-' for stdin.
+
+    The keys in ``required`` must be present, and each of generators, order,
+    m, ell, I and J that is present must be a list of ints.
+    """
     text = arg
     if arg == "-":
         text = sys.stdin.read()
-    elif not arg.lstrip().startswith("{") and Path(arg).exists():
+    elif not arg.lstrip().startswith("{") and Path(arg).is_file():
         text = Path(arg).read_text()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    for key in ("generators", "order", "m", "ell", "I", "J"):
+        value = data.get(key, [])
+        if type(value) is not list or any(type(x) is not int for x in value):
+            raise ValueError(f"{key} must be a list of integers, got {value!r}")
     return data
 
 
 def _parse_gens(arg: str) -> list[int]:
-    if arg.lstrip().startswith("{") or arg == "-" or Path(arg).exists():
-        return [int(x) for x in _load_payload(arg)["generators"]]
+    if arg.lstrip().startswith("{") or arg == "-" or Path(arg).is_file():
+        return _load_payload(arg, required=("generators",))["generators"]
     return [int(x) for x in arg.replace(",", " ").split()]
 
 
@@ -80,12 +95,16 @@ def _emit(report: dict, fmt: str, out):
         print(f"{key}: {value}", file=out)
 
 
+def _exit_for(report: InstanceReport) -> int:
+    violations = report.violations()
+    if violations:
+        print(f"error: property violations: {'; '.join(violations)}", file=sys.stderr)
+        return EXIT_VIOLATION
+    return EXIT_OK
+
+
 def cmd_sgp(args, out) -> int:
-    try:
-        H = NumericalSemigroup(_parse_gens(args.gens))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    H = NumericalSemigroup(_parse_gens(args.gens))
     report = {
         "generators": list(H.generators),
         "multiplicity": H.multiplicity,
@@ -102,62 +121,33 @@ def cmd_sgp(args, out) -> int:
     return EXIT_OK
 
 
-def _build_instance(arg: str) -> tuple[int, DeterminantalInstance | None, str | None]:
-    try:
-        payload = _load_payload(arg)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return EXIT_INPUT, None, f"bad input: {exc}"
-    try:
-        inst = DeterminantalInstance.from_json(payload)
-    except (InhomogeneousMatrix, IdealMismatch) as exc:
-        return EXIT_IDEAL, None, f"not a determinantal presentation: {exc}"
-    except (ValueError, KeyError) as exc:
-        return EXIT_INPUT, None, f"bad input: {exc}"
-    return EXIT_OK, inst, None
-
-
 def cmd_classify(args, out) -> int:
-    code, inst, err = _build_instance(args.instance)
-    if inst is None:
-        print(f"error: {err}", file=sys.stderr)
-        return code
-    ng = classify_nearly_gorenstein(inst, full_perm=args.full_perm)
-    tr_oracle = trace_canonical_oracle(inst.H)
-    tr_lambda = trace_canonical_lambda(inst)
-    ng_oracle = all(tr_oracle.contains(a) for a in inst.H.generators)
-    ng_lambda = all(tr_lambda.contains(a) for a in inst.H.generators)
-    ag = classify_almost_gorenstein(inst)
-    nari = inst.H.is_almost_symmetric()
+    inst = DeterminantalInstance.from_json(_load_payload(args.instance))
+    checked = check_instance(inst)
+    ng = checked.ng
     report = {
         "instance": inst.to_json(),
         "c": inst.c,
         "ng_theorem": ng.is_ng,
         "ng_case": ng.case,
         "ng_symmetry": ng.symmetry.describe() if ng.symmetry else None,
-        "ng_oracle": ng_oracle,
-        "ng_lambda": ng_lambda,
-        "ag_theorem": ag,
-        "ag_pseudo_frobenius": nari,
-        "trace_oracle": list(tr_oracle.generators),
-        "trace_lambda": list(tr_lambda.generators),
+        "ng_oracle": checked.ng_oracle,
+        "ng_lambda": checked.ng_lambda,
+        "ag_theorem": checked.ag_theorem,
+        "ag_pseudo_frobenius": checked.ag_nari,
+        "trace_oracle": list(checked.trace_oracle.generators),
+        "trace_lambda": list(checked.trace_lambda.generators),
     }
     if args.format == "table":
         report["instance"] = json.dumps(report["instance"], sort_keys=True)
     _emit(report, args.format, out)
-    if not (ng.is_ng == ng_oracle == ng_lambda) or ag != nari:
-        print("error: classification methods disagree", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _exit_for(checked)
 
 
 def cmd_trace(args, out) -> int:
     if args.method == "syzygy" and not args.stretch_syzygy:
-        print("error: --method syzygy requires --stretch-syzygy", file=sys.stderr)
-        return EXIT_INPUT
-    code, inst, err = _build_instance(args.instance)
-    if inst is None:
-        print(f"error: {err}", file=sys.stderr)
-        return code
+        raise ValueError("--method syzygy requires --stretch-syzygy")
+    inst = DeterminantalInstance.from_json(_load_payload(args.instance))
     report: dict = {"instance": json.dumps(inst.to_json(), sort_keys=True)}
     results = {}
     if args.method in ("oracle", "all"):
@@ -183,15 +173,10 @@ def cmd_trace(args, out) -> int:
 
 
 def cmd_search(args, out) -> int:
-    try:
-        m = [int(x) for x in args.m.replace(",", " ").split()]
-        ell = [int(x) for x in args.ell.replace(",", " ").split()]
-        instances = search_instances(m, ell, args.bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    m = [int(x) for x in args.m.replace(",", " ").split()]
+    ell = [int(x) for x in args.ell.replace(",", " ").split()]
     rows = []
-    for inst in instances:
+    for inst in search_instances(m, ell, args.bound):
         ng = classify_nearly_gorenstein(inst)
         rows.append(
             {
@@ -211,28 +196,12 @@ def cmd_search(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_higher(args, out) -> int:
-    try:
+def cmd_higher(args, out, payload: dict | None = None) -> int:
+    if payload is None:
         payload = _load_payload(args.instance)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: bad input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    code, inst, err = _build_instance(json.dumps({k: v for k, v in payload.items() if k not in ("I", "J")}))
-    if inst is None:
-        print(f"error: {err}", file=sys.stderr)
-        return code
-    try:
-        hd = HigherDimInstance(
-            inst, frozenset(payload.get("I", [])), frozenset(payload.get("J", []))
-        )
-        sym, target = rearranged(hd) if args.rearrange else (None, hd)
-        res = classify_hd(target)
-    except UnsupportedBaseCase as exc:
-        print(f"error: unsupported base case: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    hd = HigherDimInstance.from_json(payload)
+    sym, target = rearranged(hd) if args.rearrange else (None, hd)
+    res = classify_hd(target)
     report = {
         "instance": json.dumps(hd.to_json(), sort_keys=True),
         "base_case": hd.base_case,
@@ -269,7 +238,7 @@ def cmd_corpus(args, out) -> int:
         def progress(done, total):
             print(f"  checked {done}/{total}", file=sys.stderr)
 
-    result = corpus_mod.run_corpus(
+    result = run_corpus(
         ns=ns,
         emax=args.emax,
         bound=args.bound,
@@ -287,33 +256,20 @@ def cmd_corpus(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    try:
-        payload = _load_payload(args.instance)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: bad input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    payload = _load_payload(args.instance)
     if payload.get("I") or payload.get("J"):
-        return cmd_higher(args, out)
-    code, inst, err = _build_instance(json.dumps(payload))
-    if inst is None:
-        print(f"error: {err}", file=sys.stderr)
-        return code
-    tr_oracle = trace_canonical_oracle(inst.H)
-    tr_lambda = trace_canonical_lambda(inst)
-    ng = classify_nearly_gorenstein(inst)
-    ng_oracle = all(tr_oracle.contains(a) for a in inst.H.generators)
+        return cmd_higher(args, out, payload)
+    inst = DeterminantalInstance.from_json(payload)
+    checked = check_instance(inst)
     report = {
         "instance": json.dumps(inst.to_json(), sort_keys=True),
-        "traces_equal": tr_oracle == tr_lambda,
-        "ng_agreement": ng.is_ng == ng_oracle,
+        "traces_equal": checked.traces_equal,
+        "ng_agreement": checked.ng_theorem == checked.ng_oracle,
     }
-    if ng.is_ng:
-        rows = theorem_if_witnesses(inst)
-        report["witness_rows"] = [str(r) for r in rows]
+    if checked.ng_theorem:
+        report["witness_rows"] = [str(r) for r in theorem_if_witnesses(inst)]
     _emit(report, args.format, out)
-    if not (report["traces_equal"] and report["ng_agreement"]):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _exit_for(checked)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -329,24 +285,28 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sgp", help="numerical semigroup invariants")
     p.add_argument("gens", help="comma list like 7,8,9,10 or JSON {\"generators\": [...]}")
+    p.set_defaults(handler=cmd_sgp)
 
     p = sub.add_parser("classify", help="validate and classify an instance")
     p.add_argument("instance", help="JSON object/file/- with generators, order, m, ell")
-    p.add_argument("--full-perm", action="store_true", help="scan all presentations too")
+    p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("trace", help="canonical trace ideal by one or all methods")
     p.add_argument("instance")
     p.add_argument("--method", choices=("oracle", "lambda", "syzygy", "all"), default="all")
     p.add_argument("--stretch-syzygy", action="store_true", help="enable the syzygy route")
+    p.set_defaults(handler=cmd_trace)
 
     p = sub.add_parser("search", help="instances for given exponents")
     p.add_argument("--m", required=True, help="comma list of top exponents")
     p.add_argument("--ell", required=True, help="comma list of bottom exponents")
     p.add_argument("--bound", type=int, default=150, help="largest allowed generator")
+    p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("higher", help="classify a deformed instance (I and J sets)")
     p.add_argument("instance", help="JSON with generators, order, m, ell, I, J")
     p.add_argument("--rearrange", action="store_true", help="scan rearrangements first")
+    p.set_defaults(handler=cmd_higher)
 
     p = sub.add_parser("corpus", help="exhaustive agreement run")
     p.add_argument("--ns", default="3,4", help="comma list of matrix sizes")
@@ -354,10 +314,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=100, help="largest allowed generator")
     p.add_argument("--seed", type=int, default=None, help="seed for subsampling")
     p.add_argument("--sample", type=int, default=None, help="exponent tuples per size")
+    p.set_defaults(handler=cmd_corpus)
 
     p = sub.add_parser("verify", help="verify witnesses / cross-method agreement")
     p.add_argument("instance")
     p.add_argument("--rearrange", action="store_true")
+    p.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -369,22 +331,19 @@ _parser = functools.cache(make_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out = sys.stdout
-    handlers = {
-        "sgp": cmd_sgp,
-        "classify": cmd_classify,
-        "trace": cmd_trace,
-        "search": cmd_search,
-        "higher": cmd_higher,
-        "corpus": cmd_corpus,
-        "verify": cmd_verify,
-    }
     try:
-        return handlers[args.command](args, out)
+        return args.handler(args, sys.stdout)
+    except (InhomogeneousMatrix, IdealMismatch) as exc:
+        code, message = EXIT_IDEAL, f"not a determinantal presentation: {exc}"
+    except UnsupportedBaseCase as exc:
+        code, message = EXIT_UNSUPPORTED, f"unsupported base case: {exc}"
     except ResourceLimit as exc:
         # a cap leaves the question undecided: an input the tool cannot handle
-        print(f"error: resource limit: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, message = EXIT_INPUT, f"resource limit: {exc}"
+    except (ValueError, OSError) as exc:
+        code, message = EXIT_INPUT, f"bad input: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from itertools import product
 
 from .determinantal import (
     DeterminantalInstance,
+    NGResult,
     arithmetic_progression_check,
     classify_almost_gorenstein,
     classify_nearly_gorenstein,
@@ -30,15 +31,24 @@ from .lambda_rows import trace_canonical_lambda
 @dataclass
 class InstanceReport:
     instance: DeterminantalInstance
-    ng_theorem: bool
+    ng: NGResult  # the theorem's verdict, with its case and rearrangement
+    trace_oracle: RelativeIdeal
+    trace_lambda: RelativeIdeal
     ng_oracle: bool
     ng_lambda: bool
     ag_theorem: bool
     ag_nari: bool
-    traces_equal: bool
     type_ok: bool
     herzog_ok: bool | None  # three-generator closed form; None when n > 3
     ap_ok: bool | None  # checked when NG and not AG; None otherwise
+
+    @property
+    def ng_theorem(self) -> bool:
+        return self.ng.is_ng
+
+    @property
+    def traces_equal(self) -> bool:
+        return self.trace_oracle == self.trace_lambda
 
     def violations(self) -> list[str]:
         out = []
@@ -66,13 +76,15 @@ class InstanceReport:
 
 
 def check_instance(inst: DeterminantalInstance) -> InstanceReport:
-    """Run every per-instance agreement check."""
+    """Run every per-instance agreement check.
+
+    The one agreement engine: the corpus run and the CLI's classify and
+    verify all decide their exit status from its violations().
+    """
     H = inst.H
     tr_oracle = trace_canonical_oracle(H)
     tr_lambda = trace_canonical_lambda(inst)
-    ng_oracle = all(tr_oracle.contains(a) for a in H.generators)
-    ng_lambda = all(tr_lambda.contains(a) for a in H.generators)
-    ng_theorem = classify_nearly_gorenstein(inst).is_ng
+    ng = classify_nearly_gorenstein(inst)
     ag_theorem = classify_almost_gorenstein(inst)
     ag_nari = H.is_almost_symmetric()
     herzog_ok = None
@@ -84,16 +96,17 @@ def check_instance(inst: DeterminantalInstance) -> InstanceReport:
         )
         herzog_ok = closed == tr_oracle
     ap_ok = None
-    if ng_theorem and not ag_theorem:
+    if ng.is_ng and not ag_theorem:
         ap_ok = arithmetic_progression_check(inst)
     return InstanceReport(
         instance=inst,
-        ng_theorem=ng_theorem,
-        ng_oracle=ng_oracle,
-        ng_lambda=ng_lambda,
+        ng=ng,
+        trace_oracle=tr_oracle,
+        trace_lambda=tr_lambda,
+        ng_oracle=all(tr_oracle.contains(a) for a in H.generators),
+        ng_lambda=all(tr_lambda.contains(a) for a in H.generators),
         ag_theorem=ag_theorem,
         ag_nari=ag_nari,
-        traces_equal=tr_oracle == tr_lambda,
         type_ok=H.type() == inst.n - 1,
         herzog_ok=herzog_ok,
         ap_ok=ap_ok,

@@ -20,9 +20,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
 
-from .errors import IdealMismatch, InhomogeneousMatrix, ResourceLimit
+from .errors import IdealMismatch, InhomogeneousMatrix
 from .groebner import buchberger, two_minors
 from .polyring import Mono, PolyRing, Polynomial, mono_div, mono_support
 from .semigroup import NumericalSemigroup
@@ -63,13 +62,6 @@ class NGResult:
     is_ng: bool
     case: str | None = None  # "A" (all top exponents 1) or "B" (tail case)
     symmetry: Symmetry | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "is_ng": self.is_ng,
-            "case": self.case,
-            "symmetry": self.symmetry.describe() if self.symmetry else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -317,27 +309,6 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
     return [inst]
 
 
-def scan_presentations(H: NumericalSemigroup, emax: int, bound: int | None = None):
-    """All determinantal presentations of H with exponents <= emax.
-
-    Exhausts exponent tuples; each determines at most one generator
-    arrangement, so this covers arbitrary permutations of the generators.
-    Intended for the flag-gated full-permutation scan (n <= 5).
-    """
-    n = len(H.generators)
-    if n > 5:
-        raise ResourceLimit("full presentation scan limited to 5 generators")
-    if bound is None:
-        bound = min(max(H.generators), SEARCH_BOUND_CAP)
-    found = []
-    for m in product(range(1, emax + 1), repeat=n):
-        for ell in product(range(1, emax + 1), repeat=n):
-            for inst in search_instances(m, ell, bound):
-                if inst.H == H:
-                    found.append(inst)
-    return found
-
-
 # -- classification ------------------------------------------------------------
 
 
@@ -350,17 +321,13 @@ def _case_b(m, ell) -> bool:
     return all(x == 1 for x in m[1:]) and all(x == 1 for x in ell[: n - 2])
 
 
-def classify_nearly_gorenstein(
-    inst: DeterminantalInstance, full_perm: bool = False, emax: int | None = None
-) -> NGResult:
+def classify_nearly_gorenstein(inst: DeterminantalInstance) -> NGResult:
     """Decide near-Gorensteinness from the exponent patterns.
 
     Scans the dihedral rearrangements in a fixed order (shifts first, then
     reversal composed with shifts) and reports the first satisfied case:
     "A" when every top exponent is 1, "B" when all top exponents but the
-    first and the leading bottom exponents are 1.  With full_perm, every
-    presentation of the same semigroup with exponents <= emax is scanned as
-    well (n <= 5 only).
+    first and the leading bottom exponents are 1.
     """
     for sym in symmetries(inst.n):
         _, m, ell = sym.apply(inst.order, inst.m, inst.ell)
@@ -368,22 +335,17 @@ def classify_nearly_gorenstein(
             return NGResult(True, "A", sym)
         if _case_b(m, ell):
             return NGResult(True, "B", sym)
-    if full_perm:
-        cap = emax if emax is not None else max(max(inst.m), max(inst.ell))
-        for other in scan_presentations(inst.H, cap):
-            if other.order == inst.order and other.m == inst.m and other.ell == inst.ell:
-                continue
-            sub = classify_nearly_gorenstein(other)
-            if sub.is_ng:
-                return sub
     return NGResult(False)
 
 
 def classify_almost_gorenstein(inst: DeterminantalInstance) -> bool:
-    """True iff some rearrangement has every top exponent equal to 1."""
-    return any(
-        _case_a(sym.apply(inst.order, inst.m, inst.ell)[1]) for sym in symmetries(inst.n)
-    )
+    """True iff some rearrangement has every top exponent equal to 1.
+
+    A cyclic shift permutes the top exponents and the reversal makes them
+    the bottom exponents reversed, so the dihedral scan for case A reduces
+    to: every m_i is 1 or every l_i is 1.
+    """
+    return _case_a(inst.m) or _case_a(inst.ell)
 
 
 def arithmetic_progression_check(inst: DeterminantalInstance) -> bool:

@@ -25,7 +25,6 @@ from functools import cached_property
 
 from .determinantal import (
     DeterminantalInstance,
-    NGResult,
     Symmetry,
     classify_nearly_gorenstein,
     symmetries,
@@ -58,13 +57,6 @@ class HDResult:
     is_ng: bool
     rule: str
     symmetry: Symmetry | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "is_ng": self.is_ng,
-            "rule": self.rule,
-            "symmetry": self.symmetry.describe() if self.symmetry else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -165,23 +157,17 @@ def _wrapi(k: int, n: int) -> int:
     return (k - 1) % n + 1
 
 
-def classify(hd: HigherDimInstance, rearrange: bool = False) -> HDResult:
+def classify(hd: HigherDimInstance) -> HDResult:
     """Nearly Gorenstein or not, with the clause that decided it.
 
-    Applies the classification in the instance's given arrangement; when
-    ``rearrange`` is set, cyclic shifts and the reversal (which swaps the
-    roles of I and J) are scanned first for an arrangement matching a
-    classified block.
+    Applies the classification in the instance's given arrangement; to
+    scan cyclic shifts and the reversal for an arrangement matching a
+    classified block first, classify rearranged(hd)[1].
     """
     if not hd.I and not hd.J:
         res = classify_nearly_gorenstein(hd.base)
         tag = f"base({res.case})" if res.is_ng else "base(not-ng)"
         return HDResult(res.is_ng, tag, res.symmetry)
-    if rearrange:
-        sym, moved = rearranged(hd)
-        if sym is not None:
-            inner = classify(moved)
-            return HDResult(inner.is_ng, inner.rule, sym)
     if hd.base_case == OTHER:
         raise UnsupportedBaseCase(
             f"exponents m={list(hd.base.m)} ell={list(hd.base.ell)} fit neither "
@@ -265,7 +251,7 @@ def _classify_n4plus(hd: HigherDimInstance) -> HDResult:
 
 
 def rearranged(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstance]:
-    """The instance classify(hd, rearrange=True) decides, and the symmetry to it.
+    """The arrangement to classify, and the symmetry that leads to it.
 
     A deformed instance whose base fits neither classified block moves to
     the first dihedral rearrangement that fits one; any other instance stays.

@@ -16,7 +16,7 @@ from .errors import GcdNotOne, NonMinimalGenerators, NotInSemigroup, ResourceLim
 
 _FACTORIZATION_CAP = 10**7
 # construction allocates a sieve as long as the largest generator, an Apery
-# list as long as the multiplicity, and a gap list and a membership mask as
+# list as long as the multiplicity, and a gap row and a membership mask as
 # long as the Frobenius number
 _GENERATOR_CAP = 10**5
 _FROBENIUS_CAP = 10**6
@@ -81,7 +81,7 @@ class NumericalSemigroup:
     ones past F in two's complement), and ``~mask`` is the finite gap mask.
     """
 
-    __slots__ = ("generators", "multiplicity", "apery", "mask", "_frobenius", "_gaps", "_pf")
+    __slots__ = ("generators", "multiplicity", "apery", "mask", "_frobenius", "_pf")
 
     def __init__(self, gens):
         gens = [int(g) for g in gens]
@@ -113,7 +113,6 @@ class NumericalSemigroup:
         for r, w in enumerate(self.apery):
             row[r:w:m] = b"0" * ((w - r) // m)
         self.mask = int(row[::-1] or b"0", 2) | (-1 << (F + 1))
-        self._gaps = tuple(bit_positions(~self.mask))
         pf = ~self.mask
         for a in ordered:
             pf &= self.mask >> a
@@ -133,10 +132,10 @@ class NumericalSemigroup:
         return self._frobenius
 
     def gaps(self) -> list[int]:
-        return list(self._gaps)
+        return bit_positions(~self.mask)
 
     def genus(self) -> int:
-        return len(self._gaps)
+        return (~self.mask).bit_count()
 
     def apery_set(self, s: int) -> list[int]:
         """Least semigroup element in each residue class mod s, for s in H."""
@@ -151,10 +150,8 @@ class NumericalSemigroup:
         return len(self._pf)
 
     def is_symmetric(self) -> bool:
-        if len(self._pf) != 1:
-            return False
-        F = self._frobenius
-        return all(self.contains(F - x) for x in self._gaps)
+        """Type 1, and 2 g = F + 1: of x and F - x exactly one lies in H."""
+        return len(self._pf) == 1 and 2 * self.genus() == self._frobenius + 1
 
     def is_almost_symmetric(self) -> bool:
         """Pseudo-Frobenius symmetry f_i + f_{t-i} = f_t for 1 <= i <= t-1."""

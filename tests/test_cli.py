@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngtrace import cli
 from ngtrace.cli import main
-from ngtrace.determinantal import classify_nearly_gorenstein
 from ngtrace.errors import ResourceLimit
+from ngtrace.higher_dim import rearranged
+from ngtrace.ideals import unit_ideal
 
 
 def run(capsys, *argv):
@@ -128,15 +131,12 @@ def test_search_bound_cap_exit_2(capsys):
     assert code == 2
 
 
+TAIL_2B = {"generators": [6, 7, 8, 17], "order": [6, 7, 8, 17], "m": [3, 1, 1, 1], "ell": [1, 1, 2, 1],
+           "I": [1], "J": [3]}
+
+
 def test_higher_tail_2b(capsys):
-    data = json.loads(INST_7890)
-    data["m"] = [3, 1, 1, 1]
-    data["ell"] = [1, 1, 2, 1]
-    data["generators"] = [6, 7, 8, 17]
-    data["order"] = [6, 7, 8, 17]
-    data["I"] = [1]
-    data["J"] = [3]
-    code, payload, _ = run_json(capsys, "higher", json.dumps(data))
+    code, payload, _ = run_json(capsys, "higher", json.dumps(TAIL_2B))
     assert code == 0
     assert payload["nearly_gorenstein"] is True
     assert payload["rule"] == "tail(2b)"
@@ -272,16 +272,6 @@ def test_corpus_resource_limit_exit_2(capsys, monkeypatch):
     assert "resource limit: cap for the test" in err
 
 
-def test_classify_full_perm_resource_limit_exit_2(capsys, monkeypatch):
-    # not nearly Gorenstein in any rearrangement, so --full-perm scans the
-    # other presentations, and those searches hit the cap
-    not_ng = json.dumps({"generators": [3, 7, 8], "order": [8, 7, 3], "m": [1, 1, 2], "ell": [1, 1, 3]})
-    monkeypatch.setattr("ngtrace.determinantal.search_instances", _raise_cap)
-    code, _, err = run(capsys, "classify", "--full-perm", not_ng)
-    assert code == 2
-    assert "resource limit: cap for the test" in err
-
-
 REARRANGED = [
     # base fits no classified block as given; true after shift(2), with no
     # tabulated row at n = 3
@@ -305,15 +295,149 @@ def test_higher_rearrange_witness(capsys, command, data, via, witness):
 def test_parser_state_does_not_leak(capsys, monkeypatch):
     seen = []
 
-    def spy(inst, full_perm=False, emax=None):
-        seen.append(full_perm)
-        return classify_nearly_gorenstein(inst)
+    def spy(hd):
+        seen.append(hd)
+        return rearranged(hd)
 
-    monkeypatch.setattr("ngtrace.cli.classify_nearly_gorenstein", spy)
-    code, payload, _ = run_json(capsys, "classify", "--full-perm", INST_345)
-    assert code == 0 and payload["ng_theorem"] is True
-    code, out, _ = run(capsys, "classify", INST_345)
+    monkeypatch.setattr("ngtrace.cli.rearranged", spy)
+    code, payload, _ = run_json(capsys, "higher", "--rearrange", json.dumps(REARRANGED[0][0]))
+    assert code == 0 and payload["rearranged_via"] == "shift(2)"
+    code, out, _ = run(capsys, "higher", json.dumps(TAIL_2B))
     assert code == 0
     assert out.startswith("instance: ")  # table format again
-    assert seen == [True, False]
+    assert len(seen) == 1  # no --rearrange the second time
     assert cli._parser() is cli._parser()  # built once per process
+
+
+BASE_345 = json.loads(INST_345)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", json.dumps({**BASE_345, "generators": None})),
+        ("classify", json.dumps({**BASE_345, "m": 5})),
+        ("classify", json.dumps({**BASE_345, "m": [2.7, 1, 1]})),  # no silent truncation to 2
+        ("higher", json.dumps({**BASE_345, "I": 5})),
+        ("higher", json.dumps({**BASE_345, "I": [None]})),
+        ("sgp", '{"generators": 5}'),
+        ("sgp", ""),  # not the working directory read as a file
+        ("corpus", "--ns", "2"),
+        ("corpus", "--ns", "x"),
+        ("classify", '{"m": ' + "[" * 100000 + "]" * 100000 + "}"),
+    ],
+    ids=[
+        "classify-generators-null",
+        "classify-m-int",
+        "classify-m-float",
+        "higher-I-int",
+        "higher-I-null",
+        "sgp-generators-int",
+        "sgp-empty",
+        "corpus-ns-2",
+        "corpus-ns-x",
+        "classify-deep-nesting",
+    ],
+)
+def test_malformed_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: bad input:")
+    assert out == ""
+
+
+def test_verify_deformed_from_stdin(capsys, monkeypatch):
+    # verify reads stdin once and hands the payload to the deformed path
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(TAIL_2B)))
+    code, payload, err = run_json(capsys, "verify", "-")
+    assert code == 0, err
+    assert payload["rule"] == "tail(2b)" and payload["witness"] == "verified"
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_route_disagreement_exit_5(capsys, monkeypatch, command):
+    # a lambda route answering the unit ideal disagrees with the oracle
+    monkeypatch.setattr("ngtrace.corpus.trace_canonical_lambda", lambda inst: unit_ideal(inst.H))
+    code, payload, err = run_json(capsys, command, INST_7890)
+    assert code == 5
+    assert payload is not None  # the report is printed before the exit
+    assert "trace-methods-differ" in err
+
+
+# -- the exit-code contract over malformed payloads and flag combinations ------
+
+VALID = [BASE_345, json.loads(INST_7890), N3_ALLONES, TAIL_2B, REARRANGED[0][0]]
+SMALL_INT = st.integers(min_value=-2, max_value=40)
+JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, width=16), st.text(max_size=3), SMALL_INT)
+VALUE = st.one_of(
+    st.lists(SMALL_INT, max_size=6),
+    st.lists(st.integers(min_value=-1, max_value=4), min_size=3, max_size=5),
+    st.lists(st.one_of(SMALL_INT, JUNK), max_size=5),
+    JUNK,
+)
+KEYS = st.sampled_from(["generators", "order", "m", "ell", "I", "J"])
+
+
+@st.composite
+def payload_text(draw):
+    kind = draw(st.sampled_from(["valid", "mutated", "dropped", "random", "raw"]))
+    if kind == "raw":
+        return draw(st.one_of(st.text(max_size=12), st.just("[1, 2]"), st.just("-"), st.just("null")))
+    if kind == "random":
+        return json.dumps(draw(st.dictionaries(KEYS, VALUE, max_size=6)))
+    data = dict(draw(st.sampled_from(VALID)))
+    if kind == "dropped":
+        data.pop(draw(KEYS), None)
+    elif kind == "mutated":
+        data[draw(KEYS)] = draw(VALUE)
+    return json.dumps(data)
+
+
+def comma_list(values):
+    return st.lists(values, max_size=5).map(lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def cli_argv(draw):
+    argv = ["--format", draw(st.sampled_from(["table", "json"]))]
+    command = draw(st.sampled_from(["sgp", "classify", "trace", "search", "higher", "corpus", "verify"]))
+    argv.append(command)
+    if command == "sgp":
+        argv.append(draw(st.one_of(payload_text(), comma_list(SMALL_INT), st.text(max_size=8))))
+    elif command == "search":
+        exps = st.one_of(comma_list(st.integers(min_value=-1, max_value=3)), st.text(max_size=6))
+        argv += ["--m", draw(exps), "--ell", draw(exps)]
+        argv += draw(st.sampled_from([[], ["--bound", "40"], ["--bound", "-3"], ["--bound", "501"]]))
+    elif command == "corpus":
+        ns = st.one_of(comma_list(st.integers(min_value=-1, max_value=6)), st.text(max_size=4))
+        argv += ["--ns", draw(ns), "--emax", str(draw(st.integers(min_value=-1, max_value=1)))]
+        argv += draw(st.sampled_from([[], ["--bound", "40"], ["--bound", "999"]]))
+        argv += draw(st.sampled_from([[], ["--seed", "3", "--sample", "2"], ["--sample", "-1"]]))
+    else:
+        argv.append(draw(payload_text()))
+        if command == "trace":
+            argv += draw(st.sampled_from([[], ["--method", "lambda"], ["--method", "syzygy"]]))
+            argv += draw(st.sampled_from([[], ["--stretch-syzygy"]]))
+        elif command in ("higher", "verify"):
+            argv += draw(st.sampled_from([[], ["--rearrange"]]))
+    return argv
+
+
+@given(cli_argv(), st.text(max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_every_call_exits_with_a_documented_code(argv, stdin_text):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+    from unittest import mock
+
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(stdin_text if argv[-1] != "-" else json.dumps(TAIL_2B))
+    with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -18,7 +18,6 @@ from ngtrace.determinantal import (
     degree_gaps,
     homogeneity_constant,
     remark_degrees,
-    scan_presentations,
     search_instances,
     symmetries,
     validate_defining_ideal,
@@ -272,16 +271,32 @@ def test_arithmetic_progression_examples():
 
 
 def test_scan_presentations_finds_both_forms():
+    # every presentation of <3, 4, 5> with exponents <= 2
     H = NumericalSemigroup([3, 4, 5])
-    found = scan_presentations(H, emax=2)
+    found = [
+        inst
+        for m, ell in exponent_tuples(3, 2)
+        for inst in search_instances(m, ell, max(H.generators))
+        if inst.H == H
+    ]
     assert any(i.m == (2, 1, 1) for i in found)
     # the reversed presentation shows up as its own exponent tuple
     assert any(all(x == 1 for x in i.m) for i in found)
 
 
-def test_full_perm_classification_agrees():
-    inst = inst_345()
-    assert classify_nearly_gorenstein(inst, full_perm=True).is_ng
+@given(
+    st.integers(min_value=3, max_value=7).flatmap(
+        lambda n: st.tuples(*[st.lists(st.sampled_from((1, 1, 1, 2, 3)), min_size=n, max_size=n)] * 2)
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_almost_gorenstein_closed_form_matches_scan(exponents):
+    m, ell = map(tuple, exponents)
+    positions = tuple(range(len(m)))
+    scan = any(all(x == 1 for x in sym.apply(positions, m, ell)[1]) for sym in symmetries(len(m)))
+    # the classifier reads only the exponents, so the instance need not be valid
+    inst = DeterminantalInstance(None, positions, m, ell, 0)
+    assert classify_almost_gorenstein(inst) == scan
 
 
 def test_json_round_trip():

@@ -12,6 +12,7 @@ from ngtrace.higher_dim import (
     base_case_of,
     build_matrices,
     classify,
+    rearranged,
     trace_n3,
     trace_n3_decision,
     verify_witness,
@@ -136,15 +137,17 @@ def test_classify_rearrange_flag():
     # all-ones under reversal only: m=(2,1,1), ell=(1,1,1) reversed has m'=(1,1,1)
     base = tail_n3()
     hd = HigherDimInstance(base, frozenset({2}), frozenset())
-    res = classify(hd, rearrange=False)  # tail rules apply directly
+    res = classify(hd)  # tail rules apply directly
     assert res.rule == "n3-tail"
+    assert rearranged(hd) == (None, hd)
     # a base fitting no block in the given order, rearranged:
     other = search_instances((1, 2, 1), (1, 1, 2), 150)
     if other:
         hd2 = HigherDimInstance(other[0], frozenset({1}), frozenset())
+        sym, moved = rearranged(hd2)
+        assert sym is not None
         try:
-            res2 = classify(hd2, rearrange=True)
-            assert res2.symmetry is not None
+            classify(moved)
         except UnsupportedBaseCase:
             pytest.fail("rearrangement should have found a classified block")
 

@@ -174,7 +174,11 @@ def test_membership_mask_matches_sieve(gens):
     oracle = sieve(H.generators, bound)
     assert H.mask < 0  # every x > F is a member
     assert bit_positions(H.mask & ((1 << (bound + 1)) - 1)) == [x for x in range(bound + 1) if oracle[x]]
-    assert bit_positions(~H.mask) == H.gaps()
+    F = H.frobenius()
+    gaps = [x for x in range(bound + 1) if not oracle[x]]
+    assert H.gaps() == gaps
+    assert H.genus() == len(gaps)
+    assert H.is_symmetric() == all(oracle[x] != oracle[F - x] for x in range(F + 1))
 
 
 def test_minimality_of_many_generators():
