@@ -18,11 +18,12 @@ from itertools import product
 from .determinantal import (
     DeterminantalInstance,
     NGResult,
+    Symmetry,
     arithmetic_progression_check,
     classify_almost_gorenstein,
     classify_nearly_gorenstein,
+    dihedral_scan,
     search_instances,
-    symmetries,
 )
 from .ideals import RelativeIdeal, trace_canonical_oracle
 from .lambda_rows import trace_canonical_lambda
@@ -139,16 +140,18 @@ def build_corpus(
         positions = tuple(range(n))
         searched: dict[tuple, list[DeterminantalInstance]] = {}
         for m, ell in tuples:
-            key = min(sym.apply(positions, m, ell)[1:] for sym in symmetries(n))
+            key = min((mm, ll) for _, _, _, mm, ll in dihedral_scan(positions, m, ell))
             if key not in searched:
                 searched[key] = search_instances(m, ell, bound)
                 out.extend(searched[key])
                 continue
             for inst in searched[key]:
-                sym = next(
-                    s for s in symmetries(n) if s.apply(inst.order, inst.m, inst.ell)[1:] == (m, ell)
+                shift, rev = next(
+                    (s, r)
+                    for s, r, _, mm, ll in dihedral_scan(inst.order, inst.m, inst.ell)
+                    if (mm, ll) == (m, ell)
                 )
-                out.append(inst.rearranged(sym))
+                out.append(inst.rearranged(Symmetry(shift, rev)))
     return out
 
 

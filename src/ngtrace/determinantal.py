@@ -8,10 +8,10 @@ together with exponent vectors m, ell such that the matrix
 
 has constant column degree gap c = m_[i+1] a_[i+1] - l_i a_i and its 2-minors
 generate the defining ideal of the semigroup ring.  Validation decides that
-exactly by a colength count on the Groebner basis of the minors (see
-validate_defining_ideal); classification decides the nearly Gorenstein and
-almost Gorenstein properties from the exponent patterns alone, scanning the
-cyclic shifts and the reversal (which swaps the roles of m and ell).
+by arithmetic, c = prod(m) - prod(l) (proved at validate_defining_ideal);
+classification decides the nearly Gorenstein and almost Gorenstein
+properties from the exponent patterns alone, scanning the cyclic shifts and
+the reversal (which swaps the roles of m and ell).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import IdealMismatch, InhomogeneousMatrix
-from .groebner import buchberger, two_minors
-from .polyring import Mono, PolyRing, Polynomial, mono_div, mono_support
+from .groebner import two_minors
+from .polyring import PolyRing, Polynomial
 from .semigroup import NumericalSemigroup
 
 SEARCH_BOUND_CAP = 500
@@ -55,6 +55,14 @@ class Symmetry:
 def symmetries(n: int) -> list[Symmetry]:
     """The dihedral scan order: identity, shifts, then reversed shifts."""
     return [Symmetry(s, False) for s in range(n)] + [Symmetry(s, True) for s in range(n)]
+
+
+def dihedral_scan(order, m, ell):
+    """Yield (shift, reversed, *Symmetry(shift, reversed).apply(order, m, ell))
+    over symmetries(n) in turn, building no Symmetry."""
+    for rev, (o, a, b) in ((False, (order, m, ell)), (True, (order[::-1], ell[::-1], m[::-1]))):
+        for s in range(len(order)):
+            yield s, rev, o[s:] + o[:s], a[s:] + a[:s], b[s:] + b[:s]
 
 
 @dataclass(frozen=True)
@@ -156,66 +164,49 @@ def homogeneity_constant(order, m, ell) -> int:
     return gaps[0]
 
 
-def _standard_count(leads: list[Mono], nvars: int, cap: int) -> int | None:
-    """Monomials in nvars variables divisible by no lead, counted up to cap + 1.
-
-    Returns None when there are infinitely many, that is when some variable
-    has no pure power among the leads; otherwise the count, or cap + 1 as
-    soon as it passes cap.  The standard monomials are closed under
-    division, so a depth-first walk that appends variables in nondecreasing
-    index order meets each once and may stop at the first non-standard one.
-    """
-    powers = {mono_support(lm) for lm in leads}
-    if any(1 << i not in powers for i in range(nvars)):
-        return None
-    count = 0
-    stack = [((0,) * nvars, 0)]
-    while stack:
-        mono, first = stack.pop()
-        if any(mono_div(mono, lm) is not None for lm in leads):
-            continue
-        count += 1
-        if count > cap:
-            return count
-        for i in range(first, nvars):
-            stack.append((mono[:i] + (mono[i] + 1,) + mono[i + 1 :], i))
-    return count
-
-
 def validate_defining_ideal(H, order, m, ell) -> ValidationReport:
     """Exact check that the 2-minors generate the defining ideal P of H.
 
-    The minors are homogeneous binomials, so I_2 lies in P.  Write X_n for
-    the last variable, of weight a_n = order[-1].  If S/(I_2 + X_n) has
-    finite length, I_2 has the maximal height n - 1 and S/I_2 is
-    Cohen-Macaulay (Eagon-Northcott), so X_n is a nonzerodivisor on it and
-    the length is the multiplicity e(X_n; S/I_2) >= e(X_n; S/P) = a_n, with
-    equality exactly when I_2 = P.  In the ring's weighted revlex order, with
-    X_n last, in(I_2 + X_n) = in(I_2) + (X_n) (Bayer-Stillman), so the length
-    is the number of monomials in X_1..X_{n-1} outside the leads of the
-    reduced basis of I_2: no second Groebner basis is needed.  The count
-    stops at a_n + 1, and NumericalSemigroup caps the generators.
+    With a_i = order[i-1], column j has degrees top_j = m_[j+1] a_[j+1] and
+    bot_j = l_j a_j, and c = top_j - bot_j.  Then I_2 = P iff c != 0 and
+    c = prod(m) - prod(l):
+
+    1. The matrix is homogeneous, so the minors are homogeneous binomials
+       and I_2 lies in P.
+    2. Modulo X_n the minor of columns j-1, j is X_j^(m_j+l_j) minus a
+       multiple of X_{j+1}, so by downward induction from j = n-1 every X_j
+       with j >= 2 is nilpotent modulo I_2 + (X_n); the wrap-around minor of
+       columns n, 1 gives X_1^(m_1+l_1).  So I_2 has height n - 1 for any
+       positive exponents: by Eagon-Northcott S/I_2 is Cohen-Macaulay of
+       dimension 1 and X_n is a nonzerodivisor on it.
+    3. The Eagon-Northcott Hilbert series (the Porteous formula) gives
+       length S/(I_2 + X_n) = a_n (prod top - prod bot) / (c prod a)
+       = g a_n with g = (prod(m) - prod(l)) / c.  The cyclic conditions
+       give a = d / g for d = remark_degrees(m, ell): the length is d_n.
+    4. P is a minimal prime of I_2 (both of height n - 1) and S/I_2 has no
+       embedded primes, so by the associativity formula the length
+       e(X_n; S/I_2) is >= e(X_n; S/P) = a_n, with equality iff I_2 = P.
+    5. If c = 0 then prod(m) = prod(l), and P holds each binomial
+       X_{j+1}^m_{j+1} - X_j^l_j of degree top_j; the one of least degree
+       lies below the degree top_i + top_k of every minor, so I_2 != P.
+
+    For n = 3 this is Herzog (1970).  The tests keep the colength count on
+    the Groebner basis of the minors as an oracle for this rule.
     """
-    order = tuple(order)
-    n = len(order)
-    ring = PolyRing([f"X{i+1}" for i in range(n)], order)
-    minors = two_minors(build_matrix(ring, tuple(m), tuple(ell)))
-    for p in minors:
-        if not p.is_homogeneous():
-            return ValidationReport(False, failing=f"minor not homogeneous: {p}")
-    leads = [g.lm()[:-1] for g in buchberger(minors) if not g.lm()[-1]]
-    a_n = order[-1]
-    count = _standard_count(leads, n - 1, a_n)
-    if count == a_n:
+    gaps = degree_gaps(order, m, ell)
+    if len(set(gaps)) > 1:
+        return ValidationReport(False, failing=f"matrix not homogeneous: degree gaps {gaps}")
+    c = gaps[0]
+    if c == 0:
+        return ValidationReport(False, failing="degree gap c = 0: prod(m) = prod(ell)")
+    diff = math.prod(m) - math.prod(ell)
+    if c == diff:
         return ValidationReport(True)
-    if count is None:
-        found = "infinite"
-    elif count > a_n:
-        found = f"above {a_n}"
-    else:
-        found = str(count)
+    n, a_n = len(order), order[-1]
     return ValidationReport(
-        False, failing=f"colength of the 2-minors + X{n} is {found}, not a_{n} = {a_n}"
+        False,
+        failing=f"colength of the 2-minors + X{n} is {a_n * diff // c}, not a_{n} = {a_n}"
+        f" (g = (prod(m) - prod(ell)) / c = {diff // c})",
     )
 
 
@@ -277,8 +268,8 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
     integer point is the only candidate with gcd 1, so the result has at most
     one element.  Degenerate exponent data (equal products, so gap 0) and
     candidates failing positivity, minimality or ideal validation give [].
-    A validation that hits a resource cap raises ResourceLimit: the
-    candidate is undecided, not rejected.
+    Validation is arithmetic (validate_defining_ideal), so no Groebner basis
+    is computed and every candidate is decided.
     """
     if bound > SEARCH_BOUND_CAP:
         raise ValueError(f"bound {bound} exceeds cap {SEARCH_BOUND_CAP}")
@@ -329,12 +320,11 @@ def classify_nearly_gorenstein(inst: DeterminantalInstance) -> NGResult:
     "A" when every top exponent is 1, "B" when all top exponents but the
     first and the leading bottom exponents are 1.
     """
-    for sym in symmetries(inst.n):
-        _, m, ell = sym.apply(inst.order, inst.m, inst.ell)
+    for shift, rev, _, m, ell in dihedral_scan(inst.order, inst.m, inst.ell):
         if _case_a(m):
-            return NGResult(True, "A", sym)
+            return NGResult(True, "A", Symmetry(shift, rev))
         if _case_b(m, ell):
-            return NGResult(True, "B", sym)
+            return NGResult(True, "B", Symmetry(shift, rev))
     return NGResult(False)
 
 
@@ -349,11 +339,16 @@ def classify_almost_gorenstein(inst: DeterminantalInstance) -> bool:
 
 
 def arithmetic_progression_check(inst: DeterminantalInstance) -> bool:
-    """Some rearrangement puts the first n-1 generators in arithmetic progression."""
+    """Some rearrangement puts the first n-1 generators in arithmetic progression.
+
+    The window of a reversed rearrangement is a shifted window read
+    backwards, which is a progression iff the shifted one is, so the
+    cyclic shifts suffice.
+    """
     n = inst.n
-    for sym in symmetries(n):
-        order, _, _ = sym.apply(inst.order, inst.m, inst.ell)
-        window = order[: n - 1]
+    order = inst.order
+    for s in range(n):
+        window = (order[s:] + order[:s])[: n - 1]
         diffs = {window[i + 1] - window[i] for i in range(len(window) - 1)}
         if len(diffs) <= 1:
             return True

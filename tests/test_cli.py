@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,30 @@ def test_classify_ideal_mismatch_exit_3(capsys):
     )
     code, _, err = run(capsys, "classify", bad)
     assert code == 3
+
+
+def test_classify_zero_gap_exit_3(capsys):
+    # c = 0 with prod(m) = prod(ell) = 60: the test c == prod(m) - prod(ell)
+    # alone would accept it
+    bad = json.dumps(
+        {"generators": [3, 4, 5], "order": [3, 4, 5], "m": [5, 3, 4], "ell": [4, 5, 3]}
+    )
+    code, out, err = run(capsys, "classify", bad)
+    assert code == 3
+    assert "degree gap c = 0" in err
+    assert out == ""
+
+
+def test_classify_large_exponents_exit_3(capsys):
+    # c = 1 but prod(m) - prod(ell) = 784617: decided by arithmetic, where a
+    # Groebner basis of the minors would pass the degree cap
+    bad = json.dumps(
+        {"generators": [3, 4, 5], "order": [3, 4, 5], "m": [1002, 1000, 1001], "ell": [1333, 1251, 601]}
+    )
+    code, out, err = run(capsys, "classify", bad)
+    assert code == 3
+    assert "colength of the 2-minors + X3 is 3923085, not a_3 = 5" in err
+    assert out == ""
 
 
 def test_classify_bad_json_exit_2(capsys):
@@ -244,6 +269,20 @@ def test_search_resource_limit_exit_2(capsys, monkeypatch):
     assert code == 2
     assert "resource limit: cap for the test" in err
     assert "found" not in out
+
+
+def test_search_computes_no_groebner_basis(capsys, monkeypatch):
+    patched = [
+        name
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "ngtrace" and hasattr(module, "buchberger")
+    ]
+    assert "ngtrace.groebner" in patched
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "buchberger", _raise_cap)
+    code, out, err = run(capsys, "search", "--m", "1,4,3,3", "--ell", "2,4,4,4", "--bound", "500")
+    assert code == 0, err
+    assert out.startswith("found: 1\n")
 
 
 def test_search_weights_above_200(capsys):

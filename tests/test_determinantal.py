@@ -9,13 +9,13 @@ from ngtrace.corpus import build_corpus, exponent_tuples
 from ngtrace.determinantal import (
     DeterminantalInstance,
     Symmetry,
-    _standard_count,
     arithmetic_progression_check,
     build,
     build_matrix,
     classify_almost_gorenstein,
     classify_nearly_gorenstein,
     degree_gaps,
+    dihedral_scan,
     homogeneity_constant,
     remark_degrees,
     search_instances,
@@ -25,7 +25,7 @@ from ngtrace.determinantal import (
 from ngtrace.errors import IdealMismatch, InhomogeneousMatrix
 from ngtrace.groebner import buchberger, toric_ideal, two_minors
 from ngtrace.ideals import is_nearly_gorenstein_oracle
-from ngtrace.polyring import PolyRing
+from ngtrace.polyring import Mono, PolyRing, mono_div, mono_support
 from ngtrace.semigroup import NumericalSemigroup
 
 
@@ -73,9 +73,62 @@ def test_homogeneous_but_wrong_ideal_rejected():
 def test_colength_above_a_n_rejected():
     H = NumericalSemigroup([7, 8, 11, 20])
     report = validate_defining_ideal(H, (20, 7, 8, 11), (1, 1, 1, 1), (1, 3, 3, 3))
-    assert report.failing == "colength of the 2-minors + X4 is above 11, not a_4 = 11"
+    assert report.failing == (
+        "colength of the 2-minors + X4 is 22, not a_4 = 11 (g = (prod(m) - prod(ell)) / c = 2)"
+    )
     with pytest.raises(IdealMismatch, match="do not generate the defining ideal"):
         build(H, (20, 7, 8, 11), (1, 1, 1, 1), (1, 3, 3, 3))
+
+
+def test_zero_gap_rejected():
+    # every column has gap 0 and prod(m) = prod(ell) = 60, so the test
+    # c == prod(m) - prod(ell) alone would accept
+    H = NumericalSemigroup([3, 4, 5])
+    assert homogeneity_constant((3, 4, 5), (5, 3, 4), (4, 5, 3)) == 0
+    with pytest.raises(IdealMismatch, match="degree gap c = 0"):
+        build(H, (3, 4, 5), (5, 3, 4), (4, 5, 3))
+
+
+# -- the colength oracle --------------------------------------------------------
+#
+# dim_k S/(I_2 + X_n) counted on the reduced Groebner basis of the minors: in
+# the weighted revlex order with X_n last, in(I_2 + X_n) = in(I_2) + (X_n)
+# (Bayer-Stillman), so the colength is the number of monomials in
+# X_1..X_{n-1} outside the leads.  validate_defining_ideal claims it is d_n,
+# the last entry of remark_degrees, and decides validity without it.
+
+
+def _standard_count(leads: list[Mono], nvars: int, cap: int) -> int | None:
+    """Monomials in nvars variables divisible by no lead, counted up to cap + 1.
+
+    Returns None when there are infinitely many, that is when some variable
+    has no pure power among the leads; otherwise the count, or cap + 1 as
+    soon as it passes cap.  The standard monomials are closed under
+    division, so a depth-first walk that appends variables in nondecreasing
+    index order meets each once and may stop at the first non-standard one.
+    """
+    powers = {mono_support(lm) for lm in leads}
+    if any(1 << i not in powers for i in range(nvars)):
+        return None
+    count = 0
+    stack = [((0,) * nvars, 0)]
+    while stack:
+        mono, first = stack.pop()
+        if any(mono_div(mono, lm) is not None for lm in leads):
+            continue
+        count += 1
+        if count > cap:
+            return count
+        for i in range(first, nvars):
+            stack.append((mono[:i] + (mono[i] + 1,) + mono[i + 1 :], i))
+    return count
+
+
+def _colength(order, m, ell, cap: int) -> int | None:
+    n = len(order)
+    ring = PolyRing([f"X{i+1}" for i in range(n)], order)
+    leads = [g.lm()[:-1] for g in buchberger(two_minors(build_matrix(ring, m, ell))) if not g.lm()[-1]]
+    return _standard_count(leads, n - 1, cap)
 
 
 def test_standard_count():
@@ -89,23 +142,60 @@ def test_standard_count():
     assert _standard_count([], 2, 10) is None
 
 
+def _reaches_validation(n, m, ell):
+    """The candidate generators of a corpus tuple (exponents <= 3, bound 150)
+    when it reaches validation: nondegenerate, distinct and minimal."""
+    if math.prod(m) == math.prod(ell):
+        return None
+    d = remark_degrees(m, ell)
+    order = tuple(x // math.gcd(*d) for x in d)
+    if max(order) > 150 or len(set(order)) != n:
+        return None
+    try:
+        NumericalSemigroup(order)
+    except ValueError:
+        return None
+    return order
+
+
 def _candidates(n):
-    """(order, m, ell) of every corpus tuple (exponents <= 3, bound 150) that
-    reaches validation: nondegenerate, distinct and minimal generators."""
+    """(order, m, ell) of every corpus tuple that reaches validation."""
+    return [
+        (order, m, ell)
+        for m, ell in exponent_tuples(n, 3)
+        if (order := _reaches_validation(n, m, ell)) is not None
+    ]
+
+
+def _class_candidates(n):
+    """(order, m, ell) of the first tuple of every dihedral class of the
+    corpus grid that reaches validation, as build_corpus searches them."""
+    positions = tuple(range(n))
+    seen = set()
     out = []
     for m, ell in exponent_tuples(n, 3):
-        if math.prod(m) == math.prod(ell):
+        key = min((mm, ll) for _, _, _, mm, ll in dihedral_scan(positions, m, ell))
+        if key in seen:
             continue
-        d = remark_degrees(m, ell)
-        order = tuple(x // math.gcd(*d) for x in d)
-        if max(order) > 150 or len(set(order)) != n:
-            continue
-        try:
-            NumericalSemigroup(order)
-        except ValueError:
-            continue
-        out.append((order, m, ell))
+        seen.add(key)
+        order = _reaches_validation(n, m, ell)
+        if order is not None:
+            out.append((order, m, ell))
     return out
+
+
+def test_colength_is_d_n_and_decides_validity():
+    classes = [c for n in (3, 4, 5) for c in _class_candidates(n)]
+    assert len(classes) == 3914
+    valid = 0
+    for order, m, ell in classes:
+        d_n = remark_degrees(m, ell)[-1]
+        colength = _colength(order, m, ell, d_n)
+        assert colength == d_n, (order, m, ell)
+        verdict = bool(validate_defining_ideal(NumericalSemigroup(order), order, m, ell))
+        assert verdict == (colength == order[-1]), (order, m, ell)
+        valid += verdict
+    assert valid == 2104
 
 
 def _toric_verdict(order, m, ell) -> bool:
@@ -223,6 +313,13 @@ def test_case_a_found_under_reversal():
     rev = Symmetry(0, True)
     _, m, _ = rev.apply(inst.order, inst.m, inst.ell)
     assert all(x == 1 for x in m)
+
+
+def test_dihedral_scan_matches_symmetries():
+    for n in (3, 4, 5):
+        order, m, ell = tuple(range(n)), tuple(range(10, 10 + n)), tuple(range(20, 20 + n))
+        expected = [(s.shift, s.reversed, *s.apply(order, m, ell)) for s in symmetries(n)]
+        assert list(dihedral_scan(order, m, ell)) == expected
 
 
 def test_symmetries_preserve_validity():
