@@ -1,11 +1,15 @@
 """Buchberger Groebner bases, toric ideals by saturation, module syzygies.
 
-One Buchberger serves ideals of a PolyRing and submodules of a FreeModule;
-the term format and the pair rule belong to the ring, so nothing here
-depends on it.  Everything is deterministic: S-pairs are processed by
-smallest weighted degree of the pair lcm, ties broken by creation index,
-and the returned basis is auto-reduced, monic and sorted.  Size and degree
-caps raise ResourceLimit explicitly rather than truncating.
+One Buchberger serves ideals of a PolyRing and submodules of a FreeModule.
+Terms are the packed ints of ``polyring``: int comparison is the order,
+``+`` multiplies, and divisibility is a guard-bit test on the exponent
+fields, so nothing here decodes a term.  Leads are indexed by position
+(``lead >> pos_shift``; a ring has the one position 0), so a module term is
+tested only against leads at its own position.  Everything is
+deterministic: S-pairs are processed by smallest weighted degree of the
+pair lcm, ties broken by creation index, and the returned basis is
+auto-reduced, monic and sorted.  Size and degree caps, and the packing
+limit of the ring, raise ResourceLimit explicitly rather than truncating.
 """
 
 from __future__ import annotations
@@ -15,15 +19,7 @@ import math
 from fractions import Fraction
 
 from .errors import ResourceLimit
-from .polyring import (
-    FreeModule,
-    Mono,
-    PolyRing,
-    Polynomial,
-    mono_div,
-    mono_lcm,
-    mono_mul,
-)
+from .polyring import FreeModule, PolyRing, Polynomial
 
 DEFAULT_MAX_BASIS = 5000
 DEGREE_CAP_FACTOR = 10
@@ -33,74 +29,79 @@ def _default_degree_cap(ring: PolyRing) -> int:
     return DEGREE_CAP_FACTOR * sum(ring.weights)
 
 
-def _reduce_terms(p: Polynomial, leads) -> Polynomial:
-    """Core division loop: p fully reduced against precomputed lead data.
+def _lead_entry(g: Polynomial):
+    """(lead exponent fields, lead, lead coefficient, tail term items)."""
+    lm, lc = g.lt()
+    return (-lm & g.ring.mask, lm, lc, [(m, c) for m, c in g.terms.items() if m != lm])
 
-    ``leads`` holds (lead monomial, lead coefficient, tail term items, lead
-    support).  The last entry of the ring's sort key is the support bit set
-    of a term; a lead with support outside the term's cannot divide it and
-    is skipped before mono_div.
+
+def _lead_index(polys) -> dict[int, list]:
+    """Lead entries of polys by position, each list in the order of polys."""
+    index: dict[int, list] = {}
+    for g in polys:
+        index.setdefault(g.lm() >> g.ring.pos_shift, []).append(_lead_entry(g))
+    return index
+
+
+def _reduce_terms(p: Polynomial, index: dict[int, list]) -> Polynomial:
+    """Core division loop: p fully reduced against indexed lead data.
+
+    Each term is checked against the packing limit when it leaves the work
+    dict; a term formed inside the loop is the sum of two checked terms, so
+    it is exact until then.
     """
-    key = p.ring.sort_key
+    ring = p.ring
+    mask, guards, pos_shift, check = ring.mask, ring.guards, ring.pos_shift, ring.check
     work = dict(p.terms)
-    remainder: dict[Mono, object] = {}
+    remainder: dict[int, object] = {}
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work.pop(m)
-        outside = ~key(m)[-1]
-        for lm, lc, tail, support in leads:
-            if support & outside:
-                continue
-            q = mono_div(m, lm)
-            if q is not None:
+        check(m)
+        e = (-m & mask) | guards
+        for lead_e, lm, lc, tail in index.get(m >> pos_shift, ()):
+            if (e - lead_e) & guards == guards:
                 break
         else:
             remainder[m] = c
             continue
+        q = m - lm
         factor = c if lc == 1 else (-c if lc == -1 else Fraction(c) / Fraction(lc))
         for gm, gc in tail:
-            mm = mono_mul(gm, q)
+            mm = gm + q
             s = work.get(mm, 0) - factor * gc
             if s == 0:
                 work.pop(mm, None)
             else:
                 work[mm] = s
-    return Polynomial(p.ring, remainder)
-
-
-def _lead_entry(g: Polynomial):
-    lm, lc = g.lt()
-    tail = [(m, c) for m, c in g.terms.items() if m != lm]
-    return (lm, lc, tail, g.ring.sort_key(lm)[-1])
-
-
-def reduce_full(p: Polynomial, basis: list[Polynomial]) -> Polynomial:
-    """Remainder of p under multivariate division by basis (all terms reduced)."""
-    leads = [_lead_entry(g) for g in basis if not g.is_zero()]
-    return _reduce_terms(p, leads)
+    return Polynomial(ring, remainder)
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
     """Normal form against a list of polynomials or a GroebnerBasis."""
-    if isinstance(basis, GroebnerBasis):
-        basis = basis.polys
-    return reduce_full(p, list(basis))
+    if not isinstance(basis, GroebnerBasis):
+        basis = GroebnerBasis(p.ring, [g for g in basis if not g.is_zero()])
+        for g in basis:
+            p._check(g)
+    return basis.normal_form(p)
 
 
 class GroebnerBasis:
     """Reduced basis plus the ring (which carries the order)."""
 
-    __slots__ = ("ring", "polys", "_leads")
+    __slots__ = ("ring", "polys", "_index")
 
     def __init__(self, ring: PolyRing, polys):
         self.ring = ring
         self.polys = tuple(polys)
-        self._leads = None
+        self._index = None
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        if self._leads is None:
-            self._leads = [_lead_entry(g) for g in self.polys]
-        return _reduce_terms(p, self._leads)
+        if p.ring != self.ring:
+            raise ValueError(f"polynomial over {p.ring!r}, basis over {self.ring!r}")
+        if self._index is None:
+            self._index = _lead_index(self.polys)
+        return _reduce_terms(p, self._index)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
@@ -110,10 +111,10 @@ class GroebnerBasis:
         polys = list(self.polys)
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
-                if self.ring.skip_pair(polys[i].lm(), polys[j].lm()):
+                a, b = polys[i].lm(), polys[j].lm()
+                if self.ring.skip_pair(a, b):
                     continue
-                s = _spoly(polys[i], polys[j])
-                if not reduce_full(s, polys).is_zero():
+                if not self.contains(_spoly(polys[i], polys[j], self.ring.lcm(a, b))):
                     return False
         return True
 
@@ -127,18 +128,16 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.polys)} elements over {self.ring!r})"
 
 
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """uf*f - ratio*ug*g, built from the tails: the leading terms cancel."""
+def _spoly(f: Polynomial, g: Polynomial, gamma: int) -> Polynomial:
+    """uf*f - ratio*ug*g for the lead lcm gamma, built from the tails: the leading terms cancel."""
     (lf, cf), (lg, cg) = f.lt(), g.lt()
-    gamma = mono_lcm(lf, lg)
-    uf = mono_div(gamma, lf)
-    ug = mono_div(gamma, lg)
+    uf, ug = gamma - lf, gamma - lg
     ratio = 1 if cf == cg else Fraction(cf) / Fraction(cg)
-    terms = {mono_mul(m, uf): c for m, c in f.terms.items() if m != lf}
+    terms = {m + uf: c for m, c in f.terms.items() if m != lf}
     for m, c in g.terms.items():
         if m == lg:
             continue
-        mm = mono_mul(m, ug)
+        mm = m + ug
         s = terms.get(mm, 0) - ratio * c
         if s == 0:
             terms.pop(mm, None)
@@ -148,20 +147,26 @@ def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
-    polys = [p.monic() for p in polys if not p.is_zero()]
-    polys.sort(key=lambda p: ring.sort_key(p.lm()))
+    """Minimal leads, then every tail reduced against them.
+
+    A tail term is smaller than its own lead, so it is never a multiple of
+    it: each tail may be reduced against the index of all kept leads.
+    """
+    polys = sorted((p.monic() for p in polys if not p.is_zero()), key=Polynomial.lm)
     kept: list[Polynomial] = []
+    leads: dict[int, list[int]] = {}
     for p in polys:
         lm = p.lm()
-        if any(mono_div(lm, q.lm()) is not None for q in kept):
-            continue
-        kept.append(p)
-    entries = [_lead_entry(p) for p in kept]
+        same = leads.setdefault(lm >> ring.pos_shift, [])
+        if not any(ring.divides(d, lm) for d in same):
+            same.append(lm)
+            kept.append(p)
+    index = _lead_index(kept)
     reduced = []
-    for i, p in enumerate(kept):
-        others = entries[:i] + entries[i + 1 :]
-        reduced.append(_reduce_terms(p, others).monic())
-    reduced.sort(key=lambda p: ring.sort_key(p.lm()))
+    for p in kept:
+        lm = p.lm()
+        tail = _reduce_terms(Polynomial(ring, {m: c for m, c in p.terms.items() if m != lm}), index)
+        reduced.append(Polynomial(ring, {lm: 1, **tail.terms}))
     return reduced
 
 
@@ -178,55 +183,61 @@ def buchberger(
     ``gens`` are polynomials over a PolyRing (an ideal) or vectors over a
     FreeModule (a submodule).  Pair selection is the normal strategy:
     smallest weighted degree of the pair lcm first, ties by pair creation
-    index.  Pairs the ring's skip_pair rules out (coprime leads in a ring,
-    leads at different positions in a free module) are never queued and
-    count as treated; the classic chain criterion (both companion pairs
-    already treated) prunes the rest.
+    index.  Pairs are formed only between leads at the same position; those
+    the ring's skip_pair rules out (coprime leads in a ring) are never
+    queued and count as treated; the classic chain criterion (both
+    companion pairs already treated) prunes the rest.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return GroebnerBasis(ring if ring is not None else PolyRing(("X",), (1,)), ())
     ring = gens[0].ring
+    for g in gens:
+        gens[0]._check(g)
     cap = _default_degree_cap(ring) if max_wdeg is None else max_wdeg
+    mask, guards, pos_shift = ring.mask, ring.guards, ring.pos_shift
 
     basis: list[Polynomial] = []
-    leads: list[tuple] = []
-    lms: list[Mono] = []
-    supports: list[int] = []
+    lms: list[int] = []
+    lead_es: list[int] = []
+    index: dict[int, list] = {}
+    at: dict[int, list[int]] = {}  # position -> basis indices with a lead there
 
     def admit(p: Polynomial):
-        if ring.wdeg(p.lm()) > cap:
-            raise ResourceLimit(
-                f"basis element degree {ring.wdeg(p.lm())} exceeds cap {cap}"
-            )
+        lm = p.lm()
+        if ring.wdeg(lm) > cap:
+            raise ResourceLimit(f"basis element degree {ring.wdeg(lm)} exceeds cap {cap}")
         basis.append(p)
         if len(basis) > max_basis:
             raise ResourceLimit(f"basis size exceeds cap {max_basis}")
         entry = _lead_entry(p)
-        leads.append(entry)
-        lms.append(entry[0])
-        supports.append(entry[3])
+        index.setdefault(lm >> pos_shift, []).append(entry)
+        at.setdefault(lm >> pos_shift, []).append(len(lms))
+        lms.append(lm)
+        lead_es.append(entry[0])
 
     for g in gens:
-        r = _reduce_terms(g, leads).monic()
+        r = _reduce_terms(g, index).monic()
         if not r.is_zero():
             admit(r)
 
-    pairs: list[tuple[int, int, int, int]] = []
+    pairs: list[tuple[int, int, int, int, int]] = []
     seq = 0
-    # bit i of treated[j] is set once the pair i < j is treated; bits keep a
-    # submodule's many cross-position pairs to a few bytes each
+    # bit i of treated[j] is set once the pair i < j (same position) is
+    # treated; bits keep a submodule's many pairs to a few bytes each
     treated: list[int] = []
 
     def push_pairs(j: int):
         nonlocal seq
         skipped = 0
-        for i in range(j):
+        for i in at[lms[j] >> pos_shift]:
+            if i >= j:
+                break
             if ring.skip_pair(lms[i], lms[j]):
                 skipped |= 1 << i
                 continue
-            gamma = mono_lcm(lms[i], lms[j])
-            heapq.heappush(pairs, (ring.wdeg(gamma), seq, i, j))
+            gamma = ring.lcm(lms[i], lms[j])
+            heapq.heappush(pairs, (ring.wdeg(gamma), seq, i, j, gamma))
             seq += 1
         treated.append(skipped)
 
@@ -237,14 +248,11 @@ def buchberger(
         push_pairs(j)
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        gamma = mono_lcm(lms[i], lms[j])
-        outside = ~(supports[i] | supports[j])
+        _, _, i, j, gamma = heapq.heappop(pairs)
+        e = (-gamma & mask) | guards
         chained = False
-        for k in range(len(basis)):
-            if k == i or k == j or supports[k] & outside:
-                continue
-            if mono_div(gamma, lms[k]) is None:
+        for k in at[gamma >> pos_shift]:
+            if k == i or k == j or (e - lead_es[k]) & guards != guards:
                 continue
             if is_treated(i, k) and is_treated(j, k):
                 chained = True
@@ -252,7 +260,7 @@ def buchberger(
         treated[j] |= 1 << i
         if chained:
             continue
-        r = _reduce_terms(_spoly(basis[i], basis[j]), leads)
+        r = _reduce_terms(_spoly(basis[i], basis[j], gamma), index)
         if r.is_zero():
             continue
         admit(r.monic())
@@ -267,7 +275,7 @@ def buchberger(
 def ideal_membership(p: Polynomial, gens) -> bool:
     if p.is_zero():
         return True
-    return buchberger(list(gens)).contains(p)
+    return buchberger(list(gens), ring=p.ring).contains(p)
 
 
 def two_minors(matrix: list[list[Polynomial]]) -> list[Polynomial]:
@@ -398,12 +406,13 @@ def toric_ideal(
     gb_t = buchberger(gens, max_basis=max_basis, max_wdeg=max_wdeg)
     kept = []
     for p in gb_t:
-        if all(m[n] == 0 for m in p.terms):
-            q = Polynomial(ring, {m[:n]: c for m, c in p.terms.items()})
+        exps = {m: ring_t.exponents(m) for m in p.terms}
+        if all(e[n] == 0 for e in exps.values()):
+            q = Polynomial(ring, {ring.term(exps[m][:n]): c for m, c in p.terms.items()})
             if not q.is_homogeneous():
                 raise AssertionError(f"toric basis element {q} is not homogeneous")
             kept.append(q)
-    kept.sort(key=lambda p: ring.sort_key(p.lm()))
+    kept.sort(key=Polynomial.lm)
     return GroebnerBasis(ring, kept)
 
 

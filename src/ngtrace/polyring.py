@@ -1,59 +1,113 @@
 """Exact multivariate polynomials over the rationals with a weighted grading.
 
-Monomials are plain exponent tuples against a ring-held variable table.
+A term is one Python int.  Each exponent sits in a field of ``bits`` bits
+whose top bit is a guard; X_1 is in the lowest field and X_n in the highest.
+Above the exponent fields sit the weighted degree, then (elimination rings
+only) the exponent of the eliminated variable, then (free modules only) the
+position.  With E the exponent fields and H the fields above them, the term
+is ``(H << shift) - E``, so:
+
+* int comparison is the monomial order: position over term (a lower
+  position is larger), the eliminated variable, the weighted degree, then
+  degree-reverse-lexicographic, since E compares X_n first and a larger E
+  is a smaller term;
+* every field is additive, so multiplication is ``+`` and a quotient is
+  ``-``;
+* E is ``-t & mask``, and d divides t iff they share a position and
+  ``((E_t | guards) - E_d) & guards == guards`` (no field borrows);
+* the lcm is a per-field max done on all fields at once.
+
+Every term has weighted degree below ``degree_limit``, which bounds each
+exponent too and so keeps every field below half its width: the sum of two
+terms is exact.  Encoding, polynomial products and the division loop check
+the limit and raise ResourceLimit past it; nothing widens or wraps
+silently.  The field width depends only on the weights, so equal rings
+pack equally.  Exponent tuples
+appear only at the edges: parsing, printing, ``term`` and ``exponents``.
+
 Coefficients are exact (int or Fraction; ints are kept as long as possible
-since almost everything here is a signed binomial).  The monomial order is
-weighted-degree with a degree-reverse-lexicographic tie break; a ring may
-additionally mark one variable for elimination, which is compared first.
-A FreeModule over a ring is a second term format for the same Polynomial
-class, so one Buchberger serves ideals and submodules.
+since almost everything here is a signed binomial).  A FreeModule over a
+ring adds the position field, so one Buchberger serves ideals and
+submodules.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 
-Mono = tuple[int, ...]
+from .errors import ResourceLimit
 
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Mono, b: Mono) -> Mono | None:
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+DEGREE_HEADROOM = 1 << 10  # the degree limit is above this many times the weight sum
 
 
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+class _Layout:
+    """Field positions of the packed terms of a ring and of its free modules."""
+
+    __slots__ = (
+        "weights", "elim", "bits", "degree_limit", "shift", "mask", "guards", "pos_shift",
+        "_dmask", "_over", "_shifts",
+    )
+
+    def _lay_out(self, weights: tuple[int, ...], elim: int | None):
+        self.weights = weights
+        self.elim = elim
+        # the degree and eliminated-exponent fields are one bit wider than an
+        # exponent field, so a sum of two terms below the limit never carries
+        self.bits = bits = (DEGREE_HEADROOM * sum(weights)).bit_length() + 1
+        self.degree_limit = 1 << (bits - 1)
+        self.shift = shift = bits * len(weights)
+        self.mask = (1 << shift) - 1
+        self.guards = sum(1 << (bits * (i + 1) - 1) for i in range(len(weights)))
+        self.pos_shift = shift + (bits + 1) * (1 if elim is None else 2)
+        self._dmask = (1 << (bits + 1)) - 1
+        self._over = (self._dmask - self.degree_limit + 1) << shift
+        self._shifts = tuple(bits * i for i in range(len(weights)))
+
+    def wdeg(self, t: int) -> int:
+        return (t + self.mask) >> self.shift & self._dmask
+
+    def check(self, t: int):
+        """Raise ResourceLimit when term t reaches the degree limit."""
+        if (t + self.mask) & self._over:
+            self._refuse(self.wdeg(t))
+
+    def _refuse(self, deg: int):
+        raise ResourceLimit(
+            f"weighted degree {deg} reaches the packing limit {self.degree_limit} of {self!r}"
+        )
+
+    def divides(self, d: int, t: int) -> bool:
+        """Whether term d divides term t."""
+        return d >> self.pos_shift == t >> self.pos_shift and (
+            ((-t & self.mask) | self.guards) - (-d & self.mask)
+        ) & self.guards == self.guards
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of the exponents of a and b, at the position of a."""
+        ea, eb = -a & self.mask, -b & self.mask
+        ge = ((ea | self.guards) - eb) & self.guards  # guard set where a >= b
+        keep_a = ge - (ge >> (self.bits - 1))
+        return a + self._pack(((ea & keep_a) | (eb & ~keep_a)) - ea)
+
+    def _split(self, e: int) -> list[int]:
+        field = (1 << self.bits) - 1
+        return [e >> s & field for s in self._shifts]
+
+    def _pack(self, e: int) -> int:
+        """The ring term with exponent fields e, each below the limit."""
+        exps = self._split(e)
+        high = sum(map(mul, exps, self.weights))
+        if self.elim is not None:
+            high += exps[self.elim] << (self.bits + 1)
+        return (high << self.shift) - e
 
 
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+class PolyRing(_Layout):
+    """Variable table plus weights; owns the monomial order and the term layout."""
 
-
-def mono_support(a: Mono) -> int:
-    """Bit set of the coordinates where a is nonzero."""
-    s = 0
-    bit = 1
-    for x in a:
-        if x:
-            s |= bit
-        bit <<= 1
-    return s
-
-
-class PolyRing:
-    """Variable table plus weights; owns the monomial order."""
-
-    __slots__ = ("names", "weights", "elim", "_index", "_keys")
+    __slots__ = ("names", "_index")
 
     def __init__(self, names, weights, elim: int | None = None):
         names = tuple(names)
@@ -65,10 +119,8 @@ class PolyRing:
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive integers")
         self.names = names
-        self.weights = weights
-        self.elim = elim
         self._index = {n: i for i, n in enumerate(names)}
-        self._keys: dict[Mono, tuple] = {}
+        self._lay_out(weights, elim)
 
     @property
     def nvars(self) -> int:
@@ -77,30 +129,26 @@ class PolyRing:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def wdeg(self, mono: Mono) -> int:
-        return sum(e * w for e, w in zip(mono, self.weights))
+    def term(self, exps) -> int:
+        """The packed term of an exponent tuple."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars or any(e < 0 for e in exps):
+            raise ValueError(f"{exps} is not an exponent vector of {self!r}")
+        deg = sum(e * w for e, w in zip(exps, self.weights))
+        if deg >= self.degree_limit:
+            self._refuse(deg)
+        return self._pack(sum(e << (self.bits * i) for i, e in enumerate(exps)))
 
-    def sort_key(self, mono: Mono):
-        """Tuple comparable key; larger key = larger monomial.  Memoized:
-        the same monomials are compared over and over during reduction.
+    def exponents(self, t: int) -> tuple[int, ...]:
+        """The exponent tuple of a term (the ring part of a module term)."""
+        return tuple(self._split(-t & self.mask))
 
-        The last entry is the support bit set of mono.  It never decides a
-        comparison, since the entries before it already determine mono;
-        division loops read it to skip leads that cannot divide.
-        """
-        key = self._keys.get(mono)
-        if key is None:
-            key = (self.wdeg(mono), tuple(-e for e in reversed(mono)), mono_support(mono))
-            if self.elim is not None:
-                key = (mono[self.elim],) + key
-            if len(self._keys) > 500_000:
-                self._keys.clear()
-            self._keys[mono] = key
-        return key
-
-    def skip_pair(self, a: Mono, b: Mono) -> bool:
+    def skip_pair(self, a: int, b: int) -> bool:
         """Leads whose S-polynomial reduces to zero: coprime ones (product criterion)."""
-        return mono_coprime(a, b)
+        low = self.guards >> (self.bits - 1)  # guard set below: that field is nonzero
+        na = ((-a & self.mask) | self.guards) - low
+        nb = ((-b & self.mask) | self.guards) - low
+        return not na & nb & self.guards
 
     # -- element constructors ---------------------------------------------
 
@@ -110,7 +158,7 @@ class PolyRing:
     def const(self, c) -> "Polynomial":
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {0: c})
 
     def one(self) -> "Polynomial":
         return self.const(1)
@@ -118,77 +166,49 @@ class PolyRing:
     def var(self, i: int, power: int = 1) -> "Polynomial":
         mono = [0] * self.nvars
         mono[i] = power
-        return Polynomial(self, {tuple(mono): 1})
+        return self.monomial(mono)
 
     def var_named(self, name: str, power: int = 1) -> "Polynomial":
         return self.var(self.index(name), power)
 
-    def monomial(self, mono: Mono, coeff=1) -> "Polynomial":
+    def monomial(self, mono, coeff=1) -> "Polynomial":
         if coeff == 0:
             return self.zero()
-        return Polynomial(self, {tuple(mono): coeff})
+        return Polynomial(self, {self.term(mono): coeff})
 
     # -- parsing ------------------------------------------------------------
 
-    _TOKEN = re.compile(r"\s*([+-]|\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*)")
+    _FACTOR = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*(\d+))?)\s*")
 
     def parse(self, text: str) -> "Polynomial":
-        """Parse strings like "X1^2*X3 - 2*X2^2 + 1" into a polynomial."""
-        pos = 0
-        tokens: list[str] = []
-        while pos < len(text):
-            m = self._TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ValueError(f"cannot tokenize {text[pos:]!r}")
-                break
-            tokens.append(m.group(1))
-            pos = m.end()
-        terms: dict[Mono, object] = {}
-        i = 0
-        sign = 1
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok == "+":
-                sign = 1
-                i += 1
-                continue
-            if tok == "-":
-                sign = -1
-                i += 1
-                continue
-            coeff = Fraction(1)
-            mono = [0] * self.nvars
-            expect_factor = True
-            while i < len(tokens) and tokens[i] not in ("+", "-"):
-                tok = tokens[i]
-                if tok == "*":
-                    i += 1
-                    expect_factor = True
-                    continue
-                if not expect_factor:
-                    raise ValueError(f"missing '*' before {tok!r} in {text!r}")
-                if re.fullmatch(r"\d+/\d+|\d+", tok):
-                    coeff *= Fraction(tok)
-                    i += 1
+        """Parse strings like "X1^2*X3 - 2*X2^2 + 1" into a polynomial.
+
+        A term is factors joined by single '*'; a factor is an integer, a
+        fraction, or a variable with an optional '^' and a digit exponent.
+        """
+        chunks = re.split(r"([+-])", text)
+        terms: dict[int, object] = {}
+        for i, (sign, chunk) in enumerate(zip(["+"] + chunks[1::2], chunks[::2])):
+            if i == 0 and not chunk.strip() and (len(chunks) > 1 or not text.strip()):
+                continue  # a leading sign, or no text at all
+            coeff, mono = Fraction(-1 if sign == "-" else 1), [0] * self.nvars
+            for factor in chunk.split("*"):
+                m = self._FACTOR.fullmatch(factor)
+                if m is None:
+                    raise ValueError(f"cannot parse {factor!r} in {text!r}")
+                number, name, power = m.groups()
+                if number is not None:
+                    coeff *= Fraction(number)
+                elif name in self._index:
+                    mono[self._index[name]] += int(power or 1)
                 else:
-                    if tok not in self._index:
-                        raise ValueError(f"unknown variable {tok!r}")
-                    idx = self._index[tok]
-                    power = 1
-                    i += 1
-                    if i < len(tokens) and tokens[i] == "^":
-                        power = int(tokens[i + 1])
-                        i += 2
-                    mono[idx] += power
-                expect_factor = False
-            key = tuple(mono)
-            c = terms.get(key, 0) + sign * coeff
+                    raise ValueError(f"unknown variable {name!r}")
+            key = self.term(mono)
+            c = terms.get(key, 0) + coeff
             if c == 0:
                 terms.pop(key, None)
             else:
                 terms[key] = c
-            sign = 1
         return Polynomial(self, {m: _tighten(c) for m, c in terms.items()})
 
     def __eq__(self, other):
@@ -207,51 +227,41 @@ class PolyRing:
         return f"PolyRing({list(self.names)}, weights={list(self.weights)}{elim})"
 
 
-class FreeModule:
+class FreeModule(_Layout):
     """Free module base^rank, as a term format for Polynomial.
 
-    The term x^a e_p is the tuple a + (one-hot vector of p), so mono_mul,
-    mono_div and mono_lcm work on terms unchanged: a ring monomial padded
-    with zeros keeps a term's position, and division fails across
-    positions.  The order is position over term: a lower position is
-    larger, and within a position the base ring's order decides.  Positions
-    weigh nothing, so degree caps bound the ring part.
+    A term is a base-ring term plus (rank - p) << pos_shift for position p,
+    so base-ring terms act on it by ``+`` and keep its position, and the
+    order is position over term: a lower position is larger, and within a
+    position the base ring's order decides.  Positions weigh nothing, so
+    degree caps bound the ring part.
     """
 
-    __slots__ = ("base", "rank", "names", "weights", "_nv", "_keys")
+    __slots__ = ("base", "rank", "names")
 
     def __init__(self, base: PolyRing, rank: int):
         self.base = base
         self.rank = rank
         self.names = base.names + tuple(f"e{p + 1}" for p in range(rank))
-        self.weights = base.weights
-        self._nv = base.nvars
-        self._keys: dict[Mono, tuple] = {}
+        self._lay_out(base.weights, base.elim)
 
-    def position(self, mono: Mono) -> int:
-        return mono.index(1, self._nv) - self._nv
+    def position(self, t: int) -> int:
+        return self.rank - (t >> self.pos_shift)
 
-    def wdeg(self, mono: Mono) -> int:
-        return self.base.wdeg(mono[: self._nv])
+    def exponents(self, t: int) -> tuple[int, ...]:
+        """The base exponents of a term, then the one-hot vector of its position."""
+        p = self.position(t)
+        return self.base.exponents(t) + tuple(int(k == p) for k in range(self.rank))
 
-    def sort_key(self, mono: Mono):
-        """As PolyRing.sort_key, led by the negated position."""
-        key = self._keys.get(mono)
-        if key is None:
-            ring_key = self.base.sort_key(mono[: self._nv])
-            key = (-self.position(mono),) + ring_key[:-1] + (mono_support(mono),)
-            self._keys[mono] = key
-        return key
-
-    def skip_pair(self, a: Mono, b: Mono) -> bool:
+    def skip_pair(self, a: int, b: int) -> bool:
         """Leads at different positions have no S-polynomial."""
-        return a[self._nv :] != b[self._nv :]
+        return a >> self.pos_shift != b >> self.pos_shift
 
     def vector(self, entries: dict[int, "Polynomial"]) -> "Polynomial":
         """The element sum of entries[p] * e_p, from base-ring polynomials."""
-        terms: dict[Mono, object] = {}
+        terms: dict[int, object] = {}
         for p, f in entries.items():
-            unit = tuple(1 if k == p else 0 for k in range(self.rank))
+            unit = (self.rank - p) << self.pos_shift
             for m, c in f.terms.items():
                 terms[m + unit] = c
         return Polynomial(self, terms)
@@ -260,8 +270,12 @@ class FreeModule:
         """The base-ring coordinates of v, one per position."""
         parts: list[dict] = [{} for _ in range(self.rank)]
         for m, c in v.terms.items():
-            parts[self.position(m)][m[: self._nv]] = c
+            code = m >> self.pos_shift
+            parts[self.rank - code][m - (code << self.pos_shift)] = c
         return [Polynomial(self.base, t) for t in parts]
+
+    def __repr__(self):
+        return f"FreeModule({self.base!r}, {self.rank})"
 
 
 def _tighten(c):
@@ -286,16 +300,16 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def lt(self) -> tuple[Mono, object]:
-        """Leading (monomial, coefficient) for the ring's order."""
+    def lt(self) -> tuple[int, object]:
+        """Leading (term, coefficient) for the ring's order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         if self._lt is None:
-            m = max(self.terms, key=self.ring.sort_key)
+            m = max(self.terms)
             self._lt = (m, self.terms[m])
         return self._lt
 
-    def lm(self) -> Mono:
+    def lm(self) -> int:
         return self.lt()[0]
 
     def lc(self):
@@ -312,8 +326,8 @@ class Polynomial:
         degs = {self.ring.wdeg(m) for m in self.terms}
         return len(degs) == 1
 
-    def sorted_terms(self) -> list[tuple[Mono, object]]:
-        return sorted(self.terms.items(), key=lambda t: self.ring.sort_key(t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[int, object]]:
+        return sorted(self.terms.items(), reverse=True)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -333,33 +347,30 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.ring, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            self._check(other)
-            out: dict[Mono, object] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = mono_mul(m1, m2)
-                    s = out.get(m, 0) + c1 * c2
-                    if s == 0:
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
-            return Polynomial(self.ring, out)
-        return self.scale(other)
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
+        self._check(other)
+        if self.terms and other.terms:
+            # the top-degree parts multiply to a nonzero top-degree part
+            deg = self.wdeg() + other.wdeg()
+            if deg >= self.ring.degree_limit:
+                self.ring._refuse(deg)
+        out: dict[int, object] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = m1 + m2
+                s = out.get(m, 0) + c1 * c2
+                if s == 0:
+                    out.pop(m, None)
+                else:
+                    out[m] = s
+        return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -367,14 +378,6 @@ class Polynomial:
         if c == 0:
             return self.ring.zero()
         return Polynomial(self.ring, {m: _tighten(k * c) for m, k in self.terms.items()})
-
-    def term_mul(self, mono: Mono, coeff=1) -> "Polynomial":
-        """Multiply by coeff * x^mono."""
-        if coeff == 0:
-            return self.ring.zero()
-        return Polynomial(
-            self.ring, {mono_mul(m, mono): _tighten(c * coeff) for m, c in self.terms.items()}
-        )
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -389,13 +392,12 @@ class Polynomial:
 
     def map_to(self, other_ring: PolyRing, var_map: list[int]) -> "Polynomial":
         """Reinterpret in other_ring; var_map[i] = target index of our variable i."""
-        out: dict[Mono, object] = {}
+        out: dict[int, object] = {}
         for m, c in self.terms.items():
             mono = [0] * other_ring.nvars
-            for i, e in enumerate(m):
-                if e:
-                    mono[var_map[i]] += e
-            key = tuple(mono)
+            for i, e in enumerate(self.ring.exponents(m)):
+                mono[var_map[i]] += e
+            key = other_ring.term(mono)
             s = out.get(key, 0) + c
             if s == 0:
                 out.pop(key, None)
@@ -416,30 +418,14 @@ class Polynomial:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+        text = ""
         for m, c in self.sorted_terms():
-            factors = [
-                f"{self.ring.names[i]}^{e}" if e > 1 else self.ring.names[i]
-                for i, e in enumerate(m)
-                if e
-            ]
-            body = "*".join(factors)
-            mag = abs(c) if isinstance(c, int) else abs(Fraction(c))
-            if not body:
-                chunk = str(mag)
-            elif mag == 1:
-                chunk = body
-            else:
-                chunk = f"{mag}*{body}"
-            sign = "-" if (c < 0) else "+"
-            parts.append((sign, chunk))
-        first_sign, first_chunk = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_chunk
-        for sign, chunk in parts[1:]:
-            text += f" {sign} {chunk}"
-        return text
+            exps = zip(self.ring.names, self.ring.exponents(m))
+            body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in exps if e)
+            mag = abs(c)
+            chunk = f"{mag}*{body}" if body and mag != 1 else (body or str(mag))
+            text += (" - " if c < 0 else " + ") + chunk if text else ("-" if c < 0 else "") + chunk
+        return text or "0"
 
     def __repr__(self):
         return f"<poly {self}>"

@@ -25,7 +25,7 @@ from ngtrace.determinantal import (
 from ngtrace.errors import IdealMismatch, InhomogeneousMatrix
 from ngtrace.groebner import buchberger, toric_ideal, two_minors
 from ngtrace.ideals import is_nearly_gorenstein_oracle
-from ngtrace.polyring import Mono, PolyRing, mono_div, mono_support
+from ngtrace.polyring import PolyRing
 from ngtrace.semigroup import NumericalSemigroup
 
 
@@ -98,7 +98,7 @@ def test_zero_gap_rejected():
 # the last entry of remark_degrees, and decides validity without it.
 
 
-def _standard_count(leads: list[Mono], nvars: int, cap: int) -> int | None:
+def _standard_count(leads: list[tuple[int, ...]], nvars: int, cap: int) -> int | None:
     """Monomials in nvars variables divisible by no lead, counted up to cap + 1.
 
     Returns None when there are infinitely many, that is when some variable
@@ -107,14 +107,14 @@ def _standard_count(leads: list[Mono], nvars: int, cap: int) -> int | None:
     division, so a depth-first walk that appends variables in nondecreasing
     index order meets each once and may stop at the first non-standard one.
     """
-    powers = {mono_support(lm) for lm in leads}
+    powers = {sum(1 << i for i, e in enumerate(lm) if e) for lm in leads}
     if any(1 << i not in powers for i in range(nvars)):
         return None
     count = 0
     stack = [((0,) * nvars, 0)]
     while stack:
         mono, first = stack.pop()
-        if any(mono_div(mono, lm) is not None for lm in leads):
+        if any(all(a >= b for a, b in zip(mono, lm)) for lm in leads):
             continue
         count += 1
         if count > cap:
@@ -127,7 +127,8 @@ def _standard_count(leads: list[Mono], nvars: int, cap: int) -> int | None:
 def _colength(order, m, ell, cap: int) -> int | None:
     n = len(order)
     ring = PolyRing([f"X{i+1}" for i in range(n)], order)
-    leads = [g.lm()[:-1] for g in buchberger(two_minors(build_matrix(ring, m, ell))) if not g.lm()[-1]]
+    exps = [ring.exponents(g.lm()) for g in buchberger(two_minors(build_matrix(ring, m, ell)))]
+    leads = [e[:-1] for e in exps if not e[-1]]
     return _standard_count(leads, n - 1, cap)
 
 

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngtrace.errors import ResourceLimit
 from ngtrace.groebner import (
@@ -13,7 +16,7 @@ from ngtrace.groebner import (
     toric_ideal,
     two_minors,
 )
-from ngtrace.polyring import FreeModule, PolyRing, Polynomial, mono_div, mono_mul
+from ngtrace.polyring import FreeModule, PolyRing, Polynomial
 
 
 def ring_345():
@@ -30,6 +33,13 @@ def test_parse_and_str_round_trip():
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ValueError):
         ring_345().parse("X9 + 1")
+
+
+@pytest.mark.parametrize("text", ["X1**2", "X1^", "X1^X2", "2 X1", "X1*", "*X1", "X1 - - X2"])
+def test_parse_rejects_malformed_terms(text):
+    # "X1**2" once read as 2*X1, and "X1^" raised IndexError
+    with pytest.raises(ValueError):
+        ring_345().parse(text)
 
 
 def test_polynomial_arithmetic():
@@ -76,6 +86,22 @@ def test_normal_form_idempotent_and_membership():
     for g in gens:
         assert gb.contains(g)
     assert ideal_membership(gens[0], gens)
+    assert not ideal_membership(gens[0], [])
+
+
+def test_normal_form_rejects_other_ring():
+    R = PolyRing(["x", "y"], [1, 1])
+    S = PolyRing(["x", "y", "z"], [1, 1, 1])
+    gb = buchberger([R.parse("x^2 - y")])
+    p = S.parse("x^2*z + z")
+    with pytest.raises(ValueError):
+        gb.normal_form(p)
+    with pytest.raises(ValueError):
+        gb.contains(p)
+    with pytest.raises(ValueError):
+        normal_form(p, [R.parse("x^2 - y")])
+    with pytest.raises(ValueError):
+        buchberger([R.parse("x^2 - y"), p])
 
 
 def test_proper_homogeneous_ideal_excludes_one():
@@ -256,13 +282,13 @@ def test_free_module_term_format():
     F = FreeModule(R, 3)
     v = F.vector({0: R.parse("x^2 - y"), 2: R.parse("y")})
     assert [str(p) for p in F.components(v)] == ["x^2 - y", "0", "y"]
-    assert F.position(v.lm()) == 0 and v.lm()[:2] == (2, 0)
+    assert F.position(v.lm()) == 0 and F.exponents(v.lm())[:2] == (2, 0)
     xe1, ye2 = F.vector({0: R.parse("x")}).lm(), F.vector({1: R.parse("y")}).lm()
-    # ring monomials act on terms unchanged; division fails across positions
-    assert mono_mul(xe1, (0, 1, 0, 0, 0)) == F.vector({0: R.parse("x*y")}).lm()
-    assert mono_div(xe1, ye2) is None
+    # ring terms act on module terms by +; division fails across positions
+    assert xe1 + R.term((0, 1)) == F.vector({0: R.parse("x*y")}).lm()
+    assert not F.divides(ye2, xe1)
     # position over term: position 0 beats any degree at position 1
-    assert F.sort_key(xe1) > F.sort_key(F.vector({1: R.parse("x^5")}).lm())
+    assert xe1 > F.vector({1: R.parse("x^5")}).lm()
     assert F.skip_pair(xe1, ye2) and not F.skip_pair(xe1, F.vector({0: R.parse("y")}).lm())
 
 
@@ -278,3 +304,64 @@ def test_buchberger_on_submodule():
     # (x^2 - y^2) e2 = x * g1 - y * g0 lies in the submodule, e2 does not
     assert gb.contains(F.vector({1: R.parse("x^2 - y^2")}))
     assert not gb.contains(F.vector({1: R.one()}))
+
+
+# -- packed terms against the tuple format they replaced ----------------------
+
+
+def _tuple_key(weights, elim, exps, position):
+    """The tuple order: position (lower is larger), the eliminated exponent,
+    weighted degree, then reverse lexicographic."""
+    key = (sum(map(mul, exps, weights)), tuple(-e for e in reversed(exps)))
+    return (-position,) + ((exps[elim],) if elim is not None else ()) + key
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_packed_terms_match_tuple_reference(data):
+    n = data.draw(st.integers(1, 4))
+    weights = data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    elim = data.draw(st.none() | st.integers(0, n - 1))
+    rank = data.draw(st.integers(0, 3))  # 0: terms of the ring itself
+    R = PolyRing([f"x{i}" for i in range(n)], weights, elim=elim)
+    T = FreeModule(R, rank) if rank else R
+    term = st.tuples(
+        st.lists(st.integers(0, 40), min_size=n, max_size=n).map(tuple),
+        st.integers(0, max(rank - 1, 0)),
+    )
+    (a, pa), (b, pb) = data.draw(term), data.draw(term)
+
+    def pack(e, p):
+        return T.vector({p: R.monomial(e)}).lm() if rank else R.term(e)
+
+    ta, tb = pack(a, pa), pack(b, pb)
+    unit = tuple(int(k == pa) for k in range(rank))
+    assert T.exponents(ta) == a + unit and T.wdeg(ta) == sum(map(mul, a, weights))
+    assert (ta < tb) == (_tuple_key(weights, elim, a, pa) < _tuple_key(weights, elim, b, pb))
+    assert (ta == tb) == ((a, pa) == (b, pb))
+    assert ta + R.term(b) == pack(tuple(map(add, a, b)), pa)
+    divides = pa == pb and all(x <= y for x, y in zip(b, a))
+    assert T.divides(tb, ta) == divides
+    if divides:
+        assert ta - tb == R.term(tuple(x - y for x, y in zip(a, b)))
+    if pa == pb:
+        assert T.lcm(ta, tb) == pack(tuple(map(max, a, b)), pa)
+        coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
+        assert T.skip_pair(ta, tb) == (coprime and not rank)
+    else:
+        assert T.skip_pair(ta, tb)
+
+
+def test_terms_past_the_packing_limit_raise():
+    R = PolyRing(["x", "y"], [1, 1])
+    L = R.degree_limit
+    assert L > 1024 * 2 and R.var(0, L - 1).wdeg() == L - 1
+    with pytest.raises(ResourceLimit):
+        R.var(0, L)
+    with pytest.raises(ResourceLimit):
+        R.var(0, L - 1) * R.var(1)
+    # the S-polynomial of xy - 1 and x^(L-1) - y^(L-1) is y^L - x^(L-2):
+    # its lead lies past the limit, and the degree cap is set above it
+    gens = [R.parse("x*y - 1"), R.var(0, L - 1) - R.var(1, L - 1)]
+    with pytest.raises(ResourceLimit, match="packing limit"):
+        buchberger(gens, max_wdeg=4 * L)
