@@ -157,15 +157,22 @@ def cmd_trace(args, out) -> int:
     if args.method == "syzygy" or (args.method == "all" and args.stretch_syzygy):
         results["syzygy"] = list(trace_canonical_syzygy(inst).generators)
     report.update(results)
+    failed = []
     if args.method in ("lambda", "all"):
         rows = []
         for a in inst.H.generators:
             hit = lambda_membership(inst, a)
             if hit:
                 row, j = hit
-                rows.append(f"f = {row}, j={j}, f.N = 0 verified")
+                ok = row.relations_hold()
+                rows.append(f"f = {row}, j={j}, f.N = 0 {'verified' if ok else 'FAILED'}")
+                if not ok:
+                    failed.append(str(row))
         report["rows"] = rows
     _emit(report, args.format, out)
+    if failed:
+        print(f"error: property violation: f.N != 0 for rows {', '.join(failed)}", file=sys.stderr)
+        return EXIT_VIOLATION
     if len(set(map(tuple, (v for k, v in results.items())))) > 1:
         print("error: trace methods disagree", file=sys.stderr)
         return EXIT_VIOLATION

@@ -23,6 +23,15 @@ from .polyring import FreeModule, PolyRing, Polynomial
 
 DEFAULT_MAX_BASIS = 5000
 DEGREE_CAP_FACTOR = 10
+STAT_NAMES = (
+    "pairs_queued",
+    "pairs_skipped",
+    "pairs_seeded",
+    "pairs_chained",
+    "zero_reductions",
+    "peak_basis",
+    "max_lead_wdeg",
+)
 
 
 def _default_degree_cap(ring: PolyRing) -> int:
@@ -87,13 +96,18 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
 
 
 class GroebnerBasis:
-    """Reduced basis plus the ring (which carries the order)."""
+    """A Groebner basis plus the ring (which carries the order).
 
-    __slots__ = ("ring", "polys", "_index")
+    ``stats`` holds the counters of the pair loop that made it (see
+    buchberger), or is None for a basis assembled otherwise.
+    """
 
-    def __init__(self, ring: PolyRing, polys):
+    __slots__ = ("ring", "polys", "stats", "_index")
+
+    def __init__(self, ring: PolyRing, polys, stats: dict[str, int] | None = None):
         self.ring = ring
         self.polys = tuple(polys)
+        self.stats = stats
         self._index = None
 
     def normal_form(self, p: Polynomial) -> Polynomial:
@@ -173,6 +187,7 @@ def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
 def buchberger(
     gens,
     *,
+    basis=(),
     ring: PolyRing | None = None,
     max_basis: int = DEFAULT_MAX_BASIS,
     max_wdeg: int | None = None,
@@ -181,34 +196,62 @@ def buchberger(
     """Reduced Groebner basis of the ideal or submodule generated by gens.
 
     ``gens`` are polynomials over a PolyRing (an ideal) or vectors over a
-    FreeModule (a submodule).  Pair selection is the normal strategy:
-    smallest weighted degree of the pair lcm first, ties by pair creation
-    index.  Pairs are formed only between leads at the same position; those
-    the ring's skip_pair rules out (coprime leads in a ring) are never
-    queued and count as treated; the classic chain criterion (both
-    companion pairs already treated) prunes the rest.
+    FreeModule (a submodule).  ``basis`` may hold monic polynomials that
+    already form a reduced Groebner basis, such as the polys of another
+    buchberger result; they are admitted as they are, every pair between
+    two of them counts as treated from the start, and the result is the
+    reduced basis of the ideal or submodule generated by basis and gens.
+
+    Pair selection is the normal strategy: smallest weighted degree of the
+    pair lcm first, ties by pair creation index.  Pairs are formed only
+    between leads at the same position; those the ring's skip_pair rules
+    out (coprime leads in a ring) are never queued and count as treated;
+    the classic chain criterion (both companion pairs already treated)
+    prunes the rest.  The result's ``stats`` count, as plain ints:
+    pairs_queued, pairs_skipped (by skip_pair), pairs_seeded (both in
+    ``basis``), pairs_chained (pruned by the chain criterion),
+    zero_reductions (S-polynomials that reduced to zero), peak_basis (the
+    basis size before interreduction) and max_lead_wdeg.
     """
+    closed = _close(gens, basis, ring, max_basis, max_wdeg)
+    gb = GroebnerBasis(closed.ring, _interreduce(closed.ring, closed.polys), closed.stats)
+    if verify and not gb.self_check():
+        raise AssertionError("S-polynomial closure failed after interreduction")
+    return gb
+
+
+def _close(gens, basis, ring, max_basis, max_wdeg) -> GroebnerBasis:
+    """buchberger's pair loop: a Groebner basis of basis and gens, not interreduced."""
+    basis = list(basis)
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return GroebnerBasis(ring if ring is not None else PolyRing(("X",), (1,)), ())
-    ring = gens[0].ring
-    for g in gens:
-        gens[0]._check(g)
+    if not basis and not gens:
+        ring = ring if ring is not None else PolyRing(("X",), (1,))
+        return GroebnerBasis(ring, (), dict.fromkeys(STAT_NAMES, 0))
+    first = (basis + gens)[0]
+    ring = first.ring
+    for g in basis + gens:
+        first._check(g)
+    if any(g.is_zero() or g.lc() != 1 for g in basis):
+        raise ValueError("a seed basis holds monic polynomials only")
     cap = _default_degree_cap(ring) if max_wdeg is None else max_wdeg
     mask, guards, pos_shift = ring.mask, ring.guards, ring.pos_shift
 
-    basis: list[Polynomial] = []
+    polys: list[Polynomial] = []
     lms: list[int] = []
     lead_es: list[int] = []
     index: dict[int, list] = {}
     at: dict[int, list[int]] = {}  # position -> basis indices with a lead there
+    top = 0
 
     def admit(p: Polynomial):
+        nonlocal top
         lm = p.lm()
-        if ring.wdeg(lm) > cap:
-            raise ResourceLimit(f"basis element degree {ring.wdeg(lm)} exceeds cap {cap}")
-        basis.append(p)
-        if len(basis) > max_basis:
+        deg = ring.wdeg(lm)
+        if deg > cap:
+            raise ResourceLimit(f"basis element degree {deg} exceeds cap {cap}")
+        top = max(top, deg)
+        polys.append(p)
+        if len(polys) > max_basis:
             raise ResourceLimit(f"basis size exceeds cap {max_basis}")
         entry = _lead_entry(p)
         index.setdefault(lm >> pos_shift, []).append(entry)
@@ -216,60 +259,68 @@ def buchberger(
         lms.append(lm)
         lead_es.append(entry[0])
 
+    for g in basis:
+        admit(g)
+    seeded = len(polys)
     for g in gens:
         r = _reduce_terms(g, index).monic()
         if not r.is_zero():
             admit(r)
 
     pairs: list[tuple[int, int, int, int, int]] = []
-    seq = 0
+    seq = skipped = inside = chained = zeros = 0
     # bit i of treated[j] is set once the pair i < j (same position) is
     # treated; bits keep a submodule's many pairs to a few bytes each
     treated: list[int] = []
 
     def push_pairs(j: int):
-        nonlocal seq
-        skipped = 0
+        nonlocal seq, skipped, inside
+        done = 0
         for i in at[lms[j] >> pos_shift]:
             if i >= j:
                 break
+            if j < seeded:  # both in the seed basis, whose S-polynomials reduce to zero
+                done |= 1 << i
+                inside += 1
+                continue
             if ring.skip_pair(lms[i], lms[j]):
-                skipped |= 1 << i
+                done |= 1 << i
+                skipped += 1
                 continue
             gamma = ring.lcm(lms[i], lms[j])
             heapq.heappush(pairs, (ring.wdeg(gamma), seq, i, j, gamma))
             seq += 1
-        treated.append(skipped)
+        treated.append(done)
 
     def is_treated(a: int, b: int) -> bool:
         return treated[max(a, b)] >> min(a, b) & 1
 
-    for j in range(len(basis)):
+    for j in range(len(polys)):
         push_pairs(j)
 
     while pairs:
         _, _, i, j, gamma = heapq.heappop(pairs)
         e = (-gamma & mask) | guards
-        chained = False
+        chain = False
         for k in at[gamma >> pos_shift]:
             if k == i or k == j or (e - lead_es[k]) & guards != guards:
                 continue
             if is_treated(i, k) and is_treated(j, k):
-                chained = True
+                chain = True
                 break
         treated[j] |= 1 << i
-        if chained:
+        if chain:
+            chained += 1
             continue
-        r = _reduce_terms(_spoly(basis[i], basis[j], gamma), index)
+        r = _reduce_terms(_spoly(polys[i], polys[j], gamma), index)
         if r.is_zero():
+            zeros += 1
             continue
         admit(r.monic())
-        push_pairs(len(basis) - 1)
+        push_pairs(len(polys) - 1)
 
-    gb = GroebnerBasis(ring, _interreduce(ring, basis))
-    if verify and not gb.self_check():
-        raise AssertionError("S-polynomial closure failed after interreduction")
-    return gb
+    counts = (seq, skipped, inside, chained, zeros, len(polys), top)
+    return GroebnerBasis(ring, polys, dict(zip(STAT_NAMES, counts)))
 
 
 def ideal_membership(p: Polynomial, gens) -> bool:
@@ -421,22 +472,29 @@ def toric_ideal(
 
 def kernel_over_quotient(
     rows: list[list[Polynomial]],
-    ideal_gens: list[Polynomial],
+    ideal_gens,
     *,
     max_basis: int = DEFAULT_MAX_BASIS,
 ) -> list[tuple[Polynomial, ...]]:
     """Generators of the left kernel {f : f.N = 0 over ring/ideal}.
 
-    ``rows`` are the rows of the matrix N.  Returns tag rows f (length =
-    number of rows of N); every returned row satisfies f.N = 0 modulo the
-    ideal, which is asserted before returning.
+    ``rows`` are the rows of the matrix N, and ``ideal_gens`` generators of
+    the ideal or its GroebnerBasis.  Returns tag rows f (length = number of
+    rows of N); every returned row satisfies f.N = 0 modulo the ideal,
+    which is asserted before returning.
 
     Row i of N becomes the vector (N_i, e_i) in a free module with "value"
-    positions 0..q-1 for the columns and "tag" positions q..q+r-1, next to
-    h * e_j for every ideal generator h and column j.  In the position-over-
-    term order the value positions lead, so the basis elements whose lead
-    sits at a tag position have no value part, and their tag parts generate
-    the kernel.
+    positions 0..q-1 for the columns and "tag" positions q..q+r-1.  The
+    module basis is seeded with g * e_j for every g in the ideal's reduced
+    basis and every column j: those form a reduced basis already, since
+    S(g e_j, g' e_j) = S(g, g') e_j reduces to zero over it, so the pair
+    loop starts from them instead of rebuilding the ideal's basis at every
+    value position.  In the position-over-term order the value positions
+    lead, so the basis elements whose lead sits at a tag position have no
+    value part, and their tag parts generate the kernel.  Only those are
+    read, and their minimality and tails involve tag leads only, so only
+    they are interreduced: they come out as in the reduced basis of the
+    whole module.
     """
     if not rows:
         return []
@@ -452,37 +510,32 @@ def kernel_over_quotient(
     if any(len(row) != q for row in rows):
         raise ValueError("ragged matrix")
 
+    ideal_gb = (
+        ideal_gens if isinstance(ideal_gens, GroebnerBasis) else buchberger(ideal_gens, ring=ring)
+    )
     module = FreeModule(ring, q + r)
+    seed = [module.vector({j: g}) for j in range(q) for g in ideal_gb]
     vectors = [
         module.vector({**dict(enumerate(row)), q + i: ring.one()})
         for i, row in enumerate(rows)
     ]
-    for h in ideal_gens:
-        if not h.is_zero():
-            vectors.extend(module.vector({j: h}) for j in range(q))
+    closed = _close(vectors, seed, module, max_basis, None)
+    tagged = _interreduce(module, [v for v in closed if module.position(v.lm()) >= q])
 
-    gb = buchberger(vectors, max_basis=max_basis)
-
-    ideal_gb = buchberger(ideal_gens, ring=ring) if ideal_gens else None
+    # f.N = 0 is checked at every column, over its nonzero entries of N only
+    columns = [
+        [(i, row[j]) for i, row in enumerate(rows) if not row[j].is_zero()] for j in range(q)
+    ]
     out: list[tuple[Polynomial, ...]] = []
-    seen = set()
-    for v in gb:
-        if module.position(v.lm()) < q:
-            continue
+    for v in tagged:
         comps = module.components(v)[q:]
-        if ideal_gb is not None and all(
-            ideal_gb.normal_form(p).is_zero() for p in comps
-        ):
+        if all(ideal_gb.contains(p) for p in comps):
             continue  # the zero row of the quotient; contributes nothing
-        sig = tuple(frozenset(p.terms.items()) for p in comps)
-        if sig in seen:
-            continue
-        seen.add(sig)
-        for j in range(q):
+        for j, column in enumerate(columns):
             entry = ring.zero()
-            for i in range(r):
-                entry = entry + comps[i] * rows[i][j]
-            residue = entry if ideal_gb is None else ideal_gb.normal_form(entry)
+            for i, a in column:
+                entry = entry + comps[i] * a
+            residue = ideal_gb.normal_form(entry)
             if not residue.is_zero():
                 raise AssertionError(
                     f"kernel row fails f.N = 0 at column {j}: remainder {residue}"

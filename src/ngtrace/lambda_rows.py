@@ -163,28 +163,27 @@ def _assert_cover(inst: DeterminantalInstance, rows: list[LambdaRow]):
 def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     """Third route: left kernel of the presentation matrix over the quotient.
 
-    The kernel rows are computed by a module Groebner basis; their entries
-    generate the trace ideal, and monomial membership per degree converts it
-    back into a relative ideal.  Small instances only.
+    The kernel rows are computed by a module Groebner basis, and their
+    entries generate the trace ideal.  Each entry p is H-homogeneous and
+    every graded piece of k[H] is at most one-dimensional, so p stands for
+    t^(deg p) when it is nonzero modulo the minors (which define k[H]) and
+    for nothing otherwise.  The window end is asserted as a sentinel.
     """
     from .groebner import buchberger, kernel_over_quotient
     from .higher_dim import HigherDimInstance, build_matrices
-    from .semigroup import one_factorization
 
     _, M = build_matrices(HigherDimInstance(inst))
-    rows = kernel_over_quotient(M, inst.minors)
-    entries = [p for row in rows for p in row if not p.is_zero()]
-    gb = buchberger(entries + inst.minors)
-
-    H = inst.H
-    W = trace_window(inst)
-    members = []
-    for u in range(0, W + 1):
-        vec = one_factorization(u, inst.order)
-        if vec is None:
-            continue
-        if gb.contains(inst.ring.monomial(vec)):
-            members.append(u)
-    if not members or W not in members:
+    minors = buchberger(inst.minors)
+    degrees = []
+    for row in kernel_over_quotient(M, minors):
+        for p in row:
+            if not p.is_homogeneous():
+                raise AssertionError(f"kernel entry {p} is not homogeneous")
+            if not minors.contains(p):
+                degrees.append(p.wdeg())
+    if not degrees:
+        raise AssertionError("no kernel entry is nonzero modulo the minors")
+    trace = RelativeIdeal(inst.H, degrees)
+    if not trace.contains(trace_window(inst)):
         raise AssertionError("syzygy trace sentinel failed; window reasoning broken")
-    return RelativeIdeal(H, members)
+    return trace

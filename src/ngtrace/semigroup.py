@@ -214,22 +214,3 @@ class NumericalSemigroup:
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.generators) + ">"
 
-
-def one_factorization(h: int, gens: tuple[int, ...]) -> tuple[int, ...] | None:
-    """A single exponent vector over gens (in the given order) summing to h.
-
-    Walks down from h, each step taking the first generator whose
-    remainder is representable.
-    """
-    if h < 0:
-        return None
-    ok = sieve_mask(gens, h)
-    if not (ok >> h) & 1:
-        return None
-    vec = [0] * len(gens)
-    x = h
-    while x > 0:
-        idx = next(i for i, a in enumerate(gens) if a <= x and (ok >> (x - a)) & 1)
-        vec[idx] += 1
-        x -= gens[idx]
-    return tuple(vec)

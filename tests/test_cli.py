@@ -138,6 +138,15 @@ def test_trace_syzygy_needs_flag(capsys):
     assert payload["syzygy"] == [3, 4, 5]
 
 
+def test_trace_rows_failing_relations_exit_5(capsys, monkeypatch):
+    # a row is reported verified only after relations_hold() has checked it
+    monkeypatch.setattr("ngtrace.lambda_rows.LambdaRow.relations_hold", lambda row: False)
+    code, payload, err = run_json(capsys, "trace", INST_345, "--method", "lambda")
+    assert code == 5
+    assert payload["rows"] and all(r.endswith("f.N = 0 FAILED") for r in payload["rows"])
+    assert err.startswith("error: property violation:") and "Traceback" not in err
+
+
 def test_search_finds_family(capsys):
     code, payload, _ = run_json(capsys, "search", "--m", "3,1,1,1", "--ell", "1,1,1,2", "--bound", "50")
     assert code == 0

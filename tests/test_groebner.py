@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngtrace.determinantal import search_instances
 from ngtrace.errors import ResourceLimit
 from ngtrace.groebner import (
     _size_reduce,
@@ -16,7 +18,9 @@ from ngtrace.groebner import (
     toric_ideal,
     two_minors,
 )
+from ngtrace.higher_dim import HigherDimInstance, build_matrices
 from ngtrace.polyring import FreeModule, PolyRing, Polynomial
+from test_lambda_rows import SYZYGY_SAMPLE
 
 
 def ring_345():
@@ -365,3 +369,109 @@ def test_terms_past_the_packing_limit_raise():
     gens = [R.parse("x*y - 1"), R.var(0, L - 1) - R.var(1, L - 1)]
     with pytest.raises(ResourceLimit, match="packing limit"):
         buchberger(gens, max_wdeg=4 * L)
+
+
+# -- a reduced basis as seed ----------------------------------------------------
+
+
+@st.composite
+def polys(draw, ring, max_exp):
+    n = ring.nvars
+    p = ring.zero()
+    for exps, c in draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, max_exp), min_size=n, max_size=n),
+                st.integers(-3, 3).filter(bool),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    ):
+        p = p + ring.monomial(exps, c)
+    return p
+
+
+@st.composite
+def module_vectors(draw, module, max_exp):
+    return module.vector({j: draw(polys(module.base, max_exp)) for j in range(module.rank)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_seeded_buchberger_equals_plain(data):
+    kind = data.draw(st.sampled_from(["ring", "ring3", "module"]))
+    if kind == "ring":
+        T = PolyRing(["x", "y"], [1, 2])
+        elements = polys(T, 3)
+    elif kind == "ring3":
+        T = PolyRing(["x", "y", "z"], [1, 1, 1])
+        elements = polys(T, 2)
+    else:
+        T = FreeModule(PolyRing(["x", "y"], [1, 1]), 2)
+        elements = module_vectors(T, 2)
+    B = buchberger(data.draw(st.lists(elements, max_size=3)), ring=T).polys
+    gens = data.draw(st.lists(elements, max_size=3))
+    seeded = buchberger(gens, basis=B, ring=T)
+    assert seeded.polys == buchberger(list(B) + gens, ring=T).polys
+    inside = sum(1 for a, b in combinations(B, 2) if a.lm() >> T.pos_shift == b.lm() >> T.pos_shift)
+    assert seeded.stats["pairs_seeded"] == inside
+    assert seeded.stats["peak_basis"] >= len(seeded)
+
+
+def test_seed_basis_must_be_monic():
+    R = PolyRing(["x", "y"], [1, 1])
+    with pytest.raises(ValueError):
+        buchberger([R.parse("x - y")], basis=[R.parse("2*x^2 - y")])
+
+
+def test_buchberger_stats_count_the_pair_loop():
+    R = PolyRing(["x", "y"], [1, 1])
+    gb = buchberger([R.parse("x^2 - y"), R.parse("y^2 - x")])
+    assert set(gb.stats) == {
+        "pairs_queued",
+        "pairs_skipped",
+        "pairs_seeded",
+        "pairs_chained",
+        "zero_reductions",
+        "peak_basis",
+        "max_lead_wdeg",
+    }
+    assert all(type(v) is int for v in gb.stats.values())
+    # the leads x^2 and y^2 are coprime: that pair is skipped, none is queued
+    assert gb.stats["pairs_skipped"] == 1 and gb.stats["pairs_queued"] == 0
+    assert gb.stats["peak_basis"] == 2 and gb.stats["max_lead_wdeg"] == 2
+    assert buchberger([], ring=R).stats["pairs_queued"] == 0
+
+
+# -- the unseeded kernel construction, kept as an oracle -------------------------
+
+
+def _kernel_rows_unseeded(rows, ideal_gens):
+    """Tag rows of the left kernel by the unseeded construction: h * e_j for
+    every ideal generator h and column j passed as plain generators, and
+    the whole module basis interreduced."""
+    r, q = len(rows), len(rows[0])
+    ring = rows[0][0].ring
+    module = FreeModule(ring, q + r)
+    vectors = [
+        module.vector({**dict(enumerate(row)), q + i: ring.one()}) for i, row in enumerate(rows)
+    ]
+    vectors += [module.vector({j: h}) for h in ideal_gens for j in range(q)]
+    ideal_gb = buchberger(ideal_gens, ring=ring)
+    out = []
+    for v in buchberger(vectors):
+        comps = tuple(module.components(v)[q:])
+        if module.position(v.lm()) >= q and not all(ideal_gb.contains(p) for p in comps):
+            out.append(comps)
+    return out
+
+
+# <3,4,5>, then the n = 4 and n = 5 cases of the syzygy route's own test
+@pytest.mark.parametrize("m, ell", [((2, 1, 1), (1, 1, 1))] + SYZYGY_SAMPLE)
+def test_kernel_rows_match_unseeded_construction(m, ell):
+    (inst,) = search_instances(m, ell, 150)
+    _, M = build_matrices(HigherDimInstance(inst))
+    rows = kernel_over_quotient(M, inst.minors)
+    assert rows == _kernel_rows_unseeded(M, inst.minors)
+    assert rows == kernel_over_quotient(M, buchberger(inst.minors))

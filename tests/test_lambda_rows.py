@@ -12,6 +12,7 @@ from ngtrace.lambda_rows import (
     trace_canonical_lambda,
     trace_canonical_syzygy,
 )
+from ngtrace.polyring import FreeModule
 from ngtrace.semigroup import NumericalSemigroup
 
 
@@ -170,9 +171,22 @@ SYZYGY_SAMPLE = [
 
 @pytest.mark.parametrize("m, ell", SYZYGY_SAMPLE)
 def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
-    # every basis of the route, the module basis included, re-checks that
-    # its S-polynomials reduce to zero
-    real = groebner.buchberger
-    monkeypatch.setattr(groebner, "buchberger", lambda gens, **kw: real(gens, verify=True, **kw))
+    # every basis of the route re-checks that its S-polynomials reduce to
+    # zero: the whole module basis as the pair loop leaves it (the kernel
+    # then interreduces only its tag part), and the minors' reduced basis
+    real_close, real_buchberger = groebner._close, groebner.buchberger
+    checked = []
+
+    def close_and_check(*args):
+        closed = real_close(*args)
+        assert closed.self_check()
+        checked.append(closed.ring)
+        return closed
+
+    monkeypatch.setattr(groebner, "_close", close_and_check)
+    monkeypatch.setattr(
+        groebner, "buchberger", lambda gens, **kw: real_buchberger(gens, verify=True, **kw)
+    )
     (inst,) = search_instances(m, ell, 150)
     assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
+    assert any(isinstance(ring, FreeModule) for ring in checked)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngtrace.errors import GcdNotOne, NonMinimalGenerators, NotInSemigroup, ResourceLimit
-from ngtrace.semigroup import NumericalSemigroup, bit_positions, one_factorization, sieve_mask
+from ngtrace.semigroup import NumericalSemigroup, bit_positions, sieve_mask
 
 from conftest import sieve
 
@@ -98,13 +98,6 @@ def test_factorizations():
     assert H.factorizations(1) == []
     with pytest.raises(ResourceLimit):
         H.factorizations(10**7 + 1)
-
-
-def test_one_factorization():
-    vec = one_factorization(17, (7, 8, 9, 10))
-    assert vec is not None
-    assert sum(v * g for v, g in zip(vec, (7, 8, 9, 10))) == 17
-    assert one_factorization(13, (7, 8, 9, 10)) is None
 
 
 @given(
