@@ -29,7 +29,7 @@ from .semigroup import NumericalSemigroup
 SEARCH_BOUND_CAP = 500
 
 
-def _wrap(r: int, n: int) -> int:
+def wrap(r: int, n: int) -> int:
     """Representative of r mod n inside 1..n."""
     return (r - 1) % n + 1
 
@@ -100,8 +100,17 @@ class DeterminantalInstance:
         return PolyRing([f"X{i+1}" for i in range(self.n)], self.order)
 
     @cached_property
+    def matrices(self) -> tuple[list[list[Polynomial]], list[list[Polynomial]]]:
+        """The cyclic matrix D and the presentation matrix M (cyclic_matrices)."""
+        ring = self.ring
+        return cyclic_matrices(
+            [ring.var(i, e) for i, e in enumerate(self.m)],
+            [ring.var(i, e) for i, e in enumerate(self.ell)],
+        )
+
+    @property
     def matrix(self) -> list[list[Polynomial]]:
-        return build_matrix(self.ring, self.m, self.ell)
+        return self.matrices[0]
 
     @cached_property
     def minors(self) -> list[Polynomial]:
@@ -141,12 +150,34 @@ class DeterminantalInstance:
         )
 
 
+def cyclic_matrices(tops, bottoms):
+    """The 2xn matrix D and the presentation matrix M of its canonical module.
+
+    tops[r - 1] = V_r and bottoms[r - 1] = U_r are the entries of index r:
+    D has top row V_[i+1] and bottom row U_i in column i.  M is
+    (n-1) x n(n-2) in blocks of n columns: block j carries the top row in
+    matrix-row j and the negated bottom row in matrix-row j+1, so row
+    vectors f with f.M = 0 satisfy f_j V_[i+1] - f_{j+1} U_i = 0 columnwise.
+    Every column of M is homogeneous when every column of D is.
+    """
+    n = len(tops)
+    D = [[tops[(i + 1) % n] for i in range(n)], list(bottoms)]
+    zero = tops[0].ring.zero()
+    M = [[zero] * (n * (n - 2)) for _ in range(n - 1)]
+    for j in range(1, n - 1):
+        for i in range(1, n + 1):
+            col = (j - 1) * n + (i - 1)
+            M[j - 1][col] = tops[i % n]
+            M[j][col] = -bottoms[i - 1]
+    return D, M
+
+
 def build_matrix(ring: PolyRing, m, ell) -> list[list[Polynomial]]:
     """The cyclic 2xn matrix: top row X_[i+1]^m_[i+1], bottom row X_i^l_i."""
-    n = ring.nvars
-    top = [ring.var(i % n, m[i % n]) for i in range(1, n + 1)]
-    bottom = [ring.var(i, ell[i]) for i in range(n)]
-    return [top, bottom]
+    return cyclic_matrices(
+        [ring.var(i, e) for i, e in enumerate(m)],
+        [ring.var(i, e) for i, e in enumerate(ell)],
+    )[0]
 
 
 def degree_gaps(order, m, ell) -> list[int]:
@@ -252,10 +283,10 @@ def remark_degrees(m, ell) -> list[int]:
         for j in range(1, n + 1):
             prod_m = 1
             for k in range(i + 1, i + j):
-                prod_m *= m[_wrap(k, n) - 1]
+                prod_m *= m[wrap(k, n) - 1]
             prod_l = 1
             for k in range(i + j, i + n):
-                prod_l *= ell[_wrap(k, n) - 1]
+                prod_l *= ell[wrap(k, n) - 1]
             total += prod_m * prod_l
         degs.append(total)
     return degs

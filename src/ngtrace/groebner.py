@@ -34,10 +34,6 @@ STAT_NAMES = (
 )
 
 
-def _default_degree_cap(ring: PolyRing) -> int:
-    return DEGREE_CAP_FACTOR * sum(ring.weights)
-
-
 def _lead_entry(g: Polynomial):
     """(lead exponent fields, lead, lead coefficient, tail term items)."""
     lm, lc = g.lt()
@@ -84,15 +80,6 @@ def _reduce_terms(p: Polynomial, index: dict[int, list]) -> Polynomial:
             else:
                 work[mm] = s
     return Polynomial(ring, remainder)
-
-
-def normal_form(p: Polynomial, basis) -> Polynomial:
-    """Normal form against a list of polynomials or a GroebnerBasis."""
-    if not isinstance(basis, GroebnerBasis):
-        basis = GroebnerBasis(p.ring, [g for g in basis if not g.is_zero()])
-        for g in basis:
-            p._check(g)
-    return basis.normal_form(p)
 
 
 class GroebnerBasis:
@@ -184,15 +171,7 @@ def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
     return reduced
 
 
-def buchberger(
-    gens,
-    *,
-    basis=(),
-    ring: PolyRing | None = None,
-    max_basis: int = DEFAULT_MAX_BASIS,
-    max_wdeg: int | None = None,
-    verify: bool = False,
-) -> GroebnerBasis:
+def buchberger(gens, *, basis=(), ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal or submodule generated by gens.
 
     ``gens`` are polynomials over a PolyRing (an ideal) or vectors over a
@@ -212,15 +191,16 @@ def buchberger(
     ``basis``), pairs_chained (pruned by the chain criterion),
     zero_reductions (S-polynomials that reduced to zero), peak_basis (the
     basis size before interreduction) and max_lead_wdeg.
+
+    A basis element of weighted degree above DEGREE_CAP_FACTOR times the
+    weight sum, or a basis of more than DEFAULT_MAX_BASIS elements, raises
+    ResourceLimit; both constants are read at each call.
     """
-    closed = _close(gens, basis, ring, max_basis, max_wdeg)
-    gb = GroebnerBasis(closed.ring, _interreduce(closed.ring, closed.polys), closed.stats)
-    if verify and not gb.self_check():
-        raise AssertionError("S-polynomial closure failed after interreduction")
-    return gb
+    closed = _close(gens, basis, ring)
+    return GroebnerBasis(closed.ring, _interreduce(closed.ring, closed.polys), closed.stats)
 
 
-def _close(gens, basis, ring, max_basis, max_wdeg) -> GroebnerBasis:
+def _close(gens, basis, ring) -> GroebnerBasis:
     """buchberger's pair loop: a Groebner basis of basis and gens, not interreduced."""
     basis = list(basis)
     gens = [g for g in gens if not g.is_zero()]
@@ -233,7 +213,7 @@ def _close(gens, basis, ring, max_basis, max_wdeg) -> GroebnerBasis:
         first._check(g)
     if any(g.is_zero() or g.lc() != 1 for g in basis):
         raise ValueError("a seed basis holds monic polynomials only")
-    cap = _default_degree_cap(ring) if max_wdeg is None else max_wdeg
+    cap = DEGREE_CAP_FACTOR * sum(ring.weights)
     mask, guards, pos_shift = ring.mask, ring.guards, ring.pos_shift
 
     polys: list[Polynomial] = []
@@ -251,8 +231,8 @@ def _close(gens, basis, ring, max_basis, max_wdeg) -> GroebnerBasis:
             raise ResourceLimit(f"basis element degree {deg} exceeds cap {cap}")
         top = max(top, deg)
         polys.append(p)
-        if len(polys) > max_basis:
-            raise ResourceLimit(f"basis size exceeds cap {max_basis}")
+        if len(polys) > DEFAULT_MAX_BASIS:
+            raise ResourceLimit(f"basis size exceeds cap {DEFAULT_MAX_BASIS}")
         entry = _lead_entry(p)
         index.setdefault(lm >> pos_shift, []).append(entry)
         at.setdefault(lm >> pos_shift, []).append(len(lms))
@@ -323,10 +303,22 @@ def _close(gens, basis, ring, max_basis, max_wdeg) -> GroebnerBasis:
     return GroebnerBasis(ring, polys, dict(zip(STAT_NAMES, counts)))
 
 
-def ideal_membership(p: Polynomial, gens) -> bool:
-    if p.is_zero():
-        return True
-    return buchberger(list(gens), ring=p.ring).contains(p)
+def first_nonzero_column(row, matrix, gb: GroebnerBasis) -> tuple[int, Polynomial] | None:
+    """The first column j where row.matrix is nonzero modulo gb, with its normal form.
+
+    Returns None when row.matrix vanishes modulo gb at every column.  Zero
+    entries of the matrix are skipped.
+    """
+    zero = gb.ring.zero()
+    for j in range(len(matrix[0])):
+        entry = zero
+        for f, line in zip(row, matrix):
+            if not line[j].is_zero():
+                entry = entry + f * line[j]
+        residue = gb.normal_form(entry)
+        if not residue.is_zero():
+            return j, residue
+    return None
 
 
 def two_minors(matrix: list[list[Polynomial]]) -> list[Polynomial]:
@@ -410,14 +402,7 @@ def _binomial_from_vector(ring: PolyRing, v: list[int]) -> Polynomial:
     return ring.monomial(pos) - ring.monomial(neg)
 
 
-def toric_ideal(
-    weights,
-    *,
-    names=None,
-    seed=(),
-    max_basis: int = DEFAULT_MAX_BASIS,
-    max_wdeg: int | None = None,
-) -> GroebnerBasis:
+def toric_ideal(weights, *, seed=()) -> GroebnerBasis:
     """Groebner basis of the kernel of X_i -> t^(w_i).
 
     The lattice-basis ideal is saturated by the product of the variables via
@@ -435,8 +420,7 @@ def toric_ideal(
         )
     if math.gcd(*weights) != 1:
         raise ValueError("weights must have gcd 1")
-    if names is None:
-        names = [f"X{i+1}" for i in range(n)]
+    names = [f"X{i+1}" for i in range(n)]
     ring = PolyRing(names, weights)
 
     ring_t = PolyRing(tuple(names) + ("T_sat",), weights + (1,), elim=n)
@@ -454,7 +438,7 @@ def toric_ideal(
         gens.append(p.map_to(ring_t, lift))
     gens.append(ring_t.monomial(tuple([1] * n + [1])) - ring_t.one())
 
-    gb_t = buchberger(gens, max_basis=max_basis, max_wdeg=max_wdeg)
+    gb_t = buchberger(gens)
     kept = []
     for p in gb_t:
         exps = {m: ring_t.exponents(m) for m in p.terms}
@@ -470,12 +454,7 @@ def toric_ideal(
 # -- left kernels over a quotient ring (module syzygies) ----------------------
 
 
-def kernel_over_quotient(
-    rows: list[list[Polynomial]],
-    ideal_gens,
-    *,
-    max_basis: int = DEFAULT_MAX_BASIS,
-) -> list[tuple[Polynomial, ...]]:
+def kernel_over_quotient(rows: list[list[Polynomial]], ideal_gens) -> list[tuple[Polynomial, ...]]:
     """Generators of the left kernel {f : f.N = 0 over ring/ideal}.
 
     ``rows`` are the rows of the matrix N, and ``ideal_gens`` generators of
@@ -519,26 +498,17 @@ def kernel_over_quotient(
         module.vector({**dict(enumerate(row)), q + i: ring.one()})
         for i, row in enumerate(rows)
     ]
-    closed = _close(vectors, seed, module, max_basis, None)
+    closed = _close(vectors, seed, module)
     tagged = _interreduce(module, [v for v in closed if module.position(v.lm()) >= q])
 
-    # f.N = 0 is checked at every column, over its nonzero entries of N only
-    columns = [
-        [(i, row[j]) for i, row in enumerate(rows) if not row[j].is_zero()] for j in range(q)
-    ]
     out: list[tuple[Polynomial, ...]] = []
     for v in tagged:
         comps = module.components(v)[q:]
         if all(ideal_gb.contains(p) for p in comps):
             continue  # the zero row of the quotient; contributes nothing
-        for j, column in enumerate(columns):
-            entry = ring.zero()
-            for i, a in column:
-                entry = entry + comps[i] * a
-            residue = ideal_gb.normal_form(entry)
-            if not residue.is_zero():
-                raise AssertionError(
-                    f"kernel row fails f.N = 0 at column {j}: remainder {residue}"
-                )
+        failure = first_nonzero_column(comps, rows, ideal_gb)
+        if failure is not None:
+            j, residue = failure
+            raise AssertionError(f"kernel row fails f.N = 0 at column {j}: remainder {residue}")
         out.append(tuple(comps))
     return out

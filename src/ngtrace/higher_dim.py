@@ -27,10 +27,12 @@ from .determinantal import (
     DeterminantalInstance,
     Symmetry,
     classify_nearly_gorenstein,
+    cyclic_matrices,
     symmetries,
+    wrap,
 )
 from .errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
-from .groebner import GroebnerBasis, buchberger, two_minors
+from .groebner import buchberger, first_nonzero_column, two_minors
 from .polyring import PolyRing, Polynomial
 
 ALL_ONES = "all-ones"
@@ -129,32 +131,15 @@ class HigherDimInstance:
 
 
 def build_matrices(hd: HigherDimInstance):
-    """The deformed 2xn matrix D and the presentation matrix M.
+    """The deformed 2xn matrix D and the presentation matrix M (cyclic_matrices).
 
-    M is (n-1) x n(n-2) in blocks of n columns: block j carries the top row
-    in matrix-row j and the negated bottom row in matrix-row j+1, so row
-    vectors f with f.M = 0 satisfy f_j V_[i+1] - f_{j+1} U_i = 0 columnwise.
     Every column of M is homogeneous for the extended grading.
     """
-    n = hd.n
-    tops = [hd.top_entry(r) for r in range(1, n + 1)]
-    bottoms = [hd.bottom_entry(r) for r in range(1, n + 1)]
-    D = [[tops[(i + 1) % n] for i in range(n)], [bottoms[i] for i in range(n)]]
-    zero = hd.ring.zero()
-    M = [[zero] * (n * (n - 2)) for _ in range(n - 1)]
-    for j in range(1, n - 1):
-        for i in range(1, n + 1):
-            col = (j - 1) * n + (i - 1)
-            M[j - 1][col] = tops[i % n]
-            M[j][col] = -bottoms[i - 1]
-    return D, M
+    indices = range(1, hd.n + 1)
+    return cyclic_matrices([hd.top_entry(r) for r in indices], [hd.bottom_entry(r) for r in indices])
 
 
 # -- classification --------------------------------------------------------
-
-
-def _wrapi(k: int, n: int) -> int:
-    return (k - 1) % n + 1
 
 
 def classify(hd: HigherDimInstance) -> HDResult:
@@ -205,7 +190,7 @@ def _classify_n4plus(hd: HigherDimInstance) -> HDResult:
         return HDResult(False, f"{block}(3)")
 
     def lv(k: int) -> int:
-        return ell[_wrapi(k, n) - 1]
+        return ell[wrap(k, n) - 1]
 
     if hd.base_case == ALL_ONES:
         if size == 1:
@@ -266,13 +251,13 @@ def rearranged(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstanc
             continue
         s = sym.shift
         if not sym.reversed:
-            newI = frozenset(_wrapi(p - s, n) for p in hd.I)
-            newJ = frozenset(_wrapi(p - s, n) for p in hd.J)
+            newI = frozenset(wrap(p - s, n) for p in hd.I)
+            newJ = frozenset(wrap(p - s, n) for p in hd.J)
         else:
             # reversal swaps top and bottom markings: old position p lands at
             # n+1-p before the shift, and I, J trade places
-            newI = frozenset(_wrapi(n + 1 - p - s, n) for p in hd.J)
-            newJ = frozenset(_wrapi(n + 1 - p - s, n) for p in hd.I)
+            newI = frozenset(wrap(n + 1 - p - s, n) for p in hd.J)
+            newJ = frozenset(wrap(n + 1 - p - s, n) for p in hd.I)
         return sym, HigherDimInstance(cand, newI, newJ)
     return None, hd
 
@@ -359,7 +344,7 @@ class _RowBuilder:
         self.n = hd.n
 
     def idx(self, k: int) -> int:
-        return _wrapi(k + self.shift, self.n)
+        return wrap(k + self.shift, self.n)
 
     def ell(self, k: int) -> int:
         return self.hd.base.ell[self.idx(k) - 1]
@@ -496,23 +481,18 @@ def verify_witness(hd: HigherDimInstance, rows=None) -> bool:
     if rows is None:
         rows = witness_rows(hd)
     D, M = build_matrices(hd)
-    minors = two_minors(D)
-    gb = buchberger(minors)
-    cols = len(M[0])
+    gb = buchberger(two_minors(D))
     for ridx, row in enumerate(rows):
         if len(row) != hd.n - 1:
             raise WitnessFailed(f"row {ridx + 1} has length {len(row)}, wanted {hd.n - 1}")
-        for col in range(cols):
-            entry = hd.ring.zero()
-            for k in range(hd.n - 1):
-                entry = entry + row[k] * M[k][col]
-            residue = gb.normal_form(entry)
-            if not residue.is_zero():
-                raise WitnessFailed(
-                    f"row {ridx + 1}, column {col + 1}: f.M has nonzero normal form {residue}"
-                )
+        failure = first_nonzero_column(row, M, gb)
+        if failure is not None:
+            col, residue = failure
+            raise WitnessFailed(
+                f"row {ridx + 1}, column {col + 1}: f.M has nonzero normal form {residue}"
+            )
     entries = [p for row in rows for p in row if not p.is_zero()]
-    gb_cover = buchberger(entries + minors)
+    gb_cover = buchberger(entries, basis=gb.polys)
     for name in hd.ring.names:
         if not gb_cover.contains(hd.ring.var_named(name)):
             raise WitnessFailed(f"variable {name} not generated by the witness entries")

@@ -25,7 +25,9 @@ def _values_mask(H: NumericalSemigroup, lo: int, values) -> int:
     F = H.frobenius()
     E = 0
     for v in values:
-        if v - lo <= F:  # larger values lie in lo + H already
+        # values past lo + F lie in lo + H already; lo itself needs its bit
+        # even when F = -1 (H = N)
+        if v == lo or v - lo <= F:
             E |= H.mask << (v - lo)
     return E
 

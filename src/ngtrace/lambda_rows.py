@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .determinantal import DeterminantalInstance, classify_nearly_gorenstein
 from .errors import NotApplicable
+from .groebner import buchberger, kernel_over_quotient
 from .ideals import RelativeIdeal, canonical_ideal
 from .semigroup import sieve_mask
 
@@ -169,10 +170,7 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     t^(deg p) when it is nonzero modulo the minors (which define k[H]) and
     for nothing otherwise.  The window end is asserted as a sentinel.
     """
-    from .groebner import buchberger, kernel_over_quotient
-    from .higher_dim import HigherDimInstance, build_matrices
-
-    _, M = build_matrices(HigherDimInstance(inst))
+    _, M = inst.matrices
     minors = buchberger(inst.minors)
     degrees = []
     for row in kernel_over_quotient(M, minors):

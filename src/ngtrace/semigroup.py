@@ -116,7 +116,8 @@ class NumericalSemigroup:
         pf = ~self.mask
         for a in ordered:
             pf &= self.mask >> a
-        self._pf = tuple(bit_positions(pf))
+        # F is always pseudo-Frobenius; only for H = N is it -1, which has no bit
+        self._pf = tuple(bit_positions(pf)) or (F,)
 
     # -- membership ------------------------------------------------------
 

@@ -46,6 +46,17 @@ def test_sgp_symmetric(capsys):
     assert code == 0 and payload["symmetric"] is True
 
 
+def test_sgp_of_the_natural_numbers(capsys):
+    # N = <1> has F = -1 and PF = {-1}: type 1, symmetric
+    code, out, _ = run(capsys, "sgp", "1")
+    assert code == 0
+    assert "pseudo_frobenius: -1" in out.splitlines()
+    assert "type: 1" in out.splitlines() and "symmetric: True" in out.splitlines()
+    code, payload, _ = run_json(capsys, "sgp", "1")
+    assert payload["pseudo_frobenius"] == [-1] and payload["type"] == 1
+    assert payload["symmetric"] is True
+
+
 def test_sgp_table_format(capsys):
     code, out, _ = run(capsys, "sgp", "3,4,5")
     assert code == 0

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngtrace import groebner
 from ngtrace.determinantal import search_instances
 from ngtrace.errors import ResourceLimit
 from ngtrace.groebner import (
     _size_reduce,
     buchberger,
-    ideal_membership,
     kernel_over_quotient,
-    normal_form,
     toric_ideal,
     two_minors,
 )
@@ -66,7 +65,7 @@ def test_weighted_homogeneity():
 
 def test_buchberger_closure_contract():
     R = PolyRing(["x", "y"], [1, 1])
-    gb = buchberger([R.parse("x^2 - y"), R.parse("y^2 - x")], verify=True)
+    gb = buchberger([R.parse("x^2 - y"), R.parse("y^2 - x")])
     assert 2 <= len(gb) <= 3
     assert gb.self_check()
 
@@ -89,8 +88,8 @@ def test_normal_form_idempotent_and_membership():
         assert gb.normal_form(r) == r
     for g in gens:
         assert gb.contains(g)
-    assert ideal_membership(gens[0], gens)
-    assert not ideal_membership(gens[0], [])
+    assert buchberger(gens).contains(gens[0])
+    assert not buchberger([], ring=R).contains(gens[0])
 
 
 def test_normal_form_rejects_other_ring():
@@ -102,8 +101,6 @@ def test_normal_form_rejects_other_ring():
         gb.normal_form(p)
     with pytest.raises(ValueError):
         gb.contains(p)
-    with pytest.raises(ValueError):
-        normal_form(p, [R.parse("x^2 - y")])
     with pytest.raises(ValueError):
         buchberger([R.parse("x^2 - y"), p])
 
@@ -197,17 +194,20 @@ def test_size_reduce_is_exact():
     assert _size_reduce([[10**400, 1], [1, 0]]) == [[0, 1], [1, 0]]
 
 
-def test_degree_cap_raises():
+def test_degree_cap_raises(monkeypatch):
+    # the cap is read at call time: weight sum 2, so the cap is 4
+    monkeypatch.setattr(groebner, "DEGREE_CAP_FACTOR", 2)
     R = PolyRing(["x", "y"], [1, 1])
     with pytest.raises(ResourceLimit):
-        buchberger([R.parse("x^7 - y"), R.parse("y^7 - x")], max_wdeg=5)
+        buchberger([R.parse("x^7 - y"), R.parse("y^7 - x")])
 
 
-def test_basis_size_cap_raises():
+def test_basis_size_cap_raises(monkeypatch):
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", 1)
     R = PolyRing(["x", "y", "z"], [1, 1, 1])
     gens = [R.parse("x^3 - y*z"), R.parse("y^3 - x*z"), R.parse("z^3 - x*y")]
     with pytest.raises(ResourceLimit):
-        buchberger(gens, max_basis=1)
+        buchberger(gens)
 
 
 def test_default_degree_cap_is_ten_times_weight_sum():
@@ -264,6 +264,24 @@ def test_kernel_rows_annihilate():
             assert gb.normal_form(entry).is_zero()
 
 
+def test_kernel_rejects_a_corrupted_tag_row(monkeypatch):
+    # the f.N = 0 check runs on every tag row: add 1 to the first entry of
+    # the first row, and V_j stays behind at every column
+    R = ring_345()
+    V = [R.parse("X2"), R.parse("X3"), R.parse("X1^2")]
+    U = [R.parse("X1"), R.parse("X2"), R.parse("X3")]
+    minors = buchberger(two_minors([V, U]))
+    real_interreduce = groebner._interreduce
+
+    def corrupt(ring, polys):
+        first, *rest = real_interreduce(ring, polys)
+        return [first + ring.vector({3: R.one()})] + rest
+
+    monkeypatch.setattr(groebner, "_interreduce", corrupt)
+    with pytest.raises(AssertionError, match="kernel row fails f.N = 0 at column 0"):
+        kernel_over_quotient([V, [-u for u in U]], minors)
+
+
 def test_kernel_size_guard():
     R = ring_345()
     z = R.zero()
@@ -303,7 +321,8 @@ def test_buchberger_on_submodule():
         F.vector({0: R.parse("x"), 1: R.parse("y")}),
         F.vector({0: R.parse("y"), 1: R.parse("x")}),
     ]
-    gb = buchberger(gens, verify=True)
+    gb = buchberger(gens)
+    assert gb.self_check()
     assert all(gb.contains(g) for g in gens)
     # (x^2 - y^2) e2 = x * g1 - y * g0 lies in the submodule, e2 does not
     assert gb.contains(F.vector({1: R.parse("x^2 - y^2")}))
@@ -356,7 +375,7 @@ def test_packed_terms_match_tuple_reference(data):
         assert T.skip_pair(ta, tb)
 
 
-def test_terms_past_the_packing_limit_raise():
+def test_terms_past_the_packing_limit_raise(monkeypatch):
     R = PolyRing(["x", "y"], [1, 1])
     L = R.degree_limit
     assert L > 1024 * 2 and R.var(0, L - 1).wdeg() == L - 1
@@ -365,10 +384,11 @@ def test_terms_past_the_packing_limit_raise():
     with pytest.raises(ResourceLimit):
         R.var(0, L - 1) * R.var(1)
     # the S-polynomial of xy - 1 and x^(L-1) - y^(L-1) is y^L - x^(L-2):
-    # its lead lies past the limit, and the degree cap is set above it
+    # its lead lies past the limit, and the degree cap is set above it (4 L)
+    monkeypatch.setattr(groebner, "DEGREE_CAP_FACTOR", 2 * L)
     gens = [R.parse("x*y - 1"), R.var(0, L - 1) - R.var(1, L - 1)]
     with pytest.raises(ResourceLimit, match="packing limit"):
-        buchberger(gens, max_wdeg=4 * L)
+        buchberger(gens)
 
 
 # -- a reduced basis as seed ----------------------------------------------------

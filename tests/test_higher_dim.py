@@ -253,6 +253,13 @@ def test_perturbed_witness_fails():
         verify_witness(hd, [tuple(r) for r in bad])
 
 
+def test_zero_witness_rows_fail_the_cover_check():
+    # f.M vanishes for a row of zeros, so only the cover check can refuse it
+    hd = HigherDimInstance(tail_n4(), frozenset({1}), frozenset())
+    with pytest.raises(WitnessFailed, match="variable X1 not generated"):
+        verify_witness(hd, [(hd.ring.zero(),) * (hd.n - 1)] * 2)
+
+
 def test_trace_n3_entries():
     hd = HigherDimInstance(tail_n3(), frozenset({1}), frozenset())
     entries = trace_n3(hd)

@@ -50,6 +50,13 @@ def test_canonical_ideals():
     assert canonical_ideal(H7890).generators == (0, 1, 2)
 
 
+def test_trace_of_the_natural_numbers():
+    N = NumericalSemigroup([1])
+    assert canonical_ideal(N).generators == (0,)
+    assert trace_canonical_oracle(N).generators == (0,)
+    assert str(trace_canonical_oracle(N)) == "(0) + <1>"
+
+
 def test_canonical_matches_comprehension_oracle():
     # independent route: K = {x : F - x not in H} over an explicit window
     for H in (H23, H345, H7890, NumericalSemigroup([4, 5, 7])):
