@@ -26,7 +26,7 @@ from .errors import (
     WitnessFailed,
 )
 from .groebner import GroebnerBasis, buchberger, kernel_over_quotient, toric_ideal, two_minors
-from .higher_dim import HigherDimInstance, build_matrices, classify, trace_n3, verify_witness, witness_rows
+from .higher_dim import HigherDimInstance, build_matrices, classify, verify_witness, witness_rows
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,

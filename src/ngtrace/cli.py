@@ -32,7 +32,6 @@ from .errors import (
 from .higher_dim import (
     HigherDimInstance,
     classify as classify_hd,
-    rearranged,
     verify_witness,
     witness_rows,
 )
@@ -145,8 +144,6 @@ def cmd_classify(args, out) -> int:
 
 
 def cmd_trace(args, out) -> int:
-    if args.method == "syzygy" and not args.stretch_syzygy:
-        raise ValueError("--method syzygy requires --stretch-syzygy")
     inst = DeterminantalInstance.from_json(_load_payload(args.instance))
     report: dict = {"instance": json.dumps(inst.to_json(), sort_keys=True)}
     results = {}
@@ -154,7 +151,7 @@ def cmd_trace(args, out) -> int:
         results["oracle"] = list(trace_canonical_oracle(inst.H).generators)
     if args.method in ("lambda", "all"):
         results["lambda"] = list(trace_canonical_lambda(inst).generators)
-    if args.method == "syzygy" or (args.method == "all" and args.stretch_syzygy):
+    if args.method in ("syzygy", "all"):
         results["syzygy"] = list(trace_canonical_syzygy(inst).generators)
     report.update(results)
     failed = []
@@ -207,8 +204,7 @@ def cmd_higher(args, out, payload: dict | None = None) -> int:
     if payload is None:
         payload = _load_payload(args.instance)
     hd = HigherDimInstance.from_json(payload)
-    sym, target = rearranged(hd) if args.rearrange else (None, hd)
-    res = classify_hd(target)
+    res = classify_hd(hd)
     report = {
         "instance": json.dumps(hd.to_json(), sort_keys=True),
         "base_case": hd.base_case,
@@ -216,13 +212,12 @@ def cmd_higher(args, out, payload: dict | None = None) -> int:
         "nearly_gorenstein": res.is_ng,
         "rule": res.rule,
     }
-    via = sym or res.symmetry
-    if via is not None:
-        report["rearranged_via"] = via.describe()
+    if res.symmetry is not None:
+        report["rearranged_via"] = res.symmetry.describe()
     if res.is_ng:
         try:
-            rows = witness_rows(target)
-            verify_witness(target, rows)
+            rows = witness_rows(hd)
+            verify_witness(hd, rows)
             report["witness"] = "verified"
             report["witness_rows"] = [
                 "(" + ", ".join(str(p) for p in row) + ")" for row in rows
@@ -301,7 +296,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="canonical trace ideal by one or all methods")
     p.add_argument("instance")
     p.add_argument("--method", choices=("oracle", "lambda", "syzygy", "all"), default="all")
-    p.add_argument("--stretch-syzygy", action="store_true", help="enable the syzygy route")
+    # a no-op: the syzygy route always runs under --method all or syzygy.  It
+    # stays parseable because benchmark scripts still pass it.
+    p.add_argument("--stretch-syzygy", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_trace)
 
     p = sub.add_parser("search", help="instances for given exponents")
@@ -312,7 +309,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("higher", help="classify a deformed instance (I and J sets)")
     p.add_argument("instance", help="JSON with generators, order, m, ell, I, J")
-    p.add_argument("--rearrange", action="store_true", help="scan rearrangements first")
     p.set_defaults(handler=cmd_higher)
 
     p = sub.add_parser("corpus", help="exhaustive agreement run")
@@ -325,7 +321,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify witnesses / cross-method agreement")
     p.add_argument("instance")
-    p.add_argument("--rearrange", action="store_true")
     p.set_defaults(handler=cmd_verify)
 
     return parser

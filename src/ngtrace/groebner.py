@@ -473,19 +473,13 @@ def kernel_over_quotient(rows: list[list[Polynomial]], ideal_gens) -> list[tuple
     value part, and their tag parts generate the kernel.  Only those are
     read, and their minimality and tails involve tag leads only, so only
     they are interreduced: they come out as in the reduced basis of the
-    whole module.
+    whole module.  Only buchberger's basis-size and degree caps bound it.
     """
     if not rows:
         return []
     r = len(rows)
     q = len(rows[0])
     ring = (rows[0][0]).ring
-    if r > 4:
-        raise ResourceLimit(f"kernel computation limited to 4 rows, got {r}")
-    if ring.nvars > 6:
-        raise ResourceLimit(
-            f"kernel computation limited to 6 ring variables, got {ring.nvars}"
-        )
     if any(len(row) != q for row in rows):
         raise ValueError("ragged matrix")
 

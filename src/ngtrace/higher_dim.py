@@ -11,10 +11,12 @@ the base exponents:
   tail:      m_1 >= 2, the other m_r = 1, l_1 .. l_{n-2} = 1 (and for n >= 4
              at least one of l_{n-1}, l_n >= 2, matching the classified range).
 
-For the cases that are nearly Gorenstein, explicit row vectors annihilating
-the canonical-module presentation matrix are tabulated; verification reduces
-every product entry to zero against a Groebner basis of the minors and then
-checks that the row entries generate an ideal containing every variable.
+A dihedral rearrangement gives an isomorphic ring, so classify picks an
+arrangement whose base fits a block.  For the cases that are nearly
+Gorenstein, explicit row vectors annihilating the canonical-module
+presentation matrix are tabulated; verification reduces every product entry
+to zero against a Groebner basis of the minors and then checks that the row
+entries generate an ideal containing every variable.
 """
 
 from __future__ import annotations
@@ -56,9 +58,16 @@ def base_case_of(inst: DeterminantalInstance) -> str:
 
 @dataclass(frozen=True)
 class HDResult:
+    """A verdict, the clause that decided it, and where it was decided.
+
+    ``instance`` is the arrangement the clause was read in, reached from
+    the given one by ``symmetry``; symmetry is None when it is the given one.
+    """
+
     is_ng: bool
     rule: str
-    symmetry: Symmetry | None = None
+    symmetry: Symmetry | None
+    instance: HigherDimInstance
 
 
 @dataclass(frozen=True)
@@ -145,30 +154,56 @@ def build_matrices(hd: HigherDimInstance):
 def classify(hd: HigherDimInstance) -> HDResult:
     """Nearly Gorenstein or not, with the clause that decided it.
 
-    Applies the classification in the instance's given arrangement; to
-    scan cyclic shifts and the reversal for an arrangement matching a
-    classified block first, classify rearranged(hd)[1].
+    A dihedral rearrangement gives an isomorphic ring, so the arrangement
+    is the classifier's to pick.  With I = J = empty the base theorem scans
+    the arrangements and the instance is the base in the one it names.
+    Otherwise the given arrangement is kept when its base fits a classified
+    block, and else the first symmetry whose base fits is taken, with I and
+    J carried along; UnsupportedBaseCase when none fits.
     """
     if not hd.I and not hd.J:
         res = classify_nearly_gorenstein(hd.base)
-        tag = f"base({res.case})" if res.is_ng else "base(not-ng)"
-        return HDResult(res.is_ng, tag, res.symmetry)
-    if hd.base_case == OTHER:
-        raise UnsupportedBaseCase(
-            f"exponents m={list(hd.base.m)} ell={list(hd.base.ell)} fit neither "
-            "classified block in the given arrangement"
-        )
-    if hd.n == 3:
-        return _classify_n3(hd)
-    return _classify_n4plus(hd)
+        if not res.is_ng:
+            return HDResult(False, "base(not-ng)", None, hd)
+        moved = HigherDimInstance(hd.base.rearranged(res.symmetry))
+        return HDResult(True, f"base({res.case})", res.symmetry, moved)
+    sym, hd = _fitting_arrangement(hd)
+    is_ng, rule = _classify_n3(hd) if hd.n == 3 else _classify_n4plus(hd)
+    return HDResult(is_ng, rule, sym, hd)
 
 
-def _classify_n3(hd: HigherDimInstance) -> HDResult:
+def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstance]:
+    """The given arrangement if its base fits a block, else the first that does."""
+    if hd.base_case != OTHER:
+        return None, hd
+    n = hd.n
+    for sym in symmetries(n)[1:]:
+        base = hd.base.rearranged(sym)
+        if base_case_of(base) == OTHER:
+            continue
+        s = sym.shift
+        if not sym.reversed:
+            moved_I = frozenset(wrap(p - s, n) for p in hd.I)
+            moved_J = frozenset(wrap(p - s, n) for p in hd.J)
+        else:
+            # reversal swaps top and bottom markings: old position p lands at
+            # n+1-p before the shift, and I, J trade places
+            moved_I = frozenset(wrap(n + 1 - p - s, n) for p in hd.J)
+            moved_J = frozenset(wrap(n + 1 - p - s, n) for p in hd.I)
+        return sym, HigherDimInstance(base, moved_I, moved_J)
+    raise UnsupportedBaseCase(
+        f"exponents m={list(hd.base.m)} ell={list(hd.base.ell)} fit neither "
+        "classified block in any arrangement"
+    )
+
+
+def _classify_n3(hd: HigherDimInstance) -> tuple[bool, str]:
     """The n = 3 rule, the same for every number of marked indices.
 
     Nearly Gorenstein iff I and J are disjoint, l_i = 1 for every i in I,
     and, in the tail block, 1 is not in J.  This is the closed form of the
-    variable-membership test on the entry ideal (trace_n3_decision).  Disjoint
+    variable-membership test on the ideal of the matrix entries, which for
+    three columns is the trace of the canonical module.  Disjoint
     subsets of {1, 2, 3} mark at most 3 indices, so a true case has
     dimension at most 4; every marking of size 4 or more is false.
     """
@@ -176,18 +211,18 @@ def _classify_n3(hd: HigherDimInstance) -> HDResult:
     disjoint = not (hd.I & hd.J)
     ells_one = all(ell[i - 1] == 1 for i in hd.I)
     if hd.base_case == ALL_ONES:
-        return HDResult(disjoint and ells_one, "n3-allones")
+        return disjoint and ells_one, "n3-allones"
     ok = disjoint and 1 not in hd.J and ells_one
-    return HDResult(ok, "n3-tail")
+    return ok, "n3-tail"
 
 
-def _classify_n4plus(hd: HigherDimInstance) -> HDResult:
+def _classify_n4plus(hd: HigherDimInstance) -> tuple[bool, str]:
     n = hd.n
     ell = hd.base.ell
     size = len(hd.I) + len(hd.J)
     block = "allones" if hd.base_case == ALL_ONES else "tail"
     if size >= 3:
-        return HDResult(False, f"{block}(3)")
+        return False, f"{block}(3)"
 
     def lv(k: int) -> int:
         return ell[wrap(k, n) - 1]
@@ -197,16 +232,16 @@ def _classify_n4plus(hd: HigherDimInstance) -> HDResult:
             if hd.I:
                 (i,) = hd.I
                 ok = all(lv(k) == 1 for k in range(i, i + n - 2))
-                return HDResult(ok, "allones(1a)")
+                return ok, "allones(1a)"
             (j,) = hd.J
             ok = all(lv(k) == 1 for k in range(j + 1, j + n - 2))
-            return HDResult(ok, "allones(1b)")
+            return ok, "allones(1b)"
         if not hd.I:  # J = {i, j}
             i, j = sorted(hd.J)
             ok = n == 4 and (i, j) in {(1, 3), (2, 4)} and lv(i + 1) == 1 and lv(j + 1) == 1
-            return HDResult(ok, "allones(2a)")
+            return ok, "allones(2a)"
         if not hd.J:  # I = {i, j}
-            return HDResult(False, "allones(2c)")
+            return False, "allones(2c)"
         (i,) = hd.I
         (j,) = hd.J
         ok = (
@@ -216,50 +251,23 @@ def _classify_n4plus(hd: HigherDimInstance) -> HDResult:
             and lv(i + 1) == 1
             and lv(j + 1) == 1
         )
-        return HDResult(ok, "allones(2b)")
+        return ok, "allones(2b)"
 
     # tail block, n >= 4
     if size == 1:
         if hd.I:
             (i,) = hd.I
             ok = i == 1 or (i == n and ell[n - 1] == 1)
-            return HDResult(ok, "tail(1a)")
+            return ok, "tail(1a)"
         (j,) = hd.J
         ok = j == n or (j == n - 1 and ell[n - 1] == 1)
-        return HDResult(ok, "tail(1b)")
+        return ok, "tail(1b)"
     if not hd.I or not hd.J:
-        return HDResult(False, "tail(2a)")
+        return False, "tail(2a)"
     (i,) = hd.I
     (j,) = hd.J
     ok = n == 4 and i == 1 and j == 3 and ell[3] == 1
-    return HDResult(ok, "tail(2b)")
-
-
-def rearranged(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstance]:
-    """The arrangement to classify, and the symmetry that leads to it.
-
-    A deformed instance whose base fits neither classified block moves to
-    the first dihedral rearrangement that fits one; any other instance stays.
-    """
-    base = hd.base
-    n = base.n
-    if not (hd.I or hd.J) or hd.base_case != OTHER:
-        return None, hd
-    for sym in symmetries(n):
-        cand = base.rearranged(sym)
-        if base_case_of(cand) == OTHER:
-            continue
-        s = sym.shift
-        if not sym.reversed:
-            newI = frozenset(wrap(p - s, n) for p in hd.I)
-            newJ = frozenset(wrap(p - s, n) for p in hd.J)
-        else:
-            # reversal swaps top and bottom markings: old position p lands at
-            # n+1-p before the shift, and I, J trade places
-            newI = frozenset(wrap(n + 1 - p - s, n) for p in hd.J)
-            newJ = frozenset(wrap(n + 1 - p - s, n) for p in hd.I)
-        return sym, HigherDimInstance(cand, newI, newJ)
-    return None, hd
+    return ok, "tail(2b)"
 
 
 # -- tabulated witness rows ---------------------------------------------------
@@ -268,28 +276,28 @@ def rearranged(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstanc
 def witness_rows(hd: HigherDimInstance) -> list[tuple[Polynomial, ...]]:
     """The explicit annihilating rows for the tabulated nearly Gorenstein cases.
 
-    Rows are returned in the instance's own ring and arrangement; the
-    all-ones cases are tabulated at a normalized index and transported back
-    by the recorded cyclic shift.  Raises NoTabulatedWitness for true cases
-    without a table entry: the all-ones base with I = J = empty, which is
-    covered by the dimension-one route instead, and the n = 3 cases the
-    tables do not reach.
+    Rows are returned in the ring and arrangement of classify(hd).instance;
+    the all-ones cases are tabulated at a normalized index and transported
+    back by the recorded cyclic shift.  The base theorem's case B takes the
+    tail rows of the base.  Raises NoTabulatedWitness for true cases without
+    a table entry: case A with I = J = empty, which is covered by the
+    dimension-one route instead, and the n = 3 cases the tables do not reach.
 
     The tables are written for n >= 4.  At n = 3 they hold for exactly one
     marked index in the all-ones block, and in the tail block for the base
     and for I = {1}, I = {3}, J = {3}; the n = 3 rule admits more true cases
     (index 2 in the tail block, up to three marked indices), and for those
-    the general-n rows have the wrong length or name absent variables.  They
-    are certified by the entry-ideal route, trace_n3_decision.
+    the general-n rows have the wrong length or name absent variables.
     """
     res = classify(hd)
     if not res.is_ng:
         raise NoTabulatedWitness("instance is not nearly Gorenstein")
+    hd = res.instance
     n = hd.n
     case = hd.base_case
 
     if not hd.I and not hd.J:
-        if case == TAIL:
+        if res.rule == "base(B)":
             return _rows_tail_base(hd)
         raise NoTabulatedWitness(
             "all-ones base with no deformation: certified by the dimension-one "
@@ -299,7 +307,7 @@ def witness_rows(hd: HigherDimInstance) -> list[tuple[Polynomial, ...]]:
     if n == 3 and not _tabulated_n3(hd):
         raise NoTabulatedWitness(
             f"no table row for n = 3 {case} I={sorted(hd.I)} J={sorted(hd.J)}: "
-            "certified by the entry-ideal route (trace_n3_decision)"
+            "the tables are written for n >= 4"
         )
 
     if case == ALL_ONES:
@@ -474,12 +482,14 @@ def _rows_tail_2b(hd):
 def verify_witness(hd: HigherDimInstance, rows=None) -> bool:
     """Check the tabulated rows symbolically and that they certify the property.
 
+    The rows belong to classify(hd).instance, as witness_rows gives them.
     Every entry of f.M must have normal form zero against the minor basis,
     and the row entries together with the minors must generate an ideal
     containing every ring variable.  Raises WitnessFailed otherwise.
     """
     if rows is None:
         rows = witness_rows(hd)
+    hd = classify(hd).instance
     D, M = build_matrices(hd)
     gb = buchberger(two_minors(D))
     for ridx, row in enumerate(rows):
@@ -497,22 +507,3 @@ def verify_witness(hd: HigherDimInstance, rows=None) -> bool:
         if not gb_cover.contains(hd.ring.var_named(name)):
             raise WitnessFailed(f"variable {name} not generated by the witness entries")
     return True
-
-
-def trace_n3(hd: HigherDimInstance) -> list[Polynomial]:
-    """All entries of the presentation matrix over the quotient (n = 3 only).
-
-    For three columns the canonical trace ideal is generated by the matrix
-    entries, so the nearly Gorenstein decision reduces to variable
-    membership; see trace_n3_decision.
-    """
-    if hd.n != 3:
-        raise ValueError("entry-ideal route applies to n = 3 only")
-    return [hd.top_entry(r) for r in (1, 2, 3)] + [hd.bottom_entry(r) for r in (1, 2, 3)]
-
-
-def trace_n3_decision(hd: HigherDimInstance) -> bool:
-    """Variable membership in the entry ideal (the minors lie inside it)."""
-    gens = trace_n3(hd)
-    gb = buchberger(gens)
-    return all(gb.contains(hd.ring.var_named(name)) for name in hd.ring.names)

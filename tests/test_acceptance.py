@@ -19,6 +19,7 @@ from ngtrace.determinantal import (
     classify_nearly_gorenstein,
     dihedral_scan,
     search_instances,
+    symmetries,
 )
 from ngtrace.errors import UnsupportedBaseCase
 from ngtrace.higher_dim import (
@@ -28,13 +29,14 @@ from ngtrace.higher_dim import (
     HigherDimInstance,
     base_case_of,
     classify,
-    trace_n3_decision,
     verify_witness,
     witness_rows,
 )
 from ngtrace.ideals import is_nearly_gorenstein_oracle, trace_canonical_oracle
 from ngtrace.lambda_rows import trace_canonical_lambda, trace_canonical_syzygy
 from ngtrace.semigroup import NumericalSemigroup
+
+from entry_ideal import trace_n3_decision
 
 
 def announce(line: str):
@@ -322,7 +324,18 @@ def test_criterion_9_dimension_caps(corpus_reports):
     )
 
 
-def test_criterion_10_syzygy_trace(corpus_reports):
+@pytest.fixture(scope="module")
+def corpus_classes(corpus_reports) -> list[list]:
+    """The corpus reports grouped by dihedral class, in corpus order."""
+    classes: dict[tuple, list] = {}
+    for r in corpus_reports[0]:
+        inst = r.instance
+        key = min((o, a, b) for _, _, o, a, b in dihedral_scan(inst.order, inst.m, inst.ell))
+        classes.setdefault(key, []).append(r)
+    return list(classes.values())
+
+
+def test_criterion_10_syzygy_trace(corpus_reports, corpus_classes):
     """Kernel route reproduces the set-arithmetic trace on every corpus semigroup.
 
     The trace is an invariant of H, so the route runs once per dihedral
@@ -331,15 +344,10 @@ def test_criterion_10_syzygy_trace(corpus_reports):
     trace of every member of the class.
     """
     reports, _ = corpus_reports
-    classes: dict[tuple, list] = {}
-    for r in reports:
-        inst = r.instance
-        key = min((o, a, b) for _, _, o, a, b in dihedral_scan(inst.order, inst.m, inst.ell))
-        classes.setdefault(key, []).append(r)
     t0 = time.time()
     worst = 0.0
     used = set()
-    for k, members in enumerate(classes.values()):
+    for k, members in enumerate(corpus_classes):
         n = members[0].instance.n
         sym = Symmetry(k % n, k // n % 2 == 1)
         used.add((n, sym))
@@ -354,6 +362,66 @@ def test_criterion_10_syzygy_trace(corpus_reports):
     ns = {r.instance.n for r in reports}
     assert len(used) == sum(2 * n for n in ns), "some shift or reversal never ran"
     announce(
-        f"criterion-10 syzygy-trace ({len(classes)} semigroups, worst {worst:.2f}s, "
+        f"criterion-10 syzygy-trace ({len(corpus_classes)} semigroups, worst {worst:.2f}s, "
         f"total {time.time()-t0:.0f}s): PASS"
+    )
+
+
+def arrangements(base):
+    """(rearranged base, new position of each old one, reversed) for every
+    dihedral symmetry, in scan order."""
+    out = []
+    for sym in symmetries(base.n):
+        moved = base.rearranged(sym)
+        where = {a: k + 1 for k, a in enumerate(moved.order)}
+        out.append((moved, [where[a] for a in base.order], sym.reversed))
+    return out
+
+
+def carried(arrangement, I, J) -> HigherDimInstance:
+    """The marking I, J carried to an arrangement: each mark moves with its
+    variable, and the reversal, which swaps the rows, makes top marks bottom
+    marks and back."""
+    moved, to, rev = arrangement
+    I2, J2 = (frozenset(to[p - 1] for p in marks) for marks in (I, J))
+    return HigherDimInstance(moved, J2, I2) if rev else HigherDimInstance(moved, I2, J2)
+
+
+def test_criterion_11_rearrangement_invariance(corpus_classes):
+    """A deformed verdict does not depend on the arrangement.
+
+    Once per dihedral class whose base fits a classified block in some
+    arrangement, every marking of size 1 to 3 is classified in each such
+    arrangement; the verdicts agree.  classify picks its own arrangement,
+    so the same verdict comes back from the other arrangements, taken in
+    turn, one per marking.
+    """
+    t0 = time.time()
+    classes = pairs = 0
+    for members in corpus_classes:
+        base = members[0].instance
+        fitting, others = [], []
+        for arrangement in arrangements(base):
+            (others if base_case_of(arrangement[0]) == OTHER else fitting).append(arrangement)
+        if not fitting:
+            continue
+        classes += 1
+        n = base.n
+        marks = [("I", p) for p in range(1, n + 1)] + [("J", p) for p in range(1, n + 1)]
+        markings = [c for size in (1, 2, 3) for c in combinations(marks, size)]
+        for k, chosen in enumerate(markings):
+            I = [p for side, p in chosen if side == "I"]
+            J = [p for side, p in chosen if side == "J"]
+            verdicts = {classify(carried(a, I, J)).is_ng for a in fitting}
+            assert len(verdicts) == 1, (str(base), I, J)
+            pairs += len(fitting)
+            if others:
+                other = carried(others[k % len(others)], I, J)
+                assert {classify(other).is_ng} == verdicts, (str(base), I, J, str(other))
+    elapsed = time.time() - t0
+    assert classes >= 85  # the classes with a base in a block somewhere
+    assert elapsed < 3, f"rearrangement invariance took {elapsed:.1f}s, budget 3s"
+    announce(
+        f"criterion-11 rearrangement-invariance ({classes} classes, {pairs} in-block "
+        f"pairs, {elapsed:.1f}s): PASS"
     )

@@ -1,5 +1,8 @@
+import argparse
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,8 @@ from hypothesis import strategies as st
 from ngtrace import cli
 from ngtrace.cli import main
 from ngtrace.errors import ResourceLimit
-from ngtrace.higher_dim import rearranged
 from ngtrace.ideals import unit_ideal
+from ngtrace.lambda_rows import trace_canonical_syzygy
 
 
 def run(capsys, *argv):
@@ -139,14 +142,15 @@ def test_trace_all_methods_agree(capsys):
     assert any("j=1" in r for r in payload["rows"])
 
 
-def test_trace_syzygy_needs_flag(capsys):
-    code, _, err = run(capsys, "trace", INST_345, "--method", "syzygy")
-    assert code == 2
-    code, payload, _ = run_json(
-        capsys, "trace", INST_345, "--method", "syzygy", "--stretch-syzygy"
-    )
-    assert code == 0
+def test_trace_syzygy_needs_no_flag(capsys):
+    code, payload, err = run_json(capsys, "trace", INST_345, "--method", "syzygy")
+    assert code == 0, err
     assert payload["syzygy"] == [3, 4, 5]
+    code, payload, _ = run_json(capsys, "trace", INST_345)
+    assert code == 0 and payload["syzygy"] == payload["oracle"] == [3, 4, 5]
+    # the old flag is still accepted and changes nothing
+    code, again, _ = run_json(capsys, "trace", INST_345, "--stretch-syzygy")
+    assert code == 0 and again == payload
 
 
 def test_trace_rows_failing_relations_exit_5(capsys, monkeypatch):
@@ -208,8 +212,10 @@ def test_higher_unsupported_exit_4(capsys):
         "I": [1],
         "J": [],
     }
-    code, _, err = run(capsys, "higher", json.dumps(data))
+    code, out, err = run(capsys, "higher", json.dumps(data))
     assert code == 4
+    # no dihedral rearrangement of the base fits a classified block either
+    assert "in any arrangement" in err and out == ""
 
 
 def test_corpus_small_run(capsys):
@@ -274,7 +280,7 @@ def test_higher_n3_untabulated_true_case(capsys, command, marks):
     assert payload["nearly_gorenstein"] is True
     assert payload["rule"] == "n3-allones"
     assert payload["witness"].startswith("no tabulated row")
-    assert "trace_n3_decision" in payload["witness"]
+    assert payload["witness"].endswith("the tables are written for n >= 4")
 
 
 def _raise_cap(*args, **kwargs):
@@ -332,8 +338,8 @@ def test_corpus_resource_limit_exit_2(capsys, monkeypatch):
 
 
 REARRANGED = [
-    # base fits no classified block as given; true after shift(2), with no
-    # tabulated row at n = 3
+    # base fits no classified block as given; higher picks shift(2), and the
+    # case is true with no tabulated row at n = 3
     ({"generators": [3, 4, 5], "order": [4, 5, 3], "m": [1, 1, 2], "ell": [1, 1, 1], "I": [1], "J": []},
      "shift(2)", "no tabulated row"),
     ({"generators": [4, 5, 6, 7], "order": [5, 6, 7, 4], "m": [1, 1, 1, 2], "ell": [1, 1, 1, 1], "I": [2], "J": []},
@@ -344,27 +350,37 @@ REARRANGED = [
 @pytest.mark.parametrize("command", ["higher", "verify"])
 @pytest.mark.parametrize("data, via, witness", REARRANGED)
 def test_higher_rearrange_witness(capsys, command, data, via, witness):
-    code, payload, err = run_json(capsys, command, "--rearrange", json.dumps(data))
+    code, payload, err = run_json(capsys, command, json.dumps(data))
     assert code == 0, err
     assert payload["nearly_gorenstein"] is True
     assert payload["rearranged_via"] == via
     assert payload["witness"].startswith(witness)
 
 
+def test_higher_picks_the_arrangement_of_an_undeformed_base(capsys):
+    # case B after shift(2): the tail rows of the moved base are verified
+    data = {key: REARRANGED[0][0][key] for key in ("generators", "order", "m", "ell")}
+    code, payload, err = run_json(capsys, "higher", json.dumps(data))
+    assert code == 0, err
+    assert payload["rule"] == "base(B)" and payload["rearranged_via"] == "shift(2)"
+    assert payload["witness"] == "verified"
+    assert payload["witness_rows"] == ["(X1, X2)", "(X2, X3)"]
+
+
 def test_parser_state_does_not_leak(capsys, monkeypatch):
     seen = []
 
-    def spy(hd):
-        seen.append(hd)
-        return rearranged(hd)
+    def spy(inst):
+        seen.append(inst)
+        return trace_canonical_syzygy(inst)
 
-    monkeypatch.setattr("ngtrace.cli.rearranged", spy)
-    code, payload, _ = run_json(capsys, "higher", "--rearrange", json.dumps(REARRANGED[0][0]))
-    assert code == 0 and payload["rearranged_via"] == "shift(2)"
-    code, out, _ = run(capsys, "higher", json.dumps(TAIL_2B))
+    monkeypatch.setattr("ngtrace.cli.trace_canonical_syzygy", spy)
+    code, payload, _ = run_json(capsys, "trace", INST_345, "--method", "lambda")
+    assert code == 0 and "syzygy" not in payload
+    code, out, _ = run(capsys, "trace", INST_345)
     assert code == 0
     assert out.startswith("instance: ")  # table format again
-    assert len(seen) == 1  # no --rearrange the second time
+    assert len(seen) == 1  # the default --method all the second time
     assert cli._parser() is cli._parser()  # built once per process
 
 
@@ -479,8 +495,6 @@ def cli_argv(draw):
         if command == "trace":
             argv += draw(st.sampled_from([[], ["--method", "lambda"], ["--method", "syzygy"]]))
             argv += draw(st.sampled_from([[], ["--stretch-syzygy"]]))
-        elif command in ("higher", "verify"):
-            argv += draw(st.sampled_from([[], ["--rearrange"]]))
     return argv
 
 
@@ -500,3 +514,19 @@ def test_every_call_exits_with_a_documented_code(argv, stdin_text):
             code = exc.code
     assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _option_strings(parser):
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+
+
+def test_readme_flags_match_the_parser():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    parsed = {s for s in _option_strings(cli.make_parser()) if s.startswith("--")}
+    assert documented == parsed

@@ -282,11 +282,15 @@ def test_kernel_rejects_a_corrupted_tag_row(monkeypatch):
         kernel_over_quotient([V, [-u for u in U]], minors)
 
 
-def test_kernel_size_guard():
-    R = ring_345()
-    z = R.zero()
-    with pytest.raises(ResourceLimit):
-        kernel_over_quotient([[z]] * 5, [])
+def test_kernel_size_guard(monkeypatch):
+    # M has five rows over six variables: no row or variable count caps the
+    # kernel, but the basis cap still does, past the seeded ideal basis
+    (inst,) = search_instances((1,) * 6, (1, 1, 1, 1, 1, 2), 11)
+    _, M = inst.matrices
+    gb = buchberger(inst.minors)
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", len(gb) * len(M[0]))
+    with pytest.raises(ResourceLimit, match="basis size exceeds cap"):
+        kernel_over_quotient(M, gb)
 
 
 def test_kernel_koszul_row():

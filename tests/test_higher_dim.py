@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from ngtrace.determinantal import build, search_instances
+from ngtrace.determinantal import Symmetry, build, search_instances
 from ngtrace.errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
 from ngtrace.higher_dim import (
     ALL_ONES,
@@ -12,13 +12,12 @@ from ngtrace.higher_dim import (
     base_case_of,
     build_matrices,
     classify,
-    rearranged,
-    trace_n3,
-    trace_n3_decision,
     verify_witness,
     witness_rows,
 )
 from ngtrace.semigroup import NumericalSemigroup
+
+from entry_ideal import trace_n3, trace_n3_decision
 
 
 def tail_n4():
@@ -133,23 +132,27 @@ def test_classify_unsupported_base():
     assert not classify(HigherDimInstance(other)).is_ng
 
 
-def test_classify_rearrange_flag():
-    # all-ones under reversal only: m=(2,1,1), ell=(1,1,1) reversed has m'=(1,1,1)
-    base = tail_n3()
-    hd = HigherDimInstance(base, frozenset({2}), frozenset())
-    res = classify(hd)  # tail rules apply directly
-    assert res.rule == "n3-tail"
-    assert rearranged(hd) == (None, hd)
-    # a base fitting no block in the given order, rearranged:
-    other = search_instances((1, 2, 1), (1, 1, 2), 150)
-    if other:
-        hd2 = HigherDimInstance(other[0], frozenset({1}), frozenset())
-        sym, moved = rearranged(hd2)
-        assert sym is not None
-        try:
-            classify(moved)
-        except UnsupportedBaseCase:
-            pytest.fail("rearrangement should have found a classified block")
+def test_classify_scans_the_arrangements():
+    # a base in a block as given keeps its arrangement
+    hd = HigherDimInstance(tail_n3(), frozenset({2}), frozenset())
+    res = classify(hd)
+    assert res.rule == "n3-tail" and res.symmetry is None and res.instance == hd
+    # a base in no block as given (the tail block after shift(2)): the first
+    # fitting symmetry carries I along
+    base = build(NumericalSemigroup([3, 4, 5]), (4, 5, 3), (1, 1, 2), (1, 1, 1))
+    assert base_case_of(base) == OTHER
+    res = classify(HigherDimInstance(base, frozenset({1}), frozenset()))
+    assert res.symmetry == Symmetry(2, False) and res.rule == "n3-tail"
+    assert res.instance == HigherDimInstance(base.rearranged(res.symmetry), frozenset({2}), frozenset())
+    # the base theorem: the instance is the base in the arrangement it names
+    res = classify(HigherDimInstance(base))
+    assert res.rule == "base(B)" and res.symmetry == Symmetry(2, False)
+    assert res.instance == HigherDimInstance(base.rearranged(res.symmetry))
+    # reversal swaps the markings: I = {2} becomes J = {3}
+    base = build(NumericalSemigroup([4, 5, 6, 7]), (5, 6, 7, 4), (1, 1, 1, 2), (1, 1, 1, 1))
+    res = classify(HigherDimInstance(base, frozenset({2}), frozenset()))
+    assert res.symmetry == Symmetry(0, True) and res.rule == "allones(1b)"
+    assert res.instance.I == frozenset() and res.instance.J == frozenset({3})
 
 
 def test_n4_allones_clauses():

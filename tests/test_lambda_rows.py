@@ -153,6 +153,13 @@ def test_syzygy_trace_second_instance():
     assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
 
 
+def test_syzygy_trace_six_generators():
+    # n = 6: the kernel has five rows over six variables
+    H = NumericalSemigroup(range(6, 12))
+    inst = build(H, (11, 10, 9, 8, 7, 6), (1,) * 6, (1, 1, 1, 1, 1, 2))
+    assert trace_canonical_syzygy(inst) == trace_canonical_oracle(H)
+
+
 # (m, ell) at n = 4 and n = 5, half of them nearly Gorenstein, half not;
 # criterion 10 samples only n = 3
 SYZYGY_SAMPLE = [
