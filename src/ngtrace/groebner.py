@@ -465,15 +465,20 @@ def kernel_over_quotient(rows: list[list[Polynomial]], ideal_gens) -> list[tuple
     Row i of N becomes the vector (N_i, e_i) in a free module with "value"
     positions 0..q-1 for the columns and "tag" positions q..q+r-1.  The
     module basis is seeded with g * e_j for every g in the ideal's reduced
-    basis and every column j: those form a reduced basis already, since
-    S(g e_j, g' e_j) = S(g, g') e_j reduces to zero over it, so the pair
-    loop starts from them instead of rebuilding the ideal's basis at every
-    value position.  In the position-over-term order the value positions
-    lead, so the basis elements whose lead sits at a tag position have no
-    value part, and their tag parts generate the kernel.  Only those are
-    read, and their minimality and tails involve tag leads only, so only
-    they are interreduced: they come out as in the reduced basis of the
-    whole module.  Only buchberger's basis-size and degree caps bound it.
+    basis and every position j, value and tag alike: those form a reduced
+    basis already, since S(g e_j, g' e_j) = S(g, g') e_j reduces to zero
+    over it, so the pair loop starts from them instead of rebuilding the
+    ideal's basis at every position.  The seeds at the tag positions do not
+    change the module: g e_(q+i) is g times row i's vector minus the
+    multiples g N_ij e_j of value seeds, as every g N_ij lies in the ideal.
+    So the module, and with it its reduced basis, is the one generated by
+    the rows and the value seeds alone.  In the position-over-term order
+    the value positions lead, so the basis elements whose lead sits at a
+    tag position have no value part, and their tag parts generate the
+    kernel.  Only those are read, and their minimality and tails involve
+    tag leads only, so only they are interreduced: they come out as in the
+    reduced basis of the whole module.  Only buchberger's basis-size and
+    degree caps bound it.
     """
     if not rows:
         return []
@@ -487,7 +492,7 @@ def kernel_over_quotient(rows: list[list[Polynomial]], ideal_gens) -> list[tuple
         ideal_gens if isinstance(ideal_gens, GroebnerBasis) else buchberger(ideal_gens, ring=ring)
     )
     module = FreeModule(ring, q + r)
-    seed = [module.vector({j: g}) for j in range(q) for g in ideal_gb]
+    seed = [module.vector({j: g}) for j in range(q + r) for g in ideal_gb]
     vectors = [
         module.vector({**dict(enumerate(row)), q + i: ring.one()})
         for i, row in enumerate(rows)

@@ -30,7 +30,7 @@ from .determinantal import (
     Symmetry,
     classify_nearly_gorenstein,
     cyclic_matrices,
-    symmetries,
+    dihedral_scan,
     wrap,
 )
 from .errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
@@ -43,7 +43,12 @@ OTHER = "other"
 
 
 def base_case_of(inst: DeterminantalInstance) -> str:
-    m, ell, n = inst.m, inst.ell, inst.n
+    return _block_of(inst.m, inst.ell)
+
+
+def _block_of(m, ell) -> str:
+    """The classified block the exponents fit, or OTHER."""
+    n = len(m)
     if all(x == 1 for x in m):
         return ALL_ONES
     tail_shape = m[0] >= 2 and all(x == 1 for x in m[1:]) and all(
@@ -173,16 +178,20 @@ def classify(hd: HigherDimInstance) -> HDResult:
 
 
 def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstance]:
-    """The given arrangement if its base fits a block, else the first that does."""
+    """The given arrangement if its base fits a block, else the first that does.
+
+    The block is read off the rearranged exponents, so only the arrangement
+    that fits is built as an instance.
+    """
     if hd.base_case != OTHER:
         return None, hd
     n = hd.n
-    for sym in symmetries(n)[1:]:
-        base = hd.base.rearranged(sym)
-        if base_case_of(base) == OTHER:
+    base = hd.base
+    for s, rev, _, m, ell in dihedral_scan(base.order, base.m, base.ell):
+        if _block_of(m, ell) == OTHER:
             continue
-        s = sym.shift
-        if not sym.reversed:
+        sym = Symmetry(s, rev)
+        if not rev:
             moved_I = frozenset(wrap(p - s, n) for p in hd.I)
             moved_J = frozenset(wrap(p - s, n) for p in hd.J)
         else:
@@ -190,7 +199,7 @@ def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, Higher
             # n+1-p before the shift, and I, J trade places
             moved_I = frozenset(wrap(n + 1 - p - s, n) for p in hd.J)
             moved_J = frozenset(wrap(n + 1 - p - s, n) for p in hd.I)
-        return sym, HigherDimInstance(base, moved_I, moved_J)
+        return sym, HigherDimInstance(base.rearranged(sym), moved_I, moved_J)
     raise UnsupportedBaseCase(
         f"exponents m={list(hd.base.m)} ell={list(hd.base.ell)} fit neither "
         "classified block in any arrangement"
@@ -280,8 +289,9 @@ def witness_rows(hd: HigherDimInstance) -> list[tuple[Polynomial, ...]]:
     the all-ones cases are tabulated at a normalized index and transported
     back by the recorded cyclic shift.  The base theorem's case B takes the
     tail rows of the base.  Raises NoTabulatedWitness for true cases without
-    a table entry: case A with I = J = empty, which is covered by the
-    dimension-one route instead, and the n = 3 cases the tables do not reach.
+    a table entry: case A with I = J = empty, which the dimension-one
+    theorem decides (``ngtrace verify`` checks it on the base), and the
+    n = 3 cases the tables do not reach.
 
     The tables are written for n >= 4.  At n = 3 they hold for exactly one
     marked index in the all-ones block, and in the tail block for the base
@@ -300,8 +310,8 @@ def witness_rows(hd: HigherDimInstance) -> list[tuple[Polynomial, ...]]:
         if res.rule == "base(B)":
             return _rows_tail_base(hd)
         raise NoTabulatedWitness(
-            "all-ones base with no deformation: certified by the dimension-one "
-            "method, no tabulated row"
+            "base case A with no deformation: decided by the dimension-one "
+            "theorem, not checked here; `ngtrace verify` checks it"
         )
 
     if n == 3 and not _tabulated_n3(hd):

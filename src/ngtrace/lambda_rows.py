@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .determinantal import DeterminantalInstance, classify_nearly_gorenstein
 from .errors import NotApplicable
-from .groebner import buchberger, kernel_over_quotient
+from .groebner import buchberger, first_nonzero_column, kernel_over_quotient
 from .ideals import RelativeIdeal, canonical_ideal
 from .semigroup import sieve_mask
 
@@ -169,11 +169,29 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     every graded piece of k[H] is at most one-dimensional, so p stands for
     t^(deg p) when it is nonzero modulo the minors (which define k[H]) and
     for nothing otherwise.  The window end is asserted as a sentinel.
+
+    One column per block of M decides the kernel.  Block j has the columns
+    col_i with f.col_i = f_(j-1) V_(i+1) - f_j U_i, and for two of them
+    U_i (f.col_k) - U_k (f.col_i) = f_(j-1) (U_i V_(k+1) - U_k V_(i+1)),
+    a multiple of a 2-minor of D.  Validation proves that the minors
+    generate the prime P of H, and no monomial lies in P, so f.col_i = 0
+    modulo P forces f.col_k = 0.  The kernel is therefore taken of the
+    matrix of the first column of each block, which has the same kernel
+    and so the same reduced basis, and f.M = 0 is then asserted on every
+    other column: each returned row is checked on all columns of M.
     """
     _, M = inst.matrices
+    n = inst.n
+    firsts = [line[::n] for line in M]
+    others = [k for k in range(len(M[0])) if k % n]
+    rest = [[line[k] for k in others] for line in M]
     minors = buchberger(inst.minors)
     degrees = []
-    for row in kernel_over_quotient(M, minors):
+    for row in kernel_over_quotient(firsts, minors):
+        failure = first_nonzero_column(row, rest, minors)
+        if failure is not None:
+            j, residue = failure
+            raise AssertionError(f"kernel row fails f.M = 0 at column {others[j]} of M: remainder {residue}")
         for p in row:
             if not p.is_homogeneous():
                 raise AssertionError(f"kernel entry {p} is not homogeneous")

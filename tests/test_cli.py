@@ -283,6 +283,21 @@ def test_higher_n3_untabulated_true_case(capsys, command, marks):
     assert payload["witness"].endswith("the tables are written for n >= 4")
 
 
+def test_higher_undeformed_case_a_claims_no_check(capsys):
+    # higher runs no dimension-one check: it names the theorem that decides
+    # the case and the command that checks it
+    code, payload, err = run_json(capsys, "higher", json.dumps(N3_ALLONES))
+    assert code == 0, err
+    assert payload["nearly_gorenstein"] is True and payload["rule"] == "base(A)"
+    assert payload["witness"] == (
+        "no tabulated row: base case A with no deformation: decided by the "
+        "dimension-one theorem, not checked here; `ngtrace verify` checks it"
+    )
+    code, payload, err = run_json(capsys, "verify", json.dumps(N3_ALLONES))
+    assert code == 0, err
+    assert payload["traces_equal"] and payload["ng_agreement"] and payload["witness_rows"]
+
+
 def _raise_cap(*args, **kwargs):
     raise ResourceLimit("cap for the test")
 

@@ -284,11 +284,12 @@ def test_kernel_rejects_a_corrupted_tag_row(monkeypatch):
 
 def test_kernel_size_guard(monkeypatch):
     # M has five rows over six variables: no row or variable count caps the
-    # kernel, but the basis cap still does, past the seeded ideal basis
+    # kernel, but the basis cap still does, past the ideal basis seeded at
+    # every value and tag position
     (inst,) = search_instances((1,) * 6, (1, 1, 1, 1, 1, 2), 11)
     _, M = inst.matrices
     gb = buchberger(inst.minors)
-    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", len(gb) * len(M[0]))
+    monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", len(gb) * (len(M[0]) + len(M)))
     with pytest.raises(ResourceLimit, match="basis size exceeds cap"):
         kernel_over_quotient(M, gb)
 

@@ -218,7 +218,7 @@ def test_witness_rows_cover_new_variables():
 def test_no_tabulated_witness_for_allones_base():
     hd = HigherDimInstance(allones_n4())
     assert classify(hd).is_ng
-    with pytest.raises(NoTabulatedWitness):
+    with pytest.raises(NoTabulatedWitness, match="decided by the dimension-one theorem, not checked here"):
         witness_rows(hd)
 
 

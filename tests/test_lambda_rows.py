@@ -1,8 +1,11 @@
+from functools import partial
+
 import pytest
 
 from ngtrace import groebner, lambda_rows
 from ngtrace.determinantal import build, search_instances
 from ngtrace.errors import NotApplicable
+from ngtrace.groebner import kernel_over_quotient
 from ngtrace.ideals import canonical_ideal, trace_canonical_oracle, unit_ideal
 from ngtrace.lambda_rows import (
     LambdaRow,
@@ -153,11 +156,15 @@ def test_syzygy_trace_second_instance():
     assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
 
 
+def inst_six():
+    H = NumericalSemigroup(range(6, 12))
+    return build(H, (11, 10, 9, 8, 7, 6), (1,) * 6, (1, 1, 1, 1, 1, 2))
+
+
 def test_syzygy_trace_six_generators():
     # n = 6: the kernel has five rows over six variables
-    H = NumericalSemigroup(range(6, 12))
-    inst = build(H, (11, 10, 9, 8, 7, 6), (1,) * 6, (1, 1, 1, 1, 1, 2))
-    assert trace_canonical_syzygy(inst) == trace_canonical_oracle(H)
+    inst = inst_six()
+    assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
 
 
 # (m, ell) at n = 4 and n = 5, half of them nearly Gorenstein, half not;
@@ -201,3 +208,40 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
     (inst,) = search_instances(m, ell, 150)
     assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
     assert any(isinstance(ring, FreeModule) for ring in checked) and "reduced" in checked
+
+
+def sample_instance(m, ell):
+    (inst,) = search_instances(m, ell, 150)
+    return inst
+
+
+@pytest.mark.parametrize("make", [inst_345, inst_six] + [partial(sample_instance, *e) for e in SYZYGY_SAMPLE])
+def test_one_column_per_block_keeps_kernel_rows(make):
+    # the kernel of M is that of its first column in each block, so the
+    # reduced basis, and every row the route reads, is the same
+    inst = make()
+    _, M = inst.matrices
+    firsts = [line[:: inst.n] for line in M]
+    assert len(firsts[0]) == inst.n - 2
+    assert kernel_over_quotient(firsts, inst.minors) == kernel_over_quotient(M, inst.minors)
+
+
+def test_syzygy_route_checks_columns_outside_the_kernel(monkeypatch):
+    # the kernel sees only the first column of each block; negate U_2 in the
+    # second column of M, so that every kernel row still satisfies the
+    # columns the kernel saw and fails that one, which the route must catch
+    inst = inst_345()
+    D, M = inst.matrices
+    bent = [list(line) for line in M]
+    bent[1][1] = -bent[1][1]
+    monkeypatch.setitem(vars(inst), "matrices", (D, bent))  # the cached_property's slot
+    seen = []
+
+    def kernel(rows, ideal):
+        seen.append(rows)
+        return kernel_over_quotient(rows, ideal)
+
+    monkeypatch.setattr(lambda_rows, "kernel_over_quotient", kernel)
+    with pytest.raises(AssertionError, match="kernel row fails f.M = 0 at column 1 of M"):
+        trace_canonical_syzygy(inst)
+    assert seen == [[line[:1] for line in M]]
