@@ -6,10 +6,11 @@ Terms are the packed ints of ``polyring``: int comparison is the order,
 fields, so nothing here decodes a term.  Leads are indexed by position
 (``lead >> pos_shift``; a ring has the one position 0), so a module term is
 tested only against leads at its own position.  Everything is
-deterministic: S-pairs are processed by smallest weighted degree of the
-pair lcm, ties broken by creation index, and the returned basis is
-auto-reduced, monic and sorted.  Size and degree caps, and the packing
-limit of the ring, raise ResourceLimit explicitly rather than truncating.
+deterministic: S-pairs are processed by smallest degree of the pair lcm
+(its weighted degree plus the degree of its position), ties broken by
+creation index, and the returned basis is auto-reduced, monic and sorted.
+Size and degree caps, and the packing limit of the ring, raise
+ResourceLimit explicitly rather than truncating.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ STAT_NAMES = (
     "zero_reductions",
     "peak_basis",
     "max_lead_wdeg",
+    "pairs_left",
 )
 
 
@@ -107,15 +109,23 @@ class GroebnerBasis:
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
-    def self_check(self) -> bool:
-        """Re-verify the defining closure: every S-polynomial reduces to zero."""
+    def self_check(self, below: int | None = None) -> bool:
+        """Re-verify the defining closure: every S-polynomial reduces to zero.
+
+        With ``below``, only the pairs whose lcm has degree below it are
+        checked: a basis the pair loop stopped before that degree is
+        complete below it.
+        """
         polys = list(self.polys)
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
                 a, b = polys[i].lm(), polys[j].lm()
                 if self.ring.skip_pair(a, b):
                     continue
-                if not self.contains(_spoly(polys[i], polys[j], self.ring.lcm(a, b))):
+                gamma = self.ring.lcm(a, b)
+                if below is not None and self.ring.degree(gamma) >= below:
+                    continue
+                if not self.contains(_spoly(polys[i], polys[j], gamma)):
                     return False
         return True
 
@@ -181,16 +191,19 @@ def buchberger(gens, *, basis=(), ring: PolyRing | None = None) -> GroebnerBasis
     two of them counts as treated from the start, and the result is the
     reduced basis of the ideal or submodule generated by basis and gens.
 
-    Pair selection is the normal strategy: smallest weighted degree of the
-    pair lcm first, ties by pair creation index.  Pairs are formed only
-    between leads at the same position; those the ring's skip_pair rules
-    out (coprime leads in a ring) are never queued and count as treated;
-    the classic chain criterion (both companion pairs already treated)
-    prunes the rest.  The result's ``stats`` count, as plain ints:
+    Pair selection is the normal strategy: smallest degree of the pair lcm
+    first (the ring's ``degree``: the weighted degree, plus the position's
+    degree in a free module), ties by pair creation index.  Pairs are
+    formed only between leads at the same position; those the ring's
+    skip_pair rules out (coprime leads in a ring) are never queued and
+    count as treated; the classic chain criterion (both companion pairs
+    already treated) prunes the rest.  The result's ``stats`` count, as plain ints:
     pairs_queued, pairs_skipped (by skip_pair), pairs_seeded (both in
     ``basis``), pairs_chained (pruned by the chain criterion),
     zero_reductions (S-polynomials that reduced to zero), peak_basis (the
-    basis size before interreduction) and max_lead_wdeg.
+    basis size before interreduction), max_lead_wdeg and pairs_left (the
+    pairs still queued when the loop stopped: 0, as buchberger runs it to
+    the end).
 
     A basis element of weighted degree above DEGREE_CAP_FACTOR times the
     weight sum, or a basis of more than DEFAULT_MAX_BASIS elements, raises
@@ -200,8 +213,20 @@ def buchberger(gens, *, basis=(), ring: PolyRing | None = None) -> GroebnerBasis
     return GroebnerBasis(closed.ring, _interreduce(closed.ring, closed.polys), closed.stats)
 
 
-def _close(gens, basis, ring) -> GroebnerBasis:
-    """buchberger's pair loop: a Groebner basis of basis and gens, not interreduced."""
+def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
+    """buchberger's pair loop: a Groebner basis of basis and gens, not interreduced.
+
+    Pairs are queued by the ring's ``degree`` of their lcm.  For
+    homogeneous basis and gens that is the degree of the S-polynomial and
+    of its remainder, so the loop runs degree by degree: once the least
+    queued pair has degree D, every pair of lower degree is treated and
+    every element yet to come has degree D or more, and the polys so far
+    are a Groebner basis below D (a truncated Groebner basis, Kreuzer and
+    Robbiano, Computational Commutative Algebra 2, 4.5).  ``stop``, if
+    given, is called as stop(D, polys) before the first pair of each new
+    degree D; when it returns True the loop ends there, with the pairs
+    still queued counted as pairs_left.
+    """
     basis = list(basis)
     gens = [g for g in gens if not g.is_zero()]
     if not basis and not gens:
@@ -268,7 +293,7 @@ def _close(gens, basis, ring) -> GroebnerBasis:
                 skipped += 1
                 continue
             gamma = ring.lcm(lms[i], lms[j])
-            heapq.heappush(pairs, (ring.wdeg(gamma), seq, i, j, gamma))
+            heapq.heappush(pairs, (ring.degree(gamma), seq, i, j, gamma))
             seq += 1
         treated.append(done)
 
@@ -278,7 +303,12 @@ def _close(gens, basis, ring) -> GroebnerBasis:
     for j in range(len(polys)):
         push_pairs(j)
 
+    level = None
     while pairs:
+        if stop is not None and pairs[0][0] != level:
+            level = pairs[0][0]
+            if stop(level, polys):
+                break
         _, _, i, j, gamma = heapq.heappop(pairs)
         e = (-gamma & mask) | guards
         chain = False
@@ -299,23 +329,31 @@ def _close(gens, basis, ring) -> GroebnerBasis:
         admit(r.monic())
         push_pairs(len(polys) - 1)
 
-    counts = (seq, skipped, inside, chained, zeros, len(polys), top)
+    counts = (seq, skipped, inside, chained, zeros, len(polys), top, len(pairs))
     return GroebnerBasis(ring, polys, dict(zip(STAT_NAMES, counts)))
 
 
 def first_nonzero_column(row, matrix, gb: GroebnerBasis) -> tuple[int, Polynomial] | None:
     """The first column j where row.matrix is nonzero modulo gb, with its normal form.
 
-    Returns None when row.matrix vanishes modulo gb at every column.  Zero
-    entries of the matrix are skipped.
+    Returns None when row.matrix vanishes modulo gb at every column.  Each
+    column's products are summed into one term dict: a product term is the
+    sum of two terms within the packing limit, so it is exact, and
+    normal_form checks every term that survives against the limit.
     """
-    zero = gb.ring.zero()
+    ring = gb.ring
     for j in range(len(matrix[0])):
-        entry = zero
+        terms: dict[int, object] = {}
         for f, line in zip(row, matrix):
-            if not line[j].is_zero():
-                entry = entry + f * line[j]
-        residue = gb.normal_form(entry)
+            for m2, c2 in line[j].terms.items():
+                for m1, c1 in f.terms.items():
+                    m = m1 + m2
+                    s = terms.get(m, 0) + c1 * c2
+                    if s == 0:
+                        del terms[m]
+                    else:
+                        terms[m] = s
+        residue = gb.normal_form(Polynomial(ring, terms))
         if not residue.is_zero():
             return j, residue
     return None
@@ -454,7 +492,44 @@ def toric_ideal(weights, *, seed=()) -> GroebnerBasis:
 # -- left kernels over a quotient ring (module syzygies) ----------------------
 
 
-def kernel_over_quotient(rows: list[list[Polynomial]], ideal_gens) -> list[tuple[Polynomial, ...]]:
+def _position_degrees(rows: list[list[Polynomial]]) -> list[int]:
+    """Degrees of the value positions 0..q-1 and the tag positions q..q+r-1
+    with deg N_ij + (degree of j) = (degree of q + i) at every nonzero N_ij.
+
+    Each connected block of positions is anchored at degree 0 at its first
+    position.  Raises ValueError when an entry is not homogeneous or the
+    equations have no solution.
+    """
+    r, q = len(rows), len(rows[0])
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(q + r)]
+    for i, row in enumerate(rows):
+        for j, p in enumerate(row):
+            if p.is_zero():
+                continue
+            if not p.is_homogeneous():
+                raise ValueError(f"matrix entry ({i}, {j}) = {p} is not homogeneous")
+            edges[j].append((q + i, p.wdeg()))
+            edges[q + i].append((j, -p.wdeg()))
+    degrees: list[int | None] = [None] * (q + r)
+    for anchor in range(q + r):
+        if degrees[anchor] is not None:
+            continue
+        degrees[anchor] = 0
+        todo = [anchor]
+        while todo:
+            a = todo.pop()
+            for b, w in edges[a]:
+                if degrees[b] is None:
+                    degrees[b] = degrees[a] + w
+                    todo.append(b)
+                elif degrees[b] != degrees[a] + w:
+                    raise ValueError("the matrix admits no position degrees: its rows are not homogeneous")
+    return degrees
+
+
+def kernel_over_quotient(
+    rows: list[list[Polynomial]], ideal_gens, *, stop=None
+) -> list[tuple[Polynomial, ...]]:
     """Generators of the left kernel {f : f.N = 0 over ring/ideal}.
 
     ``rows`` are the rows of the matrix N, and ``ideal_gens`` generators of
@@ -479,25 +554,62 @@ def kernel_over_quotient(rows: list[list[Polynomial]], ideal_gens) -> list[tuple
     tag leads only, so only they are interreduced: they come out as in the
     reduced basis of the whole module.  Only buchberger's basis-size and
     degree caps bound it.
+
+    The module is graded: tag position q+i has degree t_i and value
+    position j degree s_j, with deg N_ij + s_j = t_i at every nonzero N_ij,
+    so every row vector is homogeneous (of degree t_i) and the pair loop
+    runs degree by degree.  A matrix with no column, or one that admits no
+    such degrees (an entry that is not homogeneous, or rows whose degrees
+    disagree), raises ValueError.  The degrees change only the order in
+    which pairs are taken, and the reduced basis is unique, so the rows
+    are those of the ungraded module.
+
+    ``stop``, if given, needs a homogeneous ideal and is called as
+    stop(low, found) before the first pair of each new module degree D:
+    ``found`` holds the tag rows of degree below D (deg f_i + t_i) found
+    since the last call, and low = D - max_i t_i.  If it returns True the
+    pair loop ends.  The basis is then complete below D, so the returned
+    rows generate the kernel in every degree below D, and a homogeneous
+    kernel element they do not generate has degree D or more: each of its
+    nonzero entries has degree at least low.  Without ``stop`` the whole
+    kernel is returned.
     """
     if not rows:
         return []
     r = len(rows)
     q = len(rows[0])
-    ring = (rows[0][0]).ring
     if any(len(row) != q for row in rows):
         raise ValueError("ragged matrix")
+    if q == 0:
+        raise ValueError("a matrix with no columns has no kernel to compute")
+    ring = (rows[0][0]).ring
 
     ideal_gb = (
         ideal_gens if isinstance(ideal_gens, GroebnerBasis) else buchberger(ideal_gens, ring=ring)
     )
-    module = FreeModule(ring, q + r)
+    module = FreeModule(ring, q + r, _position_degrees(rows))
     seed = [module.vector({j: g}) for j in range(q + r) for g in ideal_gb]
     vectors = [
         module.vector({**dict(enumerate(row)), q + i: ring.one()})
         for i, row in enumerate(rows)
     ]
-    closed = _close(vectors, seed, module)
+    hook = None
+    if stop is not None:
+        if not all(g.is_homogeneous() for g in ideal_gb):
+            raise ValueError("an early stop needs a homogeneous ideal")
+        top = max(module.degrees[q:])
+        pending: list[Polynomial] = []
+        seen = len(seed)  # seeds have no kernel part modulo the ideal
+
+        def hook(level, polys):
+            nonlocal seen
+            pending.extend(v for v in polys[seen:] if module.position(v.lm()) >= q)
+            seen = len(polys)
+            found = [v for v in pending if module.degree(v.lm()) < level]
+            pending[:] = [v for v in pending if module.degree(v.lm()) >= level]
+            return stop(level - top, [tuple(module.components(v)[q:]) for v in found])
+
+    closed = _close(vectors, seed, module, hook)
     tagged = _interreduce(module, [v for v in closed if module.position(v.lm()) >= q])
 
     out: list[tuple[Polynomial, ...]] = []

@@ -179,27 +179,61 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     matrix of the first column of each block, which has the same kernel
     and so the same reduced basis, and f.M = 0 is then asserted on every
     other column: each returned row is checked on all columns of M.
+
+    The kernel's pair loop stops at the first degree where the trace is
+    saturated.  U is the set of members of H in the ideal generated by
+    the entries found so far (each nonzero entry of degree e adds e + H),
+    and the loop stops before degree D once U holds every member of H of
+    degree at least low = D - max_i t_i.  This is exact:
+
+    * the returned rows generate the kernel in every degree below D
+      (kernel_over_quotient), and every row found has degree below D.  A
+      found entry of degree e, nonzero in k[H], is a sum of homogeneous
+      products a_k (row_k)_i, so one of them is nonzero in k[H], and then
+      e = deg a_k + deg (row_k)_i with deg a_k in H: the trace of the
+      returned rows contains U;
+    * any kernel element they do not generate has degree D or more, so
+      each of its entries has degree at least low;
+    * the image of such an entry in k[H] is 0 or a scalar times t^e with
+      e in H and e >= low, and that t^e is already in U.
+
+    So the returned rows give the whole trace.
     """
     _, M = inst.matrices
     n = inst.n
+    H = inst.H
     firsts = [line[::n] for line in M]
     others = [k for k in range(len(M[0])) if k % n]
     rest = [[line[k] for k in others] for line in M]
     minors = buchberger(inst.minors)
+    covered = 0  # U, as a mask: bit e set for the members e of H found
+
+    def saturated(low: int, found) -> bool:
+        nonlocal covered
+        for row in found:
+            for p in row:
+                e = _entry_degree(p, minors)
+                if e is not None:
+                    covered |= H.mask << e
+        return not (H.mask & ~covered) >> max(low, 0)
+
     degrees = []
-    for row in kernel_over_quotient(firsts, minors):
+    for row in kernel_over_quotient(firsts, minors, stop=saturated):
         failure = first_nonzero_column(row, rest, minors)
         if failure is not None:
             j, residue = failure
             raise AssertionError(f"kernel row fails f.M = 0 at column {others[j]} of M: remainder {residue}")
-        for p in row:
-            if not p.is_homogeneous():
-                raise AssertionError(f"kernel entry {p} is not homogeneous")
-            if not minors.contains(p):
-                degrees.append(p.wdeg())
+        degrees.extend(e for p in row if (e := _entry_degree(p, minors)) is not None)
     if not degrees:
         raise AssertionError("no kernel entry is nonzero modulo the minors")
-    trace = RelativeIdeal(inst.H, degrees)
+    trace = RelativeIdeal(H, degrees)
     if not trace.contains(trace_window(inst)):
         raise AssertionError("syzygy trace sentinel failed; window reasoning broken")
     return trace
+
+
+def _entry_degree(p, minors) -> int | None:
+    """The degree of a kernel entry nonzero modulo the minors, else None."""
+    if not p.is_homogeneous():
+        raise AssertionError(f"kernel entry {p} is not homogeneous")
+    return None if minors.contains(p) else p.wdeg()

@@ -68,6 +68,8 @@ class _Layout:
     def wdeg(self, t: int) -> int:
         return (t + self.mask) >> self.shift & self._dmask
 
+    degree = wdeg  # a ring term's degree; a free module adds its position's
+
     def check(self, t: int):
         """Raise ResourceLimit when term t reaches the degree limit."""
         if (t + self.mask) & self._over:
@@ -233,20 +235,34 @@ class FreeModule(_Layout):
     A term is a base-ring term plus (rank - p) << pos_shift for position p,
     so base-ring terms act on it by ``+`` and keep its position, and the
     order is position over term: a lower position is larger, and within a
-    position the base ring's order decides.  Positions weigh nothing, so
-    degree caps bound the ring part.
+    position the base ring's order decides.
+
+    Position p carries the degree ``degrees[p]`` (0 unless given), and a
+    term's ``degree`` is its weighted degree plus its position's: the
+    grading in which a vector sum of f_p e_p is homogeneous when every
+    f_p is and deg f_p + degrees[p] is the same for every p.  The degree
+    is not packed into the term, so it leaves the order, the caps and
+    ``wdeg`` (the ring part's degree) as they are.
     """
 
-    __slots__ = ("base", "rank", "names")
+    __slots__ = ("base", "rank", "names", "degrees", "_by_code")
 
-    def __init__(self, base: PolyRing, rank: int):
+    def __init__(self, base: PolyRing, rank: int, degrees=None):
         self.base = base
         self.rank = rank
         self.names = base.names + tuple(f"e{p + 1}" for p in range(rank))
+        self.degrees = (0,) * rank if degrees is None else tuple(int(d) for d in degrees)
+        if len(self.degrees) != rank:
+            raise ValueError(f"{len(self.degrees)} position degrees for rank {rank}")
+        self._by_code = (0,) + self.degrees[::-1]  # by position code rank - p
         self._lay_out(base.weights, base.elim)
 
     def position(self, t: int) -> int:
         return self.rank - (t >> self.pos_shift)
+
+    def degree(self, t: int) -> int:
+        """The weighted degree of a term plus the degree of its position."""
+        return self.wdeg(t) + self._by_code[t >> self.pos_shift]
 
     def exponents(self, t: int) -> tuple[int, ...]:
         """The base exponents of a term, then the one-hot vector of its position."""

@@ -294,6 +294,34 @@ def test_kernel_size_guard(monkeypatch):
         kernel_over_quotient(M, gb)
 
 
+def test_kernel_rejects_a_matrix_with_no_columns():
+    with pytest.raises(ValueError, match="no columns"):
+        kernel_over_quotient([[], []], [])
+
+
+def test_kernel_rejects_rows_without_position_degrees():
+    # (x, y^2) and (x, y) would need tag degrees t_0 = t_1 from column 0
+    # but t_0 = t_1 + 1 from column 1
+    R = PolyRing(["x", "y"], [1, 1])
+    x, y = R.parse("x"), R.parse("y")
+    with pytest.raises(ValueError, match="no position degrees"):
+        kernel_over_quotient([[x, y * y], [x, y]], [])
+    with pytest.raises(ValueError, match="not homogeneous"):
+        kernel_over_quotient([[x + y * y], [y]], [])
+
+
+def test_free_module_position_degrees():
+    # the degree of a term adds its position's; the order and wdeg do not see it
+    R = PolyRing(["x", "y"], [1, 2])
+    F, G = FreeModule(R, 2, (3, 0)), FreeModule(R, 2)
+    t = F.vector({0: R.parse("x*y")}).lm()
+    assert F.degree(t) == 6 and F.wdeg(t) == 3 and G.degree(t) == 3
+    assert F.degree(F.vector({1: R.parse("y")}).lm()) == 2
+    assert R.degree(R.term((1, 1))) == 3
+    with pytest.raises(ValueError):
+        FreeModule(R, 2, (1,))
+
+
 def test_kernel_koszul_row():
     # one column (x, y): the kernel is the Koszul row (y, -x).  Its leads sit
     # at the same position, so a product criterion there would lose it.
@@ -461,8 +489,10 @@ def test_buchberger_stats_count_the_pair_loop():
         "zero_reductions",
         "peak_basis",
         "max_lead_wdeg",
+        "pairs_left",
     }
     assert all(type(v) is int for v in gb.stats.values())
+    assert gb.stats["pairs_left"] == 0  # buchberger runs the loop to the end
     # the leads x^2 and y^2 are coprime: that pair is skipped, none is queued
     assert gb.stats["pairs_skipped"] == 1 and gb.stats["pairs_queued"] == 0
     assert gb.stats["peak_basis"] == 2 and gb.stats["max_lead_wdeg"] == 2

@@ -6,7 +6,7 @@ from ngtrace import groebner, lambda_rows
 from ngtrace.determinantal import build, search_instances
 from ngtrace.errors import NotApplicable
 from ngtrace.groebner import kernel_over_quotient
-from ngtrace.ideals import canonical_ideal, trace_canonical_oracle, unit_ideal
+from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle, unit_ideal
 from ngtrace.lambda_rows import (
     LambdaRow,
     lambda_membership,
@@ -187,13 +187,20 @@ SYZYGY_SAMPLE = [
 def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
     # every basis of the route re-checks that its S-polynomials reduce to
     # zero: the whole module basis as the pair loop leaves it (the kernel
-    # then interreduces only its tag part), and the minors' reduced basis
+    # then interreduces only its tag part), below the degree where the
+    # loop stopped if it stopped early, and the minors' reduced basis
     real_close, real_buchberger = groebner._close, lambda_rows.buchberger
     checked = []
 
-    def close_and_check(*args):
-        closed = real_close(*args)
-        assert closed.self_check()
+    def close_and_check(gens, basis, ring, stop=None):
+        levels = []
+
+        def watch(level, polys):
+            levels.append(level)
+            return stop(level, polys)
+
+        closed = real_close(gens, basis, ring, watch if stop else None)
+        assert closed.self_check(levels[-1] if closed.stats["pairs_left"] else None)
         checked.append(closed.ring)
         return closed
 
@@ -237,11 +244,43 @@ def test_syzygy_route_checks_columns_outside_the_kernel(monkeypatch):
     monkeypatch.setitem(vars(inst), "matrices", (D, bent))  # the cached_property's slot
     seen = []
 
-    def kernel(rows, ideal):
+    def kernel(rows, ideal, **stop):
         seen.append(rows)
-        return kernel_over_quotient(rows, ideal)
+        return kernel_over_quotient(rows, ideal, **stop)
 
     monkeypatch.setattr(lambda_rows, "kernel_over_quotient", kernel)
     with pytest.raises(AssertionError, match="kernel row fails f.M = 0 at column 1 of M"):
         trace_canonical_syzygy(inst)
     assert seen == [[line[:1] for line in M]]
+
+
+def _trace_of_rows(inst, rows):
+    minors = groebner.buchberger(inst.minors)
+    degrees = [p.wdeg() for row in rows for p in row if not minors.contains(p)]
+    return RelativeIdeal(inst.H, degrees)
+
+
+@pytest.mark.parametrize("make", [inst_345, inst_six] + [partial(sample_instance, *e) for e in SYZYGY_SAMPLE])
+def test_stopped_kernel_gives_the_full_trace(make):
+    # the route stops the pair loop once the trace is saturated; it must
+    # read the trace of the whole kernel of the first columns, and the oracle's
+    inst = make()
+    _, M = inst.matrices
+    full = _trace_of_rows(inst, kernel_over_quotient([line[:: inst.n] for line in M], inst.minors))
+    assert trace_canonical_syzygy(inst) == full == trace_canonical_oracle(inst.H)
+
+
+def test_route_stops_with_pairs_left(monkeypatch):
+    # on an n = 5 sample the trace is saturated while pairs are still queued
+    real_close, left = groebner._close, []
+
+    def close(gens, basis, ring, stop=None):
+        closed = real_close(gens, basis, ring, stop)
+        left.append(closed.stats["pairs_left"])
+        return closed
+
+    monkeypatch.setattr(groebner, "_close", close)
+    inst = sample_instance(*SYZYGY_SAMPLE[6])
+    assert inst.n == 5
+    assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
+    assert left[-1] > 0
