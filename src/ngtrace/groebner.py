@@ -157,25 +157,40 @@ def _spoly(f: Polynomial, g: Polynomial, gamma: int) -> Polynomial:
     return Polynomial(f.ring, terms)
 
 
-def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
+def _interreduce(ring: PolyRing, polys: list[Polynomial], settled=()) -> list[Polynomial]:
     """Minimal leads, then every tail reduced against them.
 
     A tail term is smaller than its own lead, so it is never a multiple of
     it: each tail may be reduced against the index of all kept leads.
+    ``settled`` may name some of the polys that are monic and reduced
+    against each other (a part of a reduced basis): the lead of one
+    divides no term of another.  Only the kept leads from outside
+    ``settled`` are then tested against the terms of a settled poly, and
+    a kept settled poly whose tail none of them divides is returned as it
+    is.
     """
     polys = sorted((p.monic() for p in polys if not p.is_zero()), key=Polynomial.lm)
+    settled = {id(p) for p in settled}
     kept: list[Polynomial] = []
-    leads: dict[int, list[int]] = {}
+    leads: dict[int, list[int]] = {}  # position -> kept leads
+    loose: dict[int, list[int]] = {}  # position -> kept leads outside settled
     for p in polys:
-        lm = p.lm()
-        same = leads.setdefault(lm >> ring.pos_shift, [])
-        if not any(ring.divides(d, lm) for d in same):
-            same.append(lm)
+        lm, mine = p.lm(), id(p) in settled
+        pos = lm >> ring.pos_shift
+        if not any(ring.divides(d, lm) for d in (loose if mine else leads).get(pos, ())):
+            leads.setdefault(pos, []).append(lm)
+            if not mine:
+                loose.setdefault(pos, []).append(lm)
             kept.append(p)
     index = _lead_index(kept)
     reduced = []
     for p in kept:
         lm = p.lm()
+        if id(p) in settled and not any(
+            ring.divides(d, m) for d in loose.get(lm >> ring.pos_shift, ()) for m in p.terms if m != lm
+        ):
+            reduced.append(p)
+            continue
         tail = _reduce_terms(Polynomial(ring, {m: c for m, c in p.terms.items() if m != lm}), index)
         reduced.append(Polynomial(ring, {lm: 1, **tail.terms}))
     return reduced
@@ -194,16 +209,17 @@ def buchberger(gens, *, basis=(), ring: PolyRing | None = None) -> GroebnerBasis
     Pair selection is the normal strategy: smallest degree of the pair lcm
     first (the ring's ``degree``: the weighted degree, plus the position's
     degree in a free module), ties by pair creation index.  Pairs are
-    formed only between leads at the same position; those the ring's
-    skip_pair rules out (coprime leads in a ring) are never queued and
-    count as treated; the classic chain criterion (both companion pairs
-    already treated) prunes the rest.  The result's ``stats`` count, as plain ints:
-    pairs_queued, pairs_skipped (by skip_pair), pairs_seeded (both in
-    ``basis``), pairs_chained (pruned by the chain criterion),
-    zero_reductions (S-polynomials that reduced to zero), peak_basis (the
-    basis size before interreduction), max_lead_wdeg and pairs_left (the
-    pairs still queued when the loop stopped: 0, as buchberger runs it to
-    the end).
+    formed only between leads at the same position; those with coprime
+    leads in a ring are never queued and count as treated (the product
+    criterion); the classic chain criterion (both companion pairs
+    already treated) prunes the rest.  The result's ``stats`` count, as
+    plain ints: pairs_queued, pairs_skipped (by the product criterion; the
+    loop of kernel_over_quotient also skips by it pairs of an element with
+    a seed, see _close), pairs_seeded (both in ``basis``),
+    pairs_chained (pruned by the chain criterion), zero_reductions
+    (S-polynomials that reduced to zero), peak_basis (the basis size
+    before interreduction), max_lead_wdeg and pairs_left (the pairs still
+    queued when the loop stopped: 0, as buchberger runs it to the end).
 
     A basis element of weighted degree above DEGREE_CAP_FACTOR times the
     weight sum, or a basis of more than DEFAULT_MAX_BASIS elements, raises
@@ -213,7 +229,7 @@ def buchberger(gens, *, basis=(), ring: PolyRing | None = None) -> GroebnerBasis
     return GroebnerBasis(closed.ring, _interreduce(closed.ring, closed.polys), closed.stats)
 
 
-def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
+def _close(gens, basis, ring, stop=None, everywhere=False) -> GroebnerBasis:
     """buchberger's pair loop: a Groebner basis of basis and gens, not interreduced.
 
     Pairs are queued by the ring's ``degree`` of their lcm.  For
@@ -226,6 +242,17 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     given, is called as stop(D, polys) before the first pair of each new
     degree D; when it returns True the loop ends there, with the pairs
     still queued counted as pairs_left.
+
+    ``everywhere`` says that the module basis is g e_k for every g of an
+    ideal's reduced basis and every position k.  Then the product
+    criterion holds for a pair (v, g e_p) whose ring leads x^a (of
+    lm v = x^a e_p) and G (of g = G + g') are coprime: with w = v - v_p e_p,
+    whose components sit at later positions,
+    G v - x^a g e_p = sum_k w_k (g e_k) - g' v + (v_p - x^a) (g e_p),
+    and every term there is below the lcm G x^a e_p.  Such a pair is
+    never queued, counts as pairs_skipped and is treated for the chain
+    criterion.  Without g e_k at every k the identity has no basis
+    element to stand on, so other seed bases do not use it.
     """
     basis = list(basis)
     gens = [g for g in gens if not g.is_zero()]
@@ -244,6 +271,7 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     polys: list[Polynomial] = []
     lms: list[int] = []
     lead_es: list[int] = []
+    supports: list[int] = []
     index: dict[int, list] = {}
     at: dict[int, list[int]] = {}  # position -> basis indices with a lead there
     top = 0
@@ -263,10 +291,14 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
         at.setdefault(lm >> pos_shift, []).append(len(lms))
         lms.append(lm)
         lead_es.append(entry[0])
+        supports.append(ring.support(lm))
 
     for g in basis:
         admit(g)
     seeded = len(polys)
+    # the product criterion holds for the pairs i < j with i < coprime_below:
+    # every pair in a ring, and the pairs with a seed given ``everywhere``
+    coprime_below = math.inf if isinstance(ring, PolyRing) else seeded if everywhere else 0
     for g in gens:
         r = _reduce_terms(g, index).monic()
         if not r.is_zero():
@@ -277,18 +309,22 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     # bit i of treated[j] is set once the pair i < j (same position) is
     # treated; bits keep a submodule's many pairs to a few bytes each
     treated: list[int] = []
+    seeds_at: dict[int, int] = {}  # position -> bit mask of the seeds there
 
     def push_pairs(j: int):
         nonlocal seq, skipped, inside
+        pos = lms[j] >> pos_shift
+        if j < seeded:  # pairs within the seed basis, whose S-polynomials reduce to zero
+            done = seeds_at.get(pos, 0)
+            seeds_at[pos] = done | 1 << j
+            inside += done.bit_count()
+            treated.append(done)
+            return
         done = 0
-        for i in at[lms[j] >> pos_shift]:
+        for i in at[pos]:
             if i >= j:
                 break
-            if j < seeded:  # both in the seed basis, whose S-polynomials reduce to zero
-                done |= 1 << i
-                inside += 1
-                continue
-            if ring.skip_pair(lms[i], lms[j]):
+            if i < coprime_below and not supports[i] & supports[j]:
                 done |= 1 << i
                 skipped += 1
                 continue
@@ -555,6 +591,20 @@ def kernel_over_quotient(
     reduced basis of the whole module.  Only buchberger's basis-size and
     degree caps bound it.
 
+    A kept row is zero in the quotient only if it is a tag seed g e_k,
+    so those are dropped as they stand and no entry is tested against the
+    ideal.  Every tag seed is among the interreduced elements, so some
+    kept lead divides lm(g) e_k, and no tail term of a kept row is
+    divisible by lm(g) e_k: every tail is in normal form modulo the ideal.
+    If lm(g) e_k divides a kept lead, the kept lead dividing lm(g) e_k
+    divides that lead too, so by minimality the two are equal.  A kept
+    row led otherwise has each entry in normal form and a nonzero lead
+    component.  A kept row led by lm(g) e_k, with g = G + g', has k-th
+    entry G + t with t in normal form; its normal form is t - g' (the
+    basis is reduced), which vanishes only when the entry is g, and the
+    other entries, in normal form, vanish only when they are 0: the row
+    is then g e_k.
+
     The module is graded: tag position q+i has degree t_i and value
     position j degree s_j, with deg N_ij + s_j = t_i at every nonzero N_ij,
     so every row vector is homogeneous (of degree t_i) and the pair loop
@@ -571,8 +621,11 @@ def kernel_over_quotient(
     pair loop ends.  The basis is then complete below D, so the returned
     rows generate the kernel in every degree below D, and a homogeneous
     kernel element they do not generate has degree D or more: each of its
-    nonzero entries has degree at least low.  Without ``stop`` the whole
-    kernel is returned.
+    nonzero entries has degree at least low.  Each entry of a found row
+    is its own normal form modulo the ideal's reduced basis, so it is
+    zero in the quotient iff it is zero: the pair loop admits only
+    elements fully reduced against an index that holds g e_k at every
+    position k.  Without ``stop`` the whole kernel is returned.
     """
     if not rows:
         return []
@@ -609,14 +662,16 @@ def kernel_over_quotient(
             pending[:] = [v for v in pending if module.degree(v.lm()) >= level]
             return stop(level - top, [tuple(module.components(v)[q:]) for v in found])
 
-    closed = _close(vectors, seed, module, hook)
-    tagged = _interreduce(module, [v for v in closed if module.position(v.lm()) >= q])
+    closed = _close(vectors, seed, module, hook, everywhere=True)
+    tag_seeds = seed[q * len(ideal_gb):]
+    tagged = _interreduce(module, [v for v in closed if module.position(v.lm()) >= q], tag_seeds)
 
+    zero_rows = {s.lm(): s for s in tag_seeds}
     out: list[tuple[Polynomial, ...]] = []
     for v in tagged:
+        if v == zero_rows.get(v.lm()):
+            continue  # a tag seed: the zero row of the quotient, and the only one
         comps = module.components(v)[q:]
-        if all(ideal_gb.contains(p) for p in comps):
-            continue  # the zero row of the quotient; contributes nothing
         failure = first_nonzero_column(comps, rows, ideal_gb)
         if failure is not None:
             j, residue = failure

@@ -210,9 +210,9 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
 
     def saturated(low: int, found) -> bool:
         nonlocal covered
-        for row in found:
+        for row in found:  # entries in normal form modulo the minors (kernel_over_quotient)
             for p in row:
-                e = _entry_degree(p, minors)
+                e = _entry_degree(p)
                 if e is not None:
                     covered |= H.mask << e
         return not (H.mask & ~covered) >> max(low, 0)
@@ -232,8 +232,14 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     return trace
 
 
-def _entry_degree(p, minors) -> int | None:
-    """The degree of a kernel entry nonzero modulo the minors, else None."""
+def _entry_degree(p, minors=None) -> int | None:
+    """The degree of a kernel entry nonzero modulo the minors, else None.
+
+    Without ``minors`` the entry must already be in normal form modulo
+    them, so it is nonzero there iff it is nonzero.
+    """
     if not p.is_homogeneous():
         raise AssertionError(f"kernel entry {p} is not homogeneous")
-    return None if minors.contains(p) else p.wdeg()
+    if p.is_zero() or (minors is not None and minors.contains(p)):
+        return None
+    return p.wdeg()

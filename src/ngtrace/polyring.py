@@ -86,6 +86,12 @@ class _Layout:
             ((-t & self.mask) | self.guards) - (-d & self.mask)
         ) & self.guards == self.guards
 
+    def support(self, t: int) -> int:
+        """The guard bits of the nonzero exponent fields of t: two terms
+        have coprime ring parts iff their supports are disjoint."""
+        low = self.guards >> (self.bits - 1)  # guard set below: that field is nonzero
+        return (((-t & self.mask) | self.guards) - low) & self.guards
+
     def lcm(self, a: int, b: int) -> int:
         """The lcm of the exponents of a and b, at the position of a."""
         ea, eb = -a & self.mask, -b & self.mask
@@ -147,10 +153,7 @@ class PolyRing(_Layout):
 
     def skip_pair(self, a: int, b: int) -> bool:
         """Leads whose S-polynomial reduces to zero: coprime ones (product criterion)."""
-        low = self.guards >> (self.bits - 1)  # guard set below: that field is nonzero
-        na = ((-a & self.mask) | self.guards) - low
-        nb = ((-b & self.mask) | self.guards) - low
-        return not na & nb & self.guards
+        return not self.support(a) & self.support(b)
 
     # -- element constructors ---------------------------------------------
 

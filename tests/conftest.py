@@ -2,6 +2,8 @@ import pytest
 
 from ngtrace.corpus import build_corpus
 
+pytest_plugins = ["pytester"]
+
 
 def sieve(gens, bound):
     """Independent DP membership oracle used to freeze expected values."""

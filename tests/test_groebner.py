@@ -273,8 +273,8 @@ def test_kernel_rejects_a_corrupted_tag_row(monkeypatch):
     minors = buchberger(two_minors([V, U]))
     real_interreduce = groebner._interreduce
 
-    def corrupt(ring, polys):
-        first, *rest = real_interreduce(ring, polys)
+    def corrupt(ring, polys, *settled):
+        first, *rest = real_interreduce(ring, polys, *settled)
         return [first + ring.vector({3: R.one()})] + rest
 
     monkeypatch.setattr(groebner, "_interreduce", corrupt)
