@@ -42,11 +42,21 @@ def _lead_entry(g: Polynomial):
     return (-lm & g.ring.mask, lm, lc, [(m, c) for m, c in g.terms.items() if m != lm])
 
 
-def _lead_index(polys) -> dict[int, list]:
-    """Lead entries of polys by position, each list in the order of polys."""
-    index: dict[int, list] = {}
+def _codes(ring) -> range:
+    """The position codes (term >> pos_shift) of ring: 1..rank in a free module, 0 in a ring."""
+    return range(1, ring.rank + 1) if isinstance(ring, FreeModule) else range(1)
+
+
+def _lead_index(ring, polys, modulo=()) -> dict[int, list]:
+    """Lead entries of polys by position, each list in the order of polys.
+
+    Each poly of ``modulo`` is over ring's base ring and stands for its
+    multiple at every position: its entry heads every position's list.
+    """
+    heads = [_lead_entry(g) for g in modulo]
+    index = {code: list(heads) for code in _codes(ring)}
     for g in polys:
-        index.setdefault(g.lm() >> g.ring.pos_shift, []).append(_lead_entry(g))
+        index.setdefault(g.lm() >> ring.pos_shift, []).append(_lead_entry(g))
     return index
 
 
@@ -103,7 +113,7 @@ class GroebnerBasis:
         if p.ring != self.ring:
             raise ValueError(f"polynomial over {p.ring!r}, basis over {self.ring!r}")
         if self._index is None:
-            self._index = _lead_index(self.polys)
+            self._index = _lead_index(self.ring, self.polys)
         return _reduce_terms(p, self._index)
 
     def contains(self, p: Polynomial) -> bool:
@@ -140,7 +150,11 @@ class GroebnerBasis:
 
 
 def _spoly(f: Polynomial, g: Polynomial, gamma: int) -> Polynomial:
-    """uf*f - ratio*ug*g for the lead lcm gamma, built from the tails: the leading terms cancel."""
+    """uf*f - ratio*ug*g for the lead lcm gamma, built from the tails: the leading terms cancel.
+
+    The result is over g's ring: f may be a base-ring poly standing for its
+    multiple at the position of gamma.
+    """
     (lf, cf), (lg, cg) = f.lt(), g.lt()
     uf, ug = gamma - lf, gamma - lg
     ratio = 1 if cf == cg else Fraction(cf) / Fraction(cg)
@@ -154,57 +168,47 @@ def _spoly(f: Polynomial, g: Polynomial, gamma: int) -> Polynomial:
             terms.pop(mm, None)
         else:
             terms[mm] = s
-    return Polynomial(f.ring, terms)
+    return Polynomial(g.ring, terms)
 
 
-def _interreduce(ring: PolyRing, polys: list[Polynomial], settled=()) -> list[Polynomial]:
+def _interreduce(ring: PolyRing, polys: list[Polynomial], modulo=()) -> list[Polynomial]:
     """Minimal leads, then every tail reduced against them.
 
     A tail term is smaller than its own lead, so it is never a multiple of
     it: each tail may be reduced against the index of all kept leads.
-    ``settled`` may name some of the polys that are monic and reduced
-    against each other (a part of a reduced basis): the lead of one
-    divides no term of another.  Only the kept leads from outside
-    ``settled`` are then tested against the terms of a settled poly, and
-    a kept settled poly whose tail none of them divides is returned as it
-    is.
+    ``modulo`` may hold monic base-ring polys that stand for their
+    multiples at every position (see _close): they reduce the tails too,
+    and are not returned.  No lead of polys may be a multiple of theirs.
     """
     polys = sorted((p.monic() for p in polys if not p.is_zero()), key=Polynomial.lm)
-    settled = {id(p) for p in settled}
     kept: list[Polynomial] = []
     leads: dict[int, list[int]] = {}  # position -> kept leads
-    loose: dict[int, list[int]] = {}  # position -> kept leads outside settled
     for p in polys:
-        lm, mine = p.lm(), id(p) in settled
+        lm = p.lm()
         pos = lm >> ring.pos_shift
-        if not any(ring.divides(d, lm) for d in (loose if mine else leads).get(pos, ())):
+        if not any(ring.divides(d, lm) for d in leads.get(pos, ())):
             leads.setdefault(pos, []).append(lm)
-            if not mine:
-                loose.setdefault(pos, []).append(lm)
             kept.append(p)
-    index = _lead_index(kept)
+    index = _lead_index(ring, kept, modulo)
     reduced = []
     for p in kept:
         lm = p.lm()
-        if id(p) in settled and not any(
-            ring.divides(d, m) for d in loose.get(lm >> ring.pos_shift, ()) for m in p.terms if m != lm
-        ):
-            reduced.append(p)
-            continue
         tail = _reduce_terms(Polynomial(ring, {m: c for m, c in p.terms.items() if m != lm}), index)
         reduced.append(Polynomial(ring, {lm: 1, **tail.terms}))
     return reduced
 
 
-def buchberger(gens, *, basis=(), ring: PolyRing | None = None) -> GroebnerBasis:
+def buchberger(gens, *, basis=(), ring: PolyRing | FreeModule | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal or submodule generated by gens.
 
     ``gens`` are polynomials over a PolyRing (an ideal) or vectors over a
-    FreeModule (a submodule).  ``basis`` may hold monic polynomials that
-    already form a reduced Groebner basis, such as the polys of another
-    buchberger result; they are admitted as they are, every pair between
-    two of them counts as treated from the start, and the result is the
-    reduced basis of the ideal or submodule generated by basis and gens.
+    FreeModule (a submodule); ``ring`` names it, needed only when gens is
+    empty.  ``basis`` may hold monic polynomials over the ring (over the
+    module's base ring) that already form a reduced Groebner basis of an
+    ideal I, such as the polys of another buchberger result; the result
+    is the reduced basis of I + (gens), or of I F + (gens) in a free
+    module F, and every pair between two basis polys counts as treated
+    from the start.
 
     Pair selection is the normal strategy: smallest degree of the pair lcm
     first (the ring's ``degree``: the weighted degree, plus the position's
@@ -213,23 +217,29 @@ def buchberger(gens, *, basis=(), ring: PolyRing | None = None) -> GroebnerBasis
     leads in a ring are never queued and count as treated (the product
     criterion); the classic chain criterion (both companion pairs
     already treated) prunes the rest.  The result's ``stats`` count, as
-    plain ints: pairs_queued, pairs_skipped (by the product criterion; the
-    loop of kernel_over_quotient also skips by it pairs of an element with
-    a seed, see _close), pairs_seeded (both in ``basis``),
+    plain ints: pairs_queued, pairs_skipped (by the product criterion; in
+    a free module it skips pairs of an element with a basis poly, see
+    _close), pairs_seeded (both in ``basis``, once per position),
     pairs_chained (pruned by the chain criterion), zero_reductions
     (S-polynomials that reduced to zero), peak_basis (the basis size
-    before interreduction), max_lead_wdeg and pairs_left (the pairs still
-    queued when the loop stopped: 0, as buchberger runs it to the end).
+    before interreduction, each basis poly once per position),
+    max_lead_wdeg and pairs_left (the pairs still queued when the loop
+    stopped: 0, as buchberger runs it to the end).
 
     A basis element of weighted degree above DEGREE_CAP_FACTOR times the
     weight sum, or a basis of more than DEFAULT_MAX_BASIS elements, raises
-    ResourceLimit; both constants are read at each call.
+    ResourceLimit; both constants are read at each call.  A generator not
+    over ``ring``, or a basis poly not over its base ring, raises
+    ValueError.
     """
     closed = _close(gens, basis, ring)
-    return GroebnerBasis(closed.ring, _interreduce(closed.ring, closed.polys), closed.stats)
+    ring = closed.ring
+    if isinstance(ring, FreeModule):
+        basis = [ring.vector({k: g}) for k in range(ring.rank) for g in basis]
+    return GroebnerBasis(ring, _interreduce(ring, [*basis, *closed.polys]), closed.stats)
 
 
-def _close(gens, basis, ring, stop=None, everywhere=False) -> GroebnerBasis:
+def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     """buchberger's pair loop: a Groebner basis of basis and gens, not interreduced.
 
     Pairs are queued by the ring's ``degree`` of their lcm.  For
@@ -240,95 +250,103 @@ def _close(gens, basis, ring, stop=None, everywhere=False) -> GroebnerBasis:
     are a Groebner basis below D (a truncated Groebner basis, Kreuzer and
     Robbiano, Computational Commutative Algebra 2, 4.5).  ``stop``, if
     given, is called as stop(D, polys) before the first pair of each new
-    degree D; when it returns True the loop ends there, with the pairs
-    still queued counted as pairs_left.
+    degree D, with the basis polys first in polys; when it returns True
+    the loop ends there, with the pairs still queued counted as pairs_left.
 
-    ``everywhere`` says that the module basis is g e_k for every g of an
-    ideal's reduced basis and every position k.  Then the product
-    criterion holds for a pair (v, g e_p) whose ring leads x^a (of
-    lm v = x^a e_p) and G (of g = G + g') are coprime: with w = v - v_p e_p,
-    whose components sit at later positions,
+    ``basis`` is held once, over the base ring: each g stands for g e_k at
+    every position k (a ring has the one position).  Its lead entry heads
+    every position's division index, and it joins every position's pair
+    list and chain check: a ring lead divides a module term by the
+    exponent fields alone, and m - lm carries the term's position into
+    the tail.  S(g e_k, g' e_k) = S(g, g') e_k reduces to zero over the
+    basis, so pairs of two basis polys are treated from the start.
+
+    In a free module the product criterion also holds for a pair
+    (v, g e_p) whose ring leads x^a (of lm v = x^a e_p) and G (of
+    g = G + g') are coprime: with w = v - v_p e_p, whose components sit
+    at later positions,
     G v - x^a g e_p = sum_k w_k (g e_k) - g' v + (v_p - x^a) (g e_p),
     and every term there is below the lcm G x^a e_p.  Such a pair is
     never queued, counts as pairs_skipped and is treated for the chain
-    criterion.  Without g e_k at every k the identity has no basis
-    element to stand on, so other seed bases do not use it.
+    criterion.  The identity needs g e_k at every position k, which the
+    basis stands for.
+
+    The returned closure holds the elements the loop admitted, and not
+    the basis.  peak_basis and the DEFAULT_MAX_BASIS cap count each basis
+    poly once per position.
     """
-    basis = list(basis)
-    gens = [g for g in gens if not g.is_zero()]
-    if not basis and not gens:
-        ring = ring if ring is not None else PolyRing(("X",), (1,))
-        return GroebnerBasis(ring, (), dict.fromkeys(STAT_NAMES, 0))
-    first = (basis + gens)[0]
-    ring = first.ring
-    for g in basis + gens:
-        first._check(g)
-    if any(g.is_zero() or g.lc() != 1 for g in basis):
-        raise ValueError("a seed basis holds monic polynomials only")
+    basis, gens = list(basis), list(gens)
+    if ring is None:
+        ring = gens[0].ring if gens else basis[0].ring if basis else PolyRing(("X",), (1,))
+    base = ring.base if isinstance(ring, FreeModule) else ring
+    for g in gens:
+        if g.ring != ring:
+            raise ValueError(f"generator over {g.ring!r}, not over {ring!r}")
+    for g in basis:
+        if g.ring != base:
+            raise ValueError(f"basis polynomial over {g.ring!r}, not over {base!r}")
+        if g.is_zero() or g.lc() != 1:
+            raise ValueError("a seed basis holds monic polynomials only")
     cap = DEGREE_CAP_FACTOR * sum(ring.weights)
     mask, guards, pos_shift = ring.mask, ring.guards, ring.pos_shift
+    codes = _codes(ring)
 
     polys: list[Polynomial] = []
     lms: list[int] = []
     lead_es: list[int] = []
     supports: list[int] = []
     index: dict[int, list] = {}
-    at: dict[int, list[int]] = {}  # position -> basis indices with a lead there
-    top = 0
+    at: dict[int, list[int]] = {}  # position -> indices of the polys led there; a basis poly at each
+    top = size = 0
 
-    def admit(p: Polynomial):
-        nonlocal top
+    def admit(p: Polynomial, positions):
+        nonlocal top, size
         lm = p.lm()
         deg = ring.wdeg(lm)
         if deg > cap:
             raise ResourceLimit(f"basis element degree {deg} exceeds cap {cap}")
         top = max(top, deg)
         polys.append(p)
-        if len(polys) > DEFAULT_MAX_BASIS:
+        size += len(positions)
+        if size > DEFAULT_MAX_BASIS:
             raise ResourceLimit(f"basis size exceeds cap {DEFAULT_MAX_BASIS}")
         entry = _lead_entry(p)
-        index.setdefault(lm >> pos_shift, []).append(entry)
-        at.setdefault(lm >> pos_shift, []).append(len(lms))
+        for code in positions:
+            index.setdefault(code, []).append(entry)
+            at.setdefault(code, []).append(len(lms))
         lms.append(lm)
         lead_es.append(entry[0])
         supports.append(ring.support(lm))
 
     for g in basis:
-        admit(g)
+        admit(g, codes)
     seeded = len(polys)
     # the product criterion holds for the pairs i < j with i < coprime_below:
-    # every pair in a ring, and the pairs with a seed given ``everywhere``
-    coprime_below = math.inf if isinstance(ring, PolyRing) else seeded if everywhere else 0
+    # every pair in a ring, and the pairs with a basis poly in a module
+    coprime_below = math.inf if isinstance(ring, PolyRing) else seeded
     for g in gens:
         r = _reduce_terms(g, index).monic()
         if not r.is_zero():
-            admit(r)
+            admit(r, (r.lm() >> pos_shift,))
 
     pairs: list[tuple[int, int, int, int, int]] = []
-    seq = skipped = inside = chained = zeros = 0
+    seq = skipped = chained = zeros = 0
+    inside = len(codes) * seeded * (seeded - 1) // 2
     # bit i of treated[j] is set once the pair i < j (same position) is
     # treated; bits keep a submodule's many pairs to a few bytes each
-    treated: list[int] = []
-    seeds_at: dict[int, int] = {}  # position -> bit mask of the seeds there
+    treated = [(1 << j) - 1 for j in range(seeded)]
 
     def push_pairs(j: int):
-        nonlocal seq, skipped, inside
-        pos = lms[j] >> pos_shift
-        if j < seeded:  # pairs within the seed basis, whose S-polynomials reduce to zero
-            done = seeds_at.get(pos, 0)
-            seeds_at[pos] = done | 1 << j
-            inside += done.bit_count()
-            treated.append(done)
-            return
+        nonlocal seq, skipped
         done = 0
-        for i in at[pos]:
+        for i in at[lms[j] >> pos_shift]:
             if i >= j:
                 break
             if i < coprime_below and not supports[i] & supports[j]:
                 done |= 1 << i
                 skipped += 1
                 continue
-            gamma = ring.lcm(lms[i], lms[j])
+            gamma = ring.lcm(lms[j], lms[i])  # at j's position: i may be a basis poly
             heapq.heappush(pairs, (ring.degree(gamma), seq, i, j, gamma))
             seq += 1
         treated.append(done)
@@ -336,7 +354,7 @@ def _close(gens, basis, ring, stop=None, everywhere=False) -> GroebnerBasis:
     def is_treated(a: int, b: int) -> bool:
         return treated[max(a, b)] >> min(a, b) & 1
 
-    for j in range(len(polys)):
+    for j in range(seeded, len(polys)):
         push_pairs(j)
 
     level = None
@@ -362,11 +380,11 @@ def _close(gens, basis, ring, stop=None, everywhere=False) -> GroebnerBasis:
         if r.is_zero():
             zeros += 1
             continue
-        admit(r.monic())
+        admit(r.monic(), (r.lm() >> pos_shift,))
         push_pairs(len(polys) - 1)
 
-    counts = (seq, skipped, inside, chained, zeros, len(polys), top, len(pairs))
-    return GroebnerBasis(ring, polys, dict(zip(STAT_NAMES, counts)))
+    counts = (seq, skipped, inside, chained, zeros, size, top, len(pairs))
+    return GroebnerBasis(ring, polys[seeded:], dict(zip(STAT_NAMES, counts)))
 
 
 def first_nonzero_column(row, matrix, gb: GroebnerBasis) -> tuple[int, Polynomial] | None:
@@ -566,44 +584,27 @@ def _position_degrees(rows: list[list[Polynomial]]) -> list[int]:
 def kernel_over_quotient(
     rows: list[list[Polynomial]], ideal_gens, *, stop=None
 ) -> list[tuple[Polynomial, ...]]:
-    """Generators of the left kernel {f : f.N = 0 over ring/ideal}.
+    """The reduced Groebner basis of the left kernel {f : f.N = 0 over ring/ideal}.
 
     ``rows`` are the rows of the matrix N, and ``ideal_gens`` generators of
-    the ideal or its GroebnerBasis.  Returns tag rows f (length = number of
-    rows of N); every returned row satisfies f.N = 0 modulo the ideal,
-    which is asserted before returning.
+    the ideal I or its GroebnerBasis.  Returns tag rows f (length = number
+    of rows of N); every returned row satisfies f.N = 0 modulo I, which is
+    asserted before returning.
 
-    Row i of N becomes the vector (N_i, e_i) in a free module with "value"
-    positions 0..q-1 for the columns and "tag" positions q..q+r-1.  The
-    module basis is seeded with g * e_j for every g in the ideal's reduced
-    basis and every position j, value and tag alike: those form a reduced
-    basis already, since S(g e_j, g' e_j) = S(g, g') e_j reduces to zero
-    over it, so the pair loop starts from them instead of rebuilding the
-    ideal's basis at every position.  The seeds at the tag positions do not
-    change the module: g e_(q+i) is g times row i's vector minus the
-    multiples g N_ij e_j of value seeds, as every g N_ij lies in the ideal.
-    So the module, and with it its reduced basis, is the one generated by
-    the rows and the value seeds alone.  In the position-over-term order
-    the value positions lead, so the basis elements whose lead sits at a
-    tag position have no value part, and their tag parts generate the
-    kernel.  Only those are read, and their minimality and tails involve
-    tag leads only, so only they are interreduced: they come out as in the
-    reduced basis of the whole module.  Only buchberger's basis-size and
-    degree caps bound it.
-
-    A kept row is zero in the quotient only if it is a tag seed g e_k,
-    so those are dropped as they stand and no entry is tested against the
-    ideal.  Every tag seed is among the interreduced elements, so some
-    kept lead divides lm(g) e_k, and no tail term of a kept row is
-    divisible by lm(g) e_k: every tail is in normal form modulo the ideal.
-    If lm(g) e_k divides a kept lead, the kept lead dividing lm(g) e_k
-    divides that lead too, so by minimality the two are equal.  A kept
-    row led otherwise has each entry in normal form and a nonzero lead
-    component.  A kept row led by lm(g) e_k, with g = G + g', has k-th
-    entry G + t with t in normal form; its normal form is t - g' (the
-    basis is reduced), which vanishes only when the entry is g, and the
-    other entries, in normal form, vanish only when they are 0: the row
-    is then g e_k.
+    Row i of N becomes the vector (N_i, e_i) in a free module F with
+    "value" positions 0..q-1 for the columns and "tag" positions
+    q..q+r-1.  The pair loop closes these vectors together with I F: it is
+    handed I's reduced basis once, each g standing for g e_k at every
+    position k (see _close).  In the position-over-term order the value
+    positions lead, so the elements whose lead sits at a tag position have
+    no value part, and with I at the tag positions they form a Groebner
+    basis of K = {f : f.N in I^q}, whose image modulo I is the kernel.
+    Only those elements are read and interreduced, their tails reduced
+    modulo I as well.  No lead of theirs is a multiple of a lead of I, as
+    the loop admits only remainders modulo I at every position, so every
+    entry of a returned row is its own normal form modulo I, and no
+    returned row is zero in the quotient.  Only buchberger's basis-size
+    and degree caps bound the loop.
 
     The module is graded: tag position q+i has degree t_i and value
     position j degree s_j, with deg N_ij + s_j = t_i at every nonzero N_ij,
@@ -622,10 +623,9 @@ def kernel_over_quotient(
     rows generate the kernel in every degree below D, and a homogeneous
     kernel element they do not generate has degree D or more: each of its
     nonzero entries has degree at least low.  Each entry of a found row
-    is its own normal form modulo the ideal's reduced basis, so it is
-    zero in the quotient iff it is zero: the pair loop admits only
-    elements fully reduced against an index that holds g e_k at every
-    position k.  Without ``stop`` the whole kernel is returned.
+    is its own normal form modulo I, as the loop admits it, so it is zero
+    in the quotient iff it is zero.  Without ``stop`` the whole kernel is
+    returned.
     """
     if not rows:
         return []
@@ -641,7 +641,6 @@ def kernel_over_quotient(
         ideal_gens if isinstance(ideal_gens, GroebnerBasis) else buchberger(ideal_gens, ring=ring)
     )
     module = FreeModule(ring, q + r, _position_degrees(rows))
-    seed = [module.vector({j: g}) for j in range(q + r) for g in ideal_gb]
     vectors = [
         module.vector({**dict(enumerate(row)), q + i: ring.one()})
         for i, row in enumerate(rows)
@@ -652,7 +651,7 @@ def kernel_over_quotient(
             raise ValueError("an early stop needs a homogeneous ideal")
         top = max(module.degrees[q:])
         pending: list[Polynomial] = []
-        seen = len(seed)  # seeds have no kernel part modulo the ideal
+        seen = len(ideal_gb)  # the ideal's basis comes first in polys
 
         def hook(level, polys):
             nonlocal seen
@@ -662,15 +661,10 @@ def kernel_over_quotient(
             pending[:] = [v for v in pending if module.degree(v.lm()) >= level]
             return stop(level - top, [tuple(module.components(v)[q:]) for v in found])
 
-    closed = _close(vectors, seed, module, hook, everywhere=True)
-    tag_seeds = seed[q * len(ideal_gb):]
-    tagged = _interreduce(module, [v for v in closed if module.position(v.lm()) >= q], tag_seeds)
-
-    zero_rows = {s.lm(): s for s in tag_seeds}
+    closed = _close(vectors, ideal_gb.polys, module, hook)
+    tagged = [v for v in closed if module.position(v.lm()) >= q]
     out: list[tuple[Polynomial, ...]] = []
-    for v in tagged:
-        if v == zero_rows.get(v.lm()):
-            continue  # a tag seed: the zero row of the quotient, and the only one
+    for v in _interreduce(module, tagged, ideal_gb.polys):
         comps = module.components(v)[q:]
         failure = first_nonzero_column(comps, rows, ideal_gb)
         if failure is not None:

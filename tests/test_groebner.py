@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 from operator import add, mul
 
 import pytest
@@ -264,6 +263,18 @@ def test_kernel_rows_annihilate():
             assert gb.normal_form(entry).is_zero()
 
 
+def test_kernel_entries_are_reduced_modulo_an_inhomogeneous_ideal():
+    # with an inhomogeneous ideal the pair loop is not degree by degree, and
+    # interreducing the tag rows brings back terms that a lead of the ideal
+    # divides (y^2*z^4 here): the tails are reduced modulo the ideal too
+    R = PolyRing(["x", "y", "z"], [1, 1, 1])
+    rows = [[R.parse("x + 2*y"), R.parse("x*z - y*z")], [R.parse("2*x - z"), R.parse("2*x*z")]]
+    ideal = buchberger([R.parse("x^2*y^2*z^2 - x*y*z"), R.parse("x^2*y - y*z^2")])
+    kernel = kernel_over_quotient(rows, ideal)
+    assert len(kernel) == 2
+    assert all(ideal.normal_form(p) == p for row in kernel for p in row)
+
+
 def test_kernel_rejects_a_corrupted_tag_row(monkeypatch):
     # the f.N = 0 check runs on every tag row: add 1 to the first entry of
     # the first row, and V_j stays behind at every column
@@ -273,8 +284,8 @@ def test_kernel_rejects_a_corrupted_tag_row(monkeypatch):
     minors = buchberger(two_minors([V, U]))
     real_interreduce = groebner._interreduce
 
-    def corrupt(ring, polys, *settled):
-        first, *rest = real_interreduce(ring, polys, *settled)
+    def corrupt(ring, polys, modulo=()):
+        first, *rest = real_interreduce(ring, polys, modulo)
         return [first + ring.vector({3: R.one()})] + rest
 
     monkeypatch.setattr(groebner, "_interreduce", corrupt)
@@ -284,8 +295,8 @@ def test_kernel_rejects_a_corrupted_tag_row(monkeypatch):
 
 def test_kernel_size_guard(monkeypatch):
     # M has five rows over six variables: no row or variable count caps the
-    # kernel, but the basis cap still does, past the ideal basis seeded at
-    # every value and tag position
+    # kernel, but the basis cap still does, which counts the ideal's basis
+    # once at every value and tag position
     (inst,) = search_instances((1,) * 6, (1, 1, 1, 1, 1, 2), 11)
     _, M = inst.matrices
     gb = buchberger(inst.minors)
@@ -453,22 +464,26 @@ def module_vectors(draw, module, max_exp):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_seeded_buchberger_equals_plain(data):
+    # a basis B of an ideal is held once, and in a free module stands for
+    # g e_k at every position k: compare with B (or every g e_k) passed as
+    # plain generators
     kind = data.draw(st.sampled_from(["ring", "ring3", "module"]))
     if kind == "ring":
         T = PolyRing(["x", "y"], [1, 2])
-        elements = polys(T, 3)
+        ideal, elements = T, polys(T, 3)
     elif kind == "ring3":
         T = PolyRing(["x", "y", "z"], [1, 1, 1])
-        elements = polys(T, 2)
+        ideal, elements = T, polys(T, 2)
     else:
         T = FreeModule(PolyRing(["x", "y"], [1, 1]), 2)
-        elements = module_vectors(T, 2)
-    B = buchberger(data.draw(st.lists(elements, max_size=3)), ring=T).polys
+        ideal, elements = T.base, module_vectors(T, 2)
+    B = buchberger(data.draw(st.lists(polys(ideal, 2), max_size=3)), ring=ideal).polys
     gens = data.draw(st.lists(elements, max_size=3))
     seeded = buchberger(gens, basis=B, ring=T)
-    assert seeded.polys == buchberger(list(B) + gens, ring=T).polys
-    inside = sum(1 for a, b in combinations(B, 2) if a.lm() >> T.pos_shift == b.lm() >> T.pos_shift)
-    assert seeded.stats["pairs_seeded"] == inside
+    copies = [T.vector({k: g}) for k in range(T.rank) for g in B] if kind == "module" else list(B)
+    assert seeded.polys == buchberger(copies + gens, ring=T).polys
+    positions = T.rank if kind == "module" else 1
+    assert seeded.stats["pairs_seeded"] == positions * len(B) * (len(B) - 1) // 2
     assert seeded.stats["peak_basis"] >= len(seeded)
 
 
@@ -502,10 +517,10 @@ def test_buchberger_stats_count_the_pair_loop():
 # -- the unseeded kernel construction, kept as an oracle -------------------------
 
 
-def _kernel_rows_unseeded(rows, ideal_gens):
-    """Tag rows of the left kernel by the unseeded construction: h * e_j for
-    every ideal generator h and column j passed as plain generators, and
-    the whole module basis interreduced."""
+def _unseeded_tag_rows(rows, ideal_gens):
+    """Tag rows of the reduced module basis by the unseeded construction:
+    h * e_j for every ideal generator h and column j passed as plain
+    generators, and the whole module basis interreduced."""
     r, q = len(rows), len(rows[0])
     ring = rows[0][0].ring
     module = FreeModule(ring, q + r)
@@ -513,20 +528,64 @@ def _kernel_rows_unseeded(rows, ideal_gens):
         module.vector({**dict(enumerate(row)), q + i: ring.one()}) for i, row in enumerate(rows)
     ]
     vectors += [module.vector({j: h}) for h in ideal_gens for j in range(q)]
-    ideal_gb = buchberger(ideal_gens, ring=ring)
-    out = []
-    for v in buchberger(vectors):
-        comps = tuple(module.components(v)[q:])
-        if module.position(v.lm()) >= q and not all(ideal_gb.contains(p) for p in comps):
-            out.append(comps)
-    return out
+    return [tuple(module.components(v)[q:]) for v in buchberger(vectors) if module.position(v.lm()) >= q]
+
+
+def _row_lead(row):
+    return next(p for p in row if not p.is_zero()).lm()
+
+
+def _kernel_rows_unseeded(rows, ideal_gens):
+    """The unseeded tag rows but those led by a multiple of a lead of the
+    ideal's basis: the reduced forms of g e_k, redundant over the quotient."""
+    ideal_gb = buchberger(ideal_gens, ring=rows[0][0].ring)
+    return [
+        row
+        for row in _unseeded_tag_rows(rows, ideal_gens)
+        if not any(ideal_gb.ring.divides(g.lm(), _row_lead(row)) for g in ideal_gb)
+    ]
 
 
 # <3,4,5>, then the n = 4 and n = 5 cases of the syzygy route's own test
-@pytest.mark.parametrize("m, ell", [((2, 1, 1), (1, 1, 1))] + SYZYGY_SAMPLE)
+KERNEL_SAMPLE = [((2, 1, 1), (1, 1, 1))] + SYZYGY_SAMPLE
+
+
+@pytest.mark.parametrize("m, ell", KERNEL_SAMPLE)
 def test_kernel_rows_match_unseeded_construction(m, ell):
     (inst,) = search_instances(m, ell, 150)
     _, M = build_matrices(HigherDimInstance(inst))
     rows = kernel_over_quotient(M, inst.minors)
     assert rows == _kernel_rows_unseeded(M, inst.minors)
     assert rows == kernel_over_quotient(M, buchberger(inst.minors))
+
+
+@pytest.mark.parametrize("m, ell", KERNEL_SAMPLE)
+def test_kernel_drops_only_rows_redundant_over_the_quotient(m, ell):
+    # the kernel once returned every unseeded tag row not zero modulo I,
+    # such as (X1^2, X1*X2, X2^2) = X2 * (X4, X1, X2) for m = (1,1,2,1),
+    # ell = (1,2,2,1); it returns some of those rows, and the module they
+    # span with I F holds all of them
+    (inst,) = search_instances(m, ell, 150)
+    _, M = build_matrices(HigherDimInstance(inst))
+    ideal = buchberger(inst.minors)
+    old = [row for row in _unseeded_tag_rows(M, inst.minors) if not all(ideal.contains(p) for p in row)]
+    rows = kernel_over_quotient(M, ideal)
+    assert set(rows) <= set(old)
+    F = FreeModule(ideal.ring, len(M))
+    span = buchberger(
+        [F.vector(dict(enumerate(row))) for row in rows]
+        + [F.vector({k: g}) for k in range(len(M)) for g in ideal]
+    )
+    assert all(span.contains(F.vector(dict(enumerate(row)))) for row in old)
+
+
+def test_kernel_rejects_an_ideal_over_another_ring():
+    # same names, other weights: the generators and a ready basis are refused
+    # with both rings named, not read with the wrong term layout
+    R, S = ring_345(), PolyRing(["X1", "X2", "X3"], [1, 1, 1])
+    V = [R.parse("X2"), R.parse("X3"), R.parse("X1^2")]
+    U = [R.parse("X1"), R.parse("X2"), R.parse("X3")]
+    minors = two_minors([[S.parse(str(p)) for p in V], [S.parse(str(p)) for p in U]])
+    for ideal in (minors, buchberger(minors)):
+        with pytest.raises(ValueError, match=r"over PolyRing.*\[1, 1, 1\].*not over PolyRing.*\[3, 4, 5\]"):
+            kernel_over_quotient([V, [-u for u in U]], ideal)

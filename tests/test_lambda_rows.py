@@ -186,21 +186,24 @@ SYZYGY_SAMPLE = [
 @pytest.mark.parametrize("m, ell", SYZYGY_SAMPLE)
 def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
     # every basis of the route re-checks that its S-polynomials reduce to
-    # zero: the whole module basis as the pair loop leaves it (the kernel
-    # then interreduces only its tag part), below the degree where the
-    # loop stopped if it stopped early, and the minors' reduced basis
+    # zero: the whole module basis as the pair loop leaves it, with g e_k
+    # for every g of the minors' basis at every position k (the kernel then
+    # interreduces only its tag part), below the degree where the loop
+    # stopped if it stopped early, and the minors' reduced basis
     real_close, real_buchberger = groebner._close, lambda_rows.buchberger
     checked = []
 
-    def close_and_check(gens, basis, ring, stop=None, **kw):
+    def close_and_check(gens, basis, ring, stop=None):
         levels = []
 
         def watch(level, polys):
             levels.append(level)
             return stop(level, polys)
 
-        closed = real_close(gens, basis, ring, watch if stop else None, **kw)
-        assert closed.self_check(levels[-1] if closed.stats["pairs_left"] else None)
+        basis = list(basis)
+        closed = real_close(gens, basis, ring, watch if stop else None)
+        full = _with_basis(closed, basis)
+        assert full.self_check(levels[-1] if closed.stats["pairs_left"] else None)
         checked.append(closed.ring)
         return closed
 
@@ -215,6 +218,15 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
     (inst,) = search_instances(m, ell, 150)
     assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
     assert any(isinstance(ring, FreeModule) for ring in checked) and "reduced" in checked
+
+
+def _with_basis(closed, basis):
+    """The closure of a pair loop plus its basis, each g as g e_k at every
+    position k of a free module: the whole basis the loop stands for."""
+    ring = closed.ring
+    if isinstance(ring, FreeModule):
+        basis = [ring.vector({k: g}) for k in range(ring.rank) for g in basis]
+    return groebner.GroebnerBasis(ring, [*basis, *closed.polys])
 
 
 def sample_instance(m, ell):
@@ -274,8 +286,8 @@ def test_route_stops_with_pairs_left(monkeypatch):
     # on an n = 5 sample the trace is saturated while pairs are still queued
     real_close, left = groebner._close, []
 
-    def close(gens, basis, ring, stop=None, **kw):
-        closed = real_close(gens, basis, ring, stop, **kw)
+    def close(gens, basis, ring, stop=None):
+        closed = real_close(gens, basis, ring, stop)
         left.append(closed.stats["pairs_left"])
         return closed
 
@@ -287,14 +299,14 @@ def test_route_stops_with_pairs_left(monkeypatch):
 
 
 def _closures(monkeypatch):
-    """Record (closure, number of seeds) for every module pair loop run."""
+    """Record (closure, basis) for every module pair loop run."""
     real_close, seen = groebner._close, []
 
-    def close(gens, basis, ring, stop=None, **kw):
+    def close(gens, basis, ring, stop=None):
         basis = list(basis)
-        closed = real_close(gens, basis, ring, stop, **kw)
+        closed = real_close(gens, basis, ring, stop)
         if isinstance(ring, FreeModule):
-            seen.append((closed, len(basis)))
+            seen.append((closed, basis))
         return closed
 
     monkeypatch.setattr(groebner, "_close", close)
@@ -304,36 +316,34 @@ def _closures(monkeypatch):
 @pytest.mark.parametrize("make", [inst_345] + [partial(sample_instance, *e) for e in SYZYGY_SAMPLE])
 def test_kernel_entries_are_in_normal_form(make, monkeypatch):
     # the lemmas that spare the kernel and the route their membership tests:
-    # every element the kernel's pair loop admits, and every returned row not
-    # led by the lead of a minor, has each entry equal to its normal form
-    # modulo the minors; and only the tag seeds, which are dropped, are zero
-    # rows of the quotient, so no returned row is
+    # every element the kernel's pair loop admits, and every returned row,
+    # has each entry equal to its normal form modulo the minors, and no
+    # returned row is zero in the quotient
     inst = make()
     _, M = inst.matrices
     minors = groebner.buchberger(inst.minors)
-    minor_leads = {g.lm() for g in minors}
     seen = _closures(monkeypatch)
     trace_canonical_syzygy(inst)
     rows = kernel_over_quotient(M, minors)
     assert len(seen) == 2
-    for closed, seeded in seen:
-        for v in closed.polys[seeded:]:
+    for closed, _ in seen:
+        for v in closed.polys:
             assert all(minors.normal_form(p) == p for p in closed.ring.components(v))
-    led_otherwise = [row for row in rows if next(p for p in row if not p.is_zero()).lm() not in minor_leads]
-    assert led_otherwise
-    assert all(minors.normal_form(p) == p for row in led_otherwise for p in row)
+    assert rows
+    assert all(minors.normal_form(p) == p for row in rows for p in row)
     assert not any(all(minors.contains(p) for p in row) for row in rows)
 
 
 @pytest.mark.parametrize("make", [inst_345, inst_six] + [partial(sample_instance, *e) for e in SYZYGY_SAMPLE])
 def test_kernel_closure_with_seed_product_criterion_is_complete(make, monkeypatch):
-    # the product criterion skips pairs of a kernel element with a seed
-    # g e_k whose ring leads are coprime; the closure of the full M, run to
-    # the end, must still pass the check of every pair
+    # the product criterion skips pairs of a kernel element with a basis
+    # poly g (g e_k) whose ring leads are coprime; the closure of the full
+    # M, run to the end, with g e_k at every position k, must still pass
+    # the check of every pair
     inst = make()
     _, M = inst.matrices
     seen = _closures(monkeypatch)
     kernel_over_quotient(M, inst.minors)
-    ((closed, _),) = seen
+    ((closed, basis),) = seen
     assert closed.stats["pairs_skipped"] > 0 and closed.stats["pairs_left"] == 0
-    assert closed.self_check()
+    assert _with_basis(closed, basis).self_check()
