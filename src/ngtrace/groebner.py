@@ -233,10 +233,15 @@ def buchberger(gens, *, basis=(), ring: PolyRing | FreeModule | None = None) -> 
     ValueError.
     """
     closed = _close(gens, basis, ring)
-    ring = closed.ring
+    polys = [*spread_basis(closed.ring, basis), *closed.polys]
+    return GroebnerBasis(closed.ring, _interreduce(closed.ring, polys), closed.stats)
+
+
+def spread_basis(ring, basis) -> list[Polynomial]:
+    """What a held basis stands for: g e_k at every position k of a free module, g in a ring."""
     if isinstance(ring, FreeModule):
-        basis = [ring.vector({k: g}) for k in range(ring.rank) for g in basis]
-    return GroebnerBasis(ring, _interreduce(ring, [*basis, *closed.polys]), closed.stats)
+        return [ring.vector({k: g}) for k in range(ring.rank) for g in basis]
+    return list(basis)
 
 
 def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
@@ -272,8 +277,8 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     basis stands for.
 
     The returned closure holds the elements the loop admitted, and not
-    the basis.  peak_basis and the DEFAULT_MAX_BASIS cap count each basis
-    poly once per position.
+    spread_basis(ring, basis).  peak_basis and the DEFAULT_MAX_BASIS cap
+    count each basis poly once per position.
     """
     basis, gens = list(basis), list(gens)
     if ring is None:

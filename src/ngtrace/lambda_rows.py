@@ -223,7 +223,7 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
         if failure is not None:
             j, residue = failure
             raise AssertionError(f"kernel row fails f.M = 0 at column {others[j]} of M: remainder {residue}")
-        degrees.extend(e for p in row if (e := _entry_degree(p)) is not None)
+        degrees.extend(e for p in row if (e := _entry_degree(p, minors)) is not None)
     if not degrees:
         raise AssertionError("no kernel entry is nonzero modulo the minors")
     trace = RelativeIdeal(H, degrees)
@@ -232,15 +232,14 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     return trace
 
 
-def _entry_degree(p) -> int | None:
+def _entry_degree(p, minors=None) -> int | None:
     """The degree of a kernel entry nonzero modulo the minors, else None.
 
-    The entry must be in normal form modulo the minors, as every entry
-    kernel_over_quotient finds or returns is, so it is nonzero there iff
-    it is nonzero.
+    Without ``minors`` the entry must already be in normal form modulo
+    them, so it is nonzero there iff it is nonzero.
     """
     if not p.is_homogeneous():
         raise AssertionError(f"kernel entry {p} is not homogeneous")
-    if p.is_zero():
+    if p.is_zero() or (minors is not None and minors.contains(p)):
         return None
     return p.wdeg()

@@ -13,6 +13,7 @@ from ngtrace.groebner import (
     _size_reduce,
     buchberger,
     kernel_over_quotient,
+    spread_basis,
     toric_ideal,
     two_minors,
 )
@@ -469,19 +470,18 @@ def test_seeded_buchberger_equals_plain(data):
     # plain generators
     kind = data.draw(st.sampled_from(["ring", "ring3", "module"]))
     if kind == "ring":
-        T = PolyRing(["x", "y"], [1, 2])
-        ideal, elements = T, polys(T, 3)
+        T = base = PolyRing(["x", "y"], [1, 2])
+        elements = ideal_elements = polys(T, 3)
     elif kind == "ring3":
-        T = PolyRing(["x", "y", "z"], [1, 1, 1])
-        ideal, elements = T, polys(T, 2)
+        T = base = PolyRing(["x", "y", "z"], [1, 1, 1])
+        elements = ideal_elements = polys(T, 2)
     else:
         T = FreeModule(PolyRing(["x", "y"], [1, 1]), 2)
-        ideal, elements = T.base, module_vectors(T, 2)
-    B = buchberger(data.draw(st.lists(polys(ideal, 2), max_size=3)), ring=ideal).polys
+        base, elements, ideal_elements = T.base, module_vectors(T, 2), polys(T.base, 2)
+    B = buchberger(data.draw(st.lists(ideal_elements, max_size=3)), ring=base).polys
     gens = data.draw(st.lists(elements, max_size=3))
     seeded = buchberger(gens, basis=B, ring=T)
-    copies = [T.vector({k: g}) for k in range(T.rank) for g in B] if kind == "module" else list(B)
-    assert seeded.polys == buchberger(copies + gens, ring=T).polys
+    assert seeded.polys == buchberger(spread_basis(T, B) + gens, ring=T).polys
     positions = T.rank if kind == "module" else 1
     assert seeded.stats["pairs_seeded"] == positions * len(B) * (len(B) - 1) // 2
     assert seeded.stats["peak_basis"] >= len(seeded)
@@ -574,7 +574,7 @@ def test_kernel_drops_only_rows_redundant_over_the_quotient(m, ell):
     F = FreeModule(ideal.ring, len(M))
     span = buchberger(
         [F.vector(dict(enumerate(row))) for row in rows]
-        + [F.vector({k: g}) for k in range(len(M)) for g in ideal]
+        + spread_basis(F, ideal)
     )
     assert all(span.contains(F.vector(dict(enumerate(row)))) for row in old)
 

@@ -223,10 +223,7 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
 def _with_basis(closed, basis):
     """The closure of a pair loop plus its basis, each g as g e_k at every
     position k of a free module: the whole basis the loop stands for."""
-    ring = closed.ring
-    if isinstance(ring, FreeModule):
-        basis = [ring.vector({k: g}) for k in range(ring.rank) for g in basis]
-    return groebner.GroebnerBasis(ring, [*basis, *closed.polys])
+    return groebner.GroebnerBasis(closed.ring, [*groebner.spread_basis(closed.ring, basis), *closed.polys])
 
 
 def sample_instance(m, ell):
