@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import IdealMismatch, InhomogeneousMatrix
+from .errors import IdealMismatch, InhomogeneousMatrix, NonMinimalGenerators
 from .groebner import two_minors
 from .polyring import PolyRing, Polynomial
 from .semigroup import NumericalSemigroup
@@ -223,6 +223,9 @@ def validate_defining_ideal(H, order, m, ell) -> ValidationReport:
 
     For n = 3 this is Herzog (1970).  The tests keep the colength count on
     the Groebner basis of the minors as an oracle for this rule.
+
+    H is not read: the verdict depends on order, m and ell alone.  It stays
+    the first parameter for the callers that pass it.
     """
     gaps = degree_gaps(order, m, ell)
     if len(set(gaps)) > 1:
@@ -270,25 +273,33 @@ def remark_degrees(m, ell) -> list[int]:
 
     d_i = sum over j of (m_[i+1] ... m_[i+j-1]) * (l_[i+j] ... l_[i+n-1]),
     with empty products equal to 1.  It satisfies
-    m_[i+1] d_[i+1] - l_i d_i = prod(m) - prod(l) for every i.
+    m_[i+1] d_[i+1] - l_i d_i = prod(m) - prod(l) for every i: the j-th
+    term of l_i d_i (with l_i = l_[i+n]) is the (j-1)-th term of
+    m_[i+1] d_[i+1], which leaves the last term prod(m) of the one and the
+    first term prod(l) of the other.  So d_1 = sum over j of
+    (m_2 ... m_j)(l_[j+1] ... l_n) is summed from prefix and suffix
+    products, and each next entry is d_[i+1] = (l_i d_i + prod(m) -
+    prod(l)) / m_[i+1], an exact division; O(n) multiplications in all.
     """
     n = len(m)
     if len(ell) != n:
         raise ValueError("m and ell must have equal length")
     if any(x <= 0 for x in tuple(m) + tuple(ell)):
         raise ValueError("exponents must be positive")
-    degs = []
-    for i in range(1, n + 1):
-        total = 0
-        for j in range(1, n + 1):
-            prod_m = 1
-            for k in range(i + 1, i + j):
-                prod_m *= m[wrap(k, n) - 1]
-            prod_l = 1
-            for k in range(i + j, i + n):
-                prod_l *= ell[wrap(k, n) - 1]
-            total += prod_m * prod_l
-        degs.append(total)
+    suffix = [1] * n  # suffix[j - 1] = l_[j+1] ... l_n
+    for j in range(n - 2, -1, -1):
+        suffix[j] = suffix[j + 1] * ell[j + 1]
+    prefix, d = 1, suffix[0]  # prefix = m_2 ... m_j
+    for j in range(1, n):
+        prefix *= m[j]
+        d += prefix * suffix[j]
+    diff = math.prod(m) - math.prod(ell)
+    degs = [d]
+    for i in range(n - 1):
+        d, r = divmod(ell[i] * d + diff, m[i + 1])
+        if r:
+            raise AssertionError(f"cyclic condition {i + 1} leaves remainder {r}")
+        degs.append(d)
     return degs
 
 
@@ -298,9 +309,12 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
     The cyclic conditions pin the generator ray up to scaling; the primitive
     integer point is the only candidate with gcd 1, so the result has at most
     one element.  Degenerate exponent data (equal products, so gap 0) and
-    candidates failing positivity, minimality or ideal validation give [].
-    Validation is arithmetic (validate_defining_ideal), so no Groebner basis
-    is computed and every candidate is decided.
+    candidates failing the bound, distinctness, ideal validation or
+    minimality give [].  Validation is arithmetic (validate_defining_ideal),
+    so no Groebner basis is computed and every candidate is decided; it
+    runs before the semigroup is built, so a rejected candidate costs no
+    Apery set.  Only NonMinimalGenerators is read as "no instance": any
+    other error raised by the construction or by build surfaces.
     """
     if bound > SEARCH_BOUND_CAP:
         raise ValueError(f"bound {bound} exceeds cap {SEARCH_BOUND_CAP}")
@@ -320,15 +334,13 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
         return []
     if len(set(order)) != n:
         return []
+    if not validate_defining_ideal(None, order, m, ell):
+        return []
     try:
         H = NumericalSemigroup(order)
-    except ValueError:
+    except NonMinimalGenerators:
         return []
-    try:
-        inst = build(H, order, m, ell)
-    except (IdealMismatch, InhomogeneousMatrix):
-        return []
-    return [inst]
+    return [build(H, order, m, ell)]
 
 
 # -- classification ------------------------------------------------------------

@@ -16,8 +16,8 @@ from .errors import GcdNotOne, NonMinimalGenerators, NotInSemigroup, ResourceLim
 
 _FACTORIZATION_CAP = 10**7
 # construction allocates a sieve as long as the largest generator, an Apery
-# list as long as the multiplicity, and a gap row and a membership mask as
-# long as the Frobenius number
+# list as long as the multiplicity, and a membership mask as long as the
+# Frobenius number, sieved only once F is known to be within its cap
 _GENERATOR_CAP = 10**5
 _FROBENIUS_CAP = 10**6
 
@@ -108,11 +108,7 @@ class NumericalSemigroup:
         F = self._frobenius = max(self.apery) - m
         if F > _FROBENIUS_CAP:
             raise ResourceLimit(f"Frobenius number {F} exceeds cap {_FROBENIUS_CAP}")
-        # the gaps of residue r are r, r + m, ..., apery[r] - m
-        row = bytearray(b"1") * (F + 1)
-        for r, w in enumerate(self.apery):
-            row[r:w:m] = b"0" * ((w - r) // m)
-        self.mask = int(row[::-1] or b"0", 2) | (-1 << (F + 1))
+        self.mask = sieve_mask(ordered, F) | (-1 << (F + 1))
         pf = ~self.mask
         for a in ordered:
             pf &= self.mask >> a

@@ -21,6 +21,7 @@ from ngtrace.determinantal import (
     search_instances,
     symmetries,
     validate_defining_ideal,
+    wrap,
 )
 from ngtrace.errors import IdealMismatch, InhomogeneousMatrix
 from ngtrace.groebner import buchberger, toric_ideal, two_minors
@@ -261,6 +262,79 @@ def test_remark_degrees_all_ones():
 
 def test_remark_degrees_example():
     assert remark_degrees((3, 1, 1, 1), (1, 1, 1, 2)) == [7, 8, 9, 10]
+
+
+def _remark_degrees_oracle(m, ell) -> list[int]:
+    """The closed form of remark_degrees summed term by term: O(n^3)."""
+    n = len(m)
+    degs = []
+    for i in range(1, n + 1):
+        total = 0
+        for j in range(1, n + 1):
+            prod_m = 1
+            for k in range(i + 1, i + j):
+                prod_m *= m[wrap(k, n) - 1]
+            prod_l = 1
+            for k in range(i + j, i + n):
+                prod_l *= ell[wrap(k, n) - 1]
+            total += prod_m * prod_l
+        degs.append(total)
+    return degs
+
+
+def test_remark_degrees_match_the_closed_form_on_the_grid():
+    for n in (3, 4):
+        for m, ell in exponent_tuples(n, 3):
+            assert remark_degrees(m, ell) == _remark_degrees_oracle(m, ell), (m, ell)
+
+
+@given(
+    st.integers(min_value=3, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(1, 9), min_size=n, max_size=n),
+            st.lists(st.integers(1, 9), min_size=n, max_size=n),
+            st.booleans(),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_remark_degrees_match_the_closed_form(data, rng):
+    # with degenerate set, ell is a shuffle of m, so prod(m) = prod(ell) and
+    # the cyclic conditions no longer pin d: the recurrence must still give
+    # the closed form's vector
+    m, ell, degenerate = data
+    if degenerate:
+        ell = rng.sample(m, len(m))
+    assert remark_degrees(m, ell) == _remark_degrees_oracle(m, ell)
+
+
+def test_rejected_candidates_build_no_semigroup(monkeypatch):
+    built, verdicts = [], []
+
+    def counting_semigroup(gens):
+        built.append(tuple(gens))
+        return NumericalSemigroup(gens)
+
+    def recording_validation(H, order, m, ell):
+        report = validate_defining_ideal(H, order, m, ell)
+        verdicts.append(bool(report))
+        return report
+
+    monkeypatch.setattr("ngtrace.determinantal.NumericalSemigroup", counting_semigroup)
+    monkeypatch.setattr("ngtrace.determinantal.validate_defining_ideal", recording_validation)
+    # the candidate <3, 4, 5> is a numerical semigroup, but the colength of
+    # the minors + X3 is 10, not 5: validation rejects it before it is built
+    assert search_instances((1, 1, 2), (2, 3, 1), 50) == []
+    assert verdicts == [False] and built == []
+    found = 0
+    for m, ell in exponent_tuples(3, 3):
+        del built[:], verdicts[:]
+        found += len(search_instances(m, ell, 150))
+        # build validates again, after the construction
+        accepted = bool(verdicts) and verdicts[0]
+        assert len(built) == accepted, (m, ell)
+    assert found == 444
 
 
 @given(

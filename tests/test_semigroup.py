@@ -174,6 +174,22 @@ def test_membership_mask_matches_sieve(gens):
     assert H.is_symmetric() == all(oracle[x] != oracle[F - x] for x in range(F + 1))
 
 
+@given(
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=5, unique=True)
+)
+@settings(max_examples=100, deadline=None)
+def test_sieved_mask_matches_apery_set(gens):
+    # the mask is sieved from the generators; the Apery set is found by
+    # shortest paths, so the two are independent readings of membership
+    try:
+        H = NumericalSemigroup(gens)
+    except ValueError:
+        return
+    m, F = H.multiplicity, H.frobenius()
+    for x in range(F + 2 * m + 1):
+        assert (H.mask >> x) & 1 == (x >= H.apery[x % m]), x
+
+
 def test_minimality_of_many_generators():
     # 200 consecutive generators: minimality comes from one sieve, not one per generator
     gens = list(range(10000, 10200))
