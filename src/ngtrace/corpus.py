@@ -18,12 +18,11 @@ from itertools import product
 from .determinantal import (
     DeterminantalInstance,
     NGResult,
-    Symmetry,
     arithmetic_progression_check,
     classify_almost_gorenstein,
     classify_nearly_gorenstein,
-    dihedral_scan,
     search_instances,
+    symmetries,
 )
 from .ideals import RelativeIdeal, trace_canonical_oracle
 from .lambda_rows import trace_canonical_lambda
@@ -126,10 +125,13 @@ def build_corpus(
     """All validated instances for the exponent grid, optionally subsampled.
 
     Subsampling draws exponent tuples deterministically from the given seed
-    before the (expensive) validation, so a seeded run is reproducible.
-    Whether a tuple gives an instance is constant on its dihedral class (see
-    DeterminantalInstance.rearranged), so each class is searched once, at
-    its first tuple, and its other tuples are rearrangements of that result.
+    before any is searched (by arithmetic validation), so a seeded run is
+    reproducible.  Whether a tuple gives an instance is constant on its
+    dihedral class (see DeterminantalInstance.rearranged), so a class is
+    searched at its first tuple and the result is filed under every image
+    of that tuple; a later tuple of the class reads its entry.  No tuple is
+    met twice (the sample draws without replacement), so an entry is
+    dropped once read.
     """
     out: list[DeterminantalInstance] = []
     for n in ns:
@@ -138,20 +140,14 @@ def build_corpus(
             rng = random.Random(0 if seed is None else seed)
             tuples = rng.sample(tuples, sample)
         positions = tuple(range(n))
-        searched: dict[tuple, list[DeterminantalInstance]] = {}
+        orbits: dict[tuple, tuple[DeterminantalInstance, ...]] = {}  # keyed by m + ell
         for m, ell in tuples:
-            key = min((mm, ll) for _, _, _, mm, ll in dihedral_scan(positions, m, ell))
-            if key not in searched:
-                searched[key] = search_instances(m, ell, bound)
-                out.extend(searched[key])
-                continue
-            for inst in searched[key]:
-                shift, rev = next(
-                    (s, r)
-                    for s, r, _, mm, ll in dihedral_scan(inst.order, inst.m, inst.ell)
-                    if (mm, ll) == (m, ell)
-                )
-                out.append(inst.rearranged(Symmetry(shift, rev)))
+            if m + ell not in orbits:
+                found = search_instances(m, ell, bound)
+                for sym in symmetries(n):
+                    _, mm, ll = sym.apply(positions, m, ell)
+                    orbits.setdefault(mm + ll, tuple(inst.rearranged(sym) for inst in found))
+            out.extend(orbits.pop(m + ell))
     return out
 
 

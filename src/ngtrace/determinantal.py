@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import IdealMismatch, InhomogeneousMatrix, NonMinimalGenerators
 from .groebner import two_minors
@@ -42,6 +42,8 @@ class Symmetry:
     reversed: bool = False
 
     def apply(self, order, m, ell):
+        """The one dihedral action on column data, for instances, markings
+        and corpus orbits: the reversal also swaps the rows (m and ell)."""
         if self.reversed:
             order, m, ell = order[::-1], ell[::-1], m[::-1]
         s = self.shift
@@ -52,17 +54,11 @@ class Symmetry:
         return f"reversal+{base}" if self.reversed else base
 
 
-def symmetries(n: int) -> list[Symmetry]:
-    """The dihedral scan order: identity, shifts, then reversed shifts."""
-    return [Symmetry(s, False) for s in range(n)] + [Symmetry(s, True) for s in range(n)]
-
-
-def dihedral_scan(order, m, ell):
-    """Yield (shift, reversed, *Symmetry(shift, reversed).apply(order, m, ell))
-    over symmetries(n) in turn, building no Symmetry."""
-    for rev, (o, a, b) in ((False, (order, m, ell)), (True, (order[::-1], ell[::-1], m[::-1]))):
-        for s in range(len(order)):
-            yield s, rev, o[s:] + o[:s], a[s:] + a[:s], b[s:] + b[:s]
+@cache
+def symmetries(n: int) -> tuple[Symmetry, ...]:
+    """The dihedral scan order: identity, shifts, then reversed shifts
+    (cached per n: 2n immutable values, never cleared)."""
+    return tuple(Symmetry(s, rev) for rev in (False, True) for s in range(n))
 
 
 @dataclass(frozen=True)
@@ -363,11 +359,12 @@ def classify_nearly_gorenstein(inst: DeterminantalInstance) -> NGResult:
     "A" when every top exponent is 1, "B" when all top exponents but the
     first and the leading bottom exponents are 1.
     """
-    for shift, rev, _, m, ell in dihedral_scan(inst.order, inst.m, inst.ell):
+    for sym in symmetries(inst.n):
+        _, m, ell = sym.apply((), inst.m, inst.ell)  # the exponents alone decide
         if _case_a(m):
-            return NGResult(True, "A", Symmetry(shift, rev))
+            return NGResult(True, "A", sym)
         if _case_b(m, ell):
-            return NGResult(True, "B", Symmetry(shift, rev))
+            return NGResult(True, "B", sym)
     return NGResult(False)
 
 

@@ -30,7 +30,7 @@ from .determinantal import (
     Symmetry,
     classify_nearly_gorenstein,
     cyclic_matrices,
-    dihedral_scan,
+    symmetries,
     wrap,
 )
 from .errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
@@ -127,6 +127,16 @@ class HigherDimInstance:
             p = p + self.ring.var_named(f"Z{r}")
         return p
 
+    def rearranged(self, sym: Symmetry) -> "HigherDimInstance":
+        """The same ring in another arrangement.  I is indexed like m and J
+        like ell, so the marks move by the same sym.apply, and the reversal,
+        which swaps m and ell, swaps I and J."""
+        positions = range(1, self.n + 1)
+        top, bottom = (tuple(p in marks for p in positions) for marks in (self.I, self.J))
+        _, top, bottom = sym.apply((), top, bottom)
+        I, J = ({p for p, marked in zip(positions, row) if marked} for row in (top, bottom))
+        return HigherDimInstance(self.base.rearranged(sym), I, J)
+
     def to_json(self) -> dict:
         data = self.base.to_json()
         data["I"] = sorted(self.I)
@@ -170,8 +180,7 @@ def classify(hd: HigherDimInstance) -> HDResult:
         res = classify_nearly_gorenstein(hd.base)
         if not res.is_ng:
             return HDResult(False, "base(not-ng)", None, hd)
-        moved = HigherDimInstance(hd.base.rearranged(res.symmetry))
-        return HDResult(True, f"base({res.case})", res.symmetry, moved)
+        return HDResult(True, f"base({res.case})", res.symmetry, hd.rearranged(res.symmetry))
     sym, hd = _fitting_arrangement(hd)
     is_ng, rule = _classify_n3(hd) if hd.n == 3 else _classify_n4plus(hd)
     return HDResult(is_ng, rule, sym, hd)
@@ -185,21 +194,10 @@ def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, Higher
     """
     if hd.base_case != OTHER:
         return None, hd
-    n = hd.n
-    base = hd.base
-    for s, rev, _, m, ell in dihedral_scan(base.order, base.m, base.ell):
-        if _block_of(m, ell) == OTHER:
-            continue
-        sym = Symmetry(s, rev)
-        if not rev:
-            moved_I = frozenset(wrap(p - s, n) for p in hd.I)
-            moved_J = frozenset(wrap(p - s, n) for p in hd.J)
-        else:
-            # reversal swaps top and bottom markings: old position p lands at
-            # n+1-p before the shift, and I, J trade places
-            moved_I = frozenset(wrap(n + 1 - p - s, n) for p in hd.J)
-            moved_J = frozenset(wrap(n + 1 - p - s, n) for p in hd.I)
-        return sym, HigherDimInstance(base.rearranged(sym), moved_I, moved_J)
+    for sym in symmetries(hd.n):
+        _, m, ell = sym.apply((), hd.base.m, hd.base.ell)
+        if _block_of(m, ell) != OTHER:
+            return sym, hd.rearranged(sym)
     raise UnsupportedBaseCase(
         f"exponents m={list(hd.base.m)} ell={list(hd.base.ell)} fit neither "
         "classified block in any arrangement"

@@ -126,9 +126,8 @@ def theorem_if_witnesses(inst: DeterminantalInstance) -> list[LambdaRow]:
     if not res.is_ng:
         raise NotApplicable("instance is not nearly Gorenstein; no witness rows exist")
     if res.case == "B":
-        order, m, ell = res.symmetry.apply(inst.order, inst.m, inst.ell)
+        order, _, ell = res.symmetry.apply(inst.order, inst.m, inst.ell)
         n = inst.n
-        c_arr = m[1] * order[1] - ell[0] * order[0]
         rows_deg = []
         rows_deg.append([order[k] for k in range(n - 1)])
         shifted = [order[k + 1] + (ell[n - 2] - 1) * order[n - 2] for k in range(n - 2)]
@@ -136,7 +135,7 @@ def theorem_if_witnesses(inst: DeterminantalInstance) -> list[LambdaRow]:
         rows_deg.append(shifted)
         out = []
         for degs in rows_deg:
-            if c_arr != inst.c:  # rearrangement flipped the step sign: read back to front
+            if res.symmetry.reversed:  # the reversal negates c: read back to front
                 degs = degs[::-1]
             step = {degs[i + 1] - degs[i] for i in range(len(degs) - 1)}
             if step != {inst.c}:

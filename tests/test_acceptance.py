@@ -17,7 +17,6 @@ from ngtrace.determinantal import (
     Symmetry,
     classify_almost_gorenstein,
     classify_nearly_gorenstein,
-    dihedral_scan,
     search_instances,
     symmetries,
 )
@@ -36,6 +35,7 @@ from ngtrace.ideals import is_nearly_gorenstein_oracle, trace_canonical_oracle
 from ngtrace.lambda_rows import trace_canonical_lambda, trace_canonical_syzygy
 from ngtrace.semigroup import NumericalSemigroup
 
+from carried_marks import arrangements, carried
 from entry_ideal import trace_n3_decision
 
 
@@ -330,7 +330,7 @@ def corpus_classes(corpus_reports) -> list[list]:
     classes: dict[tuple, list] = {}
     for r in corpus_reports[0]:
         inst = r.instance
-        key = min((o, a, b) for _, _, o, a, b in dihedral_scan(inst.order, inst.m, inst.ell))
+        key = min(sym.apply(inst.order, inst.m, inst.ell) for sym in symmetries(inst.n))
         classes.setdefault(key, []).append(r)
     return list(classes.values())
 
@@ -365,26 +365,6 @@ def test_criterion_10_syzygy_trace(corpus_reports, corpus_classes):
         f"criterion-10 syzygy-trace ({len(corpus_classes)} semigroups, worst {worst:.2f}s, "
         f"total {time.time()-t0:.0f}s): PASS"
     )
-
-
-def arrangements(base):
-    """(rearranged base, new position of each old one, reversed) for every
-    dihedral symmetry, in scan order."""
-    out = []
-    for sym in symmetries(base.n):
-        moved = base.rearranged(sym)
-        where = {a: k + 1 for k, a in enumerate(moved.order)}
-        out.append((moved, [where[a] for a in base.order], sym.reversed))
-    return out
-
-
-def carried(arrangement, I, J) -> HigherDimInstance:
-    """The marking I, J carried to an arrangement: each mark moves with its
-    variable, and the reversal, which swaps the rows, makes top marks bottom
-    marks and back."""
-    moved, to, rev = arrangement
-    I2, J2 = (frozenset(to[p - 1] for p in marks) for marks in (I, J))
-    return HigherDimInstance(moved, J2, I2) if rev else HigherDimInstance(moved, I2, J2)
 
 
 def test_criterion_11_rearrangement_invariance(corpus_classes):

@@ -15,7 +15,6 @@ from ngtrace.determinantal import (
     classify_almost_gorenstein,
     classify_nearly_gorenstein,
     degree_gaps,
-    dihedral_scan,
     homogeneity_constant,
     remark_degrees,
     search_instances,
@@ -176,7 +175,7 @@ def _class_candidates(n):
     seen = set()
     out = []
     for m, ell in exponent_tuples(n, 3):
-        key = min((mm, ll) for _, _, _, mm, ll in dihedral_scan(positions, m, ell))
+        key = min(sym.apply(positions, m, ell)[1:] for sym in symmetries(n))
         if key in seen:
             continue
         seen.add(key)
@@ -226,6 +225,15 @@ def test_build_corpus_matches_per_tuple_search():
     ]
     assert len(per_tuple) == 444 + 2960
     assert build_corpus(ns=(3, 4)) == per_tuple
+
+
+@pytest.mark.parametrize("n, sample, seed", [(4, 1500, 11), (5, 4000, 12)])
+def test_sampled_build_corpus_matches_per_tuple_search(n, sample, seed):
+    # orbit images filed for tuples outside the sample must stay out
+    drawn = random.Random(seed).sample(list(exponent_tuples(n, 3)), sample)
+    per_tuple = [inst for m, ell in drawn for inst in search_instances(m, ell, 150)]
+    assert per_tuple
+    assert build_corpus(ns=(n,), seed=seed, sample=sample) == per_tuple
 
 
 def test_build_validates_order_is_arrangement():
@@ -390,11 +398,17 @@ def test_case_a_found_under_reversal():
     assert all(x == 1 for x in m)
 
 
-def test_dihedral_scan_matches_symmetries():
+def test_symmetries_scan_order():
+    # the first symmetry that shows a case is the one classify reports
+    assert symmetries(3) == (
+        Symmetry(0), Symmetry(1), Symmetry(2), Symmetry(0, True), Symmetry(1, True), Symmetry(2, True)
+    )
     for n in (3, 4, 5):
         order, m, ell = tuple(range(n)), tuple(range(10, 10 + n)), tuple(range(20, 20 + n))
-        expected = [(s.shift, s.reversed, *s.apply(order, m, ell)) for s in symmetries(n)]
-        assert list(dihedral_scan(order, m, ell)) == expected
+        expected = [(order[s:] + order[:s], m[s:] + m[:s], ell[s:] + ell[:s]) for s in range(n)]
+        order, m, ell = order[::-1], ell[::-1], m[::-1]
+        expected += [(order[s:] + order[:s], m[s:] + m[:s], ell[s:] + ell[:s]) for s in range(n)]
+        assert [sym.apply(*expected[0]) for sym in symmetries(n)] == expected
 
 
 def test_symmetries_preserve_validity():

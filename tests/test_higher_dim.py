@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from ngtrace.determinantal import Symmetry, build, search_instances
+from ngtrace.determinantal import Symmetry, build, search_instances, symmetries
 from ngtrace.errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
 from ngtrace.higher_dim import (
     ALL_ONES,
@@ -17,6 +17,7 @@ from ngtrace.higher_dim import (
 )
 from ngtrace.semigroup import NumericalSemigroup
 
+from carried_marks import arrangements, carried
 from entry_ideal import trace_n3, trace_n3_decision
 
 
@@ -153,6 +154,24 @@ def test_classify_scans_the_arrangements():
     res = classify(HigherDimInstance(base, frozenset({2}), frozenset()))
     assert res.symmetry == Symmetry(0, True) and res.rule == "allones(1b)"
     assert res.instance.I == frozenset() and res.instance.J == frozenset({3})
+
+
+def test_rearranged_carries_every_marking():
+    # sym.apply on the mark indicators against marks that follow their variables
+    other = build(NumericalSemigroup([3, 4, 5]), (4, 5, 3), (1, 1, 2), (1, 1, 1))
+    assert base_case_of(other) == OTHER
+    allones_n5 = search_instances((1, 1, 1, 1, 1), (2, 1, 1, 1, 1), 50)[0]
+    checked = 0
+    for base in (tail_n3(), other, allones_n3(), tail_n4(), allones_n4(), allones_n5):
+        marks = [("I", p) for p in range(1, base.n + 1)] + [("J", p) for p in range(1, base.n + 1)]
+        for chosen in (c for size in (0, 1, 2) for c in combinations(marks, size)):
+            I = frozenset(p for side, p in chosen if side == "I")
+            J = frozenset(p for side, p in chosen if side == "J")
+            hd = HigherDimInstance(base, I, J)
+            for sym, arrangement in zip(symmetries(base.n), arrangements(base)):
+                assert hd.rearranged(sym) == carried(arrangement, I, J), (str(hd), sym)
+                checked += 1
+    assert checked == 3 * 6 * 22 + 2 * 8 * 37 + 10 * 56
 
 
 def test_n4_allones_clauses():
