@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
 from .determinantal import (
     DeterminantalInstance,
@@ -113,10 +114,13 @@ def check_instance(inst: DeterminantalInstance) -> InstanceReport:
     )
 
 
+def _exponents(emax: int) -> range:
+    return range(1, emax + 1)
+
+
 def exponent_tuples(n: int, emax: int):
-    yield from product(
-        product(range(1, emax + 1), repeat=n), product(range(1, emax + 1), repeat=n)
-    )
+    exponents = _exponents(emax)
+    yield from product(product(exponents, repeat=n), product(exponents, repeat=n))
 
 
 def build_corpus(
@@ -126,28 +130,41 @@ def build_corpus(
 
     Subsampling draws exponent tuples deterministically from the given seed
     before any is searched (by arithmetic validation), so a seeded run is
-    reproducible.  Whether a tuple gives an instance is constant on its
-    dihedral class (see DeterminantalInstance.rearranged), so a class is
-    searched at its first tuple and the result is filed under every image
-    of that tuple; a later tuple of the class reads its entry.  No tuple is
-    met twice (the sample draws without replacement), so an entry is
-    dropped once read.
+    reproducible; without it the grid is walked, not listed.  Whether a
+    tuple gives an instance is constant on its dihedral class (see
+    DeterminantalInstance.rearranged), so a class is searched at its first
+    tuple, every image of that tuple is marked searched by its grid index,
+    and the instances found are filed under the images; a later tuple of
+    the class reads its entry.  No tuple is met twice (the sample draws
+    without replacement), so an entry is dropped once read.
     """
+    side = len(_exponents(emax))
     out: list[DeterminantalInstance] = []
     for n in ns:
-        tuples = list(exponent_tuples(n, emax))
-        if sample is not None and sample < len(tuples):
+        if n < 0:
+            raise ValueError(f"n = {n}: a matrix cannot have a negative number of columns")
+        tuples = exponent_tuples(n, emax)
+        size = side ** (2 * n)  # the number of tuples
+        if sample is not None and sample < size:
             rng = random.Random(0 if seed is None else seed)
-            tuples = rng.sample(tuples, sample)
+            tuples = rng.sample(list(tuples), sample)
+        # the grid index of m + ell is sum((e - 1) * radix), as exponents start at 1
+        radix = tuple(side**k for k in range(2 * n))
+        offset = sum(radix)
+        searched = bytearray(size)
         positions = tuple(range(n))
-        orbits: dict[tuple, tuple[DeterminantalInstance, ...]] = {}  # keyed by m + ell
+        orbits: dict[int, tuple[DeterminantalInstance, ...]] = {}  # only images with instances
         for m, ell in tuples:
-            if m + ell not in orbits:
+            key = sum(map(mul, m + ell, radix)) - offset
+            if not searched[key]:
                 found = search_instances(m, ell, bound)
                 for sym in symmetries(n):
                     _, mm, ll = sym.apply(positions, m, ell)
-                    orbits.setdefault(mm + ll, tuple(inst.rearranged(sym) for inst in found))
-            out.extend(orbits.pop(m + ell))
+                    image = sum(map(mul, mm + ll, radix)) - offset
+                    searched[image] = 1
+                    if found:
+                        orbits.setdefault(image, tuple(inst.rearranged(sym) for inst in found))
+            out.extend(orbits.pop(key, ()))
     return out
 
 

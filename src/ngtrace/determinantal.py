@@ -386,9 +386,9 @@ def arithmetic_progression_check(inst: DeterminantalInstance) -> bool:
     cyclic shifts suffice.
     """
     n = inst.n
-    order = inst.order
-    for s in range(n):
-        window = (order[s:] + order[:s])[: n - 1]
+    for sym in symmetries(n)[:n]:  # the cyclic shifts
+        order, _, _ = sym.apply(inst.order, (), ())
+        window = order[: n - 1]
         diffs = {window[i + 1] - window[i] for i in range(len(window) - 1)}
         if len(diffs) <= 1:
             return True

@@ -12,22 +12,26 @@ the base exponents:
              at least one of l_{n-1}, l_n >= 2, matching the classified range).
 
 A dihedral rearrangement gives an isomorphic ring, so classify picks an
-arrangement whose base fits a block.  For the cases that are nearly
-Gorenstein, explicit row vectors annihilating the canonical-module
-presentation matrix are tabulated; verification reduces every product entry
-to zero against a Groebner basis of the minors and then checks that the row
-entries generate an ideal containing every variable.
+arrangement whose base fits a block.  One clause function gives each
+verdict and names its table: the explicit row vectors annihilating the
+canonical-module presentation matrix when the clause holds, read through
+the same shifted view of the indices as the clause.  Verification reduces
+every product entry to zero against a Groebner basis of the minors and then
+checks that the row entries generate an ideal containing every variable.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .determinantal import (
     DeterminantalInstance,
     Symmetry,
+    _case_a,
+    _case_b,
     classify_nearly_gorenstein,
     cyclic_matrices,
     symmetries,
@@ -47,18 +51,14 @@ def base_case_of(inst: DeterminantalInstance) -> str:
 
 
 def _block_of(m, ell) -> str:
-    """The classified block the exponents fit, or OTHER."""
-    n = len(m)
-    if all(x == 1 for x in m):
+    """The classified block the exponents fit, or OTHER: the base theorem's
+    case A, or its case B (so m_1 >= 2) with, for n >= 4, l_{n-1} or l_n
+    at least 2."""
+    if _case_a(m):
         return ALL_ONES
-    tail_shape = m[0] >= 2 and all(x == 1 for x in m[1:]) and all(
-        x == 1 for x in ell[: n - 2]
-    )
-    if not tail_shape:
-        return OTHER
-    if n == 3:
+    if _case_b(m, ell) and (len(m) == 3 or max(ell[-2:]) >= 2):
         return TAIL
-    return TAIL if (ell[n - 2] >= 2 or ell[n - 1] >= 2) else OTHER
+    return OTHER
 
 
 @dataclass(frozen=True)
@@ -176,14 +176,21 @@ def classify(hd: HigherDimInstance) -> HDResult:
     block, and else the first symmetry whose base fits is taken, with I and
     J carried along; UnsupportedBaseCase when none fits.
     """
+    return _decide(hd)[0]
+
+
+def _decide(hd: HigherDimInstance) -> tuple[HDResult, Callable | None, int]:
+    """classify's result, the table certifying it and the shift of the
+    table's view (see _clause)."""
     if not hd.I and not hd.J:
         res = classify_nearly_gorenstein(hd.base)
         if not res.is_ng:
-            return HDResult(False, "base(not-ng)", None, hd)
-        return HDResult(True, f"base({res.case})", res.symmetry, hd.rearranged(res.symmetry))
+            return HDResult(False, "base(not-ng)", None, hd), None, 0
+        table = _rows_tail_base if res.case == "B" else None
+        return HDResult(True, f"base({res.case})", res.symmetry, hd.rearranged(res.symmetry)), table, 0
     sym, hd = _fitting_arrangement(hd)
-    is_ng, rule = _classify_n3(hd) if hd.n == 3 else _classify_n4plus(hd)
-    return HDResult(is_ng, rule, sym, hd)
+    is_ng, rule, table, shift = _clause(hd)
+    return HDResult(is_ng, rule, sym, hd), table, shift
 
 
 def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstance]:
@@ -204,77 +211,72 @@ def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, Higher
     )
 
 
-def _classify_n3(hd: HigherDimInstance) -> tuple[bool, str]:
-    """The n = 3 rule, the same for every number of marked indices.
+def _clause(hd: HigherDimInstance) -> tuple[bool, str, Callable | None, int]:
+    """The clause deciding a marked instance whose base fits a block.
 
-    Nearly Gorenstein iff I and J are disjoint, l_i = 1 for every i in I,
+    Returns (verdict, tag, table, shift): table(_RowBuilder(hd, shift))
+    builds the rows that certify the clause when it holds.  table is None
+    for a clause that never holds and where no table reaches.  The view is
+    shifted in the all-ones block so that the first marked index sits at 1,
+    and unshifted in the tail block; the n >= 4 clauses read ell through it.
+
+    For n = 3 the rule is the same for every number of marked indices:
+    nearly Gorenstein iff I and J are disjoint, l_i = 1 for every i in I,
     and, in the tail block, 1 is not in J.  This is the closed form of the
     variable-membership test on the ideal of the matrix entries, which for
-    three columns is the trace of the canonical module.  Disjoint
-    subsets of {1, 2, 3} mark at most 3 indices, so a true case has
-    dimension at most 4; every marking of size 4 or more is false.
+    three columns is the trace of the canonical module.  Disjoint subsets
+    of {1, 2, 3} mark at most 3 indices, so a true case has dimension at
+    most 4.  The tables are written for n >= 4; at n = 3 they hold for
+    exactly one marked index, in the all-ones block or off index 2, and
+    for the other true cases the general-n rows have the wrong length or
+    name absent variables.
     """
-    ell = hd.base.ell
-    disjoint = not (hd.I & hd.J)
-    ells_one = all(ell[i - 1] == 1 for i in hd.I)
-    if hd.base_case == ALL_ONES:
-        return disjoint and ells_one, "n3-allones"
-    ok = disjoint and 1 not in hd.J and ells_one
-    return ok, "n3-tail"
-
-
-def _classify_n4plus(hd: HigherDimInstance) -> tuple[bool, str]:
-    n = hd.n
-    ell = hd.base.ell
-    size = len(hd.I) + len(hd.J)
-    block = "allones" if hd.base_case == ALL_ONES else "tail"
+    n, I, J = hd.n, hd.I, hd.J
+    size = len(I) + len(J)
+    allones = hd.base_case == ALL_ONES
+    block = "allones" if allones else "tail"
+    first = min(I or J)
+    shift = first - 1 if allones else 0
+    if size != 1:
+        table = None
+    elif allones:
+        table = _rows_allones_1a if I else _rows_allones_1b
+    elif I:
+        table = _rows_tail_1a_i1 if first == 1 else _rows_tail_1a_in
+    else:
+        table = _rows_tail_1b_jn if first == n else _rows_tail_1b_jn1
+    if n == 3:
+        ell = hd.base.ell
+        ok = not (I & J) and all(ell[i - 1] == 1 for i in I) and (allones or 1 not in J)
+        reaches = allones or first != 2
+        return ok, f"n3-{block}", table if reaches else None, shift
+    b = _RowBuilder(hd, shift)
     if size >= 3:
-        return False, f"{block}(3)"
-
-    def lv(k: int) -> int:
-        return ell[wrap(k, n) - 1]
-
-    if hd.base_case == ALL_ONES:
-        if size == 1:
-            if hd.I:
-                (i,) = hd.I
-                ok = all(lv(k) == 1 for k in range(i, i + n - 2))
-                return ok, "allones(1a)"
-            (j,) = hd.J
-            ok = all(lv(k) == 1 for k in range(j + 1, j + n - 2))
-            return ok, "allones(1b)"
-        if not hd.I:  # J = {i, j}
-            i, j = sorted(hd.J)
-            ok = n == 4 and (i, j) in {(1, 3), (2, 4)} and lv(i + 1) == 1 and lv(j + 1) == 1
-            return ok, "allones(2a)"
-        if not hd.J:  # I = {i, j}
-            return False, "allones(2c)"
-        (i,) = hd.I
-        (j,) = hd.J
-        ok = (
-            n == 4
-            and (i, j) in {(1, 3), (2, 4), (3, 1), (4, 2)}
-            and lv(i) == 1
-            and lv(i + 1) == 1
-            and lv(j + 1) == 1
-        )
-        return ok, "allones(2b)"
-
-    # tail block, n >= 4
-    if size == 1:
-        if hd.I:
-            (i,) = hd.I
-            ok = i == 1 or (i == n and ell[n - 1] == 1)
-            return ok, "tail(1a)"
-        (j,) = hd.J
-        ok = j == n or (j == n - 1 and ell[n - 1] == 1)
-        return ok, "tail(1b)"
-    if not hd.I or not hd.J:
-        return False, "tail(2a)"
-    (i,) = hd.I
-    (j,) = hd.J
-    ok = n == 4 and i == 1 and j == 3 and ell[3] == 1
-    return ok, "tail(2b)"
+        ok, rule = False, f"{block}(3)"
+    elif allones and I and J:
+        (i,), (j,) = I, J
+        ok = n == 4 and (j - i) % 4 == 2 and b.ell(1) == b.ell(2) == b.ell(4) == 1
+        rule, table = "allones(2b)", _rows_allones_2b
+    elif allones and len(J) == 2:
+        i, j = sorted(J)
+        ok = n == 4 and j - i == 2 and b.ell(2) == b.ell(4) == 1
+        rule, table = "allones(2a)", _rows_allones_2a
+    elif allones and len(I) == 2:
+        ok, rule = False, "allones(2c)"
+    elif allones and I:
+        ok, rule = all(b.ell(k) == 1 for k in range(1, n - 1)), "allones(1a)"
+    elif allones:
+        ok, rule = all(b.ell(k) == 1 for k in range(2, n - 1)), "allones(1b)"
+    elif I and J:
+        ok = n == 4 and I == {1} and J == {3} and b.ell(4) == 1
+        rule, table = "tail(2b)", _rows_tail_2b
+    elif size == 2:
+        ok, rule = False, "tail(2a)"
+    elif I:
+        ok, rule = first == 1 or (first == n and b.ell(n) == 1), "tail(1a)"
+    else:
+        ok, rule = first == n or (first == n - 1 and b.ell(n) == 1), "tail(1b)"
+    return ok, rule, table, shift
 
 
 # -- tabulated witness rows ---------------------------------------------------
@@ -283,76 +285,34 @@ def _classify_n4plus(hd: HigherDimInstance) -> tuple[bool, str]:
 def witness_rows(hd: HigherDimInstance) -> list[tuple[Polynomial, ...]]:
     """The explicit annihilating rows for the tabulated nearly Gorenstein cases.
 
-    Rows are returned in the ring and arrangement of classify(hd).instance;
-    the all-ones cases are tabulated at a normalized index and transported
-    back by the recorded cyclic shift.  The base theorem's case B takes the
-    tail rows of the base.  Raises NoTabulatedWitness for true cases without
-    a table entry: case A with I = J = empty, which the dimension-one
-    theorem decides (``ngtrace verify`` checks it on the base), and the
-    n = 3 cases the tables do not reach.
-
-    The tables are written for n >= 4.  At n = 3 they hold for exactly one
-    marked index in the all-ones block, and in the tail block for the base
-    and for I = {1}, I = {3}, J = {3}; the n = 3 rule admits more true cases
-    (index 2 in the tail block, up to three marked indices), and for those
-    the general-n rows have the wrong length or name absent variables.
+    Rows are returned in the ring and arrangement of classify(hd).instance,
+    built by the table of the clause that decided it.  The base theorem's
+    case B takes the tail rows of the base.  Raises NoTabulatedWitness for
+    true cases without a table: case A with I = J = empty, which the
+    dimension-one theorem decides (``ngtrace verify`` checks it on the
+    base), and the n = 3 cases the tables do not reach (see _clause).
     """
-    res = classify(hd)
+    res, table, shift = _decide(hd)
     if not res.is_ng:
         raise NoTabulatedWitness("instance is not nearly Gorenstein")
-    hd = res.instance
-    n = hd.n
-    case = hd.base_case
-
-    if not hd.I and not hd.J:
-        if res.rule == "base(B)":
-            return _rows_tail_base(hd)
+    if table is not None:
+        return table(_RowBuilder(res.instance, shift))
+    if res.rule == "base(A)":
         raise NoTabulatedWitness(
             "base case A with no deformation: decided by the dimension-one "
             "theorem, not checked here; `ngtrace verify` checks it"
         )
-
-    if n == 3 and not _tabulated_n3(hd):
-        raise NoTabulatedWitness(
-            f"no table row for n = 3 {case} I={sorted(hd.I)} J={sorted(hd.J)}: "
-            "the tables are written for n >= 4"
-        )
-
-    if case == ALL_ONES:
-        if len(hd.I) == 1 and not hd.J:
-            (i,) = hd.I
-            return _rows_allones_1a(hd, shift=i - 1)
-        if len(hd.J) == 1 and not hd.I:
-            (j,) = hd.J
-            return _rows_allones_1b(hd, shift=j - 1)
-        if not hd.I and len(hd.J) == 2:
-            i, j = sorted(hd.J)
-            return _rows_allones_2a(hd, shift=i - 1)
-        if len(hd.I) == 1 and len(hd.J) == 1:
-            (i,) = hd.I
-            return _rows_allones_2b(hd, shift=i - 1)
-        raise NoTabulatedWitness(f"no table row for all-ones I={sorted(hd.I)} J={sorted(hd.J)}")
-
-    if len(hd.I) == 1 and not hd.J:
-        (i,) = hd.I
-        return _rows_tail_1a_i1(hd) if i == 1 else _rows_tail_1a_in(hd)
-    if len(hd.J) == 1 and not hd.I:
-        (j,) = hd.J
-        return _rows_tail_1b_jn(hd) if j == n else _rows_tail_1b_jn1(hd)
-    if len(hd.I) == 1 and len(hd.J) == 1:
-        return _rows_tail_2b(hd)
-    raise NoTabulatedWitness(f"no table row for tail I={sorted(hd.I)} J={sorted(hd.J)}")
-
-
-def _tabulated_n3(hd: HigherDimInstance) -> bool:
-    """Whether the tables cover a true n = 3 case with a marked index."""
-    if len(hd.I) + len(hd.J) != 1:
-        return False
-    return hd.base_case == ALL_ONES or 2 not in hd.I | hd.J
+    hd = res.instance
+    raise NoTabulatedWitness(
+        f"no table row for n = 3 {hd.base_case} I={sorted(hd.I)} J={sorted(hd.J)}: "
+        "the tables are written for n >= 4"
+    )
 
 
 class _RowBuilder:
-    """Index-mapped entry constructors: position k refers to [k + shift]."""
+    """A shifted view of an instance: position k refers to index [k + shift].
+
+    The clauses read exponents through it and the tables build entries."""
 
     def __init__(self, hd: HigherDimInstance, shift: int = 0):
         self.hd = hd
@@ -399,13 +359,11 @@ def _f3_head(b: _RowBuilder) -> list[Polynomial]:
     ]
 
 
-def _rows_tail_base(hd):
-    b = _RowBuilder(hd)
+def _rows_tail_base(b):
     return [_f1_standard(b), _f2_standard(b, b.x(b.n))]
 
 
-def _rows_allones_1a(hd, shift):
-    b = _RowBuilder(hd, shift)
+def _rows_allones_1a(b):
     n = b.n
     f1 = _f1_standard(b)
     f2 = _f2_standard(b, b.x(n))
@@ -413,8 +371,7 @@ def _rows_allones_1a(hd, shift):
     return [f1, f2, f3]
 
 
-def _rows_allones_1b(hd, shift):
-    b = _RowBuilder(hd, shift)
+def _rows_allones_1b(b):
     n = b.n
     f1 = tuple([b.x(1, b.ell(1)) + b.z(1)] + [b.x(k) for k in range(2, n)])
     f2 = _f2_standard(b, b.x(n))
@@ -422,22 +379,19 @@ def _rows_allones_1b(hd, shift):
     return [f1, f2, f3]
 
 
-def _rows_allones_2a(hd, shift):
-    b = _RowBuilder(hd, shift)
+def _rows_allones_2a(b):
     f1 = (b.x(1, b.ell(1)) + b.z(1), b.x(2), b.x(3))
     f2 = (b.x(3, b.ell(3)) + b.z(3), b.x(4), b.x(1))
     return [f1, f2]
 
 
-def _rows_allones_2b(hd, shift):
-    b = _RowBuilder(hd, shift)
+def _rows_allones_2b(b):
     f1 = (b.x(1), b.x(2), b.x(3))
     f2 = (b.x(3, b.ell(3)) + b.z(3), b.x(4), b.x(1) + b.y(1))
     return [f1, f2]
 
 
-def _rows_tail_1a_i1(hd):
-    b = _RowBuilder(hd)
+def _rows_tail_1a_i1(b):
     n = b.n
     f1 = _f1_standard(b)
     f2 = _f2_standard(b, b.x(n))
@@ -445,8 +399,7 @@ def _rows_tail_1a_i1(hd):
     return [f1, f2, f3]
 
 
-def _rows_tail_1a_in(hd):
-    b = _RowBuilder(hd)
+def _rows_tail_1a_in(b):
     n = b.n
     f1 = _f1_standard(b)
     f2 = _f2_standard(b, b.x(n) + b.y(n))
@@ -454,8 +407,7 @@ def _rows_tail_1a_in(hd):
     return [f1, f2, f3]
 
 
-def _rows_tail_1b_jn(hd):
-    b = _RowBuilder(hd)
+def _rows_tail_1b_jn(b):
     n = b.n
     f1 = _f1_standard(b)
     f2 = _f2_standard(b, b.x(n))
@@ -466,8 +418,7 @@ def _rows_tail_1b_jn(hd):
     return [f1, f2, f3]
 
 
-def _rows_tail_1b_jn1(hd):
-    b = _RowBuilder(hd)
+def _rows_tail_1b_jn1(b):
     n = b.n
     f1 = _f1_standard(b)
     f2 = tuple(
@@ -477,8 +428,7 @@ def _rows_tail_1b_jn1(hd):
     return [f1, f2]
 
 
-def _rows_tail_2b(hd):
-    b = _RowBuilder(hd)
+def _rows_tail_2b(b):
     f1 = (b.x(1), b.x(2), b.x(3))
     f2 = (b.x(3, b.ell(3)) + b.z(3), b.x(4), b.x(1, b.m(1)) + b.y(1))
     return [f1, f2]

@@ -24,16 +24,13 @@ from ngtrace.errors import UnsupportedBaseCase
 from ngtrace.higher_dim import (
     ALL_ONES,
     OTHER,
-    TAIL,
     HigherDimInstance,
     base_case_of,
     classify,
     verify_witness,
-    witness_rows,
 )
-from ngtrace.ideals import is_nearly_gorenstein_oracle, trace_canonical_oracle
+from ngtrace.ideals import trace_canonical_oracle
 from ngtrace.lambda_rows import trace_canonical_lambda, trace_canonical_syzygy
-from ngtrace.semigroup import NumericalSemigroup
 
 from carried_marks import arrangements, carried
 from entry_ideal import trace_n3_decision

@@ -18,7 +18,7 @@ from ngtrace.groebner import (
     two_minors,
 )
 from ngtrace.higher_dim import HigherDimInstance, build_matrices
-from ngtrace.polyring import FreeModule, PolyRing, Polynomial
+from ngtrace.polyring import FreeModule, PolyRing
 from test_lambda_rows import SYZYGY_SAMPLE
 
 

@@ -259,10 +259,22 @@ def _verified_or_untabulated(hd):
 
 
 def test_n3_witness_rows_verify_or_defer(n3_corpus):
-    # at n = 3 the tables reach only some true cases; the rest must be
-    # declined, never sent into a general-n row that cannot hold
-    bases = [allones_n3(), tail_n3()] + [b for b in n3_corpus if base_case_of(b) != OTHER]
-    outcomes = [_verified_or_untabulated(hd) for b in bases for hd in _n3_true_configs(b)]
+    # at n = 3 the tables reach exactly the base theorem's case B with no
+    # marks (the tail rows of the base) and one marked index, in the
+    # all-ones block or off index 2 (in the decided arrangement); every
+    # other true case is declined, never sent into a general-n row that
+    # cannot hold
+    fits = [b for b in n3_corpus if any(base_case_of(b.rearranged(s)) != OTHER for s in symmetries(3))]
+    outcomes = []
+    for hd in (hd for b in [allones_n3(), tail_n3()] + fits for hd in _n3_true_configs(b)):
+        res = classify(hd)
+        marks = sorted(res.instance.I) + sorted(res.instance.J)
+        if marks:
+            reach = len(marks) == 1 and (res.instance.base_case == ALL_ONES or marks != [2])
+        else:
+            reach = res.rule == "base(B)"
+        outcomes.append(_verified_or_untabulated(hd))
+        assert outcomes[-1] == reach, str(hd)
     assert any(outcomes) and not all(outcomes)
 
 
