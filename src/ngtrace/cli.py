@@ -29,12 +29,7 @@ from .errors import (
     UnsupportedBaseCase,
     WitnessFailed,
 )
-from .higher_dim import (
-    HigherDimInstance,
-    classify as classify_hd,
-    verify_witness,
-    witness_rows,
-)
+from .higher_dim import HigherDimInstance, classify as classify_hd
 from .ideals import trace_canonical_oracle
 from .lambda_rows import (
     lambda_membership,
@@ -216,8 +211,8 @@ def cmd_higher(args, out, payload: dict | None = None) -> int:
         report["rearranged_via"] = res.symmetry.describe()
     if res.is_ng:
         try:
-            rows = witness_rows(hd)
-            verify_witness(hd, rows)
+            rows = res.witness_rows()
+            res.verify(rows)
             report["witness"] = "verified"
             report["witness_rows"] = [
                 "(" + ", ".join(str(p) for p in row) + ")" for row in rows

@@ -198,17 +198,12 @@ def _interreduce(ring: PolyRing, polys: list[Polynomial], modulo=()) -> list[Pol
     return reduced
 
 
-def buchberger(gens, *, basis=(), ring: PolyRing | FreeModule | None = None) -> GroebnerBasis:
+def buchberger(gens, *, ring: PolyRing | FreeModule | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal or submodule generated by gens.
 
     ``gens`` are polynomials over a PolyRing (an ideal) or vectors over a
     FreeModule (a submodule); ``ring`` names it, needed only when gens is
-    empty.  ``basis`` may hold monic polynomials over the ring (over the
-    module's base ring) that already form a reduced Groebner basis of an
-    ideal I, such as the polys of another buchberger result; the result
-    is the reduced basis of I + (gens), or of I F + (gens) in a free
-    module F, and every pair between two basis polys counts as treated
-    from the start.
+    empty.
 
     Pair selection is the normal strategy: smallest degree of the pair lcm
     first (the ring's ``degree``: the weighted degree, plus the position's
@@ -217,31 +212,20 @@ def buchberger(gens, *, basis=(), ring: PolyRing | FreeModule | None = None) -> 
     leads in a ring are never queued and count as treated (the product
     criterion); the classic chain criterion (both companion pairs
     already treated) prunes the rest.  The result's ``stats`` count, as
-    plain ints: pairs_queued, pairs_skipped (by the product criterion; in
-    a free module it skips pairs of an element with a basis poly, see
-    _close), pairs_seeded (both in ``basis``, once per position),
+    plain ints: pairs_queued, pairs_skipped (by the product criterion),
+    pairs_seeded (pairs of a basis held by _close: 0 here),
     pairs_chained (pruned by the chain criterion), zero_reductions
     (S-polynomials that reduced to zero), peak_basis (the basis size
-    before interreduction, each basis poly once per position),
-    max_lead_wdeg and pairs_left (the pairs still queued when the loop
-    stopped: 0, as buchberger runs it to the end).
+    before interreduction), max_lead_wdeg and pairs_left (the pairs still
+    queued when the loop stopped: 0, as buchberger runs it to the end).
 
     A basis element of weighted degree above DEGREE_CAP_FACTOR times the
     weight sum, or a basis of more than DEFAULT_MAX_BASIS elements, raises
     ResourceLimit; both constants are read at each call.  A generator not
-    over ``ring``, or a basis poly not over its base ring, raises
-    ValueError.
+    over ``ring`` raises ValueError.
     """
-    closed = _close(gens, basis, ring)
-    polys = [*spread_basis(closed.ring, basis), *closed.polys]
-    return GroebnerBasis(closed.ring, _interreduce(closed.ring, polys), closed.stats)
-
-
-def spread_basis(ring, basis) -> list[Polynomial]:
-    """What a held basis stands for: g e_k at every position k of a free module, g in a ring."""
-    if isinstance(ring, FreeModule):
-        return [ring.vector({k: g}) for k in range(ring.rank) for g in basis]
-    return list(basis)
+    closed = _close(gens, (), ring)
+    return GroebnerBasis(closed.ring, _interreduce(closed.ring, closed.polys), closed.stats)
 
 
 def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
@@ -277,8 +261,10 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     basis stands for.
 
     The returned closure holds the elements the loop admitted, and not
-    spread_basis(ring, basis).  peak_basis and the DEFAULT_MAX_BASIS cap
-    count each basis poly once per position.
+    the g e_k that basis stands for.  pairs_seeded counts the pairs of two
+    basis polys, once per position; peak_basis and the DEFAULT_MAX_BASIS
+    cap count each basis poly once per position.  kernel_over_quotient is
+    the one caller that holds a basis.
     """
     basis, gens = list(basis), list(gens)
     if ring is None:

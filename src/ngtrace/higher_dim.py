@@ -15,9 +15,11 @@ A dihedral rearrangement gives an isomorphic ring, so classify picks an
 arrangement whose base fits a block.  One clause function gives each
 verdict and names its table: the explicit row vectors annihilating the
 canonical-module presentation matrix when the clause holds, read through
-the same shifted view of the indices as the clause.  Verification reduces
-every product entry to zero against a Groebner basis of the minors and then
-checks that the row entries generate an ideal containing every variable.
+the same shifted view of the indices as the clause; classify's result
+carries the table, so one decision serves verdict, rows and check.
+Verification reduces every product entry to zero against a Groebner basis
+of the minors and then checks that the linear parts of the row entries span
+the variables: the cover of the local ring k[[X]] by entries and minors.
 """
 
 from __future__ import annotations
@@ -67,12 +69,63 @@ class HDResult:
 
     ``instance`` is the arrangement the clause was read in, reached from
     the given one by ``symmetry``; symmetry is None when it is the given one.
+    ``table`` and ``shift``, the clause's table and the shift of its view
+    (see _clause), build witness_rows and take no part in equality.
     """
 
     is_ng: bool
     rule: str
     symmetry: Symmetry | None
     instance: HigherDimInstance
+    table: Callable | None = field(default=None, compare=False, repr=False)
+    shift: int = field(default=0, compare=False, repr=False)
+
+    def witness_rows(self) -> list[tuple[Polynomial, ...]]:
+        """The table's annihilating rows, over the ring of ``instance``.
+
+        The base theorem's case B takes the tail rows of the base.  Raises
+        NoTabulatedWitness for true cases without a table: case A with
+        I = J = empty, which the dimension-one theorem decides (``ngtrace
+        verify`` checks it on the base), and the n = 3 cases the tables do
+        not reach (see _clause).
+        """
+        if not self.is_ng:
+            raise NoTabulatedWitness("instance is not nearly Gorenstein")
+        if self.table is not None:
+            return self.table(_RowBuilder(self.instance, self.shift))
+        if self.rule == "base(A)":
+            raise NoTabulatedWitness(
+                "base case A with no deformation: decided by the dimension-one "
+                "theorem, not checked here; `ngtrace verify` checks it"
+            )
+        hd = self.instance
+        raise NoTabulatedWitness(
+            f"no table row for n = 3 {hd.base_case} I={sorted(hd.I)} J={sorted(hd.J)}: "
+            "the tables are written for n >= 4"
+        )
+
+    def verify(self, rows) -> bool:
+        """Check that rows of ``instance`` certify the property, or raise WitnessFailed.
+
+        Every entry of f.M must have normal form zero against the minor
+        basis, and the entries must cover the variables (_uncovered_variable).
+        """
+        hd = self.instance
+        D, M = build_matrices(hd)
+        gb = buchberger(two_minors(D))
+        for ridx, row in enumerate(rows):
+            if len(row) != hd.n - 1:
+                raise WitnessFailed(f"row {ridx + 1} has length {len(row)}, wanted {hd.n - 1}")
+            failure = first_nonzero_column(row, M, gb)
+            if failure is not None:
+                col, residue = failure
+                raise WitnessFailed(
+                    f"row {ridx + 1}, column {col + 1}: f.M has nonzero normal form {residue}"
+                )
+        name = _uncovered_variable(hd.ring, [p for row in rows for p in row])
+        if name is not None:
+            raise WitnessFailed(f"variable {name} not generated by the witness entries")
+        return True
 
 
 @dataclass(frozen=True)
@@ -174,23 +227,18 @@ def classify(hd: HigherDimInstance) -> HDResult:
     the arrangements and the instance is the base in the one it names.
     Otherwise the given arrangement is kept when its base fits a classified
     block, and else the first symmetry whose base fits is taken, with I and
-    J carried along; UnsupportedBaseCase when none fits.
+    J carried along; UnsupportedBaseCase when none fits.  The result
+    carries the clause's table, so its rows need no second decision.
     """
-    return _decide(hd)[0]
-
-
-def _decide(hd: HigherDimInstance) -> tuple[HDResult, Callable | None, int]:
-    """classify's result, the table certifying it and the shift of the
-    table's view (see _clause)."""
     if not hd.I and not hd.J:
         res = classify_nearly_gorenstein(hd.base)
         if not res.is_ng:
-            return HDResult(False, "base(not-ng)", None, hd), None, 0
+            return HDResult(False, "base(not-ng)", None, hd)
         table = _rows_tail_base if res.case == "B" else None
-        return HDResult(True, f"base({res.case})", res.symmetry, hd.rearranged(res.symmetry)), table, 0
+        return HDResult(True, f"base({res.case})", res.symmetry, hd.rearranged(res.symmetry), table)
     sym, hd = _fitting_arrangement(hd)
     is_ng, rule, table, shift = _clause(hd)
-    return HDResult(is_ng, rule, sym, hd), table, shift
+    return HDResult(is_ng, rule, sym, hd, table, shift)
 
 
 def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstance]:
@@ -283,30 +331,8 @@ def _clause(hd: HigherDimInstance) -> tuple[bool, str, Callable | None, int]:
 
 
 def witness_rows(hd: HigherDimInstance) -> list[tuple[Polynomial, ...]]:
-    """The explicit annihilating rows for the tabulated nearly Gorenstein cases.
-
-    Rows are returned in the ring and arrangement of classify(hd).instance,
-    built by the table of the clause that decided it.  The base theorem's
-    case B takes the tail rows of the base.  Raises NoTabulatedWitness for
-    true cases without a table: case A with I = J = empty, which the
-    dimension-one theorem decides (``ngtrace verify`` checks it on the
-    base), and the n = 3 cases the tables do not reach (see _clause).
-    """
-    res, table, shift = _decide(hd)
-    if not res.is_ng:
-        raise NoTabulatedWitness("instance is not nearly Gorenstein")
-    if table is not None:
-        return table(_RowBuilder(res.instance, shift))
-    if res.rule == "base(A)":
-        raise NoTabulatedWitness(
-            "base case A with no deformation: decided by the dimension-one "
-            "theorem, not checked here; `ngtrace verify` checks it"
-        )
-    hd = res.instance
-    raise NoTabulatedWitness(
-        f"no table row for n = 3 {hd.base_case} I={sorted(hd.I)} J={sorted(hd.J)}: "
-        "the tables are written for n >= 4"
-    )
+    """classify(hd).witness_rows(): the tabulated rows, in its arrangement."""
+    return classify(hd).witness_rows()
 
 
 class _RowBuilder:
@@ -437,31 +463,23 @@ def _rows_tail_2b(b):
 # -- verification ---------------------------------------------------------------
 
 
-def verify_witness(hd: HigherDimInstance, rows=None) -> bool:
-    """Check the tabulated rows symbolically and that they certify the property.
+def verify_witness(hd: HigherDimInstance, rows) -> bool:
+    """classify(hd).verify(rows): rows of the decided arrangement, as witness_rows gives them."""
+    return classify(hd).verify(rows)
 
-    The rows belong to classify(hd).instance, as witness_rows gives them.
-    Every entry of f.M must have normal form zero against the minor basis,
-    and the row entries together with the minors must generate an ideal
-    containing every ring variable.  Raises WitnessFailed otherwise.
+
+def _uncovered_variable(ring: PolyRing, entries) -> str | None:
+    """The first variable outside (entries) + I in the local ring k[[X]], or None.
+
+    The entries are those of rows f with f.M = 0, and I is the ideal of
+    D's 2-minors.  D's entries lie in m, so I lies in m^2; f.M = 0 puts the
+    entries in the trace of the canonical module, which lies in m as the
+    type is n - 1 >= 2.  So by Nakayama's lemma (entries) + I holds m iff
+    the entries' linear parts (their terms of one variable to the first
+    power) span m/m^2: iff the ideal of those linear forms holds m.
     """
-    if rows is None:
-        rows = witness_rows(hd)
-    hd = classify(hd).instance
-    D, M = build_matrices(hd)
-    gb = buchberger(two_minors(D))
-    for ridx, row in enumerate(rows):
-        if len(row) != hd.n - 1:
-            raise WitnessFailed(f"row {ridx + 1} has length {len(row)}, wanted {hd.n - 1}")
-        failure = first_nonzero_column(row, M, gb)
-        if failure is not None:
-            col, residue = failure
-            raise WitnessFailed(
-                f"row {ridx + 1}, column {col + 1}: f.M has nonzero normal form {residue}"
-            )
-    entries = [p for row in rows for p in row if not p.is_zero()]
-    gb_cover = buchberger(entries, basis=gb.polys)
-    for name in hd.ring.names:
-        if not gb_cover.contains(hd.ring.var_named(name)):
-            raise WitnessFailed(f"variable {name} not generated by the witness entries")
-    return True
+    variables = [ring.var(i) for i in range(ring.nvars)]
+    linear = {x.lm() for x in variables}
+    parts = [Polynomial(ring, {t: c for t, c in p.terms.items() if t in linear}) for p in entries]
+    span = buchberger(parts, ring=ring)
+    return next((name for name, x in zip(ring.names, variables) if not span.contains(x)), None)

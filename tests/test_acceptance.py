@@ -28,6 +28,7 @@ from ngtrace.higher_dim import (
     base_case_of,
     classify,
     verify_witness,
+    witness_rows,
 )
 from ngtrace.ideals import trace_canonical_oracle
 from ngtrace.lambda_rows import trace_canonical_lambda, trace_canonical_syzygy
@@ -201,7 +202,7 @@ def test_criterion_7_witness_table():
             assert res.is_ng, (str(base), I, J, res)
             if not I and not J and base_case_of(base) == ALL_ONES:
                 continue  # not tabulated; certified by the dimension-one route
-            assert verify_witness(hd), (str(base), I, J)
+            assert verify_witness(hd, witness_rows(hd)), (str(base), I, J)
             verified += 1
 
             # control A: enlarge I or J so the clause fails

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngtrace import cli
+from ngtrace import cli, higher_dim
 from ngtrace.cli import main
 from ngtrace.errors import ResourceLimit
 from ngtrace.ideals import unit_ideal
@@ -380,6 +380,27 @@ def test_higher_picks_the_arrangement_of_an_undeformed_base(capsys):
     assert payload["rule"] == "base(B)" and payload["rearranged_via"] == "shift(2)"
     assert payload["witness"] == "verified"
     assert payload["witness_rows"] == ["(X1, X2)", "(X2, X3)"]
+
+
+def test_higher_decides_once_per_query(capsys, monkeypatch):
+    # the verdict, the witness rows and their check share one decision: one
+    # clause for a marked payload, one base-theorem scan for an unmarked one
+    calls = []
+    for name in ("_clause", "classify_nearly_gorenstein"):
+
+        def counted(*args, real=getattr(higher_dim, name)):
+            calls.append(real)
+            return real(*args)
+
+        monkeypatch.setattr(higher_dim, name, counted)
+    tabulated = {**json.loads(INST_7890), "I": [1], "J": []}
+    unmarked = {key: REARRANGED[0][0][key] for key in ("generators", "order", "m", "ell")}
+    for data in (tabulated, REARRANGED[1][0], unmarked):
+        calls.clear()
+        code, payload, err = run_json(capsys, "higher", json.dumps(data))
+        assert code == 0, err
+        assert payload["witness"] == "verified"
+        assert len(calls) == 1, data
 
 
 def test_parser_state_does_not_leak(capsys, monkeypatch):

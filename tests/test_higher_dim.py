@@ -2,13 +2,16 @@ from itertools import combinations
 
 import pytest
 
+from ngtrace.corpus import build_corpus
 from ngtrace.determinantal import Symmetry, build, search_instances, symmetries
 from ngtrace.errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
+from ngtrace.groebner import buchberger, two_minors
 from ngtrace.higher_dim import (
     ALL_ONES,
     OTHER,
     TAIL,
     HigherDimInstance,
+    _uncovered_variable,
     base_case_of,
     build_matrices,
     classify,
@@ -224,7 +227,7 @@ def test_witness_verification_all_tabulated_n4():
     for base, I, J in combos:
         hd = HigherDimInstance(base, frozenset(I), frozenset(J))
         assert classify(hd).is_ng, (I, J)
-        assert verify_witness(hd), (I, J)
+        assert verify_witness(hd, witness_rows(hd)), (I, J)
 
 
 def test_witness_rows_cover_new_variables():
@@ -292,6 +295,59 @@ def test_zero_witness_rows_fail_the_cover_check():
     hd = HigherDimInstance(tail_n4(), frozenset({1}), frozenset())
     with pytest.raises(WitnessFailed, match="variable X1 not generated"):
         verify_witness(hd, [(hd.ring.zero(),) * (hd.n - 1)] * 2)
+
+
+def _outside(gb):
+    """The first variable the polynomial-ring ideal of gb does not hold, or None."""
+    return next((name for name in gb.ring.names if not gb.contains(gb.ring.var_named(name))), None)
+
+
+def test_cover_by_linear_parts_matches_groebner_oracle():
+    # the cover check asks the local ring, whose answer is the span of the
+    # entries' linear parts; the oracle asks the polynomial ring for the
+    # entries plus the minors, which agrees on homogeneous entries.  Every
+    # tabulated true marking of size <= 3 on the grid bases that fit a block
+    # is found; every second one, which still reaches every table, is
+    # checked with all its entries and with each entry dropped
+    found = []
+    for base in build_corpus(ns=(3, 4, 5), emax=3, bound=150):
+        if base_case_of(base) == OTHER:
+            continue
+        marks = [("I", p) for p in range(1, base.n + 1)] + [("J", p) for p in range(1, base.n + 1)]
+        for chosen in (c for size in range(4) for c in combinations(marks, size)):
+            I = frozenset(p for side, p in chosen if side == "I")
+            J = frozenset(p for side, p in chosen if side == "J")
+            res = classify(HigherDimInstance(base, I, J))
+            if res.is_ng and res.table is not None:
+                found.append(res)
+    checked = found[::2]
+    assert len(found) == 429
+    assert {res.table for res in checked} == {res.table for res in found}
+    lists = uncovered = 0
+    for res in checked:
+        entries = [p for row in res.witness_rows() for p in row]
+        assert all(p.is_homogeneous() for p in entries)
+        minors = list(buchberger(two_minors(build_matrices(res.instance)[0])))
+        for k in range(-1, len(entries)):
+            kept = entries if k < 0 else entries[:k] + entries[k + 1 :]
+            verdict = _uncovered_variable(res.instance.ring, kept)
+            assert verdict == _outside(buchberger(kept + minors)), (str(res.instance), k)
+            assert k >= 0 or verdict is None
+            lists += 1
+            uncovered += verdict is not None
+    assert lists == 2165 and 0 < uncovered < lists
+
+
+def test_cover_is_checked_in_the_local_ring():
+    # 1 - X1 is a unit of k[[X]], so the rows times it still certify the
+    # ring; the polynomial ring, where X1 is not in (entries) + I, refused them
+    res = classify(HigherDimInstance(tail_n4(), frozenset({1}), frozenset()))
+    ring = res.instance.ring
+    unit = ring.one() - ring.var_named("X1")
+    rows = [tuple(p * unit for p in row) for row in res.witness_rows()]
+    assert verify_witness(res.instance, rows)
+    entries = [p for row in rows for p in row]
+    assert _outside(buchberger(entries + two_minors(build_matrices(res.instance)[0]))) == "X1"
 
 
 def test_trace_n3_entries():

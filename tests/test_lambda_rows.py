@@ -18,6 +18,8 @@ from ngtrace.lambda_rows import (
 from ngtrace.polyring import FreeModule
 from ngtrace.semigroup import NumericalSemigroup
 
+from held_basis import spread_basis
+
 
 def inst_345():
     return build(NumericalSemigroup([3, 4, 5]), (3, 4, 5), (2, 1, 1), (1, 1, 1))
@@ -223,7 +225,7 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
 def _with_basis(closed, basis):
     """The closure of a pair loop plus its basis, each g as g e_k at every
     position k of a free module: the whole basis the loop stands for."""
-    return groebner.GroebnerBasis(closed.ring, [*groebner.spread_basis(closed.ring, basis), *closed.polys])
+    return groebner.GroebnerBasis(closed.ring, [*spread_basis(closed.ring, basis), *closed.polys])
 
 
 def sample_instance(m, ell):
