@@ -351,19 +351,42 @@ def _case_b(m, ell) -> bool:
     return all(x == 1 for x in m[1:]) and all(x == 1 for x in ell[: n - 2])
 
 
+@cache
+def _scan_masks(n: int) -> tuple[tuple[Symmetry, int, int], ...]:
+    """Per symmetry in scan order, the original positions case B needs to be 1.
+
+    Each entry is (sym, top, bottom): bit p of top is set when position p of
+    the row that sym makes the top row (m, or ell under the reversal) must
+    be 1, and bottom does the same for the other row.  Cached per n as
+    symmetries(n) is: 2n immutable values, never cleared.
+    """
+    positions = tuple(range(n))
+    out = []
+    for sym in symmetries(n):
+        _, top, bottom = sym.apply((), positions, positions)
+        out.append((sym, sum(1 << p for p in top[1:]), sum(1 << p for p in bottom[: n - 2])))
+    return tuple(out)
+
+
 def classify_nearly_gorenstein(inst: DeterminantalInstance) -> NGResult:
     """Decide near-Gorensteinness from the exponent patterns.
 
     Scans the dihedral rearrangements in a fixed order (shifts first, then
     reversal composed with shifts) and reports the first satisfied case:
     "A" when every top exponent is 1, "B" when all top exponents but the
-    first and the leading bottom exponents are 1.
+    first and the leading bottom exponents are 1.  Both are tests on the
+    masks of the positions where m and ell are 1 (_scan_masks).
     """
-    for sym in symmetries(inst.n):
-        _, m, ell = sym.apply((), inst.m, inst.ell)  # the exponents alone decide
-        if _case_a(m):
+    ones_m = ones_l = 0
+    for p, (x, y) in enumerate(zip(inst.m, inst.ell)):
+        ones_m |= (x == 1) << p
+        ones_l |= (y == 1) << p
+    every = (1 << inst.n) - 1
+    for sym, top, bottom in _scan_masks(inst.n):
+        upper, lower = (ones_l, ones_m) if sym.reversed else (ones_m, ones_l)
+        if upper == every:
             return NGResult(True, "A", sym)
-        if _case_b(m, ell):
+        if upper & top == top and lower & bottom == bottom:
             return NGResult(True, "B", sym)
     return NGResult(False)
 

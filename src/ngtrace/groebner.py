@@ -27,7 +27,6 @@ DEGREE_CAP_FACTOR = 10
 STAT_NAMES = (
     "pairs_queued",
     "pairs_skipped",
-    "pairs_seeded",
     "pairs_chained",
     "zero_reductions",
     "peak_basis",
@@ -213,7 +212,6 @@ def buchberger(gens, *, ring: PolyRing | FreeModule | None = None) -> GroebnerBa
     criterion); the classic chain criterion (both companion pairs
     already treated) prunes the rest.  The result's ``stats`` count, as
     plain ints: pairs_queued, pairs_skipped (by the product criterion),
-    pairs_seeded (pairs of a basis held by _close: 0 here),
     pairs_chained (pruned by the chain criterion), zero_reductions
     (S-polynomials that reduced to zero), peak_basis (the basis size
     before interreduction), max_lead_wdeg and pairs_left (the pairs still
@@ -261,8 +259,7 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     basis stands for.
 
     The returned closure holds the elements the loop admitted, and not
-    the g e_k that basis stands for.  pairs_seeded counts the pairs of two
-    basis polys, once per position; peak_basis and the DEFAULT_MAX_BASIS
+    the g e_k that basis stands for.  peak_basis and the DEFAULT_MAX_BASIS
     cap count each basis poly once per position.  kernel_over_quotient is
     the one caller that holds a basis.
     """
@@ -322,7 +319,6 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
 
     pairs: list[tuple[int, int, int, int, int]] = []
     seq = skipped = chained = zeros = 0
-    inside = len(codes) * seeded * (seeded - 1) // 2
     # bit i of treated[j] is set once the pair i < j (same position) is
     # treated; bits keep a submodule's many pairs to a few bytes each
     treated = [(1 << j) - 1 for j in range(seeded)]
@@ -374,7 +370,7 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
         admit(r.monic(), (r.lm() >> pos_shift,))
         push_pairs(len(polys) - 1)
 
-    counts = (seq, skipped, inside, chained, zeros, size, top, len(pairs))
+    counts = (seq, skipped, chained, zeros, size, top, len(pairs))
     return GroebnerBasis(ring, polys[seeded:], dict(zip(STAT_NAMES, counts)))
 
 

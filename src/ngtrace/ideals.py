@@ -1,15 +1,16 @@
 """Relative (fractional) ideals of a numerical semigroup.
 
 A relative ideal is a set E of integers, bounded below, with E + H inside E.
-It is stored as its minimal generators: no generator lies in another
-generator's translate of H.  Sums, colons and minimal generators are computed
-on bit masks: bit i of an ideal's mask says whether lo + i is a member, for a
-lower bound lo, and the int is negative because every element more than
-one Frobenius number past the least is a member.  These sets are the
-ground-truth route to the canonical trace ideal in dimension one: every
-homomorphism from a fractional ideal into the ring is multiplication by an
-element of the colon ideal, so the trace of the canonical ideal K is
-K + (H - K).
+It is stored as its member mask from its least member lo: bit i of the mask
+says whether lo + i is a member, so bit 0 is set, and the int is negative
+because every element more than one Frobenius number past lo is a member.
+The pair (lo, mask) is a normal form: two ideals are equal iff their pairs
+are, and translates share the mask.  Membership, sums and colons work on the
+masks; the minimal generators E & ~OR_a (E << a) are extracted on first use.
+These sets are the ground-truth route to the canonical trace ideal in
+dimension one: every homomorphism from a fractional ideal into the ring is
+multiplication by an element of the colon ideal, so the trace of the
+canonical ideal K is K + (H - K).
 """
 
 from __future__ import annotations
@@ -32,20 +33,24 @@ def _values_mask(H: NumericalSemigroup, lo: int, values) -> int:
     return E
 
 
-def _minimal_generators(H: NumericalSemigroup, lo: int, E: int) -> tuple[int, ...]:
-    """Minimal generators E & ~OR_a (E << a) of the ideal with mask E from lo."""
+def _reached(H: NumericalSemigroup, E: int) -> int:
+    """OR_a (E << a) over the generators a of H: the mask of E + (H minus {0})."""
     reached = 0
     for a in H.generators:
         reached |= E << a
-    if not E or reached & ~E:
-        raise ValueError("not the mask of a nonempty relative ideal")
-    return tuple(lo + i for i in bit_positions(E & ~reached))
+    return reached
+
+
+def _minimal_generators(H: NumericalSemigroup, lo: int, E: int) -> tuple[int, ...]:
+    """Minimal generators E & ~OR_a (E << a) of the ideal with mask E from lo."""
+    return tuple(lo + i for i in bit_positions(E & ~_reached(H, E)))
 
 
 class RelativeIdeal:
-    """Fractional ideal of a numerical semigroup, in normal form."""
+    """Fractional ideal of a numerical semigroup, as its least member and
+    member mask from there (see the module docstring)."""
 
-    __slots__ = ("base", "generators")
+    __slots__ = ("base", "lo", "mask", "_generators")
 
     def __init__(self, base: NumericalSemigroup, generators):
         values = set(generators)
@@ -53,54 +58,66 @@ class RelativeIdeal:
             raise ValueError("a relative ideal needs at least one generator")
         lo = min(values)
         self.base = base
-        self.generators = _minimal_generators(base, lo, _values_mask(base, lo, values))
+        self.lo = lo
+        self.mask = _values_mask(base, lo, values)
+        self._generators = None
 
     @classmethod
     def from_mask(cls, base: NumericalSemigroup, mask: int, lo: int = 0) -> "RelativeIdeal":
         """The ideal whose members are lo + i for the set bits i of mask.
 
-        The mask must hold the ideal at every i >= 0, so it is closed under
-        adding the generators of base (and hence a negative int); anything
-        else raises ValueError.
+        The mask must hold the ideal at every i >= 0, so it is nonzero and
+        closed under adding the generators of base (and hence a negative
+        int); anything else raises ValueError.  Unset low bits are dropped:
+        the result's lo is the least member.
         """
+        if not mask or _reached(base, mask) & ~mask:
+            raise ValueError("not the mask of a nonempty relative ideal")
+        low = (mask & -mask).bit_length() - 1
         ideal = cls.__new__(cls)
         ideal.base = base
-        ideal.generators = _minimal_generators(base, lo, mask)
+        ideal.lo = lo + low
+        ideal.mask = mask >> low
+        ideal._generators = None
         return ideal
 
-    def _mask(self) -> int:
-        """The ideal's mask with bit i for the element minimum() + i."""
-        return _values_mask(self.base, self.minimum(), self.generators)
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """The minimal generators, increasing: no one lies in another's translate of H."""
+        if self._generators is None:
+            self._generators = _minimal_generators(self.base, self.lo, self.mask)
+        return self._generators
 
     # -- membership and comparisons ---------------------------------------
 
     def contains(self, z: int) -> bool:
-        return any(self.base.contains(z - g) for g in self.generators)
+        return z >= self.lo and (self.mask >> (z - self.lo)) & 1 == 1
 
     def minimum(self) -> int:
-        return self.generators[0]
+        return self.lo
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RelativeIdeal)
             and self.base == other.base
-            and self.generators == other.generators
+            and self.lo == other.lo
+            and self.mask == other.mask
         )
 
     def __hash__(self):
-        return hash((self.base, self.generators))
+        return hash((self.base, self.lo, self.mask))
 
     def __le__(self, other: "RelativeIdeal") -> bool:
         if self.base != other.base:
             raise BaseMismatch("cannot compare ideals over different semigroups")
-        return all(other.contains(g) for g in self.generators)
+        d = self.lo - other.lo
+        return d >= 0 and not (self.mask << d) & ~other.mask
 
     def is_translate_of(self, other: "RelativeIdeal") -> bool:
         """True iff self = other + d for the integer d aligning the minima."""
         if self.base != other.base:
             raise BaseMismatch("cannot compare ideals over different semigroups")
-        d = self.minimum() - other.minimum()
-        return self.generators == tuple(g + d for g in other.generators)
+        return self.mask == other.mask
 
     # -- arithmetic --------------------------------------------------------
 
@@ -108,12 +125,12 @@ class RelativeIdeal:
         """Minkowski sum: the union of self's translates by other's generators."""
         if self.base != other.base:
             raise BaseMismatch("cannot add ideals over different semigroups")
-        E = self._mask()
-        low = other.minimum()
+        E = self.mask
+        low = other.lo
         S = 0
         for b in other.generators:
             S |= E << (b - low)
-        return RelativeIdeal.from_mask(self.base, S, self.minimum() + low)
+        return RelativeIdeal.from_mask(self.base, S, self.lo + low)
 
     def colon(self, other: "RelativeIdeal") -> "RelativeIdeal":
         """The ideal {z : z + other is contained in self}.
@@ -128,9 +145,9 @@ class RelativeIdeal:
         if self.base != other.base:
             raise BaseMismatch("cannot divide ideals over different semigroups")
         H = self.base
-        E = self._mask()
+        E = self.mask
         top = max(other.generators)
-        lo = self.minimum() - top
+        lo = self.lo - top
         C = -1
         for g in other.generators:
             C &= E << (top - g)  # bit i: lo + i + g is in self

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 from ngtrace.corpus import build_corpus, exponent_tuples
 from ngtrace.determinantal import (
     DeterminantalInstance,
+    NGResult,
     Symmetry,
+    _case_a,
+    _case_b,
     arithmetic_progression_check,
     build,
     build_matrix,
@@ -449,6 +453,29 @@ def test_classification_invariant_under_symmetries(small_corpus):
             moved = build(inst.H, order, m, ell)
             assert classify_nearly_gorenstein(moved).is_ng == base_ng
             assert classify_almost_gorenstein(moved) == base_ag
+
+
+def _scan_oracle(m, ell) -> NGResult:
+    """The dihedral scan on the rearranged exponents, as classify ran it
+    before it tested bit masks."""
+    for sym in symmetries(len(m)):
+        _, mm, ll = sym.apply((), m, ell)
+        if _case_a(mm):
+            return NGResult(True, "A", sym)
+        if _case_b(mm, ll):
+            return NGResult(True, "B", sym)
+    return NGResult(False)
+
+
+@pytest.mark.parametrize("n, exponents", [(3, (1, 2, 3)), (4, (1, 2, 3)), (5, (1, 2, 3)), (6, (1, 2))])
+def test_classification_matches_the_scan_oracle(n, exponents):
+    # the verdict, the case and the first symmetry in scan order; the
+    # classifier reads only the exponents, so the instance need not be valid
+    positions = tuple(range(n))
+    for m in product(exponents, repeat=n):
+        for ell in product(exponents, repeat=n):
+            inst = DeterminantalInstance(None, positions, m, ell, 0)
+            assert classify_nearly_gorenstein(inst) == _scan_oracle(m, ell), (m, ell)
 
 
 def test_arithmetic_progression_examples():

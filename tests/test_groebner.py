@@ -486,8 +486,7 @@ def test_seeded_buchberger_equals_plain(data):
     assert groebner.GroebnerBasis(T, full).self_check()
     seeded = groebner._interreduce(T, full)
     assert seeded == list(buchberger(spread_basis(T, B) + gens, ring=T).polys)
-    positions = T.rank if kind == "module" else 1
-    assert closed.stats["pairs_seeded"] == positions * len(B) * (len(B) - 1) // 2
+    assert tuple(closed.stats) == groebner.STAT_NAMES
     assert closed.stats["peak_basis"] >= len(seeded)
 
 
@@ -503,7 +502,6 @@ def test_buchberger_stats_count_the_pair_loop():
     assert set(gb.stats) == {
         "pairs_queued",
         "pairs_skipped",
-        "pairs_seeded",
         "pairs_chained",
         "zero_reductions",
         "peak_basis",

@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngtrace import ideals
+from ngtrace.corpus import check_instance
+from ngtrace.determinantal import search_instances
 from ngtrace.errors import BaseMismatch
 from ngtrace.ideals import (
     RelativeIdeal,
@@ -184,3 +187,69 @@ def test_add_colon_galois_connection(gens_e, gens_f):
 def test_json_round_trip():
     E = RelativeIdeal(H7890, [0, 11, 12, 13])
     assert RelativeIdeal.from_json(E.to_json()) == E
+
+
+BASES = (H23, H345, H7890, NumericalSemigroup([4, 5, 7]), NumericalSemigroup([1]))
+
+
+def explicit_members(H, gens, lo, hi):
+    """The members of gens + H in lo..hi, from the generators."""
+    return {z for z in range(lo, hi + 1) if any(H.contains(z - g) for g in gens)}
+
+
+@given(st.sampled_from(BASES), small_ideal_gens, small_ideal_gens, st.integers(0, 9), st.integers(-5, 5))
+@settings(max_examples=150, deadline=None)
+def test_mask_normal_form_matches_member_sets(H, gens_e, gens_f, pad, offset):
+    E, F = RelativeIdeal(H, gens_e), RelativeIdeal(H, gens_f)
+    # past the larger least member plus F, every integer is in both ideals
+    lo = min(gens_e + gens_f) - 2
+    hi = max(min(gens_e), min(gens_f)) + H.frobenius() + max(H.generators) + 2
+    members_e = explicit_members(H, gens_e, lo, hi)
+    members_f = explicit_members(H, gens_f, lo, hi)
+    assert (E == F) == (members_e == members_f)
+    if E == F:
+        assert hash(E) == hash(F)
+    assert all(E.contains(z) == (z in members_e) for z in range(lo, hi + 1))
+    assert E.generators == set_oracle_minimal(H, members_e)
+    assert (E.lo, E.mask & 1) == (min(members_e), 1)
+    # unset low bits and an offset lo are normalised away
+    again = RelativeIdeal.from_mask(H, E.mask << pad, E.lo - pad)
+    assert again == E and (again.lo, again.mask) == (E.lo, E.mask)
+    # the old definition: the generators shifted by the gap of the minima
+    d = E.minimum() - F.minimum()
+    assert E.is_translate_of(F) == (E.generators == tuple(g + d for g in F.generators))
+    moved = RelativeIdeal(H, [g + offset for g in gens_e])
+    assert moved.is_translate_of(E) and moved.mask == E.mask
+    assert (E <= F) == members_e.issubset(members_f)
+
+
+@given(st.sampled_from(BASES[:-1]), small_ideal_gens, st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_from_mask_rejects_masks_that_are_not_closed(H, gens, cut):
+    E = RelativeIdeal(H, gens)
+    a = H.generators[0]
+    # lo + a is a member reached from lo: without it the mask is not closed
+    with pytest.raises(ValueError):
+        RelativeIdeal.from_mask(H, E.mask & ~(1 << a), E.lo)
+    with pytest.raises(ValueError):  # a finite mask misses the tail
+        RelativeIdeal.from_mask(H, E.mask & ((1 << cut) - 1), E.lo)
+    with pytest.raises(ValueError):
+        RelativeIdeal.from_mask(H, 0)
+
+
+@pytest.mark.parametrize("m, ell", [((2, 1, 1), (1, 1, 1)), ((1, 1, 2), (1, 1, 3)), ((3, 1, 1, 1), (1, 1, 1, 2))])
+def test_check_instance_extracts_two_generator_lists(m, ell, monkeypatch):
+    # K's, for its pseudo-Frobenius assertion and the colon, and H - K's,
+    # for the sum; every other step of the check works on member masks
+    inst = search_instances(m, ell, 150)[0]
+    calls = []
+
+    def counted(H, lo, E):
+        calls.append(lo)
+        return extract(H, lo, E)
+
+    extract = ideals._minimal_generators
+    monkeypatch.setattr(ideals, "_minimal_generators", counted)
+    report = check_instance(inst)
+    assert not report.violations()
+    assert len(calls) <= 2
