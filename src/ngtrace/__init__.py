@@ -37,7 +37,6 @@ from .ideals import (
 from .lambda_rows import (
     LambdaRow,
     lambda_membership,
-    row_generates_canonical,
     theorem_if_witnesses,
     trace_canonical_lambda,
     trace_canonical_syzygy,

@@ -307,10 +307,10 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
     one element.  Degenerate exponent data (equal products, so gap 0) and
     candidates failing the bound, distinctness, ideal validation or
     minimality give [].  Validation is arithmetic (validate_defining_ideal),
-    so no Groebner basis is computed and every candidate is decided; it
-    runs before the semigroup is built, so a rejected candidate costs no
-    Apery set.  Only NonMinimalGenerators is read as "no instance": any
-    other error raised by the construction or by build surfaces.
+    so no Groebner basis is computed and every candidate is decided; it runs
+    before the semigroup is built, and an accepted candidate has c =
+    prod(m) - prod(ell), so it is not validated again.  Only
+    NonMinimalGenerators is read as "no instance"; any other error surfaces.
     """
     if bound > SEARCH_BOUND_CAP:
         raise ValueError(f"bound {bound} exceeds cap {SEARCH_BOUND_CAP}")
@@ -336,7 +336,7 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
         H = NumericalSemigroup(order)
     except NonMinimalGenerators:
         return []
-    return [build(H, order, m, ell)]
+    return [DeterminantalInstance(H, order, m, ell, prod_m - prod_l)]
 
 
 # -- classification ------------------------------------------------------------

@@ -118,26 +118,6 @@ class GroebnerBasis:
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()
 
-    def self_check(self, below: int | None = None) -> bool:
-        """Re-verify the defining closure: every S-polynomial reduces to zero.
-
-        With ``below``, only the pairs whose lcm has degree below it are
-        checked: a basis the pair loop stopped before that degree is
-        complete below it.
-        """
-        polys = list(self.polys)
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                a, b = polys[i].lm(), polys[j].lm()
-                if self.ring.skip_pair(a, b):
-                    continue
-                gamma = self.ring.lcm(a, b)
-                if below is not None and self.ring.degree(gamma) >= below:
-                    continue
-                if not self.contains(_spoly(polys[i], polys[j], gamma)):
-                    return False
-        return True
-
     def __iter__(self):
         return iter(self.polys)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .determinantal import DeterminantalInstance, classify_nearly_gorenstein
 from .errors import NotApplicable
 from .groebner import buchberger, first_nonzero_column, kernel_over_quotient
-from .ideals import RelativeIdeal, canonical_ideal
+from .ideals import RelativeIdeal
 from .semigroup import sieve_mask
 
 
@@ -96,7 +96,7 @@ def trace_canonical_lambda(inst: DeterminantalInstance) -> RelativeIdeal:
     for k in range(n - 1):
         members |= _shift_down(starts, -k * c)
     members &= (1 << (W + 1)) - 1
-    if not (members >> W) & 1 and lambda_membership(inst, W) is None:
+    if not (members >> W) & 1:
         raise AssertionError("trace window sentinel failed; bound reasoning broken")
     # the members generate the trace: close them under H from the least one,
     # past which everything beyond one Frobenius number is a member
@@ -104,13 +104,6 @@ def trace_canonical_lambda(inst: DeterminantalInstance) -> RelativeIdeal:
     F = H.frobenius()
     E = sieve_mask(H.generators, F, members >> low) | (-1 << (F + 1))
     return RelativeIdeal.from_mask(H, E, low)
-
-
-def row_generates_canonical(inst: DeterminantalInstance, row: LambdaRow) -> bool:
-    """True iff the row entries generate an integer translate of the canonical ideal."""
-    E = RelativeIdeal(inst.H, row.entries)
-    K = canonical_ideal(inst.H)
-    return E.is_translate_of(K)
 
 
 def theorem_if_witnesses(inst: DeterminantalInstance) -> list[LambdaRow]:

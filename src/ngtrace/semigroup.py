@@ -1,23 +1,19 @@
 """Numerical semigroup arithmetic: membership, Apery sets, gaps, symmetry.
 
 A numerical semigroup here is the set of nonnegative integer combinations of
-a minimal generating list with gcd 1.  All invariants (Apery set w.r.t. the
-multiplicity, Frobenius number, gap set, pseudo-Frobenius numbers) are
-computed eagerly at construction so values are immutable and cheap to share.
+a minimal generating list with gcd 1.  Every invariant is read off one
+membership sieve at construction, so values are immutable and cheap to share.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 
 from .errors import GcdNotOne, NonMinimalGenerators, NotInSemigroup, ResourceLimit
 
-_FACTORIZATION_CAP = 10**7
-# construction allocates a sieve as long as the largest generator, an Apery
-# list as long as the multiplicity, and a membership mask as long as the
-# Frobenius number, sieved only once F is known to be within its cap
+# the generator cap is checked before the sieve, which stops at most one
+# multiplicity past the Frobenius cap: F is never computed beyond it
 _GENERATOR_CAP = 10**5
 _FROBENIUS_CAP = 10**6
 
@@ -52,25 +48,13 @@ def bit_positions(x: int) -> list[int]:
     return out
 
 
-def _apery_by_dijkstra(gens: tuple[int, ...], s: int) -> list[int]:
-    """Least element of the semigroup in each residue class mod s.
-
-    Shortest paths on the residue graph: edge r -> (r+a) mod s of length a.
-    """
-    dist = [None] * s
-    dist[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if dist[r] != d:
-            continue
-        for a in gens:
-            nd = d + a
-            nr = nd % s
-            if dist[nr] is None or nd < dist[nr]:
-                dist[nr] = nd
-                heapq.heappush(heap, (nd, nr))
-    return dist  # type: ignore[return-value]
+def _apery_by_residue(mask: int, s: int) -> list[int]:
+    """Least member of H in each residue class mod s, for s in H: the bits of
+    mask & ~(mask << s), members x with x - s outside H (none past F + s)."""
+    out = [0] * s
+    for x in bit_positions(mask & ~(mask << s)):
+        out[x % s] = x
+    return out
 
 
 class NumericalSemigroup:
@@ -79,6 +63,16 @@ class NumericalSemigroup:
     ``mask`` is the membership bit mask: bit x is set iff x lies in H, for
     every x >= 0.  All x > F are members, so it is a negative int (infinite
     ones past F in two's complement), and ``~mask`` is the finite gap mask.
+
+    Construction sieves once, over [0, top] with top = min(m a_n, cap + m)
+    for the multiplicity m and the largest generator a_n, and reads every
+    invariant off it.  An Apery element w (w - m outside H) is a sum of at
+    most m - 1 generators: of m + 1 partial sums of a longer sum two agree
+    mod m, and dropping the terms between them, q m with q >= 1, leaves
+    w - q m in H and so w - m.  Hence F = max Ap - m <= (m - 1) a_n - m.
+    F + 1 starts the first run of m consecutive members, which ends at
+    F + m, inside [0, top] iff F <= cap.  Minimality reads [0, a_n], inside
+    it as well: m a_n >= a_n and a_n <= 10^5 < cap.
     """
 
     __slots__ = ("generators", "multiplicity", "apery", "mask", "_frobenius", "_pf")
@@ -92,23 +86,35 @@ class NumericalSemigroup:
         if math.gcd(*gens) != 1:
             raise GcdNotOne(f"gcd of {gens} is {math.gcd(*gens)}, must be 1")
         ordered = tuple(sorted(gens))
-        if ordered[-1] > _GENERATOR_CAP:
-            raise ResourceLimit(f"generator {ordered[-1]} exceeds cap {_GENERATOR_CAP}")
+        a_n = ordered[-1]
+        if a_n > _GENERATOR_CAP:
+            raise ResourceLimit(f"generator {a_n} exceeds cap {_GENERATOR_CAP}")
+        m = ordered[0]
+        top = min(m * a_n, _FROBENIUS_CAP + m)
+        sieve = sieve_mask(ordered, top)
         # g is not minimal iff it repeats or g - a is in H minus {0} for a generator a
-        nonzero = sieve_mask(ordered, ordered[-1]) & ~1
+        nonzero = sieve & ((1 << (a_n + 1)) - 2)
         sums = 0
         for a in ordered:
             sums |= nonzero << a
         for i, g in enumerate(ordered):
             if (sums >> g) & 1 or (i and ordered[i - 1] == g):
                 raise NonMinimalGenerators(g)
+        # bit x of run: x, ..., x + width - 1 are all members
+        run, width = sieve, 1
+        while width < m:
+            step = min(width, m - width)
+            run &= run >> step
+            width += step
+        if not run:
+            raise ResourceLimit(
+                f"Frobenius number exceeds cap {_FROBENIUS_CAP}: no {m} consecutive members up to {top}"
+            )
+        F = self._frobenius = (run & -run).bit_length() - 2
         self.generators = ordered
-        m = self.multiplicity = ordered[0]
-        self.apery = tuple(_apery_by_dijkstra(ordered, m))
-        F = self._frobenius = max(self.apery) - m
-        if F > _FROBENIUS_CAP:
-            raise ResourceLimit(f"Frobenius number {F} exceeds cap {_FROBENIUS_CAP}")
-        self.mask = sieve_mask(ordered, F) | (-1 << (F + 1))
+        self.multiplicity = m
+        self.mask = sieve | (-1 << (F + 1))
+        self.apery = tuple(_apery_by_residue(self.mask, m))
         pf = ~self.mask
         for a in ordered:
             pf &= self.mask >> a
@@ -138,7 +144,7 @@ class NumericalSemigroup:
         """Least semigroup element in each residue class mod s, for s in H."""
         if s <= 0 or not self.contains(s):
             raise NotInSemigroup(f"{s} is not a positive element of {self}")
-        return _apery_by_dijkstra(self.generators, s)
+        return _apery_by_residue(self.mask, s)
 
     def pseudo_frobenius(self) -> list[int]:
         return list(self._pf)
@@ -155,35 +161,6 @@ class NumericalSemigroup:
         pf = self._pf
         t = len(pf)
         return all(pf[i] + pf[t - 2 - i] == pf[-1] for i in range(t - 1))
-
-    # -- factorizations ----------------------------------------------------
-
-    def factorizations(self, h: int) -> list[tuple[int, ...]]:
-        """All exponent vectors over the sorted generators summing to h."""
-        if h > _FACTORIZATION_CAP:
-            raise ResourceLimit(f"factorization target {h} exceeds cap {_FACTORIZATION_CAP}")
-        if h < 0:
-            return []
-        gens = self.generators
-        n = len(gens)
-        out: list[tuple[int, ...]] = []
-        vec = [0] * n
-
-        def walk(i: int, rest: int):
-            if i == n - 1:
-                q, r = divmod(rest, gens[i])
-                if r == 0:
-                    vec[i] = q
-                    out.append(tuple(vec))
-                    vec[i] = 0
-                return
-            for k in range(rest // gens[i] + 1):
-                vec[i] = k
-                walk(i + 1, rest - k * gens[i])
-            vec[i] = 0
-
-        walk(0, h)
-        return sorted(out)
 
     # -- serialization and dunder glue --------------------------------------
 

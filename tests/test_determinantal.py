@@ -229,6 +229,8 @@ def test_build_corpus_matches_per_tuple_search():
     ]
     assert len(per_tuple) == 444 + 2960
     assert build_corpus(ns=(3, 4)) == per_tuple
+    # the search assembles what build would give on the same data
+    assert all(inst == DeterminantalInstance.from_json(inst.to_json()) for inst in per_tuple)
 
 
 @pytest.mark.parametrize("n, sample, seed", [(4, 1500, 11), (5, 4000, 12)])
@@ -343,7 +345,8 @@ def test_rejected_candidates_build_no_semigroup(monkeypatch):
     for m, ell in exponent_tuples(3, 3):
         del built[:], verdicts[:]
         found += len(search_instances(m, ell, 150))
-        # build validates again, after the construction
+        # one validation per candidate, and a semigroup only once it passed
+        assert len(verdicts) <= 1
         accepted = bool(verdicts) and verdicts[0]
         assert len(built) == accepted, (m, ell)
     assert found == 444

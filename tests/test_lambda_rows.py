@@ -10,7 +10,6 @@ from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracl
 from ngtrace.lambda_rows import (
     LambdaRow,
     lambda_membership,
-    row_generates_canonical,
     theorem_if_witnesses,
     trace_canonical_lambda,
     trace_canonical_syzygy,
@@ -19,6 +18,7 @@ from ngtrace.polyring import FreeModule
 from ngtrace.semigroup import NumericalSemigroup
 
 from held_basis import spread_basis
+from oracles import row_generates_canonical, spolys_reduce_to_zero
 
 
 def inst_345():
@@ -75,6 +75,17 @@ def test_negative_step_traces_match_oracle(n3_corpus):
     assert negative
     for inst in negative:
         assert trace_canonical_lambda(inst) == trace_canonical_oracle(inst.H), inst
+
+
+@pytest.mark.parametrize("make", [inst_345, inst_7890, lambda: search_instances((1, 1, 1), (2, 1, 2), 50)[0]])
+def test_window_sentinels_reject_a_gap(monkeypatch, make):
+    # F is a gap, so no trace holds it: a window ending there must trip both sentinels
+    inst = make()
+    monkeypatch.setattr(lambda_rows, "trace_window", lambda inst: inst.H.frobenius())
+    with pytest.raises(AssertionError, match="sentinel"):
+        trace_canonical_lambda(inst)
+    with pytest.raises(AssertionError, match="sentinel"):
+        trace_canonical_syzygy(inst)
 
 
 def test_rows_generate_canonical_translates():
@@ -205,13 +216,13 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
         basis = list(basis)
         closed = real_close(gens, basis, ring, watch if stop else None)
         full = _with_basis(closed, basis)
-        assert full.self_check(levels[-1] if closed.stats["pairs_left"] else None)
+        assert spolys_reduce_to_zero(full, levels[-1] if closed.stats["pairs_left"] else None)
         checked.append(closed.ring)
         return closed
 
     def buchberger_and_check(gens, **kw):
         gb = real_buchberger(gens, **kw)
-        assert gb.self_check()
+        assert spolys_reduce_to_zero(gb)
         checked.append("reduced")
         return gb
 
@@ -345,4 +356,4 @@ def test_kernel_closure_with_seed_product_criterion_is_complete(make, monkeypatc
     kernel_over_quotient(M, inst.minors)
     ((closed, basis),) = seen
     assert closed.stats["pairs_skipped"] > 0 and closed.stats["pairs_left"] == 0
-    assert _with_basis(closed, basis).self_check()
+    assert spolys_reduce_to_zero(_with_basis(closed, basis))

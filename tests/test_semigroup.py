@@ -1,11 +1,15 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ngtrace import semigroup
 from ngtrace.errors import GcdNotOne, NonMinimalGenerators, NotInSemigroup, ResourceLimit
 from ngtrace.semigroup import NumericalSemigroup, bit_positions, sieve_mask
 
 from conftest import sieve
+from oracles import apery_by_dijkstra
 
 
 def test_construction_basic():
@@ -91,15 +95,6 @@ def test_symmetry_flags():
     assert not H7.is_almost_symmetric()
 
 
-def test_factorizations():
-    H = NumericalSemigroup([3, 4, 5])
-    assert H.factorizations(9) == [(0, 1, 1), (3, 0, 0)]
-    assert H.factorizations(0) == [(0, 0, 0)]
-    assert H.factorizations(1) == []
-    with pytest.raises(ResourceLimit):
-        H.factorizations(10**7 + 1)
-
-
 @given(
     st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=4, unique=True)
 )
@@ -179,15 +174,75 @@ def test_membership_mask_matches_sieve(gens):
 )
 @settings(max_examples=100, deadline=None)
 def test_sieved_mask_matches_apery_set(gens):
-    # the mask is sieved from the generators; the Apery set is found by
-    # shortest paths, so the two are independent readings of membership
+    # the mask is sieved from the generators; the oracle's Apery set is found
+    # by shortest paths, so the two are independent readings of membership
     try:
         H = NumericalSemigroup(gens)
     except ValueError:
         return
     m, F = H.multiplicity, H.frobenius()
+    apery = apery_by_dijkstra(H.generators, m)
     for x in range(F + 2 * m + 1):
-        assert (H.mask >> x) & 1 == (x >= H.apery[x % m]), x
+        assert (H.mask >> x) & 1 == (x >= apery[x % m]), x
+
+
+def _first_redundant(ordered, apery):
+    """The least generator that repeats or is a generator plus a nonzero member."""
+    m = ordered[0]
+    for i, g in enumerate(ordered):
+        if (i and ordered[i - 1] == g) or any(g - a > 0 and g - a >= apery[(g - a) % m] for a in ordered):
+            return g
+    return None
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6))
+@example([1])  # H = N, F = -1
+@example([2, 3])
+@example([1, 5])  # 5 is not minimal
+@example([3, 100000])  # F = 199997
+@example(list(range(10000, 10200)))
+@settings(max_examples=150, deadline=None)
+def test_invariants_match_the_dijkstra_oracle(gens):
+    if math.gcd(*gens) != 1:
+        return
+    ordered = sorted(gens)
+    m = ordered[0]
+    apery = apery_by_dijkstra(ordered, m)
+    redundant = _first_redundant(ordered, apery)
+    if redundant is not None:
+        with pytest.raises(NonMinimalGenerators) as exc:
+            NumericalSemigroup(gens)
+        assert exc.value.generator == redundant
+        return
+    H = NumericalSemigroup(gens)
+    F = max(apery) - m
+    assert H.apery == tuple(apery)
+    assert H.frobenius() == F
+    members = "".join("1" if x >= apery[x % m] else "0" for x in range(F, -1, -1))
+    assert H.mask == int(members or "0", 2) | (-1 << (F + 1))
+    # PF(H) = {w - m : w in Ap(H, m), and w + a is outside Ap(H, m) for every generator a}
+    pf = sorted(w - m for w in apery if all(apery[(w + a) % m] != w + a for a in ordered))
+    assert H.pseudo_frobenius() == pf
+    in_h = [s for s in range(1, 3 * m + 1) if s >= apery[s % m]]
+    # every s for a small multiplicity; an even spread where each oracle run costs
+    for s in in_h[:: 1 if len(in_h) <= 200 else len(in_h) // 4]:
+        assert H.apery_set(s) == apery_by_dijkstra(ordered, s), s
+
+
+@pytest.mark.parametrize("gens", [[1], [7, 8, 9, 10], [2, 4, 5], [9967, 9973, 9979]])
+def test_construction_sieves_once(monkeypatch, gens):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return sieve_mask(*args, **kw)
+
+    monkeypatch.setattr(semigroup, "sieve_mask", counted)
+    try:
+        NumericalSemigroup(gens)
+    except (NonMinimalGenerators, ResourceLimit):
+        pass
+    assert len(calls) == 1
 
 
 def test_minimality_of_many_generators():
@@ -205,10 +260,12 @@ def test_json_round_trip():
 
 
 def test_construction_caps():
-    # each raises before its allocation: the minimality sieve is as long as
-    # the largest generator, the gap list as the genus (about 2.5 * 10^7 here)
+    # the generator cap is checked before the sieve; the Frobenius cap by a
+    # sieve of at most cap + m bits, which F (49,715,390 here) is never sieved to
     with pytest.raises(ResourceLimit, match="generator 100004 exceeds cap"):
         NumericalSemigroup([100003, 100004])
-    with pytest.raises(ResourceLimit, match="Frobenius number 49715390 exceeds cap"):
+    with pytest.raises(ResourceLimit, match="Frobenius number exceeds cap 1000000: "):
         NumericalSemigroup([9967, 9973, 9979])
     assert NumericalSemigroup([3, 100000]).frobenius() == 199997
+    # F within the cap, its run of m members ending past it
+    assert NumericalSemigroup([999, 1003]).frobenius() == 999 * 1003 - 999 - 1003 == 999_995
