@@ -25,6 +25,7 @@ from .determinantal import (
     search_instances,
     symmetries,
 )
+from .errors import ResourceLimit
 from .ideals import RelativeIdeal, trace_canonical_oracle
 from .lambda_rows import trace_canonical_lambda
 
@@ -114,13 +115,18 @@ def check_instance(inst: DeterminantalInstance) -> InstanceReport:
     )
 
 
-def _exponents(emax: int) -> range:
-    return range(1, emax + 1)
+GRID_CAP = 1 << 24  # exponent tuples per matrix size; n = 7 at exponent <= 3 has 3^14
 
 
 def exponent_tuples(n: int, emax: int):
-    exponents = _exponents(emax)
+    exponents = range(1, emax + 1)
     yield from product(product(exponents, repeat=n), product(exponents, repeat=n))
+
+
+def _tuple_at(index: int, n: int, side: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (m, ell) at ``index`` in the order of exponent_tuples."""
+    digits = [index // side**k % side + 1 for k in reversed(range(2 * n))]
+    return tuple(digits[:n]), tuple(digits[n:])
 
 
 def build_corpus(
@@ -128,26 +134,32 @@ def build_corpus(
 ) -> list[DeterminantalInstance]:
     """All validated instances for the exponent grid, optionally subsampled.
 
-    Subsampling draws exponent tuples deterministically from the given seed
-    before any is searched (by arithmetic validation), so a seeded run is
-    reproducible; without it the grid is walked, not listed.  Whether a
-    tuple gives an instance is constant on its dihedral class (see
-    DeterminantalInstance.rearranged), so a class is searched at its first
-    tuple, every image of that tuple is marked searched by its grid index,
-    and the instances found are filed under the images; a later tuple of
-    the class reads its entry.  No tuple is met twice (the sample draws
-    without replacement), so an entry is dropped once read.
+    A grid over GRID_CAP tuples for any n raises ResourceLimit before any
+    work (from 2n >= 25 on, with no power formed).  Subsampling draws grid
+    indices deterministically from the given seed and decodes only those,
+    so a seeded run is reproducible; without it the grid is walked, not
+    listed.  Whether a tuple gives an instance is constant on its dihedral
+    class (see DeterminantalInstance.rearranged), so a class is searched at
+    its first tuple, every image of that tuple is marked searched by its
+    grid index, and the instances found are filed under the images; a
+    later tuple of the class reads its entry.  No tuple is met twice (the
+    sample draws without replacement), so an entry is dropped once read.
     """
-    side = len(_exponents(emax))
-    out: list[DeterminantalInstance] = []
+    side, ns = max(emax, 0), tuple(ns)
     for n in ns:
         if n < 0:
             raise ValueError(f"n = {n}: a matrix cannot have a negative number of columns")
+        if side > 1 and 2 * n >= GRID_CAP.bit_length() or side ** (2 * n) > GRID_CAP:
+            raise ResourceLimit(
+                f"n = {n}, emax = {emax}: {side}^{2 * n} exponent tuples exceed cap {GRID_CAP}"
+            )
+    out: list[DeterminantalInstance] = []
+    for n in ns:
         tuples = exponent_tuples(n, emax)
         size = side ** (2 * n)  # the number of tuples
         if sample is not None and sample < size:
             rng = random.Random(0 if seed is None else seed)
-            tuples = rng.sample(list(tuples), sample)
+            tuples = [_tuple_at(k, n, side) for k in rng.sample(range(size), sample)]
         # the grid index of m + ell is sum((e - 1) * radix), as exponents start at 1
         radix = tuple(side**k for k in range(2 * n))
         offset = sum(radix)

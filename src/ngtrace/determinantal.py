@@ -168,14 +168,6 @@ def cyclic_matrices(tops, bottoms):
     return D, M
 
 
-def build_matrix(ring: PolyRing, m, ell) -> list[list[Polynomial]]:
-    """The cyclic 2xn matrix: top row X_[i+1]^m_[i+1], bottom row X_i^l_i."""
-    return cyclic_matrices(
-        [ring.var(i, e) for i, e in enumerate(m)],
-        [ring.var(i, e) for i, e in enumerate(ell)],
-    )[0]
-
-
 def degree_gaps(order, m, ell) -> list[int]:
     """Per-column top-minus-bottom weighted degrees."""
     n = len(order)

@@ -70,7 +70,8 @@ class HDResult:
     ``instance`` is the arrangement the clause was read in, reached from
     the given one by ``symmetry``; symmetry is None when it is the given one.
     ``table`` and ``shift``, the clause's table and the shift of its view
-    (see _clause), build witness_rows and take no part in equality.
+    (see _clause), build witness_rows and take no part in equality; the
+    tables are written in the deformed entries U_r and V_r (see _rows_base).
     """
 
     is_ng: bool
@@ -234,7 +235,7 @@ def classify(hd: HigherDimInstance) -> HDResult:
         res = classify_nearly_gorenstein(hd.base)
         if not res.is_ng:
             return HDResult(False, "base(not-ng)", None, hd)
-        table = _rows_tail_base if res.case == "B" else None
+        table = _rows_base if res.case == "B" else None
         return HDResult(True, f"base({res.case})", res.symmetry, hd.rearranged(res.symmetry), table)
     sym, hd = _fitting_arrangement(hd)
     is_ng, rule, table, shift = _clause(hd)
@@ -263,10 +264,13 @@ def _clause(hd: HigherDimInstance) -> tuple[bool, str, Callable | None, int]:
     """The clause deciding a marked instance whose base fits a block.
 
     Returns (verdict, tag, table, shift): table(_RowBuilder(hd, shift))
-    builds the rows that certify the clause when it holds.  table is None
-    for a clause that never holds and where no table reaches.  The view is
-    shifted in the all-ones block so that the first marked index sits at 1,
-    and unshifted in the tail block; the n >= 4 clauses read ell through it.
+    builds the rows that certify the clause when it holds, and is read
+    only then.  The view is shifted in the all-ones block so that the first
+    marked index sits at 1, and unshifted in the tail block; the n >= 4
+    clauses read ell through it.  One mark takes the third-row table in the
+    all-ones block and at I = {1}, and else the wrap at its index, n or
+    n - 1; two marks, which hold only at n = 4, take the wrap at n - 1;
+    table is None for three marks and where no table reaches at n = 3.
 
     For n = 3 the rule is the same for every number of marked indices:
     nearly Gorenstein iff I and J are disjoint, l_i = 1 for every i in I,
@@ -285,14 +289,10 @@ def _clause(hd: HigherDimInstance) -> tuple[bool, str, Callable | None, int]:
     block = "allones" if allones else "tail"
     first = min(I or J)
     shift = first - 1 if allones else 0
-    if size != 1:
-        table = None
-    elif allones:
-        table = _rows_allones_1a if I else _rows_allones_1b
-    elif I:
-        table = _rows_tail_1a_i1 if first == 1 else _rows_tail_1a_in
+    if size == 1:
+        table = _rows_third if allones or first == 1 else _rows_wrap_n if first == n else _rows_wrap_n1
     else:
-        table = _rows_tail_1b_jn if first == n else _rows_tail_1b_jn1
+        table = _rows_wrap_n1 if size == 2 and n == 4 else None
     if n == 3:
         ell = hd.base.ell
         ok = not (I & J) and all(ell[i - 1] == 1 for i in I) and (allones or 1 not in J)
@@ -303,12 +303,10 @@ def _clause(hd: HigherDimInstance) -> tuple[bool, str, Callable | None, int]:
         ok, rule = False, f"{block}(3)"
     elif allones and I and J:
         (i,), (j,) = I, J
-        ok = n == 4 and (j - i) % 4 == 2 and b.ell(1) == b.ell(2) == b.ell(4) == 1
-        rule, table = "allones(2b)", _rows_allones_2b
+        ok, rule = n == 4 and (j - i) % 4 == 2 and b.ell(1) == b.ell(2) == b.ell(4) == 1, "allones(2b)"
     elif allones and len(J) == 2:
         i, j = sorted(J)
-        ok = n == 4 and j - i == 2 and b.ell(2) == b.ell(4) == 1
-        rule, table = "allones(2a)", _rows_allones_2a
+        ok, rule = n == 4 and j - i == 2 and b.ell(2) == b.ell(4) == 1, "allones(2a)"
     elif allones and len(I) == 2:
         ok, rule = False, "allones(2c)"
     elif allones and I:
@@ -316,8 +314,7 @@ def _clause(hd: HigherDimInstance) -> tuple[bool, str, Callable | None, int]:
     elif allones:
         ok, rule = all(b.ell(k) == 1 for k in range(2, n - 1)), "allones(1b)"
     elif I and J:
-        ok = n == 4 and I == {1} and J == {3} and b.ell(4) == 1
-        rule, table = "tail(2b)", _rows_tail_2b
+        ok, rule = n == 4 and I == {1} and J == {3} and b.ell(4) == 1, "tail(2b)"
     elif size == 2:
         ok, rule = False, "tail(2a)"
     elif I:
@@ -338,7 +335,8 @@ def witness_rows(hd: HigherDimInstance) -> list[tuple[Polynomial, ...]]:
 class _RowBuilder:
     """A shifted view of an instance: position k refers to index [k + shift].
 
-    The clauses read exponents through it and the tables build entries."""
+    The clauses read exponents through it; the tables build entries from
+    variables and the deformed entries, V_k = top(k) and U_k = bottom(k)."""
 
     def __init__(self, hd: HigherDimInstance, shift: int = 0):
         self.hd = hd
@@ -355,109 +353,69 @@ class _RowBuilder:
         return self.hd.base.m[self.idx(k) - 1]
 
     def x(self, k: int, e: int = 1) -> Polynomial:
-        if e == 0:
-            return self.hd.ring.one()
         return self.hd.ring.var_named(f"X{self.idx(k)}", e)
 
-    def y(self, k: int) -> Polynomial:
-        return self.hd.ring.var_named(f"Y{self.idx(k)}")
+    def top(self, k: int) -> Polynomial:
+        return self.hd.top_entry(self.idx(k))
 
-    def z(self, k: int) -> Polynomial:
-        return self.hd.ring.var_named(f"Z{self.idx(k)}")
-
-
-def _f1_standard(b: _RowBuilder) -> tuple[Polynomial, ...]:
-    return tuple(b.x(k) for k in range(1, b.n))
+    def bottom(self, k: int) -> Polynomial:
+        return self.hd.bottom_entry(self.idx(k))
 
 
-def _f2_standard(b: _RowBuilder, last) -> tuple[Polynomial, ...]:
+def _f1(b: _RowBuilder) -> tuple[Polynomial, ...]:
+    """F1 = (U_1, X_2, ..., X_{n-1})."""
+    return (b.bottom(1),) + tuple(b.x(k) for k in range(2, b.n))
+
+
+def _f2(b: _RowBuilder) -> tuple[Polynomial, ...]:
+    """F2 = (X_{k+1} X_{n-1}^(l_{n-1} - 1) for k = 1 .. n-2, then V_n)."""
+    lift = b.x(b.n - 1, b.ell(b.n - 1) - 1)
+    return tuple(b.x(k) * lift for k in range(2, b.n)) + (b.top(b.n),)
+
+
+def _wrap_row(b: _RowBuilder, s: int) -> tuple[Polynomial, ...]:
+    """W(s), the first n - 1 entries of (U_s, V_{s+1}, ..., V_n, V_1,
+    X_1^(m_1 - 1) X_2, X_1^(m_1 - 1) X_3, ...), for s = n - 1 or n."""
+    lift = b.x(1, b.m(1) - 1)
+    tops = tuple(b.top(k) for k in range(s + 1, b.n + 1)) + (b.top(1),)
+    return (b.bottom(s),) + tops + tuple(lift * b.x(k) for k in range(2, s - 1))
+
+
+def _rows_base(b):
+    """The base theorem's case B: F1 and F2.
+
+    The tables write the deformed entries U_r and V_r, and one is built
+    only where its clause holds.  There those entries are the low powers of
+    X that the certificates need, plus Y_r or Z_r at a mark:
+    - U_1 = X_1 unless 1 is in J: l_1 = 1 in the tail block, in
+      allones(1a) and in the (2b) clauses, and 1 is in J in allones(1b)
+      and allones(2a);
+    - V_r = X_r (+ Y_r) for r >= 2, and for every r in the all-ones block:
+      m_r = 1 there;
+    - U_n = X_n in tail(1a) with I = {n}, whose clause needs l_n = 1.
+    """
+    return [_f1(b), _f2(b)]
+
+
+def _rows_third(b):
+    """F1, F2 and (X_{k+2} X_{n-1}^(l_{n-1} - 1) X_n^(l_n - 1) for
+    k = 1 .. n-3, U_n, V_1): one mark in the all-ones block, or I = {1}
+    in the tail block."""
     n = b.n
-    row = [b.x(k + 1) * b.x(n - 1, b.ell(n - 1) - 1) for k in range(1, n - 1)]
-    row.append(last)
-    return tuple(row)
+    lift = b.x(n - 1, b.ell(n - 1) - 1) * b.x(n, b.ell(n) - 1)
+    f3 = tuple(b.x(k) * lift for k in range(3, n)) + (b.bottom(n), b.top(1))
+    return [_f1(b), _f2(b), f3]
 
 
-def _f3_head(b: _RowBuilder) -> list[Polynomial]:
-    n = b.n
-    return [
-        b.x(k + 2) * b.x(n - 1, b.ell(n - 1) - 1) * b.x(n, b.ell(n) - 1)
-        for k in range(1, n - 2)
-    ]
+def _rows_wrap_n(b):
+    """F1, F2 and W(n): I = {n} or J = {n} in the tail block."""
+    return [_f1(b), _f2(b), _wrap_row(b, b.n)]
 
 
-def _rows_tail_base(b):
-    return [_f1_standard(b), _f2_standard(b, b.x(b.n))]
-
-
-def _rows_allones_1a(b):
-    n = b.n
-    f1 = _f1_standard(b)
-    f2 = _f2_standard(b, b.x(n))
-    f3 = tuple(_f3_head(b) + [b.x(n, b.ell(n)), b.x(1) + b.y(1)])
-    return [f1, f2, f3]
-
-
-def _rows_allones_1b(b):
-    n = b.n
-    f1 = tuple([b.x(1, b.ell(1)) + b.z(1)] + [b.x(k) for k in range(2, n)])
-    f2 = _f2_standard(b, b.x(n))
-    f3 = tuple(_f3_head(b) + [b.x(n, b.ell(n)), b.x(1)])
-    return [f1, f2, f3]
-
-
-def _rows_allones_2a(b):
-    f1 = (b.x(1, b.ell(1)) + b.z(1), b.x(2), b.x(3))
-    f2 = (b.x(3, b.ell(3)) + b.z(3), b.x(4), b.x(1))
-    return [f1, f2]
-
-
-def _rows_allones_2b(b):
-    f1 = (b.x(1), b.x(2), b.x(3))
-    f2 = (b.x(3, b.ell(3)) + b.z(3), b.x(4), b.x(1) + b.y(1))
-    return [f1, f2]
-
-
-def _rows_tail_1a_i1(b):
-    n = b.n
-    f1 = _f1_standard(b)
-    f2 = _f2_standard(b, b.x(n))
-    f3 = tuple(_f3_head(b) + [b.x(n, b.ell(n)), b.x(1, b.m(1)) + b.y(1)])
-    return [f1, f2, f3]
-
-
-def _rows_tail_1a_in(b):
-    n = b.n
-    f1 = _f1_standard(b)
-    f2 = _f2_standard(b, b.x(n) + b.y(n))
-    f3 = tuple([b.x(n), b.x(1, b.m(1))] + [b.x(1, b.m(1) - 1) * b.x(k) for k in range(2, n - 1)])
-    return [f1, f2, f3]
-
-
-def _rows_tail_1b_jn(b):
-    n = b.n
-    f1 = _f1_standard(b)
-    f2 = _f2_standard(b, b.x(n))
-    f3 = tuple(
-        [b.x(n, b.ell(n)) + b.z(n), b.x(1, b.m(1))]
-        + [b.x(1, b.m(1) - 1) * b.x(k) for k in range(2, n - 1)]
-    )
-    return [f1, f2, f3]
-
-
-def _rows_tail_1b_jn1(b):
-    n = b.n
-    f1 = _f1_standard(b)
-    f2 = tuple(
-        [b.x(n - 1, b.ell(n - 1)) + b.z(n - 1), b.x(n), b.x(1, b.m(1))]
-        + [b.x(1, b.m(1) - 1) * b.x(k) for k in range(2, n - 2)]
-    )
-    return [f1, f2]
-
-
-def _rows_tail_2b(b):
-    f1 = (b.x(1), b.x(2), b.x(3))
-    f2 = (b.x(3, b.ell(3)) + b.z(3), b.x(4), b.x(1, b.m(1)) + b.y(1))
-    return [f1, f2]
+def _rows_wrap_n1(b):
+    """F1 and W(n - 1): J = {n - 1} in the tail block, and the n = 4
+    clauses with two marks two apart."""
+    return [_f1(b), _wrap_row(b, b.n - 1)]
 
 
 # -- verification ---------------------------------------------------------------

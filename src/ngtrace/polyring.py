@@ -151,10 +151,6 @@ class PolyRing(_Layout):
         """The exponent tuple of a term (the ring part of a module term)."""
         return tuple(self._split(-t & self.mask))
 
-    def skip_pair(self, a: int, b: int) -> bool:
-        """Leads whose S-polynomial reduces to zero: coprime ones (product criterion)."""
-        return not self.support(a) & self.support(b)
-
     # -- element constructors ---------------------------------------------
 
     def zero(self) -> "Polynomial":
@@ -271,10 +267,6 @@ class FreeModule(_Layout):
         """The base exponents of a term, then the one-hot vector of its position."""
         p = self.position(t)
         return self.base.exponents(t) + tuple(int(k == p) for k in range(self.rank))
-
-    def skip_pair(self, a: int, b: int) -> bool:
-        """Leads at different positions have no S-polynomial."""
-        return a >> self.pos_shift != b >> self.pos_shift
 
     def vector(self, entries: dict[int, "Polynomial"]) -> "Polynomial":
         """The element sum of entries[p] * e_p, from base-ring polynomials."""

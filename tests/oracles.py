@@ -3,7 +3,7 @@
 * ``apery_by_dijkstra``: Apery sets by shortest paths on the residue graph,
   independent of the membership sieve the semigroup reads them from.
 * ``spolys_reduce_to_zero``: Buchberger's criterion, re-run on a finished
-  basis.
+  basis, skipping the pairs ``skip_pair`` names.
 * ``row_generates_canonical``: a monomial row against the canonical ideal.
 """
 
@@ -11,6 +11,7 @@ import heapq
 
 from ngtrace.groebner import GroebnerBasis, _spoly
 from ngtrace.ideals import RelativeIdeal, canonical_ideal
+from ngtrace.polyring import FreeModule
 
 
 def apery_by_dijkstra(gens, s: int) -> list[int]:
@@ -34,6 +35,15 @@ def apery_by_dijkstra(gens, s: int) -> list[int]:
     return dist
 
 
+def skip_pair(ring, a: int, b: int) -> bool:
+    """Leads whose S-polynomial need not be checked: in a module, leads at
+    different positions, which have none; in a ring, coprime leads, whose
+    S-polynomial reduces to zero (the product criterion)."""
+    if isinstance(ring, FreeModule):
+        return a >> ring.pos_shift != b >> ring.pos_shift
+    return not ring.support(a) & ring.support(b)
+
+
 def spolys_reduce_to_zero(gb: GroebnerBasis, below: int | None = None) -> bool:
     """Re-verify the defining closure: every S-polynomial reduces to zero.
 
@@ -45,7 +55,7 @@ def spolys_reduce_to_zero(gb: GroebnerBasis, below: int | None = None) -> bool:
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             a, b = polys[i].lm(), polys[j].lm()
-            if ring.skip_pair(a, b):
+            if skip_pair(ring, a, b):
                 continue
             gamma = ring.lcm(a, b)
             if below is not None and ring.degree(gamma) >= below:

@@ -382,6 +382,57 @@ def test_higher_picks_the_arrangement_of_an_undeformed_base(capsys):
     assert payload["witness_rows"] == ["(X1, X2)", "(X2, X3)"]
 
 
+# One payload per clause and table, with the rows `higher` prints for it:
+# HDResult.verify accepts any valid certificate, so only a pin notices a
+# table that drifts to another one.  Each is (rule, order, m, ell, I, J,
+# rows); the generators are the sorted order.
+PINNED_ROWS = [
+    ("allones(1a)", [4, 5, 6, 7], [2, 1, 1, 1], [1, 1, 1, 1], [], [3],
+     ["(X2, X3, X4)", "(X3*X4, X4^2, X1)", "(X4^2, X1, X2 + Y2)"]),
+    ("allones(1b)", [4, 5, 6, 7], [2, 1, 1, 1], [1, 1, 1, 1], [1], [],
+     ["(X4^2 + Z4, X1, X2)", "(X1, X2, X3)", "(X2, X3, X4)"]),
+    ("allones(2a)", [4, 5, 6, 7], [2, 1, 1, 1], [1, 1, 1, 1], [1, 3], [],
+     ["(X2 + Z2, X3, X4)", "(X4^2 + Z4, X1, X2)"]),
+    ("allones(2b)", [4, 5, 6, 7], [2, 1, 1, 1], [1, 1, 1, 1], [1], [3],
+     ["(X2, X3, X4)", "(X4^2 + Z4, X1, X2 + Y2)"]),
+    ("base(B)", [3, 4, 5], [2, 1, 1], [1, 1, 1], [], [],
+     ["(X1, X2)", "(X2, X3)"]),
+    ("n3-allones", [3, 5, 4], [1, 1, 1], [2, 1, 1], [2], [],
+     ["(X2, X3)", "(X3, X1)", "(X1^2, X2 + Y2)"]),
+    ("n3-allones", [3, 5, 4], [1, 1, 1], [2, 1, 1], [], [1],
+     ["(X1^2 + Z1, X2)", "(X2, X3)", "(X3, X1)"]),
+    ("n3-tail", [3, 4, 5], [2, 1, 1], [1, 1, 1], [1], [],
+     ["(X1, X2)", "(X2, X3)", "(X3, X1^2 + Y1)"]),
+    ("n3-tail", [3, 4, 5], [2, 1, 1], [1, 1, 1], [3], [],
+     ["(X1, X2)", "(X2, X3 + Y3)", "(X3, X1^2)"]),
+    ("n3-tail", [3, 4, 5], [2, 1, 1], [1, 1, 1], [], [3],
+     ["(X1, X2)", "(X2, X3)", "(X3 + Z3, X1^2)"]),
+    ("tail(1a)", [10, 7, 8, 9], [1, 3, 1, 1], [2, 1, 1, 1], [2], [],
+     ["(X1, X2, X3)", "(X2, X3, X4)", "(X3*X4, X4^2, X1^3 + Y1)"]),
+    ("tail(1a)", [17, 6, 7, 8], [1, 3, 1, 1], [1, 1, 1, 2], [1], [],
+     ["(X1, X2, X3)", "(X2*X3, X3^2, X4 + Y4)", "(X4, X1^3, X1^2*X2)"]),
+    ("tail(1b)", [10, 7, 8, 9], [1, 3, 1, 1], [2, 1, 1, 1], [], [1],
+     ["(X1, X2, X3)", "(X2, X3, X4)", "(X4^2 + Z4, X1^3, X1^2*X2)"]),
+    ("tail(1b)", [17, 6, 7, 8], [1, 3, 1, 1], [1, 1, 1, 2], [], [4],
+     ["(X1, X2, X3)", "(X3^2 + Z3, X4, X1^3)"]),
+    ("tail(2b)", [17, 6, 7, 8], [1, 3, 1, 1], [1, 1, 1, 2], [2], [4],
+     ["(X1, X2, X3)", "(X3^2 + Z3, X4, X1^3 + Y1)"]),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, order, m, ell, I, J, rows",
+    PINNED_ROWS,
+    ids=[f"{case[0]}-I{case[4]}-J{case[5]}" for case in PINNED_ROWS],
+)
+def test_higher_prints_the_pinned_rows(capsys, rule, order, m, ell, I, J, rows):
+    data = {"generators": sorted(order), "order": order, "m": m, "ell": ell, "I": I, "J": J}
+    code, payload, err = run_json(capsys, "higher", json.dumps(data))
+    assert code == 0, err
+    assert payload["rule"] == rule and payload["witness"] == "verified"
+    assert payload["witness_rows"] == rows
+
+
 def test_higher_decides_once_per_query(capsys, monkeypatch):
     # the verdict, the witness rows and their check share one decision: one
     # clause for a marked payload, one base-theorem scan for an unmarked one
@@ -454,6 +505,18 @@ def test_malformed_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: bad input:")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("corpus", "--ns", "20"), ("corpus", "--ns", "3", "--emax", "100000")],
+    ids=["corpus-ns-20", "corpus-emax-100000"],
+)
+def test_oversized_corpus_grid_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: resource limit:")
     assert out == ""
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngtrace.corpus import build_corpus, exponent_tuples
+from ngtrace.corpus import GRID_CAP, build_corpus, exponent_tuples
 from ngtrace.determinantal import (
     DeterminantalInstance,
     NGResult,
@@ -15,9 +15,9 @@ from ngtrace.determinantal import (
     _case_b,
     arithmetic_progression_check,
     build,
-    build_matrix,
     classify_almost_gorenstein,
     classify_nearly_gorenstein,
+    cyclic_matrices,
     degree_gaps,
     homogeneity_constant,
     remark_degrees,
@@ -26,7 +26,7 @@ from ngtrace.determinantal import (
     validate_defining_ideal,
     wrap,
 )
-from ngtrace.errors import IdealMismatch, InhomogeneousMatrix
+from ngtrace.errors import IdealMismatch, InhomogeneousMatrix, ResourceLimit
 from ngtrace.groebner import buchberger, toric_ideal, two_minors
 from ngtrace.ideals import is_nearly_gorenstein_oracle
 from ngtrace.polyring import PolyRing
@@ -131,7 +131,8 @@ def _standard_count(leads: list[tuple[int, ...]], nvars: int, cap: int) -> int |
 def _colength(order, m, ell, cap: int) -> int | None:
     n = len(order)
     ring = PolyRing([f"X{i+1}" for i in range(n)], order)
-    exps = [ring.exponents(g.lm()) for g in buchberger(two_minors(build_matrix(ring, m, ell)))]
+    D, _ = cyclic_matrices(*([ring.var(i, e) for i, e in enumerate(row)] for row in (m, ell)))
+    exps = [ring.exponents(g.lm()) for g in buchberger(two_minors(D))]
     leads = [e[:-1] for e in exps if not e[-1]]
     return _standard_count(leads, n - 1, cap)
 
@@ -207,7 +208,8 @@ def _toric_verdict(order, m, ell) -> bool:
     """The saturation route: the minors generate the toric ideal iff every
     element of its reduced basis lies in the ideal of the minors."""
     ring = PolyRing([f"X{i+1}" for i in range(len(order))], order)
-    minors = two_minors(build_matrix(ring, m, ell))
+    D, _ = cyclic_matrices(*([ring.var(i, e) for i, e in enumerate(row)] for row in (m, ell)))
+    minors = two_minors(D)
     gb_minors = buchberger(minors)
     gb_toric = toric_ideal(order, seed=minors)
     return gb_toric.polys == gb_minors.polys or all(gb_minors.contains(p) for p in gb_toric)
@@ -240,6 +242,37 @@ def test_sampled_build_corpus_matches_per_tuple_search(n, sample, seed):
     per_tuple = [inst for m, ell in drawn for inst in search_instances(m, ell, 150)]
     assert per_tuple
     assert build_corpus(ns=(n,), seed=seed, sample=sample) == per_tuple
+
+
+@pytest.mark.parametrize(
+    "n, emax, seed, k", [(3, 3, 11, 120), (4, 2, 0, 50), (3, 3, None, 700), (4, 3, 5, 6000)]
+)
+def test_seeded_sample_draws_the_listed_grid_sample(monkeypatch, n, emax, seed, k):
+    # with the identity as the only symmetry every drawn tuple is searched,
+    # in the order drawn; the oracle lists the whole grid and samples it
+    searched = []
+    monkeypatch.setattr("ngtrace.corpus.symmetries", lambda n: (Symmetry(0),))
+    monkeypatch.setattr(
+        "ngtrace.corpus.search_instances", lambda m, ell, bound: searched.append((m, ell)) or []
+    )
+    assert build_corpus(ns=(n,), emax=emax, seed=seed, sample=k) == []
+    assert searched == random.Random(0 if seed is None else seed).sample(list(exponent_tuples(n, emax)), k)
+
+
+def test_grid_cap_raises_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched a tuple of a grid over the cap")
+
+    monkeypatch.setattr("ngtrace.corpus.search_instances", no_search)
+    # 3^40, 100000^6, 2^26 and 3^(2 * 10^9) tuples are over the cap, and
+    # the last power is never formed; n = 3 before n = 20 is not searched
+    # either.  2^24 tuples, at the cap, and n = 7 at exponent <= 3 fit
+    for ns, emax in (((3, 20), 3), ((3,), 100000), ((13,), 2), ((10**9,), 3)):
+        with pytest.raises(ResourceLimit, match=f"exceed cap {GRID_CAP}"):
+            build_corpus(ns=ns, emax=emax)
+    assert GRID_CAP == 2**24
+    assert build_corpus(ns=(6, 7, 12), emax=2, sample=0) == []
+    assert build_corpus(ns=(7,), emax=3, sample=0) == []
 
 
 def test_build_validates_order_is_arrangement():
