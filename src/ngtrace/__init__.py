@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedBaseCase,
     WitnessFailed,
 )
-from .groebner import GroebnerBasis, buchberger, kernel_over_quotient, toric_ideal, two_minors
+from .groebner import GroebnerBasis, buchberger, kernel_over_quotient, minors_basis, toric_ideal, two_minors
 from .higher_dim import HigherDimInstance, build_matrices, classify, verify_witness, witness_rows
 from .ideals import (
     RelativeIdeal,

@@ -141,8 +141,9 @@ def build_corpus(
     listed.  Whether a tuple gives an instance is constant on its dihedral
     class (see DeterminantalInstance.rearranged), so a class is searched at
     its first tuple, every image of that tuple is marked searched by its
-    grid index, and the instances found are filed under the images; a
-    later tuple of the class reads its entry.  No tuple is met twice (the
+    grid index (in a bytearray over the grid for a walk, in a set for a
+    sample), and the instances found are filed under the images; a later
+    tuple of the class reads its entry.  No tuple is met twice (the
     sample draws without replacement), so an entry is dropped once read.
     """
     side, ns = max(emax, 0), tuple(ns)
@@ -157,23 +158,28 @@ def build_corpus(
     for n in ns:
         tuples = exponent_tuples(n, emax)
         size = side ** (2 * n)  # the number of tuples
-        if sample is not None and sample < size:
+        sampled = sample is not None and sample < size
+        if sampled:
             rng = random.Random(0 if seed is None else seed)
             tuples = [_tuple_at(k, n, side) for k in rng.sample(range(size), sample)]
         # the grid index of m + ell is sum((e - 1) * radix), as exponents start at 1
         radix = tuple(side**k for k in range(2 * n))
         offset = sum(radix)
-        searched = bytearray(size)
+        # a mark per grid index for a walk; a sample marks only its classes' images
+        searched: set[int] | bytearray = set() if sampled else bytearray(size)
         positions = tuple(range(n))
         orbits: dict[int, tuple[DeterminantalInstance, ...]] = {}  # only images with instances
         for m, ell in tuples:
             key = sum(map(mul, m + ell, radix)) - offset
-            if not searched[key]:
+            if not (key in searched if sampled else searched[key]):
                 found = search_instances(m, ell, bound)
                 for sym in symmetries(n):
                     _, mm, ll = sym.apply(positions, m, ell)
                     image = sum(map(mul, mm + ll, radix)) - offset
-                    searched[image] = 1
+                    if sampled:
+                        searched.add(image)
+                    else:
+                        searched[image] = 1
                     if found:
                         orbits.setdefault(image, tuple(inst.rearranged(sym) for inst in found))
             out.extend(orbits.pop(key, ()))

@@ -1,6 +1,9 @@
 """Buchberger Groebner bases, toric ideals by saturation, module syzygies.
 
-One Buchberger serves ideals of a PolyRing and submodules of a FreeModule.
+One Buchberger serves ideals of a PolyRing and submodules of a FreeModule;
+the 2-minors of a 2-row matrix are first certified a Groebner basis by
+their three-column relations (minors_basis), with that pair loop as the
+fallback.
 Terms are the packed ints of ``polyring``: int comparison is the order,
 ``+`` multiplies, and divisibility is a guard-bit test on the exponent
 fields, so nothing here decodes a term.  Leads are indexed by position
@@ -18,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import ResourceLimit
 from .polyring import FreeModule, PolyRing, Polynomial
@@ -396,6 +400,85 @@ def two_minors(matrix: list[list[Polynomial]]) -> list[Polynomial]:
         for i in range(n)
         for j in range(i + 1, n)
     ]
+
+
+def minors_basis(matrix: list[list[Polynomial]]) -> GroebnerBasis:
+    """buchberger(two_minors(matrix)), with the minors certified a Groebner basis first.
+
+    Buchberger's criterion in its lcm-representation form (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9): the
+    nonzero minors are a Groebner basis iff the S-polynomial of each pair
+    is a sum of multiples a_k Delta_k with every lm(a_k Delta_k) below the
+    lcm of the pair's leads.  Each pair is settled in one of four ways.
+
+    * Coprime leads: the product criterion gives the representation.
+    * A shared column.  For columns p < q < s and either row r of the
+      matrix, r_p Delta_qs - r_q Delta_ps + r_s Delta_pq = 0 (the
+      Eagon-Northcott relation: it expands a 3x3 determinant with a
+      repeated row).  Write it x + y + z = 0 with x = +-r_x Delta_A and so
+      on.  Suppose lm(r_x) lm(Delta_A) = lm(r_y) lm(Delta_B) = P, lm(r_x)
+      and lm(r_y) are coprime, and lm(r_z Delta_C) < P (or r_z Delta_C is
+      zero).  Then lm(r_y) divides lm(Delta_A), so P is the lcm of the two
+      leads and lm(r_x), lm(r_y) are its cofactors: the S-polynomial of
+      (Delta_A, Delta_B) is a nonzero scalar times +-lt(r_x) Delta_A
+      +- lt(r_y) Delta_B, which the relation equals to -z minus the tail
+      parts +-tail(r_x) Delta_A +-tail(r_y) Delta_B, each led below P.
+      Nothing here asks the entries to be monomials.
+    * Chain: if lm(Delta_C) divides the lcm of (Delta_A, Delta_B) and the
+      pairs (A, C) and (B, C) were settled directly (by one of the other
+      three ways), S(A, B) is a sum of monomial multiples of S(A, C) and
+      S(B, C), each multiple led below the lcm.
+    * Otherwise the S-polynomial is reduced against the minors: a zero
+      remainder is a standard representation, and a nonzero one proves
+      the minors are no Groebner basis, so their pair loop is run,
+      buchberger(minors), and its result returned.
+
+    A certified basis is interreduced as buchberger interreduces its
+    closure, and a reduced Groebner basis is unique, so the result is the
+    same either way; only ``stats`` differs, None for a certified basis.
+    """
+    minors = two_minors(matrix)
+    if not minors:
+        return buchberger(minors)
+    ring = minors[0].ring
+    n = len(matrix[0])
+    at = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    live = [k for k, g in enumerate(minors) if not g.is_zero()]
+    lm = {k: minors[k].lm() for k in live}
+    support = {k: ring.support(t) for k, t in lm.items()}
+    # the pairs (a, b), a < b, settled directly
+    direct = {(a, b) for a, b in combinations(live, 2) if not support[a] & support[b]}
+    leads = [[None if r.is_zero() else (r.lm(), ring.support(r.lm())) for r in row] for row in matrix]
+    for p, q, s in combinations(range(n), 3):
+        ks = (at[q, s], at[p, s], at[p, q])
+        for row in leads:
+            rs = (row[p], row[q], row[s])
+            prods = [r[0] + lm[k] if r is not None and k in lm else None for r, k in zip(rs, ks)]
+            for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                if (
+                    prods[x] is not None
+                    and prods[x] == prods[y]
+                    and (prods[z] is None or prods[z] < prods[x])
+                    and not rs[x][1] & rs[y][1]
+                ):
+                    direct.add((min(ks[x], ks[y]), max(ks[x], ks[y])))
+    index = None
+    for a, b in combinations(live, 2):
+        if (a, b) in direct:
+            continue
+        gamma = ring.lcm(lm[a], lm[b])
+        if any(
+            ring.divides(lm[c], gamma) and (min(a, c), max(a, c)) in direct and (min(b, c), max(b, c)) in direct
+            for c in live
+            if c != a and c != b
+        ):
+            continue
+        if index is None:
+            index = _lead_index(ring, [minors[k] for k in live])
+        if not _reduce_terms(_spoly(minors[a], minors[b], gamma), index).is_zero():
+            return buchberger(minors)
+        direct.add((a, b))
+    return GroebnerBasis(ring, _interreduce(ring, [minors[k] for k in live]))
 
 
 # -- toric ideals -----------------------------------------------------------

@@ -40,7 +40,7 @@ from .determinantal import (
     wrap,
 )
 from .errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
-from .groebner import buchberger, first_nonzero_column, two_minors
+from .groebner import buchberger, first_nonzero_column, minors_basis
 from .polyring import PolyRing, Polynomial
 
 ALL_ONES = "all-ones"
@@ -113,7 +113,7 @@ class HDResult:
         """
         hd = self.instance
         D, M = build_matrices(hd)
-        gb = buchberger(two_minors(D))
+        gb = minors_basis(D)
         for ridx, row in enumerate(rows):
             if len(row) != hd.n - 1:
                 raise WitnessFailed(f"row {ridx + 1} has length {len(row)}, wanted {hd.n - 1}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .determinantal import DeterminantalInstance, classify_nearly_gorenstein
 from .errors import NotApplicable
-from .groebner import buchberger, first_nonzero_column, kernel_over_quotient
+from .groebner import first_nonzero_column, kernel_over_quotient, minors_basis
 from .ideals import RelativeIdeal
 from .semigroup import sieve_mask
 
@@ -191,13 +191,13 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
 
     So the returned rows give the whole trace.
     """
-    _, M = inst.matrices
+    D, M = inst.matrices
     n = inst.n
     H = inst.H
     firsts = [line[::n] for line in M]
     others = [k for k in range(len(M[0])) if k % n]
     rest = [[line[k] for k in others] for line in M]
-    minors = buchberger(inst.minors)
+    minors = minors_basis(D)
     covered = 0  # U, as a mask: bit e set for the members e of H found
 
     def saturated(low: int, found) -> bool:

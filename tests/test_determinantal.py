@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -257,6 +258,18 @@ def test_seeded_sample_draws_the_listed_grid_sample(monkeypatch, n, emax, seed, 
     )
     assert build_corpus(ns=(n,), emax=emax, seed=seed, sample=k) == []
     assert searched == random.Random(0 if seed is None else seed).sample(list(exponent_tuples(n, emax)), k)
+
+
+def test_sample_marks_no_grid():
+    # the n = 12, emax = 2 grid has 2^24 tuples: a mark per grid index would
+    # take 16 MB, and a sample of five tuples needs a few of them
+    tracemalloc.start()
+    try:
+        build_corpus(ns=(12,), emax=2, seed=1, sample=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_grid_cap_raises_before_any_search(monkeypatch):

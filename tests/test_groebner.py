@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import chain, combinations, product
 from operator import add, mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngtrace import groebner
+from ngtrace.corpus import build_corpus
 from ngtrace.determinantal import search_instances
 from ngtrace.errors import ResourceLimit
 from ngtrace.groebner import (
     _size_reduce,
     buchberger,
     kernel_over_quotient,
+    minors_basis,
     toric_ideal,
     two_minors,
 )
@@ -135,6 +138,109 @@ def test_two_minors_counts():
         [R.parse("X1"), R.parse("X2"), R.parse("X3"), R.parse("X4^2")],
     ]
     assert len(two_minors(D)) == 6
+
+
+# -- the minors' basis certified without the pair loop ---------------------------
+
+
+def _same_basis(got, want) -> bool:
+    """Equal rings, and equal polys term for term, in the same order."""
+    return got.ring == want.ring and [p.sorted_terms() for p in got] == [p.sorted_terms() for p in want]
+
+
+def _no_pair_loop(*args, **kwargs):
+    raise AssertionError("minors_basis fell back to buchberger")
+
+
+def _markings(n: int, most: int):
+    """Every pair (I, J) of subsets of 1..n with at most ``most`` elements each."""
+    subsets = list(chain.from_iterable(combinations(range(1, n + 1), k) for k in range(most + 1)))
+    return [(I, J) for I in subsets for J in subsets]
+
+
+MINORS_STRIDE = 50  # of the n = 5 corpus
+
+
+def test_minors_basis_certifies_the_corpus_and_deformed_minors(monkeypatch):
+    # the certificate alone gives buchberger's basis: on every n = 3 and
+    # n = 4 instance, a stride of the n = 5 ones, and every marking with
+    # |I|, |J| <= 2 of the first and the middle base of each n; a fallback
+    # raises
+    corpora = [build_corpus(ns=(n,)) for n in (3, 4, 5)]
+    matrices = [inst.matrix for inst in corpora[0] + corpora[1] + corpora[2][::MINORS_STRIDE]]
+    for corpus in corpora:
+        for base in (corpus[0], corpus[len(corpus) // 2]):
+            matrices += [build_matrices(HigherDimInstance(base, I, J))[0] for I, J in _markings(base.n, 2)]
+    wants = [buchberger(two_minors(D)) for D in matrices]
+    monkeypatch.setattr(groebner, "buchberger", _no_pair_loop)
+    for D, want in zip(matrices, wants):
+        assert _same_basis(minors_basis(D), want), D
+
+
+def test_minors_basis_falls_back_when_the_minors_are_no_basis(monkeypatch):
+    # the minors x^2*z - y^2, x^3 - y*z, x*y - z^2 of this matrix are no
+    # Groebner basis: the basis adds x*z^3 - y^3 and z^5 - y^4
+    R = PolyRing(["x", "y", "z"], [1, 1, 1])
+    D = [[R.parse("x^2"), R.parse("y"), R.parse("z")], [R.parse("y"), R.parse("z"), R.parse("x")]]
+    want = buchberger(two_minors(D))
+    assert len(want) == 5
+    calls = []
+
+    def recorded(gens, **kwargs):
+        calls.append(gens)
+        return buchberger(gens, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", recorded)
+    got = minors_basis(D)
+    assert calls == [two_minors(D)]
+    assert _same_basis(got, want) and got.stats == want.stats
+
+
+MINOR_RINGS = (PolyRing(["x", "y", "z"], [1, 1, 1]), PolyRing(["x", "y", "z"], [1, 2, 3]))
+
+
+def _monomials(ring, degree: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of weighted degree ``degree``."""
+    return [e for e in product(range(degree + 1), repeat=ring.nvars) if sum(map(mul, e, ring.weights)) == degree]
+
+
+@st.composite
+def minor_matrices(draw):
+    """A 2 x n matrix, n = 3..5, of zeros, monomials and binomials, maybe
+    with one column a monomial multiple of another (a zero minor).  Entry (i, j) is
+    homogeneous of degree r_i + c_j (a constant at degree 0), so every
+    minor is homogeneous, as the minors of a presentation are, and their
+    pair loop stays short."""
+    R = draw(st.sampled_from(MINOR_RINGS))
+    n = draw(st.integers(3, 5))
+    r = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2))
+    c = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+    def entry(degree):
+        exps = draw(st.lists(st.sampled_from(_monomials(R, degree)), max_size=2, unique=True))
+        return sum((R.monomial(e, draw(st.sampled_from([1, -1, 2]))) for e in exps), R.zero())
+
+    cols = [(entry(r[0] + c[j]), entry(r[1] + c[j])) for j in range(n)]
+    if draw(st.booleans()):  # proportional columns: a zero minor
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        t = R.monomial(draw(st.sampled_from(_monomials(R, draw(st.integers(0, 2))))), draw(st.sampled_from([1, -3])))
+        cols[j] = (t * cols[i][0], t * cols[i][1])
+    return [[top for top, _ in cols], [bottom for _, bottom in cols]]
+
+
+def _tied_products():
+    """The bottom row's relation 2x*Delta_23 - 2*Delta_13 + Delta_12 = 0
+    has coprime multiplier leads and its three lead products all at x^2
+    (which leads y here): it settles no pair of its minors."""
+    R = MINOR_RINGS[1]
+    return [[R.parse("2*y - x^2"), R.parse("2*x"), R.parse("-x")], [R.parse("2*x"), R.parse("2"), R.parse("1")]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(minor_matrices())
+@example(_tied_products())
+def test_minors_basis_equals_buchberger(D):
+    assert _same_basis(minors_basis(D), buchberger(two_minors(D)))
 
 
 def test_toric_plane_cusp():

@@ -203,7 +203,7 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
     # for every g of the minors' basis at every position k (the kernel then
     # interreduces only its tag part), below the degree where the loop
     # stopped if it stopped early, and the minors' reduced basis
-    real_close, real_buchberger = groebner._close, lambda_rows.buchberger
+    real_close, real_minors_basis = groebner._close, lambda_rows.minors_basis
     checked = []
 
     def close_and_check(gens, basis, ring, stop=None):
@@ -220,14 +220,14 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
         checked.append(closed.ring)
         return closed
 
-    def buchberger_and_check(gens, **kw):
-        gb = real_buchberger(gens, **kw)
+    def minors_basis_and_check(matrix):
+        gb = real_minors_basis(matrix)
         assert spolys_reduce_to_zero(gb)
         checked.append("reduced")
         return gb
 
     monkeypatch.setattr(groebner, "_close", close_and_check)
-    monkeypatch.setattr(lambda_rows, "buchberger", buchberger_and_check)
+    monkeypatch.setattr(lambda_rows, "minors_basis", minors_basis_and_check)
     (inst,) = search_instances(m, ell, 150)
     assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
     assert any(isinstance(ring, FreeModule) for ring in checked) and "reduced" in checked
