@@ -1,9 +1,10 @@
-"""Buchberger Groebner bases, toric ideals by saturation, module syzygies.
+"""Buchberger Groebner bases, module syzygies, toric ideals by colons.
 
 One Buchberger serves ideals of a PolyRing and submodules of a FreeModule;
 the 2-minors of a 2-row matrix are first certified a Groebner basis by
 their three-column relations (minors_basis), with that pair loop as the
-fallback.
+fallback.  Toric ideals (a test oracle) saturate by repeated colons read
+off the module kernel, so every basis is taken in its ring's own order.
 Terms are the packed ints of ``polyring``: int comparison is the order,
 ``+`` multiplies, and divisibility is a guard-bit test on the exponent
 fields, so nothing here decodes a term.  Leads are indexed by position
@@ -186,7 +187,7 @@ def buchberger(gens, *, ring: PolyRing | FreeModule | None = None) -> GroebnerBa
 
     ``gens`` are polynomials over a PolyRing (an ideal) or vectors over a
     FreeModule (a submodule); ``ring`` names it, needed only when gens is
-    empty.
+    empty: with neither, there is no ring to name and ValueError is raised.
 
     Pair selection is the normal strategy: smallest degree of the pair lcm
     first (the ring's ``degree``: the weighted degree, plus the position's
@@ -249,7 +250,9 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     """
     basis, gens = list(basis), list(gens)
     if ring is None:
-        ring = gens[0].ring if gens else basis[0].ring if basis else PolyRing(("X",), (1,))
+        if not gens and not basis:
+            raise ValueError("no generator and no ring: name the ring with ring=")
+        ring = gens[0].ring if gens else basis[0].ring
     base = ring.base if isinstance(ring, FreeModule) else ring
     for g in gens:
         if g.ring != ring:
@@ -293,9 +296,7 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     for g in basis:
         admit(g, codes)
     seeded = len(polys)
-    # the product criterion holds for the pairs i < j with i < coprime_below:
-    # every pair in a ring, and the pairs with a basis poly in a module
-    coprime_below = math.inf if isinstance(ring, PolyRing) else seeded
+    in_ring = isinstance(ring, PolyRing)
     for g in gens:
         r = _reduce_terms(g, index).monic()
         if not r.is_zero():
@@ -310,6 +311,9 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     def push_pairs(j: int):
         nonlocal seq, skipped
         done = 0
+        # the product criterion holds for the pairs i < j with i < coprime_below:
+        # every pair in a ring, and the pairs with a basis poly in a module
+        coprime_below = j if in_ring else seeded
         for i in at[lms[j] >> pos_shift]:
             if i >= j:
                 break
@@ -439,7 +443,7 @@ def minors_basis(matrix: list[list[Polynomial]]) -> GroebnerBasis:
     """
     minors = two_minors(matrix)
     if not minors:
-        return buchberger(minors)
+        return buchberger(minors, ring=matrix[0][0].ring if matrix[0] else None)
     ring = minors[0].ring
     n = len(matrix[0])
     at = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
@@ -538,19 +542,17 @@ def _kernel_basis(weights: tuple[int, ...]) -> list[list[int]]:
     return _size_reduce(cols[1:])
 
 
-def _binomial_from_vector(ring: PolyRing, v: list[int]) -> Polynomial:
-    pos = tuple(max(x, 0) for x in v)
-    neg = tuple(max(-x, 0) for x in v)
-    return ring.monomial(pos) - ring.monomial(neg)
-
-
 def toric_ideal(weights, *, seed=()) -> GroebnerBasis:
-    """Groebner basis of the kernel of X_i -> t^(w_i).
+    """Reduced Groebner basis of the toric ideal P, the kernel of X_i -> t^(w_i).
 
-    The lattice-basis ideal is saturated by the product of the variables via
-    one auxiliary variable and elimination.  Optional ``seed`` polynomials
-    must already lie in the kernel (each a weight-homogeneous binomial);
-    they can only speed up saturation, never change the result.
+    1. P = I_B : f^inf for the lattice-basis ideal I_B and f = X_1...X_n
+       (Sturmfels, Groebner Bases and Convex Polytopes, 1996).
+    2. Seeds (homogeneous cancelling binomials over P's ring, in P) keep it:
+       I_B <= I_B + seeds <= P = P : f^inf, as P is prime and f is not in P.
+    3. I : f = I + the entries of the kernel of f on S/I, which is
+       kernel_over_quotient (Kreuzer and Robbiano, Computational Commutative Algebra 1).
+    4. A kernel with no row gives I : f = I, hence I = I : f^inf; a row's
+       entries lie outside I, so each colon grows I and the loop ends.
     """
     weights = tuple(int(w) for w in weights)
     n = len(weights)
@@ -562,12 +564,9 @@ def toric_ideal(weights, *, seed=()) -> GroebnerBasis:
         )
     if math.gcd(*weights) != 1:
         raise ValueError("weights must have gcd 1")
-    names = [f"X{i+1}" for i in range(n)]
-    ring = PolyRing(names, weights)
-
-    ring_t = PolyRing(tuple(names) + ("T_sat",), weights + (1,), elim=n)
-    lift = list(range(n))
-    gens = [_binomial_from_vector(ring_t, v + [0]) for v in _kernel_basis(weights)]
+    ring = PolyRing([f"X{i+1}" for i in range(n)], weights)
+    lattice = _kernel_basis(weights)
+    gens = [ring.monomial([max(x, 0) for x in v]) - ring.monomial([max(-x, 0) for x in v]) for v in lattice]
     for p in seed:
         # only difference-of-equal-degree-monomials seeds are guaranteed members
         terms = list(p.terms.items())
@@ -577,20 +576,15 @@ def toric_ideal(weights, *, seed=()) -> GroebnerBasis:
             or not p.is_homogeneous()
         ):
             raise ValueError(f"seed {p} is not a homogeneous cancelling binomial")
-        gens.append(p.map_to(ring_t, lift))
-    gens.append(ring_t.monomial(tuple([1] * n + [1])) - ring_t.one())
-
-    gb_t = buchberger(gens)
-    kept = []
-    for p in gb_t:
-        exps = {m: ring_t.exponents(m) for m in p.terms}
-        if all(e[n] == 0 for e in exps.values()):
-            q = Polynomial(ring, {ring.term(exps[m][:n]): c for m, c in p.terms.items()})
-            if not q.is_homogeneous():
-                raise AssertionError(f"toric basis element {q} is not homogeneous")
-            kept.append(q)
-    kept.sort(key=Polynomial.lm)
-    return GroebnerBasis(ring, kept)
+        gens.append(p)
+    f = ring.monomial((1,) * n)
+    gb = buchberger(gens, ring=ring)
+    while rows := kernel_over_quotient([[f]], gb):
+        gb = buchberger([*gb, *(g for row in rows for g in row)], ring=ring)
+    for q in gb:
+        if not q.is_homogeneous():
+            raise AssertionError(f"toric basis element {q} is not homogeneous")
+    return gb
 
 
 # -- left kernels over a quotient ring (module syzygies) ----------------------

@@ -2,13 +2,12 @@
 
 A term is one Python int.  Each exponent sits in a field of ``bits`` bits
 whose top bit is a guard; X_1 is in the lowest field and X_n in the highest.
-Above the exponent fields sit the weighted degree, then (elimination rings
-only) the exponent of the eliminated variable, then (free modules only) the
-position.  With E the exponent fields and H the fields above them, the term
+Above the exponent fields sit the weighted degree, then (free modules only)
+the position.  With E the exponent fields and H the fields above them, the term
 is ``(H << shift) - E``, so:
 
 * int comparison is the monomial order: position over term (a lower
-  position is larger), the eliminated variable, the weighted degree, then
+  position is larger), the weighted degree, then
   degree-reverse-lexicographic, since E compares X_n first and a larger E
   is a smaller term;
 * every field is additive, so multiplication is ``+`` and a quotient is
@@ -46,21 +45,20 @@ class _Layout:
     """Field positions of the packed terms of a ring and of its free modules."""
 
     __slots__ = (
-        "weights", "elim", "bits", "degree_limit", "shift", "mask", "guards", "pos_shift",
+        "weights", "bits", "degree_limit", "shift", "mask", "guards", "pos_shift",
         "_dmask", "_over", "_shifts",
     )
 
-    def _lay_out(self, weights: tuple[int, ...], elim: int | None):
+    def _lay_out(self, weights: tuple[int, ...]):
         self.weights = weights
-        self.elim = elim
-        # the degree and eliminated-exponent fields are one bit wider than an
-        # exponent field, so a sum of two terms below the limit never carries
+        # the degree field is one bit wider than an exponent field, so a sum
+        # of two terms below the limit never carries
         self.bits = bits = (DEGREE_HEADROOM * sum(weights)).bit_length() + 1
         self.degree_limit = 1 << (bits - 1)
         self.shift = shift = bits * len(weights)
         self.mask = (1 << shift) - 1
         self.guards = sum(1 << (bits * (i + 1) - 1) for i in range(len(weights)))
-        self.pos_shift = shift + (bits + 1) * (1 if elim is None else 2)
+        self.pos_shift = shift + bits + 1
         self._dmask = (1 << (bits + 1)) - 1
         self._over = (self._dmask - self.degree_limit + 1) << shift
         self._shifts = tuple(bits * i for i in range(len(weights)))
@@ -105,11 +103,7 @@ class _Layout:
 
     def _pack(self, e: int) -> int:
         """The ring term with exponent fields e, each below the limit."""
-        exps = self._split(e)
-        high = sum(map(mul, exps, self.weights))
-        if self.elim is not None:
-            high += exps[self.elim] << (self.bits + 1)
-        return (high << self.shift) - e
+        return (sum(map(mul, self._split(e), self.weights)) << self.shift) - e
 
 
 class PolyRing(_Layout):
@@ -117,7 +111,7 @@ class PolyRing(_Layout):
 
     __slots__ = ("names", "_index")
 
-    def __init__(self, names, weights, elim: int | None = None):
+    def __init__(self, names, weights):
         names = tuple(names)
         weights = tuple(int(w) for w in weights)
         if len(names) != len(weights):
@@ -128,7 +122,7 @@ class PolyRing(_Layout):
             raise ValueError("weights must be positive integers")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
-        self._lay_out(weights, elim)
+        self._lay_out(weights)
 
     @property
     def nvars(self) -> int:
@@ -217,15 +211,13 @@ class PolyRing(_Layout):
             isinstance(other, PolyRing)
             and self.names == other.names
             and self.weights == other.weights
-            and self.elim == other.elim
         )
 
     def __hash__(self):
-        return hash((self.names, self.weights, self.elim))
+        return hash((self.names, self.weights))
 
     def __repr__(self):
-        elim = f", elim={self.names[self.elim]!r}" if self.elim is not None else ""
-        return f"PolyRing({list(self.names)}, weights={list(self.weights)}{elim})"
+        return f"PolyRing({list(self.names)}, weights={list(self.weights)})"
 
 
 class FreeModule(_Layout):
@@ -254,7 +246,7 @@ class FreeModule(_Layout):
         if len(self.degrees) != rank:
             raise ValueError(f"{len(self.degrees)} position degrees for rank {rank}")
         self._by_code = (0,) + self.degrees[::-1]  # by position code rank - p
-        self._lay_out(base.weights, base.elim)
+        self._lay_out(base.weights)
 
     def position(self, t: int) -> int:
         return self.rank - (t >> self.pos_shift)
@@ -400,21 +392,6 @@ class Polynomial:
             return -self
         inv = Fraction(1, 1) / Fraction(c)
         return self.scale(inv)
-
-    def map_to(self, other_ring: PolyRing, var_map: list[int]) -> "Polynomial":
-        """Reinterpret in other_ring; var_map[i] = target index of our variable i."""
-        out: dict[int, object] = {}
-        for m, c in self.terms.items():
-            mono = [0] * other_ring.nvars
-            for i, e in enumerate(self.ring.exponents(m)):
-                mono[var_map[i]] += e
-            key = other_ring.term(mono)
-            s = out.get(key, 0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial(other_ring, out)
 
     # -- equality and display -------------------------------------------------
 

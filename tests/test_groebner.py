@@ -296,6 +296,44 @@ def test_toric_resource_limits():
         toric_ideal([201, 202])
 
 
+def test_toric_saturation_by_colons(monkeypatch):
+    calls = []
+    kernel = groebner.kernel_over_quotient
+
+    def counted(rows, ideal_gens, **kw):
+        found = kernel(rows, ideal_gens, **kw)
+        calls.append(len(found))
+        return found
+
+    monkeypatch.setattr(groebner, "kernel_over_quotient", counted)
+    gb = toric_ideal([3, 16, 22])
+    assert [str(p) for p in gb] == ["X1^2*X2 - X3", "X1^16 - X2^3", "X2^4 - X1^14*X3"]
+    # three colons add elements, and the fourth finds I : f = I
+    assert len(calls) == 4 and all(calls[:3]) and not calls[3]
+    R = gb.ring
+    vectors = groebner._kernel_basis((3, 16, 22))
+    lattice = buchberger([R.monomial([max(x, 0) for x in v]) - R.monomial([max(-x, 0) for x in v]) for v in vectors])
+    assert sum(not lattice.contains(p) for p in gb) == 2
+    # a seed in the toric ideal leaves the result as it is
+    seeded = toric_ideal([3, 16, 22], seed=[R.parse("X2^4 - X1^14*X3")])
+    assert seeded.polys == gb.polys
+
+
+def test_toric_seed_over_another_ring_raises():
+    R = PolyRing(["Y1", "Y2"], [2, 3])
+    with pytest.raises(ValueError, match="not over"):
+        toric_ideal([2, 3], seed=[R.parse("Y1^3 - Y2^2")])
+
+
+def test_an_empty_basis_needs_its_ring():
+    with pytest.raises(ValueError, match="no ring"):
+        buchberger([])
+    R = PolyRing(["X1", "X2"], [2, 3])
+    gb = minors_basis([[R.var(0)], [R.var(1)]])  # a 2x1 matrix has no minor
+    assert gb.ring == R and not gb.polys
+    assert not gb.contains(R.var(0))
+
+
 def test_size_reduce_is_exact():
     # a quotient past the float range: true division would overflow
     assert _size_reduce([[10**400, 1], [1, 0]]) == [[0, 1], [1, 0]]
@@ -484,11 +522,10 @@ def test_buchberger_on_submodule():
 # -- packed terms against the tuple format they replaced ----------------------
 
 
-def _tuple_key(weights, elim, exps, position):
-    """The tuple order: position (lower is larger), the eliminated exponent,
-    weighted degree, then reverse lexicographic."""
-    key = (sum(map(mul, exps, weights)), tuple(-e for e in reversed(exps)))
-    return (-position,) + ((exps[elim],) if elim is not None else ()) + key
+def _tuple_key(weights, exps, position):
+    """The tuple order: position (lower is larger), weighted degree, then
+    reverse lexicographic."""
+    return (-position, sum(map(mul, exps, weights)), tuple(-e for e in reversed(exps)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -496,9 +533,8 @@ def _tuple_key(weights, elim, exps, position):
 def test_packed_terms_match_tuple_reference(data):
     n = data.draw(st.integers(1, 4))
     weights = data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
-    elim = data.draw(st.none() | st.integers(0, n - 1))
     rank = data.draw(st.integers(0, 3))  # 0: terms of the ring itself
-    R = PolyRing([f"x{i}" for i in range(n)], weights, elim=elim)
+    R = PolyRing([f"x{i}" for i in range(n)], weights)
     T = FreeModule(R, rank) if rank else R
     term = st.tuples(
         st.lists(st.integers(0, 40), min_size=n, max_size=n).map(tuple),
@@ -511,8 +547,9 @@ def test_packed_terms_match_tuple_reference(data):
 
     ta, tb = pack(a, pa), pack(b, pb)
     unit = tuple(int(k == pa) for k in range(rank))
+    assert T.pos_shift == T.shift + T.bits + 1
     assert T.exponents(ta) == a + unit and T.wdeg(ta) == sum(map(mul, a, weights))
-    assert (ta < tb) == (_tuple_key(weights, elim, a, pa) < _tuple_key(weights, elim, b, pb))
+    assert (ta < tb) == (_tuple_key(weights, a, pa) < _tuple_key(weights, b, pb))
     assert (ta == tb) == ((a, pa) == (b, pb))
     assert ta + R.term(b) == pack(tuple(map(add, a, b)), pa)
     divides = pa == pb and all(x <= y for x, y in zip(b, a))

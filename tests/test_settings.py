@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -20,3 +21,39 @@ def test_failing_given_test_reports_its_example(pytester):
     result = pytester.runpytest_subprocess("-p", "no:cacheprovider", test_file)
     assert result.ret == 1
     result.stdout.fnmatch_lines(["*Falsifying example*"])
+
+
+def _is_fraction(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+
+
+def _float_use(node) -> str | None:
+    """What makes node a floating-point use, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return f"float literal {node.value!r}"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        return "float() call"
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("inf", "nan")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "math"
+    ):
+        return f"math.{node.attr}"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        if not (_is_fraction(node.left) or _is_fraction(node.right)):
+            return "/ with no Fraction(...) operand"
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div) and not _is_fraction(node.value):
+        return "/= with no Fraction(...) operand"
+    return None
+
+
+def test_no_floating_point_in_src():
+    # README: "there is no floating point anywhere"; every division is of Fractions
+    found = []
+    for path in sorted((ROOT / "src" / "ngtrace").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            what = _float_use(node)
+            if what is not None:
+                found.append(f"{path.name}:{node.lineno}: {what}")
+    assert not found, found
