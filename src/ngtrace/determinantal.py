@@ -238,14 +238,14 @@ def build(H: NumericalSemigroup, order, m, ell) -> DeterminantalInstance:
     m = tuple(int(x) for x in m)
     ell = tuple(int(x) for x in ell)
     n = len(order)
+    if sorted(order) != list(H.generators):
+        raise ValueError(f"order {order} is not an arrangement of {H.generators}")
     if n < 3:
         raise ValueError(f"need at least 3 generators, got {n}")
     if not (len(m) == len(ell) == n):
         raise ValueError("m and ell must have one entry per generator")
     if any(x <= 0 for x in m + ell):
         raise ValueError("exponents must be positive")
-    if sorted(order) != list(H.generators):
-        raise ValueError(f"order {order} is not an arrangement of {H.generators}")
     c = homogeneity_constant(order, m, ell)
     report = validate_defining_ideal(H, order, m, ell)
     if not report:

@@ -204,8 +204,9 @@ def buchberger(gens, *, ring: PolyRing | FreeModule | None = None) -> GroebnerBa
 
     A basis element of weighted degree above DEGREE_CAP_FACTOR times the
     weight sum, or a basis of more than DEFAULT_MAX_BASIS elements, raises
-    ResourceLimit; both constants are read at each call.  A generator not
-    over ``ring`` raises ValueError.
+    ResourceLimit; both constants are read at each call.  In a free module
+    an element's degree is read against the largest position degree (see
+    _close).  A generator not over ``ring`` raises ValueError.
     """
     closed = _close(gens, (), ring)
     return GroebnerBasis(closed.ring, _interreduce(closed.ring, closed.polys), closed.stats)
@@ -247,6 +248,18 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     the g e_k that basis stands for.  peak_basis and the DEFAULT_MAX_BASIS
     cap count each basis poly once per position.  kernel_over_quotient is
     the one caller that holds a basis.
+
+    The degree cap reads a module element of degree d as d - s, for s the
+    largest position degree: every component at position p has weighted
+    degree d - (degree of p) >= d - s, so d - s is the least degree any
+    component can have, and the ring's cap bounds it.  It does not depend
+    on where the position degrees are anchored.  In a ring s = 0 and d - s
+    is the lead's weighted degree; a basis poly g is read by its weighted
+    degree too, as g e_k at a top position k has degree deg g + s.  The
+    lead's own ring part may pass the cap: in the colons of toric_ideal
+    it is the lcm of f and a basis lead, while the tag part has degree
+    d - deg f.  max_lead_wdeg stays the largest weighted degree of an
+    admitted lead.
     """
     basis, gens = list(basis), list(gens)
     if ring is None:
@@ -263,6 +276,7 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
         if g.is_zero() or g.lc() != 1:
             raise ValueError("a seed basis holds monic polynomials only")
     cap = DEGREE_CAP_FACTOR * sum(ring.weights)
+    top_position = max(ring.degrees) if isinstance(ring, FreeModule) else 0
     mask, guards, pos_shift = ring.mask, ring.guards, ring.pos_shift
     codes = _codes(ring)
 
@@ -277,10 +291,10 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     def admit(p: Polynomial, positions):
         nonlocal top, size
         lm = p.lm()
-        deg = ring.wdeg(lm)
+        deg = ring.degree(lm) - top_position if lm >> pos_shift else ring.wdeg(lm)
         if deg > cap:
             raise ResourceLimit(f"basis element degree {deg} exceeds cap {cap}")
-        top = max(top, deg)
+        top = max(top, ring.wdeg(lm))
         polys.append(p)
         size += len(positions)
         if size > DEFAULT_MAX_BASIS:

@@ -168,9 +168,22 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     a multiple of a 2-minor of D.  Validation proves that the minors
     generate the prime P of H, and no monomial lies in P, so f.col_i = 0
     modulo P forces f.col_k = 0.  The kernel is therefore taken of the
-    matrix of the first column of each block, which has the same kernel
-    and so the same reduced basis, and f.M = 0 is then asserted on every
-    other column: each returned row is checked on all columns of M.
+    matrix of the wrap column col_n of each block (V_1 over -U_n, with
+    U_n = X_n^ln a monomial), which has the same kernel and so the same
+    reduced basis, and f.M = 0 is then asserted on every other column:
+    each returned row is checked on all columns of M.
+
+    The wrap column is the cheap one.  X_n is last in the reverse
+    lexicographic order, so for a weighted-homogeneous g, X_n divides
+    in(g) only if X_n divides g; X_n is not in the prime P, so g in P
+    divisible by X_n is X_n g' with g' in P, and in(P) : X_n = in(P).  A
+    minimal generator of in(P) is then free of X_n: no lead of the
+    minors' reduced basis involves X_n (Bayer and Stillman, 1987).  Number
+    the kernel's input rows 0..n-2 and its value positions 0..n-3: row
+    i >= 1 has -U_n at position i - 1 and V_1 (or nothing) at position i,
+    so under position over term it is led by X_n^ln e_(i-1).  Its ring
+    lead is coprime to every basis lead, so each pair of such a row with
+    a basis poly is skipped by the module product criterion of _close.
 
     The kernel's pair loop stops at the first degree where the trace is
     saturated.  U is the set of members of H in the ideal generated by
@@ -194,8 +207,8 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     D, M = inst.matrices
     n = inst.n
     H = inst.H
-    firsts = [line[::n] for line in M]
-    others = [k for k in range(len(M[0])) if k % n]
+    wraps = [line[n - 1 :: n] for line in M]
+    others = [k for k in range(len(M[0])) if k % n != n - 1]
     rest = [[line[k] for k in others] for line in M]
     minors = minors_basis(D)
     covered = 0  # U, as a mask: bit e set for the members e of H found
@@ -210,7 +223,7 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
         return not (H.mask & ~covered) >> max(low, 0)
 
     degrees = []
-    for row in kernel_over_quotient(firsts, minors, stop=saturated):
+    for row in kernel_over_quotient(wraps, minors, stop=saturated):
         failure = first_nonzero_column(row, rest, minors)
         if failure is not None:
             j, residue = failure

@@ -508,6 +508,16 @@ def test_malformed_input_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["classify", "verify", "trace", "higher"])
+def test_short_order_is_named_exit_2(capsys, command):
+    # three generators and an order of two: the order is at fault, not the
+    # number of generators
+    code, out, err = run(capsys, command, json.dumps({**BASE_345, "order": [5, 4]}))
+    assert code == 2
+    assert err == "error: bad input: order (5, 4) is not an arrangement of (3, 4, 5)\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [("corpus", "--ns", "20"), ("corpus", "--ns", "3", "--emax", "100000")],

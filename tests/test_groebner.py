@@ -319,6 +319,37 @@ def test_toric_saturation_by_colons(monkeypatch):
     assert seeded.polys == gb.polys
 
 
+def test_toric_binomials_of_two_weights_pass_the_degree_cap(monkeypatch):
+    # X1^26 - X2^15 has degree 390 and X1^34 - X2^13 degree 442, under the
+    # caps 410 and 470; the colon's module element leads at the lcm of f and
+    # that lead, of degree 416 (and 476), while its tag part, read against
+    # the tag position's degree deg f = 41 (and 47), has degree 375 (and 429)
+    leads = []
+    real_close = groebner._close
+
+    def close(gens, basis, ring, stop=None):
+        closed = real_close(gens, basis, ring, stop)
+        if isinstance(ring, FreeModule):
+            leads.append(closed.stats["max_lead_wdeg"])
+        return closed
+
+    monkeypatch.setattr(groebner, "_close", close)
+    assert [str(p) for p in toric_ideal([15, 26])] == ["X1^26 - X2^15"]
+    assert [str(p) for p in toric_ideal([13, 34])] == ["X1^34 - X2^13"]
+    assert leads == [416, 476]
+
+
+def test_module_degree_cap_reads_against_the_top_position(monkeypatch):
+    # the inputs of (x^3, y^3)^T have degree 3 at tag positions of degree 3,
+    # read as 0; the syzygy y^3 e1 - x^3 e2 has degree 6, read as 3
+    R = PolyRing(["x", "y"], [1, 1])
+    rows = [[R.parse("x^3")], [R.parse("y^3")]]
+    assert kernel_over_quotient(rows, []) == [(R.parse("y^3"), R.parse("-x^3"))]
+    monkeypatch.setattr(groebner, "DEGREE_CAP_FACTOR", 1)  # weight sum 2: cap 2
+    with pytest.raises(ResourceLimit, match="basis element degree 3 exceeds cap 2"):
+        kernel_over_quotient(rows, [])
+
+
 def test_toric_seed_over_another_ring_raises():
     R = PolyRing(["Y1", "Y2"], [2, 3])
     with pytest.raises(ValueError, match="not over"):

@@ -3,9 +3,10 @@ from functools import partial
 import pytest
 
 from ngtrace import groebner, lambda_rows
+from ngtrace.corpus import build_corpus
 from ngtrace.determinantal import build, search_instances
 from ngtrace.errors import NotApplicable
-from ngtrace.groebner import kernel_over_quotient
+from ngtrace.groebner import kernel_over_quotient, minors_basis
 from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle, unit_ideal
 from ngtrace.lambda_rows import (
     LambdaRow,
@@ -246,19 +247,23 @@ def sample_instance(m, ell):
 
 @pytest.mark.parametrize("make", [inst_345, inst_six] + [partial(sample_instance, *e) for e in SYZYGY_SAMPLE])
 def test_one_column_per_block_keeps_kernel_rows(make):
-    # the kernel of M is that of its first column in each block, so the
-    # reduced basis, and every row the route reads, is the same
+    # the kernel of M is that of any one column in each block, the first or
+    # the wrap column the route takes, so the reduced basis, and every row
+    # the route reads, is the same
     inst = make()
     _, M = inst.matrices
-    firsts = [line[:: inst.n] for line in M]
-    assert len(firsts[0]) == inst.n - 2
-    assert kernel_over_quotient(firsts, inst.minors) == kernel_over_quotient(M, inst.minors)
+    full = kernel_over_quotient(M, inst.minors)
+    for k in (0, inst.n - 1):
+        columns = [line[k :: inst.n] for line in M]
+        assert len(columns[0]) == inst.n - 2
+        assert kernel_over_quotient(columns, inst.minors) == full
 
 
 def test_syzygy_route_checks_columns_outside_the_kernel(monkeypatch):
-    # the kernel sees only the first column of each block; negate U_2 in the
-    # second column of M, so that every kernel row still satisfies the
-    # columns the kernel saw and fails that one, which the route must catch
+    # the kernel sees only the wrap column of each block (the third, at
+    # n = 3); negate U_2 in the second column of M, so that every kernel row
+    # still satisfies the columns the kernel saw and fails that one, which
+    # the route must catch
     inst = inst_345()
     D, M = inst.matrices
     bent = [list(line) for line in M]
@@ -273,7 +278,7 @@ def test_syzygy_route_checks_columns_outside_the_kernel(monkeypatch):
     monkeypatch.setattr(lambda_rows, "kernel_over_quotient", kernel)
     with pytest.raises(AssertionError, match="kernel row fails f.M = 0 at column 1 of M"):
         trace_canonical_syzygy(inst)
-    assert seen == [[line[:1] for line in M]]
+    assert seen == [[line[2:] for line in M]]
 
 
 def _trace_of_rows(inst, rows):
@@ -285,11 +290,15 @@ def _trace_of_rows(inst, rows):
 @pytest.mark.parametrize("make", [inst_345, inst_six] + [partial(sample_instance, *e) for e in SYZYGY_SAMPLE])
 def test_stopped_kernel_gives_the_full_trace(make):
     # the route stops the pair loop once the trace is saturated; it must
-    # read the trace of the whole kernel of the first columns, and the oracle's
+    # read the trace of the whole kernel of the wrap columns, which is that
+    # of the first columns, and the oracle's
     inst = make()
     _, M = inst.matrices
-    full = _trace_of_rows(inst, kernel_over_quotient([line[:: inst.n] for line in M], inst.minors))
-    assert trace_canonical_syzygy(inst) == full == trace_canonical_oracle(inst.H)
+    wrap, first = (
+        _trace_of_rows(inst, kernel_over_quotient([line[k :: inst.n] for line in M], inst.minors))
+        for k in (inst.n - 1, 0)
+    )
+    assert trace_canonical_syzygy(inst) == wrap == first == trace_canonical_oracle(inst.H)
 
 
 def test_route_stops_with_pairs_left(monkeypatch):
@@ -306,6 +315,55 @@ def test_route_stops_with_pairs_left(monkeypatch):
     assert inst.n == 5
     assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
     assert left[-1] > 0
+
+
+LEADS_STRIDE = 20  # of the n = 5 corpus
+
+
+def test_no_lead_of_the_minors_basis_involves_the_last_variable():
+    # the wrap column's speed rests on this: X_n is last in the reverse
+    # lexicographic order and not in P, so no lead of the minors' reduced
+    # basis is divisible by X_n, and a kernel row led by X_n^ln has a ring
+    # lead coprime to every basis lead
+    corpora = [build_corpus(ns=(n,)) for n in (3, 4, 5)]
+    instances = corpora[0] + corpora[1] + corpora[2][::LEADS_STRIDE]
+    assert {inst.n for inst in instances} == {3, 4, 5}
+    for inst in instances:
+        ring = inst.ring
+        assert all(ring.exponents(g.lm())[-1] == 0 for g in minors_basis(inst.matrix)), inst
+
+
+def _pairs_popped(inst, monkeypatch, column=None):
+    """The pairs the route's module pair loop pops on inst; with ``column``,
+    its kernel is taken of that column of each block instead."""
+    real_close, real_kernel, popped = groebner._close, kernel_over_quotient, []
+
+    def close(gens, basis, ring, stop=None):
+        closed = real_close(gens, basis, ring, stop)
+        if isinstance(ring, FreeModule):
+            popped.append(closed.stats["pairs_queued"] - closed.stats["pairs_left"])
+        return closed
+
+    def kernel(rows, ideal, **stop):
+        if column is not None:
+            rows = [line[column :: inst.n] for line in inst.matrices[1]]
+        return real_kernel(rows, ideal, **stop)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_close", close)
+        patch.setattr(lambda_rows, "kernel_over_quotient", kernel)
+        assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
+    (count,) = popped
+    return count
+
+
+@pytest.mark.parametrize("m, ell", [e for e in SYZYGY_SAMPLE if len(e[0]) == 5])
+def test_wrap_column_pops_fewer_pairs_than_the_first(m, ell, monkeypatch):
+    # a work guard: the rows led by X_n^ln skip their pairs with the
+    # minors' basis, so the route pops fewer pairs than the same route
+    # with the kernel of the first column of each block
+    inst = sample_instance(m, ell)
+    assert _pairs_popped(inst, monkeypatch) < _pairs_popped(inst, monkeypatch, column=0)
 
 
 def _closures(monkeypatch):
