@@ -61,6 +61,10 @@ class InstanceReport:
             )
         if self.ag_theorem != self.ag_nari:
             out.append(f"ag-disagreement theorem={self.ag_theorem} nari={self.ag_nari}")
+        # in dimension one an almost Gorenstein ring is nearly Gorenstein
+        # (Herzog-Hibi-Stamate 2019); each pair of verdicts is checked
+        if self.ag_theorem and not self.ng_theorem or self.ag_nari and not self.ng_oracle:
+            out.append("ag-not-ng")
         if not self.traces_equal:
             out.append("trace-methods-differ")
         if not self.type_ok:

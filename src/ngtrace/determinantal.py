@@ -159,12 +159,13 @@ def cyclic_matrices(tops, bottoms):
     n = len(tops)
     D = [[tops[(i + 1) % n] for i in range(n)], list(bottoms)]
     zero = tops[0].ring.zero()
+    negated = [-u for u in bottoms]  # each block shares these entries
     M = [[zero] * (n * (n - 2)) for _ in range(n - 1)]
     for j in range(1, n - 1):
         for i in range(1, n + 1):
             col = (j - 1) * n + (i - 1)
             M[j - 1][col] = tops[i % n]
-            M[j][col] = -bottoms[i - 1]
+            M[j][col] = negated[i - 1]
     return D, M
 
 

@@ -40,12 +40,6 @@ STAT_NAMES = (
 )
 
 
-def _lead_entry(g: Polynomial):
-    """(lead exponent fields, lead, lead coefficient, tail term items)."""
-    lm, lc = g.lt()
-    return (-lm & g.ring.mask, lm, lc, [(m, c) for m, c in g.terms.items() if m != lm])
-
-
 def _codes(ring) -> range:
     """The position codes (term >> pos_shift) of ring: 1..rank in a free module, 0 in a ring."""
     return range(1, ring.rank + 1) if isinstance(ring, FreeModule) else range(1)
@@ -57,10 +51,10 @@ def _lead_index(ring, polys, modulo=()) -> dict[int, list]:
     Each poly of ``modulo`` is over ring's base ring and stands for its
     multiple at every position: its entry heads every position's list.
     """
-    heads = [_lead_entry(g) for g in modulo]
+    heads = [g.lead_entry() for g in modulo]
     index = {code: list(heads) for code in _codes(ring)}
     for g in polys:
-        index.setdefault(g.lm() >> ring.pos_shift, []).append(_lead_entry(g))
+        index.setdefault(g.lm() >> ring.pos_shift, []).append(g.lead_entry())
     return index
 
 
@@ -176,9 +170,11 @@ def _interreduce(ring: PolyRing, polys: list[Polynomial], modulo=()) -> list[Pol
     index = _lead_index(ring, kept, modulo)
     reduced = []
     for p in kept:
-        lm = p.lm()
-        tail = _reduce_terms(Polynomial(ring, {m: c for m, c in p.terms.items() if m != lm}), index)
-        reduced.append(Polynomial(ring, {lm: 1, **tail.terms}))
+        _, lm, _, own = p.lead_entry()
+        own = dict(own)
+        tail = _reduce_terms(Polynomial(ring, own), index).terms
+        # a poly whose tail is already reduced is kept, with its lead entry
+        reduced.append(p if tail == own else Polynomial(ring, {lm: 1, **tail}))
     return reduced
 
 
@@ -299,7 +295,7 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
         size += len(positions)
         if size > DEFAULT_MAX_BASIS:
             raise ResourceLimit(f"basis size exceeds cap {DEFAULT_MAX_BASIS}")
-        entry = _lead_entry(p)
+        entry = p.lead_entry()
         for code in positions:
             index.setdefault(code, []).append(entry)
             at.setdefault(code, []).append(len(lms))
@@ -405,19 +401,39 @@ def first_nonzero_column(row, matrix, gb: GroebnerBasis) -> tuple[int, Polynomia
 def two_minors(matrix: list[list[Polynomial]]) -> list[Polynomial]:
     """All 2x2 minors of a 2-row matrix, column pairs in lexicographic order.
 
-    Sign convention: top[i]*bottom[j] - top[j]*bottom[i] for i < j.
+    Sign convention: top[i]*bottom[j] - top[j]*bottom[i] for i < j.  Each
+    minor is summed into one term dict straight from the entries' terms.
+    A product term is the sum of two terms within the packing limit, so it
+    is exact, and each is checked against the limit as it is formed, as a
+    product of the two entries would check their top degrees.
     """
     if len(matrix) != 2:
         raise ValueError("expected a matrix with exactly 2 rows")
     top, bottom = matrix
     if len(top) != len(bottom):
         raise ValueError("rows of different lengths")
+    if not top:
+        return []
+    ring = top[0].ring
+    if any(p.ring != ring for p in (*top, *bottom)):
+        raise ValueError("polynomials from different rings")
+    check = ring.check
     n = len(top)
-    return [
-        top[i] * bottom[j] - top[j] * bottom[i]
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    minors = []
+    for i, j in combinations(range(n), 2):
+        terms: dict[int, object] = {}
+        for sign, left, right in ((1, top[i], bottom[j]), (-1, top[j], bottom[i])):
+            for m1, c1 in left.terms.items():
+                for m2, c2 in right.terms.items():
+                    m = m1 + m2
+                    check(m)
+                    s = terms.get(m, 0) + sign * c1 * c2
+                    if s == 0:
+                        del terms[m]
+                    else:
+                        terms[m] = s
+        minors.append(Polynomial(ring, terms))
+    return minors
 
 
 def minors_basis(matrix: list[list[Polynomial]]) -> GroebnerBasis:

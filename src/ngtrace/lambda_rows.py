@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .determinantal import DeterminantalInstance, classify_nearly_gorenstein
 from .errors import NotApplicable
-from .groebner import first_nonzero_column, kernel_over_quotient, minors_basis
+from .groebner import kernel_over_quotient, minors_basis
 from .ideals import RelativeIdeal
 from .semigroup import sieve_mask
 
@@ -173,6 +173,15 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     reduced basis, and f.M = 0 is then asserted on every other column:
     each returned row is checked on all columns of M.
 
+    Those other columns are checked in k[H] itself, with no Groebner
+    basis.  Let phi: X_i -> t^(a_i).  Its kernel is P by definition, and
+    validation proves that the minors generate P, so f.col_k lies in the
+    ideal of the minors iff phi(f.col_k) = sum_i phi(f_i) phi(M_ik) is 0.
+    phi(p) is the sum of p's coefficients at each weighted degree
+    (_toric_image), so the check is a few sums of coefficient products.  The
+    images are read off M's own entries, so an M that is not the
+    presentation matrix of these minors still fails where it should.
+
     The wrap column is the cheap one.  X_n is last in the reverse
     lexicographic order, so for a weighted-homogeneous g, X_n divides
     in(g) only if X_n divides g; X_n is not in the prime P, so g in P
@@ -208,8 +217,7 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     n = inst.n
     H = inst.H
     wraps = [line[n - 1 :: n] for line in M]
-    others = [k for k in range(len(M[0])) if k % n != n - 1]
-    rest = [[line[k] for k in others] for line in M]
+    others = [(k, _column_image(M, k)) for k in range(len(M[0])) if k % n != n - 1]
     minors = minors_basis(D)
     covered = 0  # U, as a mask: bit e set for the members e of H found
 
@@ -224,10 +232,12 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
 
     degrees = []
     for row in kernel_over_quotient(wraps, minors, stop=saturated):
-        failure = first_nonzero_column(row, rest, minors)
-        if failure is not None:
-            j, residue = failure
-            raise AssertionError(f"kernel row fails f.M = 0 at column {others[j]} of M: remainder {residue}")
+        images = [_toric_image(p) for p in row]
+        for k, column in others:
+            image = _image_of_product(images, column)
+            if image:
+                shown = " + ".join(f"{c}*t^{e}" for e, c in sorted(image.items()))
+                raise AssertionError(f"kernel row fails f.M = 0 at column {k} of M: image {shown}")
         degrees.extend(e for p in row if (e := _entry_degree(p)) is not None)
     if not degrees:
         raise AssertionError("no kernel entry is nonzero modulo the minors")
@@ -243,8 +253,35 @@ def _entry_degree(p) -> int | None:
     kernel_over_quotient returns every entry in normal form modulo the
     minors, so it is nonzero there iff it is nonzero.
     """
-    if not p.is_homogeneous():
+    degrees = {p.ring.wdeg(m) for m in p.terms}
+    if len(degrees) > 1:
         raise AssertionError(f"kernel entry {p} is not homogeneous")
-    if p.is_zero():
-        return None
-    return p.wdeg()
+    return degrees.pop() if degrees else None
+
+
+def _toric_image(p) -> dict[int, object]:
+    """The image of p under X_i -> t^(a_i): its coefficients summed at each
+    weighted degree, read off the packed degree field, zero sums dropped."""
+    wdeg = p.ring.wdeg
+    image: dict[int, object] = {}
+    for m, c in p.terms.items():
+        e = wdeg(m)
+        image[e] = image.get(e, 0) + c
+    return {e: c for e, c in image.items() if c}
+
+
+def _column_image(M, k: int) -> list[tuple[int, dict[int, object]]]:
+    """The pairs (i, image of M_ik) of the nonzero entries of column k of M."""
+    return [(i, _toric_image(line[k])) for i, line in enumerate(M) if not line[k].is_zero()]
+
+
+def _image_of_product(row: list[dict], column) -> dict[int, object]:
+    """The image of f.col from the images of f's entries and col's
+    _column_image, zero sums dropped."""
+    total: dict[int, object] = {}
+    for i, right in column:
+        for e1, c1 in row[i].items():
+            for e2, c2 in right.items():
+                e = e1 + e2
+                total[e] = total.get(e, 0) + c1 * c2
+    return {e: c for e, c in total.items() if c}

@@ -159,9 +159,13 @@ class PolyRing(_Layout):
         return self.const(1)
 
     def var(self, i: int, power: int = 1) -> "Polynomial":
-        mono = [0] * self.nvars
-        mono[i] = power
-        return self.monomial(mono)
+        """X_(i+1)^power, packed straight into its one exponent field."""
+        if not 0 <= i < self.nvars or power < 0:
+            raise ValueError(f"variable index {i} with power {power} is no variable power of {self!r}")
+        deg = power * self.weights[i]
+        if deg >= self.degree_limit:  # the exponent is at most deg, so its field holds it
+            self._refuse(deg)
+        return Polynomial(self, {(deg << self.shift) - (power << self._shifts[i]): 1})
 
     def var_named(self, name: str, power: int = 1) -> "Polynomial":
         return self.var(self.index(name), power)
@@ -291,12 +295,13 @@ def _tighten(c):
 class Polynomial:
     """Immutable by convention: the term dict is never mutated after creation."""
 
-    __slots__ = ("ring", "terms", "_lt")
+    __slots__ = ("ring", "terms", "_lt", "_entry")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._lt = None
+        self._entry = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -314,6 +319,14 @@ class Polynomial:
 
     def lm(self) -> int:
         return self.lt()[0]
+
+    def lead_entry(self) -> tuple[int, int, object, list[tuple[int, object]]]:
+        """(lead exponent fields, lead, lead coefficient, tail term items):
+        the view the division loop reads, built once per polynomial."""
+        if self._entry is None:
+            lm, lc = self.lt()
+            self._entry = (-lm & self.ring.mask, lm, lc, [(m, c) for m, c in self.terms.items() if m != lm])
+        return self._entry
 
     def lc(self):
         return self.lt()[1]

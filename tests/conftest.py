@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ngtrace.corpus import build_corpus
@@ -24,3 +26,20 @@ def small_corpus():
 def n3_corpus():
     """All validated 3-generator instances with exponents <= 3."""
     return build_corpus(ns=(3,), emax=3, bound=150)
+
+
+ACCEPTANCE_SIZE = 20004  # instances of the acceptance corpus
+
+
+@pytest.fixture(scope="session")
+def acceptance_corpus():
+    """Every validated instance for n in {3,4,5}, exponents <= 3 and
+    generators <= 150, in build order, with the seconds the build took."""
+    t0 = time.time()
+    corpus = build_corpus(ns=(3, 4, 5), emax=3, bound=150)
+    return corpus, time.time() - t0
+
+
+def by_n(corpus, n: int) -> list:
+    """The instances of one matrix size, in corpus order: build_corpus(ns=(n,))."""
+    return [inst for inst in corpus if inst.n == n]

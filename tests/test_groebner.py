@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngtrace import groebner
-from ngtrace.corpus import build_corpus
 from ngtrace.determinantal import search_instances
 from ngtrace.errors import ResourceLimit
 from ngtrace.groebner import (
@@ -21,6 +20,7 @@ from ngtrace.groebner import (
 )
 from ngtrace.higher_dim import HigherDimInstance, build_matrices
 from ngtrace.polyring import FreeModule, PolyRing
+from conftest import by_n
 from held_basis import spread_basis
 from oracles import skip_pair, spolys_reduce_to_zero
 from test_lambda_rows import SYZYGY_SAMPLE
@@ -159,22 +159,65 @@ def _markings(n: int, most: int):
 
 
 MINORS_STRIDE = 50  # of the n = 5 corpus
+MINORS_MATRICES = 4588  # 444 + 2960 + 332 corpus matrices, 852 deformed
 
 
-def test_minors_basis_certifies_the_corpus_and_deformed_minors(monkeypatch):
+def _corpus_matrices(acceptance_corpus, stride: int, most: int) -> list:
+    """D of every n = 3 and n = 4 instance and of a stride of the n = 5
+    ones, then the deformed D of every marking with |I|, |J| <= most of
+    the first and the middle base of each n."""
+    corpus, _ = acceptance_corpus
+    corpora = [by_n(corpus, n) for n in (3, 4, 5)]
+    matrices = [inst.matrix for inst in corpora[0] + corpora[1] + corpora[2][::stride]]
+    for part in corpora:
+        for base in (part[0], part[len(part) // 2]):
+            matrices += [build_matrices(HigherDimInstance(base, I, J))[0] for I, J in _markings(base.n, most)]
+    return matrices
+
+
+def test_minors_basis_certifies_the_corpus_and_deformed_minors(monkeypatch, acceptance_corpus):
     # the certificate alone gives buchberger's basis: on every n = 3 and
     # n = 4 instance, a stride of the n = 5 ones, and every marking with
     # |I|, |J| <= 2 of the first and the middle base of each n; a fallback
     # raises
-    corpora = [build_corpus(ns=(n,)) for n in (3, 4, 5)]
-    matrices = [inst.matrix for inst in corpora[0] + corpora[1] + corpora[2][::MINORS_STRIDE]]
-    for corpus in corpora:
-        for base in (corpus[0], corpus[len(corpus) // 2]):
-            matrices += [build_matrices(HigherDimInstance(base, I, J))[0] for I, J in _markings(base.n, 2)]
+    matrices = _corpus_matrices(acceptance_corpus, MINORS_STRIDE, 2)
+    assert len(matrices) == MINORS_MATRICES
     wants = [buchberger(two_minors(D)) for D in matrices]
     monkeypatch.setattr(groebner, "buchberger", _no_pair_loop)
     for D, want in zip(matrices, wants):
         assert _same_basis(minors_basis(D), want), D
+
+
+def test_two_minors_equal_the_product_formula(acceptance_corpus):
+    # two_minors sums each minor into one term dict; the product formula
+    # top[i]*bottom[j] - top[j]*bottom[i] is the oracle, on the matrices of
+    # the certification test (monomial and binomial entries) and on a
+    # matrix with zero entries and proportional columns, whose minors vanish
+    R = PolyRing(["x", "y", "z"], [1, 2, 3])
+    x, y, z = (R.var(i) for i in range(3))
+    flat = [[x * y, x * y, R.zero(), z], [y, y, x - z, R.zero()]]
+    matrices = _corpus_matrices(acceptance_corpus, MINORS_STRIDE, 2) + [flat]
+    assert len(matrices) == MINORS_MATRICES + 1
+    zeros = 0
+    for top, bottom in matrices:
+        want = [top[i] * bottom[j] - top[j] * bottom[i] for i, j in combinations(range(len(top)), 2)]
+        assert two_minors([top, bottom]) == want
+        zeros += sum(g.is_zero() for g in want)
+    assert zeros > 0
+
+
+def test_two_minors_refuse_a_product_past_the_packing_limit():
+    # each product term is checked as it is formed, also when the minor
+    # cancels to zero, as a product of the two entries checks its degree
+    R = PolyRing(["x", "y"], [1, 1])
+    top = R.var(0, R.degree_limit - 1)
+    for D in ([[top, R.var(1)], [R.var(0), R.var(1)]], [[top, top], [R.var(1), R.var(1)]]):
+        with pytest.raises(ResourceLimit, match="packing limit"):
+            D[0][0] * D[1][1]
+        with pytest.raises(ResourceLimit, match="packing limit"):
+            two_minors(D)
+    # one below the limit is still a term
+    assert two_minors([[R.var(0, R.degree_limit - 2), R.one()], [R.one(), R.var(0)]]) == [R.var(0, R.degree_limit - 1) - R.one()]
 
 
 def test_minors_basis_falls_back_when_the_minors_are_no_basis(monkeypatch):
@@ -593,6 +636,18 @@ def test_packed_terms_match_tuple_reference(data):
         assert skip_pair(T, ta, tb) == (coprime and not rank)
     else:
         assert skip_pair(T, ta, tb)
+
+
+def test_var_packs_its_one_field_as_term_does():
+    R = PolyRing(["x", "y", "z"], [3, 1, 7])
+    for i in range(3):
+        for power in (0, 1, 5, (R.degree_limit - 1) // R.weights[i]):
+            assert R.var(i, power) == R.monomial([power if k == i else 0 for k in range(3)])
+    with pytest.raises(ResourceLimit):
+        R.var(2, R.degree_limit // 7 + 1)
+    for i, power in ((-1, 1), (3, 1), (0, -1)):
+        with pytest.raises(ValueError):
+            R.var(i, power)
 
 
 def test_terms_past_the_packing_limit_raise(monkeypatch):

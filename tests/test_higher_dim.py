@@ -2,7 +2,6 @@ from itertools import combinations
 
 import pytest
 
-from ngtrace.corpus import build_corpus
 from ngtrace.determinantal import Symmetry, build, search_instances, symmetries
 from ngtrace.errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
 from ngtrace.groebner import buchberger, two_minors
@@ -21,6 +20,7 @@ from ngtrace.higher_dim import (
 from ngtrace.semigroup import NumericalSemigroup
 
 from carried_marks import arrangements, carried
+from conftest import ACCEPTANCE_SIZE
 from entry_ideal import trace_n3, trace_n3_decision
 
 
@@ -302,15 +302,17 @@ def _outside(gb):
     return next((name for name in gb.ring.names if not gb.contains(gb.ring.var_named(name))), None)
 
 
-def test_cover_by_linear_parts_matches_groebner_oracle():
+def test_cover_by_linear_parts_matches_groebner_oracle(acceptance_corpus):
     # the cover check asks the local ring, whose answer is the span of the
     # entries' linear parts; the oracle asks the polynomial ring for the
     # entries plus the minors, which agrees on homogeneous entries.  Every
     # tabulated true marking of size <= 3 on the grid bases that fit a block
     # is found; every second one, which still reaches every table, is
     # checked with all its entries and with each entry dropped
+    corpus, _ = acceptance_corpus
+    assert len(corpus) == ACCEPTANCE_SIZE
     found = []
-    for base in build_corpus(ns=(3, 4, 5), emax=3, bound=150):
+    for base in corpus:
         if base_case_of(base) == OTHER:
             continue
         marks = [("I", p) for p in range(1, base.n + 1)] + [("J", p) for p in range(1, base.n + 1)]

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngtrace import ideals
 from ngtrace.corpus import check_instance
-from ngtrace.determinantal import search_instances
+from ngtrace.determinantal import NGResult, build, search_instances
 from ngtrace.errors import BaseMismatch
 from ngtrace.ideals import (
     RelativeIdeal,
@@ -253,3 +255,20 @@ def test_check_instance_extracts_two_generator_lists(m, ell, monkeypatch):
     report = check_instance(inst)
     assert not report.violations()
     assert len(calls) <= 2
+
+
+def test_report_lists_an_almost_but_not_nearly_gorenstein_verdict():
+    # in dimension one AG implies NG; a hand-built report that breaks it
+    # lists ag-not-ng, for the theorem's pair of verdicts and for the
+    # computed pair (Nari's symmetry test and the oracle trace) alone
+    inst = build(NumericalSemigroup([3, 4, 5]), (3, 4, 5), (2, 1, 1), (1, 1, 1))
+    report = check_instance(inst)
+    assert report.ag_theorem and report.ag_nari and not report.violations()
+    not_ng = replace(report, ng=NGResult(False), ng_oracle=False, ng_lambda=False)
+    assert not_ng.violations() == ["ag-not-ng"]
+    theorem_only = replace(report, ng=NGResult(False), ag_nari=False)
+    assert "ag-not-ng" in theorem_only.violations()
+    computed_only = replace(report, ag_theorem=False, ng_oracle=False)
+    assert "ag-not-ng" in computed_only.violations()
+    not_ag = replace(not_ng, ag_theorem=False, ag_nari=False)
+    assert not_ag.violations() == []

@@ -3,7 +3,6 @@ from functools import partial
 import pytest
 
 from ngtrace import groebner, lambda_rows
-from ngtrace.corpus import build_corpus
 from ngtrace.determinantal import build, search_instances
 from ngtrace.errors import NotApplicable
 from ngtrace.groebner import kernel_over_quotient, minors_basis
@@ -18,6 +17,7 @@ from ngtrace.lambda_rows import (
 from ngtrace.polyring import FreeModule
 from ngtrace.semigroup import NumericalSemigroup
 
+from conftest import by_n
 from held_basis import spread_basis
 from oracles import row_generates_canonical, spolys_reduce_to_zero
 
@@ -281,6 +281,34 @@ def test_syzygy_route_checks_columns_outside_the_kernel(monkeypatch):
     assert seen == [[line[2:] for line in M]]
 
 
+def _bent_rows(row):
+    """The row as returned, with its first nonzero entry times X_1, and negated."""
+    k = next(i for i, p in enumerate(row) if not p.is_zero())
+    ring = row[k].ring
+    return [tuple(row), (*row[:k], row[k] * ring.var(0), *row[k + 1 :]), (*row[:k], -row[k], *row[k + 1 :])]
+
+
+@pytest.mark.parametrize("make", [inst_345, inst_six] + [partial(sample_instance, *e) for e in SYZYGY_SAMPLE])
+def test_toric_image_verdict_matches_normal_forms(make):
+    # the route checks f.col in k[H] by its image under X_i -> t^(a_i);
+    # that verdict must be the normal form's modulo the minors' basis on
+    # every column of M, for every kernel row and for rows bent off the
+    # kernel
+    inst = make()
+    D, M = inst.matrices
+    gb = minors_basis(D)
+    columns = [lambda_rows._column_image(M, k) for k in range(len(M[0]))]
+    verdicts = []
+    for row in kernel_over_quotient(M, inst.minors):
+        for bent in _bent_rows(row):
+            images = [lambda_rows._toric_image(p) for p in bent]
+            for k, column in enumerate(columns):
+                nonzero = bool(lambda_rows._image_of_product(images, column))
+                assert nonzero == (groebner.first_nonzero_column(bent, [[line[k]] for line in M], gb) is not None)
+                verdicts.append(nonzero)
+    assert True in verdicts and False in verdicts
+
+
 def _trace_of_rows(inst, rows):
     minors = groebner.buchberger(inst.minors)
     degrees = [p.wdeg() for row in rows for p in row if not minors.contains(p)]
@@ -320,14 +348,15 @@ def test_route_stops_with_pairs_left(monkeypatch):
 LEADS_STRIDE = 20  # of the n = 5 corpus
 
 
-def test_no_lead_of_the_minors_basis_involves_the_last_variable():
+def test_no_lead_of_the_minors_basis_involves_the_last_variable(acceptance_corpus):
     # the wrap column's speed rests on this: X_n is last in the reverse
     # lexicographic order and not in P, so no lead of the minors' reduced
     # basis is divisible by X_n, and a kernel row led by X_n^ln has a ring
     # lead coprime to every basis lead
-    corpora = [build_corpus(ns=(n,)) for n in (3, 4, 5)]
+    corpus, _ = acceptance_corpus
+    corpora = [by_n(corpus, n) for n in (3, 4, 5)]
     instances = corpora[0] + corpora[1] + corpora[2][::LEADS_STRIDE]
-    assert {inst.n for inst in instances} == {3, 4, 5}
+    assert len(instances) == 444 + 2960 + 830
     for inst in instances:
         ring = inst.ring
         assert all(ring.exponents(g.lm())[-1] == 0 for g in minors_basis(inst.matrix)), inst
