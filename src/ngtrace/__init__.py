@@ -20,7 +20,6 @@ from .errors import (
     NoTabulatedWitness,
     NonMinimalGenerators,
     NotApplicable,
-    NotInSemigroup,
     ResourceLimit,
     UnsupportedBaseCase,
     WitnessFailed,
@@ -30,7 +29,6 @@ from .higher_dim import HigherDimInstance, build_matrices, classify, verify_witn
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
-    is_nearly_gorenstein_oracle,
     trace_canonical_oracle,
     unit_ideal,
 )

@@ -149,11 +149,14 @@ def build_corpus(
     sample), and the instances found are filed under the images; a later
     tuple of the class reads its entry.  No tuple is met twice (the
     sample draws without replacement), so an entry is dropped once read.
+    A size named twice in ns raises ValueError, also before any work.
     """
     side, ns = max(emax, 0), tuple(ns)
-    for n in ns:
+    for k, n in enumerate(ns):
         if n < 0:
             raise ValueError(f"n = {n}: a matrix cannot have a negative number of columns")
+        if n in ns[:k]:
+            raise ValueError(f"n = {n} is repeated: each matrix size is searched once")
         if side > 1 and 2 * n >= GRID_CAP.bit_length() or side ** (2 * n) > GRID_CAP:
             raise ResourceLimit(
                 f"n = {n}, emax = {emax}: {side}^{2 * n} exponent tuples exceed cap {GRID_CAP}"

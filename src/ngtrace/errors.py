@@ -18,10 +18,6 @@ class NonMinimalGenerators(ValueError):
         super().__init__(f"generator {generator} is a combination of the others")
 
 
-class NotInSemigroup(ValueError):
-    """An argument required to lie in the semigroup does not."""
-
-
 class BaseMismatch(ValueError):
     """Two relative ideals over different semigroups were combined."""
 

@@ -372,15 +372,26 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     return GroebnerBasis(ring, polys[seeded:], dict(zip(STAT_NAMES, counts)))
 
 
+def _check_ring(polys, ring, what: str) -> None:
+    """Raise ValueError naming both rings unless every p is over ring (identity tested first)."""
+    for p in polys:
+        if p.ring is not ring and p.ring != ring:
+            raise ValueError(f"{what} over {p.ring!r}, not over {ring!r}")
+
+
 def first_nonzero_column(row, matrix, gb: GroebnerBasis) -> tuple[int, Polynomial] | None:
     """The first column j where row.matrix is nonzero modulo gb, with its normal form.
 
-    Returns None when row.matrix vanishes modulo gb at every column.  Each
+    Returns None when row.matrix vanishes modulo gb at every column, and
+    raises ValueError when an entry of row or matrix is over a ring other
+    than gb's: packed terms of two rings do not multiply.  Each
     column's products are summed into one term dict: a product term is the
     sum of two terms within the packing limit, so it is exact, and
     normal_form checks every term that survives against the limit.
     """
     ring = gb.ring
+    _check_ring(row, ring, "row entry")
+    _check_ring([p for line in matrix for p in line], ring, "matrix entry")
     for j in range(len(matrix[0])):
         terms: dict[int, object] = {}
         for f, line in zip(row, matrix):
@@ -685,9 +696,9 @@ def kernel_over_quotient(
     so every row vector is homogeneous (of degree t_i) and the pair loop
     runs degree by degree.  A matrix with no column, or one that admits no
     such degrees (an entry that is not homogeneous, or rows whose degrees
-    disagree), raises ValueError.  The degrees change only the order in
-    which pairs are taken, and the reduced basis is unique, so the rows
-    are those of the ungraded module.
+    disagree), raises ValueError, as do entries over different rings.  The
+    degrees change only the order in which pairs are taken, and the
+    reduced basis is unique, so the rows are those of the ungraded module.
 
     ``stop``, if given, needs a homogeneous ideal and is called as
     stop(low, found) before the first pair of each new module degree D:
@@ -710,6 +721,7 @@ def kernel_over_quotient(
     if q == 0:
         raise ValueError("a matrix with no columns has no kernel to compute")
     ring = (rows[0][0]).ring
+    _check_ring([p for row in rows for p in row], ring, "matrix entry")
 
     ideal_gb = (
         ideal_gens if isinstance(ideal_gens, GroebnerBasis) else buchberger(ideal_gens, ring=ring)

@@ -93,9 +93,6 @@ class RelativeIdeal:
     def contains(self, z: int) -> bool:
         return z >= self.lo and (self.mask >> (z - self.lo)) & 1 == 1
 
-    def minimum(self) -> int:
-        return self.lo
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RelativeIdeal)
@@ -106,18 +103,6 @@ class RelativeIdeal:
 
     def __hash__(self):
         return hash((self.base, self.lo, self.mask))
-
-    def __le__(self, other: "RelativeIdeal") -> bool:
-        if self.base != other.base:
-            raise BaseMismatch("cannot compare ideals over different semigroups")
-        d = self.lo - other.lo
-        return d >= 0 and not (self.mask << d) & ~other.mask
-
-    def is_translate_of(self, other: "RelativeIdeal") -> bool:
-        """True iff self = other + d for the integer d aligning the minima."""
-        if self.base != other.base:
-            raise BaseMismatch("cannot compare ideals over different semigroups")
-        return self.mask == other.mask
 
     # -- arithmetic --------------------------------------------------------
 
@@ -202,9 +187,3 @@ def trace_canonical_oracle(H: NumericalSemigroup) -> RelativeIdeal:
     """Ground-truth canonical trace ideal: K + (H - K)."""
     K = canonical_ideal(H)
     return K.add(unit_ideal(H).colon(K))
-
-
-def is_nearly_gorenstein_oracle(H: NumericalSemigroup) -> bool:
-    """True iff every minimal generator of H lies in the canonical trace ideal."""
-    tr = trace_canonical_oracle(H)
-    return all(tr.contains(a) for a in H.generators)

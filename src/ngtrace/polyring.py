@@ -21,8 +21,8 @@ exponent too and so keeps every field below half its width: the sum of two
 terms is exact.  Encoding, polynomial products and the division loop check
 the limit and raise ResourceLimit past it; nothing widens or wraps
 silently.  The field width depends only on the weights, so equal rings
-pack equally.  Exponent tuples
-appear only at the edges: parsing, printing, ``term`` and ``exponents``.
+pack equally.  Exponent tuples appear only at the edges: printing,
+``term`` and ``exponents``.
 
 Coefficients are exact (int or Fraction; ints are kept as long as possible
 since almost everything here is a signed binomial).  A FreeModule over a
@@ -32,7 +32,6 @@ submodules.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import mul
 
@@ -174,41 +173,6 @@ class PolyRing(_Layout):
         if coeff == 0:
             return self.zero()
         return Polynomial(self, {self.term(mono): coeff})
-
-    # -- parsing ------------------------------------------------------------
-
-    _FACTOR = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*(\d+))?)\s*")
-
-    def parse(self, text: str) -> "Polynomial":
-        """Parse strings like "X1^2*X3 - 2*X2^2 + 1" into a polynomial.
-
-        A term is factors joined by single '*'; a factor is an integer, a
-        fraction, or a variable with an optional '^' and a digit exponent.
-        """
-        chunks = re.split(r"([+-])", text)
-        terms: dict[int, object] = {}
-        for i, (sign, chunk) in enumerate(zip(["+"] + chunks[1::2], chunks[::2])):
-            if i == 0 and not chunk.strip() and (len(chunks) > 1 or not text.strip()):
-                continue  # a leading sign, or no text at all
-            coeff, mono = Fraction(-1 if sign == "-" else 1), [0] * self.nvars
-            for factor in chunk.split("*"):
-                m = self._FACTOR.fullmatch(factor)
-                if m is None:
-                    raise ValueError(f"cannot parse {factor!r} in {text!r}")
-                number, name, power = m.groups()
-                if number is not None:
-                    coeff *= Fraction(number)
-                elif name in self._index:
-                    mono[self._index[name]] += int(power or 1)
-                else:
-                    raise ValueError(f"unknown variable {name!r}")
-            key = self.term(mono)
-            c = terms.get(key, 0) + coeff
-            if c == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-        return Polynomial(self, {m: _tighten(c) for m, c in terms.items()})
 
     def __eq__(self, other):
         return (

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import GcdNotOne, NonMinimalGenerators, NotInSemigroup, ResourceLimit
+from .errors import GcdNotOne, NonMinimalGenerators, ResourceLimit
 
 # the generator cap is checked before the sieve, which stops at most one
 # multiplicity past the Frobenius cap: F is never computed beyond it
@@ -139,12 +139,6 @@ class NumericalSemigroup:
 
     def genus(self) -> int:
         return (~self.mask).bit_count()
-
-    def apery_set(self, s: int) -> list[int]:
-        """Least semigroup element in each residue class mod s, for s in H."""
-        if s <= 0 or not self.contains(s):
-            raise NotInSemigroup(f"{s} is not a positive element of {self}")
-        return _apery_by_residue(self.mask, s)
 
     def pseudo_frobenius(self) -> list[int]:
         return list(self._pf)

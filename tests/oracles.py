@@ -1,17 +1,61 @@
-"""Reference checks the tests hold ngtrace to; nothing in the package calls them.
+"""Reference checks and helpers the tests hold ngtrace to; nothing in the
+package calls them.
 
+* ``parse``: polynomials from strings like "X1^2*X3 - 2*X2^2 + 1".
 * ``apery_by_dijkstra``: Apery sets by shortest paths on the residue graph,
   independent of the membership sieve the semigroup reads them from.
+* ``apery_set``: the Apery set of any positive member, read off the sieve.
+* ``is_subideal``, ``is_translate``: containment and translation of
+  relative ideals, on their masks.
+* ``is_nearly_gorenstein_oracle``: every generator in the oracle trace.
 * ``spolys_reduce_to_zero``: Buchberger's criterion, re-run on a finished
   basis, skipping the pairs ``skip_pair`` names.
 * ``row_generates_canonical``: a monomial row against the canonical ideal.
 """
 
 import heapq
+import re
+from fractions import Fraction
 
+from ngtrace.errors import BaseMismatch
 from ngtrace.groebner import GroebnerBasis, _spoly
-from ngtrace.ideals import RelativeIdeal, canonical_ideal
-from ngtrace.polyring import FreeModule
+from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle
+from ngtrace.polyring import FreeModule, Polynomial, _tighten
+from ngtrace.semigroup import _apery_by_residue
+
+_FACTOR = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*(\d+))?)\s*")
+
+
+def parse(ring, text: str) -> Polynomial:
+    """Parse strings like "X1^2*X3 - 2*X2^2 + 1" into a polynomial over ring.
+
+    A term is factors joined by single '*'; a factor is an integer, a
+    fraction, or a variable with an optional '^' and a digit exponent.
+    """
+    chunks = re.split(r"([+-])", text)
+    terms: dict[int, object] = {}
+    for i, (sign, chunk) in enumerate(zip(["+"] + chunks[1::2], chunks[::2])):
+        if i == 0 and not chunk.strip() and (len(chunks) > 1 or not text.strip()):
+            continue  # a leading sign, or no text at all
+        coeff, mono = Fraction(-1 if sign == "-" else 1), [0] * ring.nvars
+        for factor in chunk.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None:
+                raise ValueError(f"cannot parse {factor!r} in {text!r}")
+            number, name, power = m.groups()
+            if number is not None:
+                coeff *= Fraction(number)
+            elif name in ring.names:
+                mono[ring.index(name)] += int(power or 1)
+            else:
+                raise ValueError(f"unknown variable {name!r}")
+        key = ring.term(mono)
+        c = terms.get(key, 0) + coeff
+        if c == 0:
+            terms.pop(key, None)
+        else:
+            terms[key] = c
+    return Polynomial(ring, {m: _tighten(c) for m, c in terms.items()})
 
 
 def apery_by_dijkstra(gens, s: int) -> list[int]:
@@ -33,6 +77,37 @@ def apery_by_dijkstra(gens, s: int) -> list[int]:
                 dist[nr] = nd
                 heapq.heappush(heap, (nd, nr))
     return dist
+
+
+def apery_set(H, s: int) -> list[int]:
+    """Least member of H in each residue class mod s, for s a positive member."""
+    if s <= 0 or not H.contains(s):
+        raise ValueError(f"{s} is not a positive element of {H}")
+    return _apery_by_residue(H.mask, s)
+
+
+def _same_base(E: RelativeIdeal, F: RelativeIdeal) -> None:
+    if E.base != F.base:
+        raise BaseMismatch("cannot compare ideals over different semigroups")
+
+
+def is_subideal(E: RelativeIdeal, F: RelativeIdeal) -> bool:
+    """True iff every member of E is a member of F."""
+    _same_base(E, F)
+    d = E.lo - F.lo
+    return d >= 0 and not (E.mask << d) & ~F.mask
+
+
+def is_translate(E: RelativeIdeal, F: RelativeIdeal) -> bool:
+    """True iff E = F + d for the integer d aligning the least members."""
+    _same_base(E, F)
+    return E.mask == F.mask
+
+
+def is_nearly_gorenstein_oracle(H) -> bool:
+    """True iff every minimal generator of H lies in the canonical trace ideal."""
+    tr = trace_canonical_oracle(H)
+    return all(tr.contains(a) for a in H.generators)
 
 
 def skip_pair(ring, a: int, b: int) -> bool:
@@ -67,4 +142,4 @@ def spolys_reduce_to_zero(gb: GroebnerBasis, below: int | None = None) -> bool:
 
 def row_generates_canonical(inst, row) -> bool:
     """True iff the row entries generate an integer translate of the canonical ideal."""
-    return RelativeIdeal(inst.H, row.entries).is_translate_of(canonical_ideal(inst.H))
+    return is_translate(RelativeIdeal(inst.H, row.entries), canonical_ideal(inst.H))

@@ -486,6 +486,7 @@ BASE_345 = json.loads(INST_345)
         ("sgp", ""),  # not the working directory read as a file
         ("corpus", "--ns", "2"),
         ("corpus", "--ns", "x"),
+        ("corpus", "--ns", "3,3", "--emax", "2"),  # would count each instance twice
         ("classify", '{"m": ' + "[" * 100000 + "]" * 100000 + "}"),
     ],
     ids=[
@@ -498,6 +499,7 @@ BASE_345 = json.loads(INST_345)
         "sgp-empty",
         "corpus-ns-2",
         "corpus-ns-x",
+        "corpus-ns-repeated",
         "classify-deep-nesting",
     ],
 )

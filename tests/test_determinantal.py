@@ -29,9 +29,10 @@ from ngtrace.determinantal import (
 )
 from ngtrace.errors import IdealMismatch, InhomogeneousMatrix, ResourceLimit
 from ngtrace.groebner import buchberger, toric_ideal, two_minors
-from ngtrace.ideals import is_nearly_gorenstein_oracle
 from ngtrace.polyring import PolyRing
 from ngtrace.semigroup import NumericalSemigroup
+
+from oracles import is_nearly_gorenstein_oracle
 
 
 def inst_345():
@@ -286,6 +287,18 @@ def test_grid_cap_raises_before_any_search(monkeypatch):
     assert GRID_CAP == 2**24
     assert build_corpus(ns=(6, 7, 12), emax=2, sample=0) == []
     assert build_corpus(ns=(7,), emax=3, sample=0) == []
+
+
+def test_repeated_size_raises_before_any_search(monkeypatch):
+    # a size named twice would have its grid searched, and its instances
+    # listed, once per naming
+    def no_search(*args):
+        raise AssertionError("searched a tuple of a corpus with a repeated size")
+
+    monkeypatch.setattr("ngtrace.corpus.search_instances", no_search)
+    for ns in ((3, 3), (3, 4, 3)):
+        with pytest.raises(ValueError, match="n = 3 is repeated"):
+            build_corpus(ns=ns, emax=2)
 
 
 def test_build_validates_order_is_arrangement():

@@ -13,6 +13,7 @@ from ngtrace.errors import ResourceLimit
 from ngtrace.groebner import (
     _size_reduce,
     buchberger,
+    first_nonzero_column,
     kernel_over_quotient,
     minors_basis,
     toric_ideal,
@@ -22,7 +23,7 @@ from ngtrace.higher_dim import HigherDimInstance, build_matrices
 from ngtrace.polyring import FreeModule, PolyRing
 from conftest import by_n
 from held_basis import spread_basis
-from oracles import skip_pair, spolys_reduce_to_zero
+from oracles import parse, skip_pair, spolys_reduce_to_zero
 from test_lambda_rows import SYZYGY_SAMPLE
 
 
@@ -33,43 +34,43 @@ def ring_345():
 def test_parse_and_str_round_trip():
     R = ring_345()
     for text in ("X1^2*X3 - X2^2", "X1 + 2*X2 - 3", "1/2*X1^4 - X3", "0"):
-        p = R.parse(text)
-        assert R.parse(str(p)) == p
+        p = parse(R, text)
+        assert parse(R, str(p)) == p
 
 
 def test_parse_rejects_unknown_variable():
     with pytest.raises(ValueError):
-        ring_345().parse("X9 + 1")
+        parse(ring_345(), "X9 + 1")
 
 
 @pytest.mark.parametrize("text", ["X1**2", "X1^", "X1^X2", "2 X1", "X1*", "*X1", "X1 - - X2"])
 def test_parse_rejects_malformed_terms(text):
     # "X1**2" once read as 2*X1, and "X1^" raised IndexError
     with pytest.raises(ValueError):
-        ring_345().parse(text)
+        parse(ring_345(), text)
 
 
 def test_polynomial_arithmetic():
     R = ring_345()
-    a = R.parse("X1 + X2")
-    b = R.parse("X1 - X2")
-    assert a * b == R.parse("X1^2 - X2^2")
-    assert a + b == R.parse("2*X1")
+    a = parse(R, "X1 + X2")
+    b = parse(R, "X1 - X2")
+    assert a * b == parse(R, "X1^2 - X2^2")
+    assert a + b == parse(R, "2*X1")
     assert a - a == R.zero()
     assert (a * R.zero()).is_zero()
-    assert a.scale(Fraction(1, 2)) == R.parse("1/2*X1 + 1/2*X2")
+    assert a.scale(Fraction(1, 2)) == parse(R, "1/2*X1 + 1/2*X2")
 
 
 def test_weighted_homogeneity():
     R = ring_345()
-    assert R.parse("X2^2 - X1*X3").is_homogeneous()
-    assert not R.parse("X2^2 - X1").is_homogeneous()
-    assert R.parse("X2^2 - X1*X3").wdeg() == 8
+    assert parse(R, "X2^2 - X1*X3").is_homogeneous()
+    assert not parse(R, "X2^2 - X1").is_homogeneous()
+    assert parse(R, "X2^2 - X1*X3").wdeg() == 8
 
 
 def test_buchberger_closure_contract():
     R = PolyRing(["x", "y"], [1, 1])
-    gb = buchberger([R.parse("x^2 - y"), R.parse("y^2 - x")])
+    gb = buchberger([parse(R, "x^2 - y"), parse(R, "y^2 - x")])
     assert 2 <= len(gb) <= 3
     assert spolys_reduce_to_zero(gb)
 
@@ -78,16 +79,16 @@ def test_buchberger_empty_input():
     R = ring_345()
     gb = buchberger([], ring=R)
     assert len(gb) == 0
-    assert not gb.contains(R.parse("X1"))
+    assert not gb.contains(parse(R, "X1"))
     assert gb.contains(R.zero())
 
 
 def test_normal_form_idempotent_and_membership():
     R = ring_345()
-    gens = [R.parse("X2^2 - X1*X3"), R.parse("X2*X3 - X1^3")]
+    gens = [parse(R, "X2^2 - X1*X3"), parse(R, "X2*X3 - X1^3")]
     gb = buchberger(gens)
     for text in ("X1^5 - X2*X3^2", "X1*X2*X3", "X1^2 + X3"):
-        p = R.parse(text)
+        p = parse(R, text)
         r = gb.normal_form(p)
         assert gb.normal_form(r) == r
     for g in gens:
@@ -99,43 +100,43 @@ def test_normal_form_idempotent_and_membership():
 def test_normal_form_rejects_other_ring():
     R = PolyRing(["x", "y"], [1, 1])
     S = PolyRing(["x", "y", "z"], [1, 1, 1])
-    gb = buchberger([R.parse("x^2 - y")])
-    p = S.parse("x^2*z + z")
+    gb = buchberger([parse(R, "x^2 - y")])
+    p = parse(S, "x^2*z + z")
     with pytest.raises(ValueError):
         gb.normal_form(p)
     with pytest.raises(ValueError):
         gb.contains(p)
     with pytest.raises(ValueError):
-        buchberger([R.parse("x^2 - y"), p])
+        buchberger([parse(R, "x^2 - y"), p])
 
 
 def test_proper_homogeneous_ideal_excludes_one():
     R = ring_345()
-    gb = buchberger([R.parse("X2^2 - X1*X3")])
+    gb = buchberger([parse(R, "X2^2 - X1*X3")])
     assert not gb.contains(R.one())
 
 
 def test_two_minors_shapes_and_signs():
     R = PolyRing(["a", "b", "c", "d"], [1, 1, 1, 1])
-    m = two_minors([[R.parse("a"), R.parse("b")], [R.parse("c"), R.parse("d")]])
-    assert m == [R.parse("a*d - b*c")]
+    m = two_minors([[parse(R, "a"), parse(R, "b")], [parse(R, "c"), parse(R, "d")]])
+    assert m == [parse(R, "a*d - b*c")]
     R3 = ring_345()
     D = [
-        [R3.parse("X2"), R3.parse("X3"), R3.parse("X1^2")],
-        [R3.parse("X1"), R3.parse("X2"), R3.parse("X3")],
+        [parse(R3, "X2"), parse(R3, "X3"), parse(R3, "X1^2")],
+        [parse(R3, "X1"), parse(R3, "X2"), parse(R3, "X3")],
     ]
     minors = two_minors(D)
     assert len(minors) == 3
-    assert minors[0] == R3.parse("X2^2 - X1*X3")
-    assert minors[1] == R3.parse("X2*X3 - X1^3")
-    assert minors[2] == R3.parse("X3^2 - X1^2*X2")
+    assert minors[0] == parse(R3, "X2^2 - X1*X3")
+    assert minors[1] == parse(R3, "X2*X3 - X1^3")
+    assert minors[2] == parse(R3, "X3^2 - X1^2*X2")
 
 
 def test_two_minors_counts():
     R = PolyRing([f"X{i}" for i in range(1, 5)], [7, 8, 9, 10])
     D = [
-        [R.parse("X2"), R.parse("X3"), R.parse("X4"), R.parse("X1^3")],
-        [R.parse("X1"), R.parse("X2"), R.parse("X3"), R.parse("X4^2")],
+        [parse(R, "X2"), parse(R, "X3"), parse(R, "X4"), parse(R, "X1^3")],
+        [parse(R, "X1"), parse(R, "X2"), parse(R, "X3"), parse(R, "X4^2")],
     ]
     assert len(two_minors(D)) == 6
 
@@ -224,7 +225,7 @@ def test_minors_basis_falls_back_when_the_minors_are_no_basis(monkeypatch):
     # the minors x^2*z - y^2, x^3 - y*z, x*y - z^2 of this matrix are no
     # Groebner basis: the basis adds x*z^3 - y^3 and z^5 - y^4
     R = PolyRing(["x", "y", "z"], [1, 1, 1])
-    D = [[R.parse("x^2"), R.parse("y"), R.parse("z")], [R.parse("y"), R.parse("z"), R.parse("x")]]
+    D = [[parse(R, "x^2"), parse(R, "y"), parse(R, "z")], [parse(R, "y"), parse(R, "z"), parse(R, "x")]]
     want = buchberger(two_minors(D))
     assert len(want) == 5
     calls = []
@@ -276,7 +277,7 @@ def _tied_products():
     has coprime multiplier leads and its three lead products all at x^2
     (which leads y here): it settles no pair of its minors."""
     R = MINOR_RINGS[1]
-    return [[R.parse("2*y - x^2"), R.parse("2*x"), R.parse("-x")], [R.parse("2*x"), R.parse("2"), R.parse("1")]]
+    return [[parse(R, "2*y - x^2"), parse(R, "2*x"), parse(R, "-x")], [parse(R, "2*x"), parse(R, "2"), parse(R, "1")]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -295,8 +296,8 @@ def test_toric_345_equals_minors():
     gb = toric_ideal([3, 4, 5])
     R3 = ring_345()
     D = [
-        [R3.parse("X2"), R3.parse("X3"), R3.parse("X1^2")],
-        [R3.parse("X1"), R3.parse("X2"), R3.parse("X3")],
+        [parse(R3, "X2"), parse(R3, "X3"), parse(R3, "X1^2")],
+        [parse(R3, "X1"), parse(R3, "X2"), parse(R3, "X3")],
     ]
     gbm = buchberger(two_minors(D))
     assert all(gbm.contains(p) for p in gb)
@@ -307,8 +308,8 @@ def test_toric_7890_equals_example_matrix():
     gb = toric_ideal([7, 8, 9, 10])
     R = PolyRing([f"X{i}" for i in range(1, 5)], [7, 8, 9, 10])
     D = [
-        [R.parse("X2"), R.parse("X3"), R.parse("X4"), R.parse("X1^3")],
-        [R.parse("X1"), R.parse("X2"), R.parse("X3"), R.parse("X4^2")],
+        [parse(R, "X2"), parse(R, "X3"), parse(R, "X4"), parse(R, "X1^3")],
+        [parse(R, "X1"), parse(R, "X2"), parse(R, "X3"), parse(R, "X4^2")],
     ]
     gbm = buchberger(two_minors(D))
     assert gb.polys == gbm.polys
@@ -358,7 +359,7 @@ def test_toric_saturation_by_colons(monkeypatch):
     lattice = buchberger([R.monomial([max(x, 0) for x in v]) - R.monomial([max(-x, 0) for x in v]) for v in vectors])
     assert sum(not lattice.contains(p) for p in gb) == 2
     # a seed in the toric ideal leaves the result as it is
-    seeded = toric_ideal([3, 16, 22], seed=[R.parse("X2^4 - X1^14*X3")])
+    seeded = toric_ideal([3, 16, 22], seed=[parse(R, "X2^4 - X1^14*X3")])
     assert seeded.polys == gb.polys
 
 
@@ -386,8 +387,8 @@ def test_module_degree_cap_reads_against_the_top_position(monkeypatch):
     # the inputs of (x^3, y^3)^T have degree 3 at tag positions of degree 3,
     # read as 0; the syzygy y^3 e1 - x^3 e2 has degree 6, read as 3
     R = PolyRing(["x", "y"], [1, 1])
-    rows = [[R.parse("x^3")], [R.parse("y^3")]]
-    assert kernel_over_quotient(rows, []) == [(R.parse("y^3"), R.parse("-x^3"))]
+    rows = [[parse(R, "x^3")], [parse(R, "y^3")]]
+    assert kernel_over_quotient(rows, []) == [(parse(R, "y^3"), parse(R, "-x^3"))]
     monkeypatch.setattr(groebner, "DEGREE_CAP_FACTOR", 1)  # weight sum 2: cap 2
     with pytest.raises(ResourceLimit, match="basis element degree 3 exceeds cap 2"):
         kernel_over_quotient(rows, [])
@@ -396,7 +397,7 @@ def test_module_degree_cap_reads_against_the_top_position(monkeypatch):
 def test_toric_seed_over_another_ring_raises():
     R = PolyRing(["Y1", "Y2"], [2, 3])
     with pytest.raises(ValueError, match="not over"):
-        toric_ideal([2, 3], seed=[R.parse("Y1^3 - Y2^2")])
+        toric_ideal([2, 3], seed=[parse(R, "Y1^3 - Y2^2")])
 
 
 def test_an_empty_basis_needs_its_ring():
@@ -418,13 +419,13 @@ def test_degree_cap_raises(monkeypatch):
     monkeypatch.setattr(groebner, "DEGREE_CAP_FACTOR", 2)
     R = PolyRing(["x", "y"], [1, 1])
     with pytest.raises(ResourceLimit):
-        buchberger([R.parse("x^7 - y"), R.parse("y^7 - x")])
+        buchberger([parse(R, "x^7 - y"), parse(R, "y^7 - x")])
 
 
 def test_basis_size_cap_raises(monkeypatch):
     monkeypatch.setattr(groebner, "DEFAULT_MAX_BASIS", 1)
     R = PolyRing(["x", "y", "z"], [1, 1, 1])
-    gens = [R.parse("x^3 - y*z"), R.parse("y^3 - x*z"), R.parse("z^3 - x*y")]
+    gens = [parse(R, "x^3 - y*z"), parse(R, "y^3 - x*z"), parse(R, "z^3 - x*y")]
     with pytest.raises(ResourceLimit):
         buchberger(gens)
 
@@ -433,17 +434,17 @@ def test_default_degree_cap_is_ten_times_weight_sum():
     # ring weight sum 3, so the cap is 30: a degree-31 input must be refused
     R = PolyRing(["x", "y", "z"], [1, 1, 1])
     with pytest.raises(ResourceLimit):
-        buchberger([R.parse("x^31 - y*z"), R.parse("y^2 - x*z")])
-    gb = buchberger([R.parse("x^30 - y*z")])
+        buchberger([parse(R, "x^31 - y*z"), parse(R, "y^2 - x*z")])
+    gb = buchberger([parse(R, "x^30 - y*z")])
     assert len(gb) == 1
 
 
 def test_homogeneous_input_keeps_homogeneous_basis():
     R = ring_345()
     gens = [
-        R.parse("X2^2 - X1*X3"),
-        R.parse("X2*X3 - X1^3"),
-        R.parse("X3^2 - X1^2*X2"),
+        parse(R, "X2^2 - X1*X3"),
+        parse(R, "X2*X3 - X1^3"),
+        parse(R, "X3^2 - X1^2*X2"),
     ]
     gb = buchberger(gens)
     assert all(p.is_homogeneous() for p in gb)
@@ -452,9 +453,9 @@ def test_homogeneous_input_keeps_homogeneous_basis():
 def test_determinism():
     R = ring_345()
     gens = [
-        R.parse("X2^2 - X1*X3"),
-        R.parse("X2*X3 - X1^3"),
-        R.parse("X3^2 - X1^2*X2"),
+        parse(R, "X2^2 - X1*X3"),
+        parse(R, "X2*X3 - X1^3"),
+        parse(R, "X3^2 - X1^2*X2"),
     ]
     a = buchberger(gens)
     b = buchberger(gens)
@@ -471,8 +472,8 @@ def test_kernel_zero_matrix_gives_unit_rows():
 
 def test_kernel_rows_annihilate():
     R = ring_345()
-    V = [R.parse("X2"), R.parse("X3"), R.parse("X1^2")]
-    U = [R.parse("X1"), R.parse("X2"), R.parse("X3")]
+    V = [parse(R, "X2"), parse(R, "X3"), parse(R, "X1^2")]
+    U = [parse(R, "X1"), parse(R, "X2"), parse(R, "X3")]
     minors = two_minors([V, U])
     rows = kernel_over_quotient([V, [-u for u in U]], minors)
     assert rows  # assertion inside kernel_over_quotient already checked f.N = 0
@@ -488,8 +489,8 @@ def test_kernel_entries_are_reduced_modulo_an_inhomogeneous_ideal():
     # interreducing the tag rows brings back terms that a lead of the ideal
     # divides (y^2*z^4 here): the tails are reduced modulo the ideal too
     R = PolyRing(["x", "y", "z"], [1, 1, 1])
-    rows = [[R.parse("x + 2*y"), R.parse("x*z - y*z")], [R.parse("2*x - z"), R.parse("2*x*z")]]
-    ideal = buchberger([R.parse("x^2*y^2*z^2 - x*y*z"), R.parse("x^2*y - y*z^2")])
+    rows = [[parse(R, "x + 2*y"), parse(R, "x*z - y*z")], [parse(R, "2*x - z"), parse(R, "2*x*z")]]
+    ideal = buchberger([parse(R, "x^2*y^2*z^2 - x*y*z"), parse(R, "x^2*y - y*z^2")])
     kernel = kernel_over_quotient(rows, ideal)
     assert len(kernel) == 2
     assert all(ideal.normal_form(p) == p for row in kernel for p in row)
@@ -499,8 +500,8 @@ def test_kernel_rejects_a_corrupted_tag_row(monkeypatch):
     # the f.N = 0 check runs on every tag row: add 1 to the first entry of
     # the first row, and V_j stays behind at every column
     R = ring_345()
-    V = [R.parse("X2"), R.parse("X3"), R.parse("X1^2")]
-    U = [R.parse("X1"), R.parse("X2"), R.parse("X3")]
+    V = [parse(R, "X2"), parse(R, "X3"), parse(R, "X1^2")]
+    U = [parse(R, "X1"), parse(R, "X2"), parse(R, "X3")]
     minors = buchberger(two_minors([V, U]))
     real_interreduce = groebner._interreduce
 
@@ -534,20 +535,38 @@ def test_kernel_rejects_rows_without_position_degrees():
     # (x, y^2) and (x, y) would need tag degrees t_0 = t_1 from column 0
     # but t_0 = t_1 + 1 from column 1
     R = PolyRing(["x", "y"], [1, 1])
-    x, y = R.parse("x"), R.parse("y")
+    x, y = parse(R, "x"), parse(R, "y")
     with pytest.raises(ValueError, match="no position degrees"):
         kernel_over_quotient([[x, y * y], [x, y]], [])
     with pytest.raises(ValueError, match="not homogeneous"):
         kernel_over_quotient([[x + y * y], [y]], [])
 
 
+def test_kernel_rejects_entries_over_another_ring():
+    # y packed with weights (1, 2) beside x packed with weights (1, 1):
+    # read in one layout, the mixed terms give the kernel row (y, -x)
+    R, R2 = PolyRing(["x", "y"], [1, 1]), PolyRing(["x", "y"], [1, 2])
+    with pytest.raises(ValueError, match=r"matrix entry over .*\[1, 2\]\), not over .*\[1, 1\]\)"):
+        kernel_over_quotient([[parse(R, "x")], [parse(R2, "y")]], buchberger([], ring=R))
+
+
+def test_first_nonzero_column_rejects_entries_over_another_ring():
+    R, R2 = PolyRing(["x", "y"], [1, 1]), PolyRing(["x", "y"], [1, 2])
+    x, y2, gb = parse(R, "x"), parse(R2, "y"), buchberger([], ring=R)
+    assert first_nonzero_column([x], [[x]], gb) == (0, x * x)
+    with pytest.raises(ValueError, match="row entry over"):
+        first_nonzero_column([y2], [[x]], gb)
+    with pytest.raises(ValueError, match="matrix entry over"):
+        first_nonzero_column([x], [[y2]], gb)
+
+
 def test_free_module_position_degrees():
     # the degree of a term adds its position's; the order and wdeg do not see it
     R = PolyRing(["x", "y"], [1, 2])
     F, G = FreeModule(R, 2, (3, 0)), FreeModule(R, 2)
-    t = F.vector({0: R.parse("x*y")}).lm()
+    t = F.vector({0: parse(R, "x*y")}).lm()
     assert F.degree(t) == 6 and F.wdeg(t) == 3 and G.degree(t) == 3
-    assert F.degree(F.vector({1: R.parse("y")}).lm()) == 2
+    assert F.degree(F.vector({1: parse(R, "y")}).lm()) == 2
     assert R.degree(R.term((1, 1))) == 3
     with pytest.raises(ValueError):
         FreeModule(R, 2, (1,))
@@ -557,7 +576,7 @@ def test_kernel_koszul_row():
     # one column (x, y): the kernel is the Koszul row (y, -x).  Its leads sit
     # at the same position, so a product criterion there would lose it.
     R = PolyRing(["x", "y"], [1, 1])
-    x, y = R.parse("x"), R.parse("y")
+    x, y = parse(R, "x"), parse(R, "y")
     ((f, g),) = kernel_over_quotient([[x], [y]], [])
     unit = f.lc()
     assert f == y.scale(unit) and g == x.scale(-unit)
@@ -566,30 +585,30 @@ def test_kernel_koszul_row():
 def test_free_module_term_format():
     R = PolyRing(["x", "y"], [1, 1])
     F = FreeModule(R, 3)
-    v = F.vector({0: R.parse("x^2 - y"), 2: R.parse("y")})
+    v = F.vector({0: parse(R, "x^2 - y"), 2: parse(R, "y")})
     assert [str(p) for p in F.components(v)] == ["x^2 - y", "0", "y"]
     assert F.position(v.lm()) == 0 and F.exponents(v.lm())[:2] == (2, 0)
-    xe1, ye2 = F.vector({0: R.parse("x")}).lm(), F.vector({1: R.parse("y")}).lm()
+    xe1, ye2 = F.vector({0: parse(R, "x")}).lm(), F.vector({1: parse(R, "y")}).lm()
     # ring terms act on module terms by +; division fails across positions
-    assert xe1 + R.term((0, 1)) == F.vector({0: R.parse("x*y")}).lm()
+    assert xe1 + R.term((0, 1)) == F.vector({0: parse(R, "x*y")}).lm()
     assert not F.divides(ye2, xe1)
     # position over term: position 0 beats any degree at position 1
-    assert xe1 > F.vector({1: R.parse("x^5")}).lm()
-    assert skip_pair(F, xe1, ye2) and not skip_pair(F, xe1, F.vector({0: R.parse("y")}).lm())
+    assert xe1 > F.vector({1: parse(R, "x^5")}).lm()
+    assert skip_pair(F, xe1, ye2) and not skip_pair(F, xe1, F.vector({0: parse(R, "y")}).lm())
 
 
 def test_buchberger_on_submodule():
     R = PolyRing(["x", "y"], [1, 1])
     F = FreeModule(R, 2)
     gens = [
-        F.vector({0: R.parse("x"), 1: R.parse("y")}),
-        F.vector({0: R.parse("y"), 1: R.parse("x")}),
+        F.vector({0: parse(R, "x"), 1: parse(R, "y")}),
+        F.vector({0: parse(R, "y"), 1: parse(R, "x")}),
     ]
     gb = buchberger(gens)
     assert spolys_reduce_to_zero(gb)
     assert all(gb.contains(g) for g in gens)
     # (x^2 - y^2) e2 = x * g1 - y * g0 lies in the submodule, e2 does not
-    assert gb.contains(F.vector({1: R.parse("x^2 - y^2")}))
+    assert gb.contains(F.vector({1: parse(R, "x^2 - y^2")}))
     assert not gb.contains(F.vector({1: R.one()}))
 
 
@@ -661,7 +680,7 @@ def test_terms_past_the_packing_limit_raise(monkeypatch):
     # the S-polynomial of xy - 1 and x^(L-1) - y^(L-1) is y^L - x^(L-2):
     # its lead lies past the limit, and the degree cap is set above it (4 L)
     monkeypatch.setattr(groebner, "DEGREE_CAP_FACTOR", 2 * L)
-    gens = [R.parse("x*y - 1"), R.var(0, L - 1) - R.var(1, L - 1)]
+    gens = [parse(R, "x*y - 1"), R.var(0, L - 1) - R.var(1, L - 1)]
     with pytest.raises(ResourceLimit, match="packing limit"):
         buchberger(gens)
 
@@ -723,12 +742,12 @@ def test_seeded_buchberger_equals_plain(data):
 def test_seed_basis_must_be_monic():
     R = PolyRing(["x", "y"], [1, 1])
     with pytest.raises(ValueError, match="monic"):
-        groebner._close([R.parse("x - y")], [R.parse("2*x^2 - y")], R)
+        groebner._close([parse(R, "x - y")], [parse(R, "2*x^2 - y")], R)
 
 
 def test_buchberger_stats_count_the_pair_loop():
     R = PolyRing(["x", "y"], [1, 1])
-    gb = buchberger([R.parse("x^2 - y"), R.parse("y^2 - x")])
+    gb = buchberger([parse(R, "x^2 - y"), parse(R, "y^2 - x")])
     assert set(gb.stats) == {
         "pairs_queued",
         "pairs_skipped",
@@ -815,9 +834,9 @@ def test_kernel_rejects_an_ideal_over_another_ring():
     # same names, other weights: the generators and a ready basis are refused
     # with both rings named, not read with the wrong term layout
     R, S = ring_345(), PolyRing(["X1", "X2", "X3"], [1, 1, 1])
-    V = [R.parse("X2"), R.parse("X3"), R.parse("X1^2")]
-    U = [R.parse("X1"), R.parse("X2"), R.parse("X3")]
-    minors = two_minors([[S.parse(str(p)) for p in V], [S.parse(str(p)) for p in U]])
+    V = [parse(R, "X2"), parse(R, "X3"), parse(R, "X1^2")]
+    U = [parse(R, "X1"), parse(R, "X2"), parse(R, "X3")]
+    minors = two_minors([[parse(S, str(p)) for p in V], [parse(S, str(p)) for p in U]])
     for ideal in (minors, buchberger(minors)):
         with pytest.raises(ValueError, match=r"over PolyRing.*\[1, 1, 1\].*not over PolyRing.*\[3, 4, 5\]"):
             kernel_over_quotient([V, [-u for u in U]], ideal)

@@ -17,6 +17,7 @@ from ngtrace.higher_dim import (
     verify_witness,
     witness_rows,
 )
+from ngtrace.polyring import PolyRing, Polynomial
 from ngtrace.semigroup import NumericalSemigroup
 
 from carried_marks import arrangements, carried
@@ -288,6 +289,35 @@ def test_perturbed_witness_fails():
     bad[0][1] = bad[0][1] + hd.ring.var_named("X1")
     with pytest.raises(WitnessFailed):
         verify_witness(hd, [tuple(r) for r in bad])
+
+
+def _repacked(ring, p):
+    """p with its exponents packed as terms of ring, which has p's leading variables."""
+    out = ring.zero()
+    for t, c in p.terms.items():
+        out = out + ring.monomial(p.ring.exponents(t)[: ring.nvars], c)
+    return out
+
+
+@pytest.mark.parametrize("how", ["relabelled", "repacked", "base-ring"])
+def test_witness_rows_over_another_ring_are_refused(how):
+    # packed terms of two rings do not multiply: read in the instance's
+    # layout, rows relabelled with a ring of doubled weights verify, and rows
+    # repacked in it or in the base ring leave nonsense remainders
+    res = classify(HigherDimInstance(tail_n4(), frozenset({1}), frozenset()))
+    rows, ring = res.witness_rows(), res.instance.ring
+    doubled = PolyRing(list(ring.names), [2 * w for w in ring.weights])
+    if how == "relabelled":
+        rows = [tuple(Polynomial(doubled, p.terms) for p in row) for row in rows]
+    elif how == "repacked":
+        rows = [tuple(_repacked(doubled, p) for p in row) for row in rows]
+    else:  # the rows free of the deformation variable fit the base ring
+        base = res.instance.base.ring
+        rows = [tuple(_repacked(base, p) for p in row) for row in rows[:2]]
+    assert res.verify(res.witness_rows())
+    with pytest.raises(ValueError, match="row entry over") as exc:
+        res.verify(rows)
+    assert not isinstance(exc.value, WitnessFailed)
 
 
 def test_zero_witness_rows_fail_the_cover_check():

@@ -8,16 +8,11 @@ from ngtrace import ideals
 from ngtrace.corpus import check_instance
 from ngtrace.determinantal import NGResult, build, search_instances
 from ngtrace.errors import BaseMismatch
-from ngtrace.ideals import (
-    RelativeIdeal,
-    canonical_ideal,
-    is_nearly_gorenstein_oracle,
-    trace_canonical_oracle,
-    unit_ideal,
-)
+from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle, unit_ideal
 from ngtrace.semigroup import NumericalSemigroup
 
 from conftest import sieve
+from oracles import is_nearly_gorenstein_oracle, is_subideal, is_translate
 
 H345 = NumericalSemigroup([3, 4, 5])
 H23 = NumericalSemigroup([2, 3])
@@ -109,6 +104,10 @@ def test_base_mismatch_rejected():
         unit_ideal(H345).add(unit_ideal(H23))
     with pytest.raises(BaseMismatch):
         unit_ideal(H345).colon(unit_ideal(H23))
+    with pytest.raises(BaseMismatch):
+        is_subideal(unit_ideal(H345), unit_ideal(H23))
+    with pytest.raises(BaseMismatch):
+        is_translate(unit_ideal(H345), unit_ideal(H23))
 
 
 def test_trace_oracle_values():
@@ -218,11 +217,11 @@ def test_mask_normal_form_matches_member_sets(H, gens_e, gens_f, pad, offset):
     again = RelativeIdeal.from_mask(H, E.mask << pad, E.lo - pad)
     assert again == E and (again.lo, again.mask) == (E.lo, E.mask)
     # the old definition: the generators shifted by the gap of the minima
-    d = E.minimum() - F.minimum()
-    assert E.is_translate_of(F) == (E.generators == tuple(g + d for g in F.generators))
+    d = E.lo - F.lo
+    assert is_translate(E, F) == (E.generators == tuple(g + d for g in F.generators))
     moved = RelativeIdeal(H, [g + offset for g in gens_e])
-    assert moved.is_translate_of(E) and moved.mask == E.mask
-    assert (E <= F) == members_e.issubset(members_f)
+    assert is_translate(moved, E) and moved.mask == E.mask
+    assert is_subideal(E, F) == members_e.issubset(members_f)
 
 
 @given(st.sampled_from(BASES[:-1]), small_ideal_gens, st.integers(1, 12))

@@ -1,10 +1,12 @@
+import random
 from functools import partial
 
 import pytest
 
 from ngtrace import groebner, lambda_rows
+from ngtrace.corpus import check_instance
 from ngtrace.determinantal import build, search_instances
-from ngtrace.errors import NotApplicable
+from ngtrace.errors import NotApplicable, ResourceLimit
 from ngtrace.groebner import kernel_over_quotient, minors_basis
 from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle, unit_ideal
 from ngtrace.lambda_rows import (
@@ -444,3 +446,33 @@ def test_kernel_closure_with_seed_product_criterion_is_complete(make, monkeypatc
     ((closed, basis),) = seen
     assert closed.stats["pairs_skipped"] > 0 and closed.stats["pairs_left"] == 0
     assert spolys_reduce_to_zero(_with_basis(closed, basis))
+
+
+BEYOND_GRID = {3: 189, 4: 137, 5: 24}  # instances the seeded draws find, per n
+
+
+@pytest.mark.parametrize("n", sorted(BEYOND_GRID))
+def test_random_exponents_beyond_the_grid(n):
+    # the corpus stops at exponent 3 and generator 150; 400 seeded draws of
+    # exponents 1..6 with search bound 500 go past both.  Every instance
+    # found passes check_instance and its syzygy trace is the oracle's; a
+    # ResourceLimit fails the test, listed by its payload and reason
+    rng = random.Random(1000 + n)
+    found, failures = 0, []
+    for _ in range(400):
+        m = tuple(rng.randint(1, 6) for _ in range(n))
+        ell = tuple(rng.randint(1, 6) for _ in range(n))
+        payload = {"m": m, "ell": ell, "bound": 500}
+        try:
+            for inst in search_instances(m, ell, 500):
+                found += 1
+                payload = inst.to_json()
+                report = check_instance(inst)
+                if report.violations():
+                    failures.append((payload, report.violations()))
+                if trace_canonical_syzygy(inst) != report.trace_oracle:
+                    failures.append((payload, "the syzygy trace differs from the oracle's"))
+        except ResourceLimit as exc:
+            failures.append((payload, f"ResourceLimit: {exc}"))
+    assert not failures, failures
+    assert found == BEYOND_GRID[n]

@@ -57,3 +57,37 @@ def test_no_floating_point_in_src():
             if what is not None:
                 found.append(f"{path.name}:{node.lineno}: {what}")
     assert not found, found
+
+
+def _names_read(tree) -> set[str]:
+    """Every name, attribute and imported name in tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_src_holds_no_code_that_only_tests_call():
+    # a function or class in src that neither the package nor the benchmark
+    # names is run by the tests alone, and belongs in tests/oracles.py; the
+    # re-exports of __init__ name everything and so count for nothing, and
+    # dunder methods are called by the language, not by name
+    defined, read = [], set()
+    for path in sorted((ROOT / "src" / "ngtrace").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read |= _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((node.name, f"{path.name}:{node.lineno}"))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        read |= _names_read(ast.parse(path.read_text(), str(path)))
+    unread = [f"{where}: {name}" for name, where in defined if name not in read]
+    assert not unread, unread
