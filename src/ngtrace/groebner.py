@@ -108,7 +108,7 @@ class GroebnerBasis:
         self._index = None
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        if p.ring != self.ring:
+        if p.ring is not self.ring and p.ring != self.ring:  # identity first, as _check_ring
             raise ValueError(f"polynomial over {p.ring!r}, basis over {self.ring!r}")
         if self._index is None:
             self._index = _lead_index(self.ring, self.polys)
@@ -227,8 +227,10 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     every position's division index, and it joins every position's pair
     list and chain check: a ring lead divides a module term by the
     exponent fields alone, and m - lm carries the term's position into
-    the tail.  S(g e_k, g' e_k) = S(g, g') e_k reduces to zero over the
-    basis, so pairs of two basis polys are treated from the start.
+    the tail.  ``basis`` must be a Groebner basis of the ideal it
+    generates, not necessarily reduced: S(g e_k, g' e_k) = S(g, g') e_k
+    reduces to zero over it, so pairs of two basis polys are treated from
+    the start, and each g e_k lies in the closure's module.
 
     In a free module the product criterion also holds for a pair
     (v, g e_p) whose ring leads x^a (of lm v = x^a e_p) and G (of
@@ -267,7 +269,7 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
         if g.ring != ring:
             raise ValueError(f"generator over {g.ring!r}, not over {ring!r}")
     for g in basis:
-        if g.ring != base:
+        if g.ring is not base and g.ring != base:
             raise ValueError(f"basis polynomial over {g.ring!r}, not over {base!r}")
         if g.is_zero() or g.lc() != 1:
             raise ValueError("a seed basis holds monic polynomials only")
@@ -280,37 +282,46 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     lms: list[int] = []
     lead_es: list[int] = []
     supports: list[int] = []
-    index: dict[int, list] = {}
-    at: dict[int, list[int]] = {}  # position -> indices of the polys led there; a basis poly at each
     top = size = 0
 
-    def admit(p: Polynomial, positions):
+    def admit(p: Polynomial, copies: int):
+        """Check the caps on p, counted ``copies`` times, and keep its lead data."""
         nonlocal top, size
         lm = p.lm()
-        deg = ring.degree(lm) - top_position if lm >> pos_shift else ring.wdeg(lm)
+        wdeg = ring.wdeg(lm)
+        deg = ring.degree(lm) - top_position if lm >> pos_shift else wdeg
         if deg > cap:
             raise ResourceLimit(f"basis element degree {deg} exceeds cap {cap}")
-        top = max(top, ring.wdeg(lm))
+        top = max(top, wdeg)
         polys.append(p)
-        size += len(positions)
+        size += copies
         if size > DEFAULT_MAX_BASIS:
             raise ResourceLimit(f"basis size exceeds cap {DEFAULT_MAX_BASIS}")
-        entry = p.lead_entry()
-        for code in positions:
-            index.setdefault(code, []).append(entry)
-            at.setdefault(code, []).append(len(lms))
         lms.append(lm)
-        lead_es.append(entry[0])
+        lead_es.append(p.lead_entry()[0])
         supports.append(ring.support(lm))
 
     for g in basis:
-        admit(g, codes)
+        admit(g, len(codes))
     seeded = len(polys)
+    # every position's division list and pair list start as the whole basis,
+    # each built in one step rather than poly by poly
+    heads = [g.lead_entry() for g in basis]
+    index: dict[int, list] = {code: list(heads) for code in codes}
+    at: dict[int, list[int]] = {code: list(range(seeded)) for code in codes}  # position -> indices of the polys led there
+
+    def place(p: Polynomial):
+        """Admit p at its own position only."""
+        admit(p, 1)
+        code = p.lm() >> pos_shift
+        index.setdefault(code, []).append(p.lead_entry())
+        at.setdefault(code, []).append(len(lms) - 1)
+
     in_ring = isinstance(ring, PolyRing)
     for g in gens:
         r = _reduce_terms(g, index).monic()
         if not r.is_zero():
-            admit(r, (r.lm() >> pos_shift,))
+            place(r)
 
     pairs: list[tuple[int, int, int, int, int]] = []
     seq = skipped = chained = zeros = 0
@@ -365,7 +376,7 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
         if r.is_zero():
             zeros += 1
             continue
-        admit(r.monic(), (r.lm() >> pos_shift,))
+        place(r.monic())
         push_pairs(len(polys) - 1)
 
     counts = (seq, skipped, chained, zeros, size, top, len(pairs))
@@ -448,7 +459,7 @@ def two_minors(matrix: list[list[Polynomial]]) -> list[Polynomial]:
 
 
 def minors_basis(matrix: list[list[Polynomial]]) -> GroebnerBasis:
-    """buchberger(two_minors(matrix)), with the minors certified a Groebner basis first.
+    """A Groebner basis of the 2-minors: the minors themselves once certified, else buchberger's.
 
     Buchberger's criterion in its lcm-representation form (Cox, Little and
     O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9): the
@@ -478,27 +489,45 @@ def minors_basis(matrix: list[list[Polynomial]]) -> GroebnerBasis:
       the minors are no Groebner basis, so their pair loop is run,
       buchberger(minors), and its result returned.
 
-    A certified basis is interreduced as buchberger interreduces its
-    closure, and a reduced Groebner basis is unique, so the result is the
-    same either way; only ``stats`` differs, None for a certified basis.
+    A certified basis is returned as it is: the monic nonzero minors, in
+    the order of their column pairs, with ``stats`` None.  It need not be
+    reduced, and no caller needs it to be.  The remainder on division by
+    any Groebner basis of an ideal is the same (Cox, Little and O'Shea,
+    ch. 2 section 6), so normal_form, first_nonzero_column and the
+    residues HDResult.verify prints are those of the reduced basis.
+    _close asks two things of a basis it holds: each S(g, g') reduces
+    to zero over it, and each g lies in the ideal; any Groebner basis
+    gives both, so kernel_over_quotient still returns the reduced basis of
+    its kernel, each entry in normal form.  The reduced basis is
+    _interreduce of the result, which equals buchberger(minors).
     """
     minors = two_minors(matrix)
     if not minors:
         return buchberger(minors, ring=matrix[0][0].ring if matrix[0] else None)
     ring = minors[0].ring
+    mask, guards = ring.mask, ring.guards
     n = len(matrix[0])
     at = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
     live = [k for k, g in enumerate(minors) if not g.is_zero()]
-    lm = {k: minors[k].lm() for k in live}
-    support = {k: ring.support(t) for k, t in lm.items()}
-    # the pairs (a, b), a < b, settled directly
-    direct = {(a, b) for a, b in combinations(live, 2) if not support[a] & support[b]}
+    lm = [None if g.is_zero() else g.lm() for g in minors]
+    support = [0 if t is None else ring.support(t) for t in lm]
+    # bit b of settled[a] is set once the pair (a, b) is settled directly, so
+    # the minors settled directly with both a and b are one AND of two masks
+    settled = [0] * len(minors)
+
+    def settle(a: int, b: int):
+        settled[a] |= 1 << b
+        settled[b] |= 1 << a
+
+    for a, b in combinations(live, 2):
+        if not support[a] & support[b]:
+            settle(a, b)
     leads = [[None if r.is_zero() else (r.lm(), ring.support(r.lm())) for r in row] for row in matrix]
     for p, q, s in combinations(range(n), 3):
         ks = (at[q, s], at[p, s], at[p, q])
         for row in leads:
             rs = (row[p], row[q], row[s])
-            prods = [r[0] + lm[k] if r is not None and k in lm else None for r, k in zip(rs, ks)]
+            prods = [None if r is None or lm[k] is None else r[0] + lm[k] for r, k in zip(rs, ks)]
             for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
                 if (
                     prods[x] is not None
@@ -506,24 +535,27 @@ def minors_basis(matrix: list[list[Polynomial]]) -> GroebnerBasis:
                     and (prods[z] is None or prods[z] < prods[x])
                     and not rs[x][1] & rs[y][1]
                 ):
-                    direct.add((min(ks[x], ks[y]), max(ks[x], ks[y])))
+                    settle(ks[x], ks[y])
+    exps = [0 if t is None else -t & mask for t in lm]
     index = None
     for a, b in combinations(live, 2):
-        if (a, b) in direct:
+        if settled[a] >> b & 1:
             continue
         gamma = ring.lcm(lm[a], lm[b])
-        if any(
-            ring.divides(lm[c], gamma) and (min(a, c), max(a, c)) in direct and (min(b, c), max(b, c)) in direct
-            for c in live
-            if c != a and c != b
-        ):
-            continue
-        if index is None:
-            index = _lead_index(ring, [minors[k] for k in live])
-        if not _reduce_terms(_spoly(minors[a], minors[b], gamma), index).is_zero():
-            return buchberger(minors)
-        direct.add((a, b))
-    return GroebnerBasis(ring, _interreduce(ring, [minors[k] for k in live]))
+        e = (-gamma & mask) | guards
+        both = settled[a] & settled[b]
+        while both:
+            c = both & -both
+            both ^= c
+            if (e - exps[c.bit_length() - 1]) & guards == guards:
+                break  # chain: that minor's lead divides the lcm
+        else:
+            if index is None:
+                index = _lead_index(ring, [minors[k] for k in live])
+            if not _reduce_terms(_spoly(minors[a], minors[b], gamma), index).is_zero():
+                return buchberger(minors)
+            settle(a, b)
+    return GroebnerBasis(ring, [minors[k].monic() for k in live])
 
 
 # -- toric ideals -----------------------------------------------------------
@@ -645,10 +677,12 @@ def _position_degrees(rows: list[list[Polynomial]]) -> list[int]:
         for j, p in enumerate(row):
             if p.is_zero():
                 continue
-            if not p.is_homogeneous():
+            degrees = {p.ring.wdeg(m) for m in p.terms}  # one pass gives homogeneity and degree
+            if len(degrees) > 1:
                 raise ValueError(f"matrix entry ({i}, {j}) = {p} is not homogeneous")
-            edges[j].append((q + i, p.wdeg()))
-            edges[q + i].append((j, -p.wdeg()))
+            (d,) = degrees
+            edges[j].append((q + i, d))
+            edges[q + i].append((j, -d))
     degrees: list[int | None] = [None] * (q + r)
     for anchor in range(q + r):
         if degrees[anchor] is not None:
@@ -679,17 +713,19 @@ def kernel_over_quotient(
     Row i of N becomes the vector (N_i, e_i) in a free module F with
     "value" positions 0..q-1 for the columns and "tag" positions
     q..q+r-1.  The pair loop closes these vectors together with I F: it is
-    handed I's reduced basis once, each g standing for g e_k at every
-    position k (see _close).  In the position-over-term order the value
-    positions lead, so the elements whose lead sits at a tag position have
-    no value part, and with I at the tag positions they form a Groebner
-    basis of K = {f : f.N in I^q}, whose image modulo I is the kernel.
-    Only those elements are read and interreduced, their tails reduced
-    modulo I as well.  No lead of theirs is a multiple of a lead of I, as
-    the loop admits only remainders modulo I at every position, so every
-    entry of a returned row is its own normal form modulo I, and no
-    returned row is zero in the quotient.  Only buchberger's basis-size
-    and degree caps bound the loop.
+    handed a Groebner basis of I once, reduced or not, each g standing
+    for g e_k at every position k (see _close).  In the position-over-term
+    order the value positions lead, so the elements whose lead sits at a
+    tag position have no value part, and with I at the tag positions they
+    form a Groebner basis of K = {f : f.N in I^q}, whose image modulo I is
+    the kernel.  Only those elements are read and interreduced, their
+    tails reduced modulo I as well, so the rows are K's reduced basis
+    without the multiples of I.  No lead of theirs is a multiple of a lead
+    of I, as the loop admits only remainders modulo I at every position,
+    so every entry of a returned row is its own normal form modulo I (the
+    same over any Groebner basis of I), and no returned row is zero in
+    the quotient.  Only buchberger's basis-size and degree caps bound the
+    loop.
 
     The module is graded: tag position q+i has degree t_i and value
     position j degree s_j, with deg N_ij + s_j = t_i at every nonzero N_ij,
@@ -736,15 +772,22 @@ def kernel_over_quotient(
         if not all(g.is_homogeneous() for g in ideal_gb):
             raise ValueError("an early stop needs a homogeneous ideal")
         top = max(module.degrees[q:])
-        pending: list[Polynomial] = []
+        # (degree, element) of the elements led at a tag position not yet
+        # handed to stop; a tag position p >= q has code rank - p <= r, and
+        # both the code and the degree are read off the packed lead once
+        pending: list[tuple[int, Polynomial]] = []
         seen = len(ideal_gb)  # the ideal's basis comes first in polys
 
         def hook(level, polys):
             nonlocal seen
-            pending.extend(v for v in polys[seen:] if module.position(v.lm()) >= q)
+            for v in polys[seen:]:
+                lm = v.lm()
+                if lm >> module.pos_shift <= r:
+                    pending.append((module.degree(lm), v))
             seen = len(polys)
-            found = [v for v in pending if module.degree(v.lm()) < level]
-            pending[:] = [v for v in pending if module.degree(v.lm()) >= level]
+            found = [v for d, v in pending if d < level]
+            if found:  # most calls hand over no row and leave pending as it is
+                pending[:] = [(d, v) for d, v in pending if d >= level]
             return stop(level - top, [tuple(module.components(v)[q:]) for v in found])
 
     closed = _close(vectors, ideal_gb.polys, module, hook)

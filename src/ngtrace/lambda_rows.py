@@ -186,8 +186,11 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     lexicographic order, so for a weighted-homogeneous g, X_n divides
     in(g) only if X_n divides g; X_n is not in the prime P, so g in P
     divisible by X_n is X_n g' with g' in P, and in(P) : X_n = in(P).  A
-    minimal generator of in(P) is then free of X_n: no lead of the
-    minors' reduced basis involves X_n (Bayer and Stillman, 1987).  Number
+    minimal generator of in(P) is then free of X_n (Bayer and Stillman,
+    1987), and so is each lead of minors_basis that is one; on the corpus
+    every lead of the certified minors is one, and none involves X_n (a
+    test checks it).  A lead that did would cost only the skip below,
+    never the result.  Number
     the kernel's input rows 0..n-2 and its value positions 0..n-3: row
     i >= 1 has -U_n at position i - 1 and V_1 (or nothing) at position i,
     so under position over term it is led by X_n^ln e_(i-1).  Its ring

@@ -14,7 +14,9 @@ is ``(H << shift) - E``, so:
   ``-``;
 * E is ``-t & mask``, and d divides t iff they share a position and
   ``((E_t | guards) - E_d) & guards == guards`` (no field borrows);
-* the lcm is a per-field max done on all fields at once.
+* the lcm of a and b is a plus b's excess over a: one guard-bit
+  subtraction finds the fields where b's exponent is larger, and only
+  those fields are read to add the excess's weighted degree.
 
 Every term has weighted degree below ``degree_limit``, which bounds each
 exponent too and so keeps every field below half its width: the sum of two
@@ -90,11 +92,27 @@ class _Layout:
         return (((-t & self.mask) | self.guards) - low) & self.guards
 
     def lcm(self, a: int, b: int) -> int:
-        """The lcm of the exponents of a and b, at the position of a."""
-        ea, eb = -a & self.mask, -b & self.mask
-        ge = ((ea | self.guards) - eb) & self.guards  # guard set where a >= b
-        keep_a = ge - (ge >> (self.bits - 1))
-        return a + self._pack(((ea & keep_a) | (eb & ~keep_a)) - ea)
+        """The lcm of the exponents of a and b, at the position of a.
+
+        It is a times x^u, for u b's excess over a: e_b - e_a in the fields
+        where e_b is larger, 0 elsewhere.  A guard stays set in
+        (e_a | guards) - e_b exactly where e_a >= e_b, so the guards left
+        unset mark u's fields, and u is one subtraction under their masks
+        (no field borrows there).  Only those fields are read for u's
+        weighted degree: one product of u by a word of the weights would
+        carry between fields, so it is summed field by field.
+        """
+        ea, eb, bits = -a & self.mask, -b & self.mask, self.bits
+        over = ~((ea | self.guards) - eb) & self.guards  # guard set where b > a
+        keep = over - (over >> (bits - 1))
+        u = (eb & keep) - (ea & keep)
+        field, weights = self.degree_limit - 1, self.weights  # u's fields are below the limit
+        deg = 0
+        while over:
+            top = over.bit_length()  # the guard of field i is bit bits * (i + 1) - 1
+            over ^= 1 << (top - 1)
+            deg += weights[top // bits - 1] * (u >> (top - bits) & field)
+        return a + (deg << self.shift) - u
 
     def _split(self, e: int) -> list[int]:
         field = (1 << self.bits) - 1

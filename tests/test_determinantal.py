@@ -109,24 +109,30 @@ def _standard_count(leads: list[tuple[int, ...]], nvars: int, cap: int) -> int |
 
     Returns None when there are infinitely many, that is when some variable
     has no pure power among the leads; otherwise the count, or cap + 1 as
-    soon as it passes cap.  The standard monomials are closed under
-    division, so a depth-first walk that appends variables in nondecreasing
-    index order meets each once and may stop at the first non-standard one.
+    soon as it passes cap.  The count goes by rows of the staircase: for a
+    monomial p in the first nvars - 1 variables, p times x^t (x the last
+    variable) is standard iff t is below the least x-exponent of the leads
+    whose other fields fit under p, and that least exponent exists, since
+    a pure power of x fits under every p.  Standard monomials are closed
+    under division, so a depth-first walk over the prefixes that appends
+    variables in nondecreasing index order meets each once and may stop at
+    the first prefix whose row is empty.
     """
     powers = {sum(1 << i for i, e in enumerate(lm) if e) for lm in leads}
     if any(1 << i not in powers for i in range(nvars)):
         return None
     count = 0
-    stack = [((0,) * nvars, 0)]
+    stack = [((0,) * (nvars - 1), 0)]
     while stack:
-        mono, first = stack.pop()
-        if any(all(a >= b for a, b in zip(mono, lm)) for lm in leads):
+        prefix, first = stack.pop()
+        row = min(lm[-1] for lm in leads if all(a >= b for a, b in zip(prefix, lm)))
+        if not row:
             continue
-        count += 1
+        count += row
         if count > cap:
-            return count
-        for i in range(first, nvars):
-            stack.append((mono[:i] + (mono[i] + 1,) + mono[i + 1 :], i))
+            return cap + 1
+        for i in range(first, nvars - 1):
+            stack.append((prefix[:i] + (prefix[i] + 1,) + prefix[i + 1 :], i))
     return count
 
 
@@ -148,6 +154,25 @@ def test_standard_count():
     # no power of y among the leads: infinitely many, rejected at once
     assert _standard_count([(2, 0), (1, 1)], 2, 10) is None
     assert _standard_count([], 2, 10) is None
+    # one variable: its pure power's exponent
+    assert _standard_count([(3,)], 1, 10) == 3
+
+
+def test_standard_count_by_rows_matches_every_monomial():
+    # the count by rows of the staircase against a count of every monomial
+    # in the box under the pure powers, on seeded lead sets in 3 variables
+    rng = random.Random(7)
+    for _ in range(200):
+        box = [rng.randint(1, 4) for _ in range(3)]
+        leads = [tuple(b if i == j else 0 for j in range(3)) for i, b in enumerate(box)]
+        leads += [tuple(rng.randint(0, b) for b in box) for _ in range(rng.randint(0, 4))]
+        leads = [e for e in leads if any(e)]
+        want = sum(
+            not any(all(a >= b for a, b in zip(mono, lm)) for lm in leads)
+            for mono in product(*(range(b) for b in box))
+        )
+        assert _standard_count(leads, 3, 10**6) == want, leads
+        assert _standard_count(leads, 3, want - 1) == want, leads
 
 
 def _reaches_validation(n, m, ell):

@@ -149,6 +149,20 @@ def _same_basis(got, want) -> bool:
     return got.ring == want.ring and [p.sorted_terms() for p in got] == [p.sorted_terms() for p in want]
 
 
+def _assert_minors_basis(D, got, want):
+    """minors_basis's contract, for want = buchberger(two_minors(D)): a
+    certified result (stats None) is exactly the monic nonzero minors, a
+    fallback is want itself; either is a Groebner basis, and its
+    interreduction is want, the reduced basis."""
+    if got.stats is None:
+        monic = [g.monic().sorted_terms() for g in two_minors(D) if not g.is_zero()]
+        assert [p.sorted_terms() for p in got] == monic, D
+    else:
+        assert _same_basis(got, want), D
+    assert spolys_reduce_to_zero(got), D
+    assert _same_basis(groebner.GroebnerBasis(got.ring, groebner._interreduce(got.ring, list(got))), want), D
+
+
 def _no_pair_loop(*args, **kwargs):
     raise AssertionError("minors_basis fell back to buchberger")
 
@@ -177,8 +191,9 @@ def _corpus_matrices(acceptance_corpus, stride: int, most: int) -> list:
 
 
 def test_minors_basis_certifies_the_corpus_and_deformed_minors(monkeypatch, acceptance_corpus):
-    # the certificate alone gives buchberger's basis: on every n = 3 and
-    # n = 4 instance, a stride of the n = 5 ones, and every marking with
+    # the certificate alone proves the minors a Groebner basis, returned as
+    # they are, whose interreduction is buchberger's basis: on every n = 3
+    # and n = 4 instance, a stride of the n = 5 ones, and every marking with
     # |I|, |J| <= 2 of the first and the middle base of each n; a fallback
     # raises
     matrices = _corpus_matrices(acceptance_corpus, MINORS_STRIDE, 2)
@@ -186,7 +201,9 @@ def test_minors_basis_certifies_the_corpus_and_deformed_minors(monkeypatch, acce
     wants = [buchberger(two_minors(D)) for D in matrices]
     monkeypatch.setattr(groebner, "buchberger", _no_pair_loop)
     for D, want in zip(matrices, wants):
-        assert _same_basis(minors_basis(D), want), D
+        got = minors_basis(D)
+        assert got.stats is None, D
+        _assert_minors_basis(D, got, want)
 
 
 def test_two_minors_equal_the_product_formula(acceptance_corpus):
@@ -280,11 +297,18 @@ def _tied_products():
     return [[parse(R, "2*y - x^2"), parse(R, "2*x"), parse(R, "-x")], [parse(R, "2*x"), parse(R, "2"), parse(R, "1")]]
 
 
+def _unit_minors():
+    """Both nonzero minors are 1: a Groebner basis, but not a minimal one."""
+    R = MINOR_RINGS[0]
+    return [[R.one(), R.zero(), R.zero()], [R.zero(), R.one(), R.one()]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(minor_matrices())
 @example(_tied_products())
+@example(_unit_minors())
 def test_minors_basis_equals_buchberger(D):
-    assert _same_basis(minors_basis(D), buchberger(two_minors(D)))
+    _assert_minors_basis(D, minors_basis(D), buchberger(two_minors(D)))
 
 
 def test_toric_plane_cusp():
@@ -655,6 +679,52 @@ def test_packed_terms_match_tuple_reference(data):
         assert skip_pair(T, ta, tb) == (coprime and not rank)
     else:
         assert skip_pair(T, ta, tb)
+
+
+def _assert_lcm(T, a: int, b: int):
+    """T.lcm(a, b) against the exponent tuples: the per-field max, a's
+    position, a weighted degree recomputed from the exponents, and a
+    multiple of both terms."""
+    base = T.base if isinstance(T, FreeModule) else T
+    got = T.lcm(a, b)
+    want = tuple(map(max, base.exponents(a), base.exponents(b)))
+    code = a >> T.pos_shift
+    assert base.exponents(got) == want and got >> T.pos_shift == code
+    assert T.wdeg(got) == sum(map(mul, want, T.weights))
+    assert got == base.term(want) + (code << T.pos_shift)
+    b_at_a = b - (b >> T.pos_shift << T.pos_shift) + (code << T.pos_shift)
+    assert T.divides(a, got) and T.divides(b_at_a, got)
+
+
+def test_lcm_reads_only_the_larger_fields():
+    # the lcm finds b's larger fields by one guard-bit subtraction and sums
+    # their weighted degree field by field: compare it with the exponent
+    # tuples on random vectors, on weights far apart (ratio 2 and more),
+    # with equal and zero fields, at every position of a free module, and
+    # in a deformed ring with Y and Z variables
+    rng = random.Random(5)
+    rings = [PolyRing(["x", "y", "z"], [3, 4, 5]), PolyRing(["a", "b", "c", "d"], [1, 2, 5, 11])]
+    (base,) = search_instances(*SYZYGY_SAMPLE[-1], 150)
+    deformed = HigherDimInstance(base, {1, 2}, {3}).ring
+    assert {name[0] for name in deformed.names} == {"X", "Y", "Z"}
+    rings.append(deformed)
+    for R in rings:
+        n = R.nvars
+        for T in (R, FreeModule(R, 4)):
+            positions = range(T.rank) if isinstance(T, FreeModule) else [None]
+
+            def pack(e, p):
+                return R.term(e) if p is None else T.vector({p: R.monomial(e)}).lm()
+
+            for _ in range(300):
+                ea = tuple(rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(n))
+                eb = tuple(rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(n))
+                pa, pb = rng.choice(positions), rng.choice(positions)
+                _assert_lcm(T, pack(ea, pa), pack(eb, pb))
+            zero, one = (0,) * n, (1,) * n
+            for ea, eb in ((zero, zero), (one, one), (zero, one), (one, zero)):
+                for pa in positions:
+                    _assert_lcm(T, pack(ea, pa), pack(eb, positions[-1]))
 
 
 def test_var_packs_its_one_field_as_term_does():

@@ -205,7 +205,7 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
     # zero: the whole module basis as the pair loop leaves it, with g e_k
     # for every g of the minors' basis at every position k (the kernel then
     # interreduces only its tag part), below the degree where the loop
-    # stopped if it stopped early, and the minors' reduced basis
+    # stopped if it stopped early, and the minors' basis
     real_close, real_minors_basis = groebner._close, lambda_rows.minors_basis
     checked = []
 
@@ -226,14 +226,14 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
     def minors_basis_and_check(matrix):
         gb = real_minors_basis(matrix)
         assert spolys_reduce_to_zero(gb)
-        checked.append("reduced")
+        checked.append("minors")
         return gb
 
     monkeypatch.setattr(groebner, "_close", close_and_check)
     monkeypatch.setattr(lambda_rows, "minors_basis", minors_basis_and_check)
     (inst,) = search_instances(m, ell, 150)
     assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
-    assert any(isinstance(ring, FreeModule) for ring in checked) and "reduced" in checked
+    assert any(isinstance(ring, FreeModule) for ring in checked) and "minors" in checked
 
 
 def _with_basis(closed, basis):
@@ -352,9 +352,9 @@ LEADS_STRIDE = 20  # of the n = 5 corpus
 
 def test_no_lead_of_the_minors_basis_involves_the_last_variable(acceptance_corpus):
     # the wrap column's speed rests on this: X_n is last in the reverse
-    # lexicographic order and not in P, so no lead of the minors' reduced
-    # basis is divisible by X_n, and a kernel row led by X_n^ln has a ring
-    # lead coprime to every basis lead
+    # lexicographic order and not in P, so no minimal generator of in(P) is
+    # divisible by X_n; the certified minors' leads are such generators, and
+    # a kernel row led by X_n^ln has a ring lead coprime to every basis lead
     corpus, _ = acceptance_corpus
     corpora = [by_n(corpus, n) for n in (3, 4, 5)]
     instances = corpora[0] + corpora[1] + corpora[2][::LEADS_STRIDE]
@@ -386,6 +386,43 @@ def _pairs_popped(inst, monkeypatch, column=None):
         assert trace_canonical_syzygy(inst) == trace_canonical_oracle(inst.H)
     (count,) = popped
     return count
+
+
+PAIR_STRIDE = 40  # of the acceptance corpus
+# the route's module pair loop counters summed over that stride; chained and
+# zero reductions split the popped pairs that add no element, 4,732 in all,
+# by the order of equal-degree pairs, which follows the minors' order
+STRIDE_STATS = {
+    "pairs_queued": 28405,
+    "pairs_skipped": 34299,
+    "pairs_chained": 1291,
+    "zero_reductions": 3441,
+    "peak_basis": 37102,
+    "max_lead_wdeg": 123407,
+    "pairs_left": 19855,
+}
+
+
+def test_route_pair_loop_work_on_a_corpus_stride(acceptance_corpus, monkeypatch):
+    # a work guard: the counters of every pair loop the route runs, summed
+    # over every 40th instance of the acceptance corpus, repeat exactly
+    corpus, _ = acceptance_corpus
+    instances = corpus[::PAIR_STRIDE]
+    assert len(instances) == 501
+    real_close, totals = groebner._close, dict.fromkeys(groebner.STAT_NAMES, 0)
+
+    def close(gens, basis, ring, stop=None):
+        closed = real_close(gens, basis, ring, stop)
+        assert isinstance(ring, FreeModule)  # the minors' basis is certified, not closed
+        for name, count in closed.stats.items():
+            totals[name] += count
+        return closed
+
+    monkeypatch.setattr(groebner, "_close", close)
+    for inst in instances:
+        trace_canonical_syzygy(inst)
+    assert totals == STRIDE_STATS
+    assert totals["pairs_chained"] + totals["zero_reductions"] == 4732
 
 
 @pytest.mark.parametrize("m, ell", [e for e in SYZYGY_SAMPLE if len(e[0]) == 5])
