@@ -37,7 +37,7 @@ from .lambda_rows import (
     trace_canonical_lambda,
     trace_canonical_syzygy,
 )
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _apery_by_residue
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -105,7 +105,7 @@ def cmd_sgp(args, out) -> int:
         "frobenius": H.frobenius(),
         "genus": H.genus(),
         "gaps": H.gaps(),
-        "apery": list(H.apery),
+        "apery": _apery_by_residue(H.mask, H.multiplicity),
         "pseudo_frobenius": H.pseudo_frobenius(),
         "type": H.type(),
         "symmetric": H.is_symmetric(),

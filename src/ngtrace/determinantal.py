@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .errors import IdealMismatch, InhomogeneousMatrix, NonMinimalGenerators
+from .errors import IdealMismatch, InhomogeneousMatrix
 from .groebner import two_minors
 from .polyring import PolyRing, Polynomial
 from .semigroup import NumericalSemigroup
@@ -298,12 +298,18 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
     The cyclic conditions pin the generator ray up to scaling; the primitive
     integer point is the only candidate with gcd 1, so the result has at most
     one element.  Degenerate exponent data (equal products, so gap 0) and
-    candidates failing the bound, distinctness, ideal validation or
-    minimality give [].  Validation is arithmetic (validate_defining_ideal),
-    so no Groebner basis is computed and every candidate is decided; it runs
-    before the semigroup is built, and an accepted candidate has c =
-    prod(m) - prod(ell), so it is not validated again.  Only
-    NonMinimalGenerators is read as "no instance"; any other error surfaces.
+    candidates failing the bound, distinctness or ideal validation give [].
+    Validation is arithmetic (validate_defining_ideal), so no Groebner basis
+    is computed and every candidate is decided; it runs before the semigroup
+    is built, and an accepted candidate has c = prod(m) - prod(ell), so it
+    is not validated again.  No error is read as "no instance".
+
+    Validation proves minimality, so building the semigroup of an accepted
+    candidate never raises NonMinimalGenerators.  Every minor lies in m^2,
+    as each matrix entry is a positive power of a variable.  If a_j were a
+    sum sum_i u_i a_i of the other generators with |u| >= 2, then X_j - X^u
+    would lie in P but not in m^2, so I_2 != P.  A repeat (|u| = 1) is
+    refused before validation, and order = d / gcd(d) has gcd 1.
     """
     if bound > SEARCH_BOUND_CAP:
         raise ValueError(f"bound {bound} exceeds cap {SEARCH_BOUND_CAP}")
@@ -325,11 +331,7 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
         return []
     if not validate_defining_ideal(None, order, m, ell):
         return []
-    try:
-        H = NumericalSemigroup(order)
-    except NonMinimalGenerators:
-        return []
-    return [DeterminantalInstance(H, order, m, ell, prod_m - prod_l)]
+    return [DeterminantalInstance(NumericalSemigroup(order), order, m, ell, prod_m - prod_l)]
 
 
 # -- classification ------------------------------------------------------------

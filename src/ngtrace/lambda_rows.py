@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .determinantal import DeterminantalInstance, classify_nearly_gorenstein
+from .determinantal import DeterminantalInstance, classify_nearly_gorenstein, degree_gaps
 from .errors import NotApplicable
 from .groebner import kernel_over_quotient, minors_basis
 from .ideals import RelativeIdeal
@@ -38,17 +38,12 @@ class LambdaRow:
         return tuple(self.u + k * c for k in range(self.instance.n - 1))
 
     def relations_hold(self) -> bool:
-        """Re-check the defining identities u_j + m_[i+1] a_[i+1] = u_{j+1} + l_i a_i."""
+        """Re-check the defining identities u_j + m_[i+1] a_[i+1] = u_{j+1} + l_i a_i,
+        that is u_{j+1} - u_j = gap_i for every column's degree gap."""
         inst = self.instance
-        n = inst.n
+        gaps = degree_gaps(inst.order, inst.m, inst.ell)
         es = self.entries
-        for j in range(n - 2):
-            for i in range(n):
-                top = es[j] + inst.m[(i + 1) % n] * inst.order[(i + 1) % n]
-                bot = es[j + 1] + inst.ell[i] * inst.order[i]
-                if top != bot:
-                    return False
-        return True
+        return all(v - u == gap for u, v in zip(es, es[1:]) for gap in gaps)
 
     def __str__(self):
         body = ", ".join(f"t^{e}" for e in self.entries)

@@ -1,8 +1,11 @@
 """Numerical semigroup arithmetic: membership, Apery sets, gaps, symmetry.
 
 A numerical semigroup here is the set of nonnegative integer combinations of
-a minimal generating list with gcd 1.  Every invariant is read off one
-membership sieve at construction, so values are immutable and cheap to share.
+a minimal generating list with gcd 1.  Construction runs one membership
+sieve and keeps three things: the membership mask, the Frobenius number and
+the pseudo-Frobenius numbers.  Membership, gaps, genus and Apery sets
+(``_apery_by_residue``) are read off the mask each time they are asked for,
+and nothing else is kept, so values are immutable and cheap to share.
 """
 
 from __future__ import annotations
@@ -58,24 +61,26 @@ def _apery_by_residue(mask: int, s: int) -> list[int]:
 
 
 class NumericalSemigroup:
-    """Immutable numerical semigroup with cached classical invariants.
+    """Immutable numerical semigroup, kept as its membership mask, Frobenius
+    number and pseudo-Frobenius numbers.
 
     ``mask`` is the membership bit mask: bit x is set iff x lies in H, for
     every x >= 0.  All x > F are members, so it is a negative int (infinite
     ones past F in two's complement), and ``~mask`` is the finite gap mask.
 
     Construction sieves once, over [0, top] with top = min(m a_n, cap + m)
-    for the multiplicity m and the largest generator a_n, and reads every
-    invariant off it.  An Apery element w (w - m outside H) is a sum of at
-    most m - 1 generators: of m + 1 partial sums of a longer sum two agree
-    mod m, and dropping the terms between them, q m with q >= 1, leaves
-    w - q m in H and so w - m.  Hence F = max Ap - m <= (m - 1) a_n - m.
-    F + 1 starts the first run of m consecutive members, which ends at
-    F + m, inside [0, top] iff F <= cap.  Minimality reads [0, a_n], inside
-    it as well: m a_n >= a_n and a_n <= 10^5 < cap.
+    for the multiplicity m and the largest generator a_n, and reads
+    minimality, F and the pseudo-Frobenius numbers off it.  An Apery element
+    w (w - m outside H) is a sum of at most m - 1 generators: of m + 1
+    partial sums of a longer sum two agree mod m, and dropping the terms
+    between them, q m with q >= 1, leaves w - q m in H and so w - m.
+    Hence F = max Ap - m <= (m - 1) a_n - m.  F + 1 starts the first run of
+    m consecutive members, which ends at F + m, inside [0, top] iff
+    F <= cap.  Minimality reads [0, a_n], inside it as well: m a_n >= a_n
+    and a_n <= 10^5 < cap.
     """
 
-    __slots__ = ("generators", "multiplicity", "apery", "mask", "_frobenius", "_pf")
+    __slots__ = ("generators", "multiplicity", "mask", "_frobenius", "_pf")
 
     def __init__(self, gens):
         gens = [int(g) for g in gens]
@@ -114,7 +119,6 @@ class NumericalSemigroup:
         self.generators = ordered
         self.multiplicity = m
         self.mask = sieve | (-1 << (F + 1))
-        self.apery = tuple(_apery_by_residue(self.mask, m))
         pf = ~self.mask
         for a in ordered:
             pf &= self.mask >> a
@@ -124,10 +128,9 @@ class NumericalSemigroup:
     # -- membership ------------------------------------------------------
 
     def contains(self, h: int) -> bool:
-        """True iff h is a nonnegative combination of the generators."""
-        if h < 0:
-            return False
-        return h >= self.apery[h % self.multiplicity]
+        """True iff h is a nonnegative combination of the generators: bit h
+        of the mask, read in time linear in max(F - h, 0)."""
+        return h >= 0 and self.mask >> h & 1 == 1
 
     # -- classical invariants ---------------------------------------------
 

@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,7 @@ from ngtrace.determinantal import (
     validate_defining_ideal,
     wrap,
 )
-from ngtrace.errors import IdealMismatch, InhomogeneousMatrix, ResourceLimit
+from ngtrace.errors import IdealMismatch, InhomogeneousMatrix, NonMinimalGenerators, ResourceLimit
 from ngtrace.groebner import buchberger, toric_ideal, two_minors
 from ngtrace.polyring import PolyRing
 from ngtrace.semigroup import NumericalSemigroup
@@ -434,6 +434,45 @@ def test_rejected_candidates_build_no_semigroup(monkeypatch):
         accepted = bool(verdicts) and verdicts[0]
         assert len(built) == accepted, (m, ell)
     assert found == 444
+
+
+def _nonminimal_candidates(n: int, stride: int):
+    """Grid candidates (m, ell, order) that pass the degenerate, bound and
+    distinctness tests of search_instances but whose generators are not
+    minimal, over every stride-th exponent tuple with exponents <= 3."""
+    for m, ell in islice(exponent_tuples(n, 3), 0, None, stride):
+        if math.prod(m) == math.prod(ell):
+            continue
+        d = remark_degrees(m, ell)
+        order = tuple(x // math.gcd(*d) for x in d)
+        if max(order) > 150 or len(set(order)) != n:
+            continue
+        try:
+            NumericalSemigroup(order)
+        except NonMinimalGenerators:
+            yield m, ell, order
+
+
+@pytest.mark.parametrize("n, stride, count", [(3, 1, 60), (4, 1, 1224), (5, 13, 1062)])
+def test_validation_refuses_every_nonminimal_candidate(n, stride, count):
+    # search_instances builds the semigroup after validation and lets
+    # NonMinimalGenerators surface: validation proves minimality (see its
+    # docstring), which this checks on the grid
+    found = list(_nonminimal_candidates(n, stride))
+    assert len(found) == count
+    assert not any(validate_defining_ideal(None, order, m, ell) for m, ell, order in found)
+
+
+def test_pseudo_frobenius_numbers_from_the_presentation(acceptance_corpus):
+    # PF(H) = {sum_j l_j a_j + k c - sum_i a_i : k = 1, ..., n - 1}, the
+    # shifts of the last module of the Eagon-Northcott resolution, so the
+    # type is n - 1: an oracle for the sieve's PF numbers that reads only
+    # the presentation
+    corpus, _ = acceptance_corpus
+    for inst in corpus:
+        base = sum(e * a for e, a in zip(inst.ell, inst.order)) - sum(inst.order)
+        expected = sorted(base + k * inst.c for k in range(1, inst.n))
+        assert inst.H.pseudo_frobenius() == expected, inst
 
 
 @given(

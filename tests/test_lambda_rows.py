@@ -5,7 +5,7 @@ import pytest
 
 from ngtrace import groebner, lambda_rows
 from ngtrace.corpus import check_instance
-from ngtrace.determinantal import build, search_instances
+from ngtrace.determinantal import DeterminantalInstance, build, search_instances
 from ngtrace.errors import NotApplicable, ResourceLimit
 from ngtrace.groebner import kernel_over_quotient, minors_basis
 from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle, unit_ideal
@@ -38,6 +38,18 @@ def test_row_entries_and_validation():
     assert row.relations_hold()
     with pytest.raises(ValueError):
         LambdaRow(inst_345(), 1)  # 1 and 2 are gaps
+
+
+def test_relations_fail_for_a_wrong_degree_gap():
+    # the instances are assembled directly, not by build, so c is not checked
+    # against the matrix: every column's gap is 1, so a step of 2 breaks f.N = 0
+    wrong = DeterminantalInstance(NumericalSemigroup([3, 4, 5]), (3, 4, 5), (2, 1, 1), (1, 1, 1), 2)
+    assert not LambdaRow(wrong, 3).relations_hold()
+    H = NumericalSemigroup([7, 8, 9, 10])
+    wrong = DeterminantalInstance(H, (7, 8, 9, 10), (3, 1, 1, 1), (1, 1, 1, 2), 2)
+    row = LambdaRow(wrong, 14)
+    assert row.entries == (14, 16, 18) and not row.relations_hold()
+    assert LambdaRow(inst_7890(), 14).relations_hold()
 
 
 def test_membership_345():
