@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ResourceLimit
-from .polyring import FreeModule, PolyRing, Polynomial
+from .polyring import FreeModule, PolyRing, Polynomial, add_products, check_ring
 
 DEFAULT_MAX_BASIS = 5000
 DEGREE_CAP_FACTOR = 10
@@ -80,15 +80,8 @@ def _reduce_terms(p: Polynomial, index: dict[int, list]) -> Polynomial:
         else:
             remainder[m] = c
             continue
-        q = m - lm
         factor = c if lc == 1 else (-c if lc == -1 else Fraction(c) / Fraction(lc))
-        for gm, gc in tail:
-            mm = gm + q
-            s = work.get(mm, 0) - factor * gc
-            if s == 0:
-                work.pop(mm, None)
-            else:
-                work[mm] = s
+        add_products(work, ((m - lm, -factor),), tail)
     return Polynomial(ring, remainder)
 
 
@@ -108,8 +101,7 @@ class GroebnerBasis:
         self._index = None
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        if p.ring is not self.ring and p.ring != self.ring:  # identity first, as _check_ring
-            raise ValueError(f"polynomial over {p.ring!r}, basis over {self.ring!r}")
+        check_ring((p,), self.ring, "polynomial")
         if self._index is None:
             self._index = _lead_index(self.ring, self.polys)
         return _reduce_terms(p, self._index)
@@ -128,25 +120,17 @@ class GroebnerBasis:
 
 
 def _spoly(f: Polynomial, g: Polynomial, gamma: int) -> Polynomial:
-    """uf*f - ratio*ug*g for the lead lcm gamma, built from the tails: the leading terms cancel.
+    """uf*f - ratio*ug*g for the lead lcm gamma, built from the lead_entry tails: the leading terms cancel.
 
     The result is over g's ring: f may be a base-ring poly standing for its
     multiple at the position of gamma.
     """
-    (lf, cf), (lg, cg) = f.lt(), g.lt()
-    uf, ug = gamma - lf, gamma - lg
+    _, lf, cf, f_tail = f.lead_entry()
+    _, lg, cg, g_tail = g.lead_entry()
     ratio = 1 if cf == cg else Fraction(cf) / Fraction(cg)
-    terms = {m + uf: c for m, c in f.terms.items() if m != lf}
-    for m, c in g.terms.items():
-        if m == lg:
-            continue
-        mm = m + ug
-        s = terms.get(mm, 0) - ratio * c
-        if s == 0:
-            terms.pop(mm, None)
-        else:
-            terms[mm] = s
-    return Polynomial(g.ring, terms)
+    uf = gamma - lf
+    terms = {m + uf: c for m, c in f_tail}
+    return Polynomial(g.ring, add_products(terms, ((gamma - lg, -ratio),), g_tail))
 
 
 def _interreduce(ring: PolyRing, polys: list[Polynomial], modulo=()) -> list[Polynomial]:
@@ -265,14 +249,10 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
             raise ValueError("no generator and no ring: name the ring with ring=")
         ring = gens[0].ring if gens else basis[0].ring
     base = ring.base if isinstance(ring, FreeModule) else ring
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError(f"generator over {g.ring!r}, not over {ring!r}")
-    for g in basis:
-        if g.ring is not base and g.ring != base:
-            raise ValueError(f"basis polynomial over {g.ring!r}, not over {base!r}")
-        if g.is_zero() or g.lc() != 1:
-            raise ValueError("a seed basis holds monic polynomials only")
+    check_ring(gens, ring, "generator")
+    check_ring(basis, base, "basis polynomial")
+    if any(g.is_zero() or g.lc() != 1 for g in basis):
+        raise ValueError("a seed basis holds monic polynomials only")
     cap = DEGREE_CAP_FACTOR * sum(ring.weights)
     top_position = max(ring.degrees) if isinstance(ring, FreeModule) else 0
     mask, guards, pos_shift = ring.mask, ring.guards, ring.pos_shift
@@ -383,37 +363,21 @@ def _close(gens, basis, ring, stop=None) -> GroebnerBasis:
     return GroebnerBasis(ring, polys[seeded:], dict(zip(STAT_NAMES, counts)))
 
 
-def _check_ring(polys, ring, what: str) -> None:
-    """Raise ValueError naming both rings unless every p is over ring (identity tested first)."""
-    for p in polys:
-        if p.ring is not ring and p.ring != ring:
-            raise ValueError(f"{what} over {p.ring!r}, not over {ring!r}")
-
-
 def first_nonzero_column(row, matrix, gb: GroebnerBasis) -> tuple[int, Polynomial] | None:
     """The first column j where row.matrix is nonzero modulo gb, with its normal form.
 
     Returns None when row.matrix vanishes modulo gb at every column, and
     raises ValueError when an entry of row or matrix is over a ring other
-    than gb's: packed terms of two rings do not multiply.  Each
-    column's products are summed into one term dict: a product term is the
-    sum of two terms within the packing limit, so it is exact, and
-    normal_form checks every term that survives against the limit.
+    than gb's.  Each column's products are summed into one term dict, which
+    normal_form checks against the packing limit (see add_products).
     """
     ring = gb.ring
-    _check_ring(row, ring, "row entry")
-    _check_ring([p for line in matrix for p in line], ring, "matrix entry")
+    check_ring(row, ring, "row entry")
+    check_ring([p for line in matrix for p in line], ring, "matrix entry")
     for j in range(len(matrix[0])):
         terms: dict[int, object] = {}
         for f, line in zip(row, matrix):
-            for m2, c2 in line[j].terms.items():
-                for m1, c1 in f.terms.items():
-                    m = m1 + m2
-                    s = terms.get(m, 0) + c1 * c2
-                    if s == 0:
-                        del terms[m]
-                    else:
-                        terms[m] = s
+            add_products(terms, f.terms.items(), line[j].terms.items())
         residue = gb.normal_form(Polynomial(ring, terms))
         if not residue.is_zero():
             return j, residue
@@ -424,10 +388,8 @@ def two_minors(matrix: list[list[Polynomial]]) -> list[Polynomial]:
     """All 2x2 minors of a 2-row matrix, column pairs in lexicographic order.
 
     Sign convention: top[i]*bottom[j] - top[j]*bottom[i] for i < j.  Each
-    minor is summed into one term dict straight from the entries' terms.
-    A product term is the sum of two terms within the packing limit, so it
-    is exact, and each is checked against the limit as it is formed, as a
-    product of the two entries would check their top degrees.
+    minor is summed into one term dict straight from the entries' terms,
+    each product checked as ``*`` checks it (see add_products).
     """
     if len(matrix) != 2:
         raise ValueError("expected a matrix with exactly 2 rows")
@@ -437,23 +399,13 @@ def two_minors(matrix: list[list[Polynomial]]) -> list[Polynomial]:
     if not top:
         return []
     ring = top[0].ring
-    if any(p.ring != ring for p in (*top, *bottom)):
-        raise ValueError("polynomials from different rings")
-    check = ring.check
-    n = len(top)
+    check_ring((*top, *bottom), ring, "matrix entry")
     minors = []
-    for i, j in combinations(range(n), 2):
+    for i, j in combinations(range(len(top)), 2):
         terms: dict[int, object] = {}
         for sign, left, right in ((1, top[i], bottom[j]), (-1, top[j], bottom[i])):
-            for m1, c1 in left.terms.items():
-                for m2, c2 in right.terms.items():
-                    m = m1 + m2
-                    check(m)
-                    s = terms.get(m, 0) + sign * c1 * c2
-                    if s == 0:
-                        del terms[m]
-                    else:
-                        terms[m] = s
+            ring.check_product(left, right)
+            add_products(terms, left.terms.items(), right.terms.items(), sign)
         minors.append(Polynomial(ring, terms))
     return minors
 
@@ -757,7 +709,7 @@ def kernel_over_quotient(
     if q == 0:
         raise ValueError("a matrix with no columns has no kernel to compute")
     ring = (rows[0][0]).ring
-    _check_ring([p for row in rows for p in row], ring, "matrix entry")
+    check_ring([p for row in rows for p in row], ring, "matrix entry")
 
     ideal_gb = (
         ideal_gens if isinstance(ideal_gens, GroebnerBasis) else buchberger(ideal_gens, ring=ring)

@@ -15,8 +15,6 @@ canonical ideal K is K + (H - K).
 
 from __future__ import annotations
 
-import json
-
 from .errors import BaseMismatch
 from .semigroup import NumericalSemigroup, bit_positions
 
@@ -140,17 +138,6 @@ class RelativeIdeal:
         if C >> (low + H.frobenius() + 1) != -1:  # sentinel: past the window is inside
             raise AssertionError("colon window sentinel failed; bound reasoning broken")
         return RelativeIdeal.from_mask(H, C, lo)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"base": self.base.to_json(), "generators": list(self.generators)}
-
-    @classmethod
-    def from_json(cls, data) -> "RelativeIdeal":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(NumericalSemigroup.from_json(data["base"]), data["generators"])
 
     def __repr__(self):
         return f"RelativeIdeal({self.base!r}, {list(self.generators)})"

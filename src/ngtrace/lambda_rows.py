@@ -17,6 +17,7 @@ from .determinantal import DeterminantalInstance, classify_nearly_gorenstein, de
 from .errors import NotApplicable
 from .groebner import kernel_over_quotient, minors_basis
 from .ideals import RelativeIdeal
+from .polyring import add_products
 from .semigroup import sieve_mask
 
 
@@ -54,12 +55,15 @@ def lambda_membership(inst: DeterminantalInstance, u: int) -> tuple[LambdaRow, i
     """The row and slot witnessing t^u in the trace ideal, or None.
 
     Slot j in 1..n-1 is usable when u + (i-j)c lies in the semigroup for
-    every i; the first usable slot is reported.
+    every i, that is when the row starting at u - (j-1)c does; the first
+    usable slot is reported.
     """
-    H, c, n = inst.H, inst.c, inst.n
+    c, n = inst.c, inst.n
+    top = max(u, u - (n - 2) * c)  # the last start of a slot
+    starts = _row_starts(inst, top) if top >= 0 else 0
     for j in range(1, n):
         start = u - (j - 1) * c
-        if all(H.contains(start + k * c) for k in range(n - 1)):
+        if start >= 0 and starts >> start & 1:
             return LambdaRow(inst, start), j
     return None
 
@@ -73,6 +77,15 @@ def _shift_down(mask: int, s: int) -> int:
     return mask >> s if s >= 0 else mask << -s
 
 
+def _row_starts(inst: DeterminantalInstance, top: int) -> int:
+    """The mask of the row starts v in 0..top, AND_k (H >> k*c): bit v is set
+    iff v + k*c lies in H for every k in 0..n-2."""
+    starts = (1 << (top + 1)) - 1
+    for k in range(inst.n - 1):
+        starts &= _shift_down(inst.H.mask, k * inst.c)
+    return starts
+
+
 def trace_canonical_lambda(inst: DeterminantalInstance) -> RelativeIdeal:
     """The canonical trace ideal collected from all monomial rows.
 
@@ -83,10 +96,8 @@ def trace_canonical_lambda(inst: DeterminantalInstance) -> RelativeIdeal:
     H = inst.H
     c, n = inst.c, inst.n
     W = trace_window(inst)
-    reach = W + (n - 1) * abs(c)  # rows covering the window may start past it
-    starts = (1 << (reach + 1)) - 1
-    for k in range(n - 1):
-        starts &= _shift_down(H.mask, k * c)
+    # rows covering the window may start past it
+    starts = _row_starts(inst, W + (n - 1) * abs(c))
     members = 0
     for k in range(n - 1):
         members |= _shift_down(starts, -k * c)
@@ -261,11 +272,7 @@ def _toric_image(p) -> dict[int, object]:
     """The image of p under X_i -> t^(a_i): its coefficients summed at each
     weighted degree, read off the packed degree field, zero sums dropped."""
     wdeg = p.ring.wdeg
-    image: dict[int, object] = {}
-    for m, c in p.terms.items():
-        e = wdeg(m)
-        image[e] = image.get(e, 0) + c
-    return {e: c for e, c in image.items() if c}
+    return add_products({}, ((0, 1),), [(wdeg(m), c) for m, c in p.terms.items()])
 
 
 def _column_image(M, k: int) -> list[tuple[int, dict[int, object]]]:
@@ -278,8 +285,5 @@ def _image_of_product(row: list[dict], column) -> dict[int, object]:
     _column_image, zero sums dropped."""
     total: dict[int, object] = {}
     for i, right in column:
-        for e1, c1 in row[i].items():
-            for e2, c2 in right.items():
-                e = e1 + e2
-                total[e] = total.get(e, 0) + c1 * c2
-    return {e: c for e, c in total.items() if c}
+        add_products(total, row[i].items(), right.items())
+    return total

@@ -20,11 +20,14 @@ is ``(H << shift) - E``, so:
 
 Every term has weighted degree below ``degree_limit``, which bounds each
 exponent too and so keeps every field below half its width: the sum of two
-terms is exact.  Encoding, polynomial products and the division loop check
-the limit and raise ResourceLimit past it; nothing widens or wraps
-silently.  The field width depends only on the weights, so equal rings
-pack equally.  Exponent tuples appear only at the edges: printing,
-``term`` and ``exponents``.
+terms is exact.  Encoding checks each term against the limit; a product is
+checked by its factors' top degrees before it is formed
+(``check_product``), and a sum that feeds the division loop is checked
+there term by term (see ``add_products``).  Past the limit ResourceLimit is
+raised; nothing widens or wraps silently.  The field width depends only on
+the weights, so equal rings pack equally.  Exponent tuples appear only at
+the edges: printing, ``term`` and ``exponents``.  Packed terms of two rings
+do not add or multiply: ``check_ring`` refuses them.
 
 Coefficients are exact (int or Fraction; ints are kept as long as possible
 since almost everything here is a signed binomial).  A FreeModule over a
@@ -73,6 +76,15 @@ class _Layout:
         """Raise ResourceLimit when term t reaches the degree limit."""
         if (t + self.mask) & self._over:
             self._refuse(self.wdeg(t))
+
+    def check_product(self, f: "Polynomial", g: "Polynomial"):
+        """Raise ResourceLimit when the product f*g would reach the degree
+        limit: the top-degree parts of nonzero f and g multiply to a nonzero
+        top-degree part, so f*g has degree deg f + deg g, cancelling or not."""
+        if f.terms and g.terms:
+            deg = f.wdeg() + g.wdeg()
+            if deg >= self.degree_limit:
+                self._refuse(deg)
 
     def _refuse(self, deg: int):
         raise ResourceLimit(
@@ -250,9 +262,7 @@ class FreeModule(_Layout):
         """The element sum of entries[p] * e_p, from base-ring polynomials."""
         terms: dict[int, object] = {}
         for p, f in entries.items():
-            unit = (self.rank - p) << self.pos_shift
-            for m, c in f.terms.items():
-                terms[m + unit] = c
+            add_products(terms, (((self.rank - p) << self.pos_shift, 1),), f.terms.items())
         return Polynomial(self, terms)
 
     def components(self, v: "Polynomial") -> list["Polynomial"]:
@@ -267,6 +277,40 @@ class FreeModule(_Layout):
         return f"FreeModule({self.base!r}, {self.rank})"
 
 
+def check_ring(polys, ring, what: str) -> None:
+    """Raise ValueError naming both rings unless every p is over ring
+    (identity tested first): packed terms of two rings do not add or multiply."""
+    for p in polys:
+        if p.ring is not ring and p.ring != ring:
+            raise ValueError(f"{what} over {p.ring!r}, not over {ring!r}")
+
+
+def add_products(terms: dict, left, right, coeff=1) -> dict:
+    """Add coeff times the product of two lists of (term, coefficient)
+    pairs into the dict terms, dropping zero sums, and return terms.
+
+    A product term is the sum of two terms, so it is exact when both are
+    below the packing limit; nothing here checks the limit.  The rule is
+    that a product is checked by its factors' top degrees before it is
+    formed (check_product: ``*`` and two_minors), and a sum that feeds a
+    division is checked term by term by the division loop as each term
+    leaves its work dict.  A one-term side such as ((q, -factor),) adds a
+    multiple of the other side.  The keys may be any ints that add, such
+    as weighted degrees.
+    """
+    get = terms.get
+    for m1, c1 in left:
+        c1 *= coeff
+        for m2, c2 in right:
+            m = m1 + m2
+            s = get(m, 0) + c1 * c2
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+    return terms
+
+
 def _tighten(c):
     """Collapse integral Fractions back to int to keep arithmetic cheap."""
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -275,7 +319,8 @@ def _tighten(c):
 
 
 class Polynomial:
-    """Immutable by convention: the term dict is never mutated after creation."""
+    """Immutable by convention: the term dict is never mutated after creation,
+    and it holds no zero coefficient."""
 
     __slots__ = ("ring", "terms", "_lt", "_entry")
 
@@ -316,7 +361,7 @@ class Polynomial:
     def wdeg(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
-        return max(self.ring.wdeg(m) for m in self.terms)
+        return max(map(self.ring.wdeg, self.terms))
 
     def is_homogeneous(self) -> bool:
         if not self.terms:
@@ -329,20 +374,9 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise ValueError("polynomials from different rings")
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.ring, out)
+        check_ring((other,), self.ring, "summand")
+        return Polynomial(self.ring, add_products(dict(self.terms), ((0, 1),), other.terms.items()))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + -other
@@ -353,22 +387,9 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return self.scale(other)
-        self._check(other)
-        if self.terms and other.terms:
-            # the top-degree parts multiply to a nonzero top-degree part
-            deg = self.wdeg() + other.wdeg()
-            if deg >= self.ring.degree_limit:
-                self.ring._refuse(deg)
-        out: dict[int, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                s = out.get(m, 0) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.ring, out)
+        check_ring((other,), self.ring, "factor")
+        self.ring.check_product(self, other)
+        return Polynomial(self.ring, add_products({}, self.terms.items(), other.terms.items()))
 
     __rmul__ = __mul__
 

@@ -10,7 +10,6 @@ and nothing else is kept, so values are immutable and cheap to share.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .errors import GcdNotOne, NonMinimalGenerators, ResourceLimit
@@ -159,16 +158,7 @@ class NumericalSemigroup:
         t = len(pf)
         return all(pf[i] + pf[t - 2 - i] == pf[-1] for i in range(t - 1))
 
-    # -- serialization and dunder glue --------------------------------------
-
-    def to_json(self) -> dict:
-        return {"generators": list(self.generators)}
-
-    @classmethod
-    def from_json(cls, data) -> "NumericalSemigroup":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(data["generators"])
+    # -- dunder glue --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NumericalSemigroup) and self.generators == other.generators

@@ -11,6 +11,8 @@ package calls them.
 * ``spolys_reduce_to_zero``: Buchberger's criterion, re-run on a finished
   basis, skipping the pairs ``skip_pair`` names.
 * ``row_generates_canonical``: a monomial row against the canonical ideal.
+* ``lambda_membership_by_scan``: the slot search entry by entry, on
+  ``contains``, independent of the row-start mask.
 """
 
 import heapq
@@ -20,6 +22,7 @@ from fractions import Fraction
 from ngtrace.errors import BaseMismatch
 from ngtrace.groebner import GroebnerBasis, _spoly
 from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle
+from ngtrace.lambda_rows import LambdaRow
 from ngtrace.polyring import FreeModule, Polynomial, _tighten
 from ngtrace.semigroup import _apery_by_residue
 
@@ -143,3 +146,14 @@ def spolys_reduce_to_zero(gb: GroebnerBasis, below: int | None = None) -> bool:
 def row_generates_canonical(inst, row) -> bool:
     """True iff the row entries generate an integer translate of the canonical ideal."""
     return is_translate(RelativeIdeal(inst.H, row.entries), canonical_ideal(inst.H))
+
+
+def lambda_membership_by_scan(inst, u: int):
+    """lambda_membership's (row, slot), or None, by asking H for each entry
+    of the row through u at each slot j."""
+    H, c, n = inst.H, inst.c, inst.n
+    for j in range(1, n):
+        start = u - (j - 1) * c
+        if all(H.contains(start + k * c) for k in range(n - 1)):
+            return LambdaRow(inst, start), j
+    return None

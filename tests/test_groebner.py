@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import chain, combinations, product
 from operator import add, mul
@@ -225,8 +226,8 @@ def test_two_minors_equal_the_product_formula(acceptance_corpus):
 
 
 def test_two_minors_refuse_a_product_past_the_packing_limit():
-    # each product term is checked as it is formed, also when the minor
-    # cancels to zero, as a product of the two entries checks its degree
+    # each product is checked by its factors' top degrees before it is
+    # formed, also when the minor cancels to zero, as ``*`` checks it
     R = PolyRing(["x", "y"], [1, 1])
     top = R.var(0, R.degree_limit - 1)
     for D in ([[top, R.var(1)], [R.var(0), R.var(1)]], [[top, top], [R.var(1), R.var(1)]]):
@@ -236,6 +237,34 @@ def test_two_minors_refuse_a_product_past_the_packing_limit():
             two_minors(D)
     # one below the limit is still a term
     assert two_minors([[R.var(0, R.degree_limit - 2), R.one()], [R.one(), R.var(0)]]) == [R.var(0, R.degree_limit - 1) - R.one()]
+
+
+def test_first_nonzero_column_refuses_a_product_past_the_packing_limit():
+    # a column sum feeds a division, so the division loop checks its terms
+    R = PolyRing(["x", "y"], [1, 1])
+    top, gb = R.var(0, R.degree_limit - 1), buchberger([], ring=R)
+    with pytest.raises(ResourceLimit, match="packing limit"):
+        first_nonzero_column([top, R.one()], [[R.var(1)], [R.var(1)]], gb)
+    # one below the limit is still a term
+    assert first_nonzero_column([R.var(0, R.degree_limit - 2)], [[R.var(1)]], gb) == (0, R.var(0, R.degree_limit - 2) * R.var(1))
+
+
+RING_SITES = {
+    "+": lambda p, q: p + q,
+    "*": lambda p, q: p * q,
+    "two_minors": lambda p, q: two_minors([[p, p], [p, q]]),
+    "normal_form": lambda p, q: buchberger([p]).normal_form(q),
+    "buchberger": lambda p, q: buchberger([p, q]),
+    "kernel_over_quotient": lambda p, q: kernel_over_quotient([[p]], [q]),
+}
+
+
+@pytest.mark.parametrize("site", RING_SITES)
+def test_a_polynomial_over_another_ring_is_refused(site):
+    # same names, other weights: the terms would be read in the wrong layout
+    R, S = PolyRing(["x", "y"], [1, 1]), PolyRing(["x", "y"], [1, 2])
+    with pytest.raises(ValueError, match=re.escape(f" over {S!r}, not over {R!r}")):
+        RING_SITES[site](R.var(0), S.var(1))
 
 
 def test_minors_basis_falls_back_when_the_minors_are_no_basis(monkeypatch):

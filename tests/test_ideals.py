@@ -185,11 +185,6 @@ def test_add_colon_galois_connection(gens_e, gens_f):
     assert all(E.contains(g) for g in right.generators)
 
 
-def test_json_round_trip():
-    E = RelativeIdeal(H7890, [0, 11, 12, 13])
-    assert RelativeIdeal.from_json(E.to_json()) == E
-
-
 BASES = (H23, H345, H7890, NumericalSemigroup([4, 5, 7]), NumericalSemigroup([1]))
 
 

@@ -15,13 +15,14 @@ from ngtrace.lambda_rows import (
     theorem_if_witnesses,
     trace_canonical_lambda,
     trace_canonical_syzygy,
+    trace_window,
 )
 from ngtrace.polyring import FreeModule
 from ngtrace.semigroup import NumericalSemigroup
 
 from conftest import by_n
 from held_basis import spread_basis
-from oracles import row_generates_canonical, spolys_reduce_to_zero
+from oracles import lambda_membership_by_scan, row_generates_canonical, spolys_reduce_to_zero
 
 
 def inst_345():
@@ -65,6 +66,16 @@ def test_membership_7890():
     assert j == 1 and row.entries == (7, 8, 9)
     assert lambda_membership(inst, 0) is None
     assert lambda_membership(inst, 10) is not None
+
+
+def test_membership_by_row_starts_matches_the_entry_scan(n3_corpus):
+    # the slot test reads one bit of the row-start mask; the scan asks H for
+    # every entry.  Both signs of c, from where every entry of a row through
+    # u is negative up to the trace window
+    assert {inst.c > 0 for inst in n3_corpus} == {True, False}
+    for inst in n3_corpus:
+        for u in range(-(inst.n - 1) * abs(inst.c), trace_window(inst) + 1):
+            assert lambda_membership(inst, u) == lambda_membership_by_scan(inst, u), (inst, u)
 
 
 def test_trace_matches_oracle_on_examples():

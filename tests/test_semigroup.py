@@ -254,11 +254,6 @@ def test_minimality_of_many_generators():
     assert exc.value.generator == 20001
 
 
-def test_json_round_trip():
-    H = NumericalSemigroup([7, 8, 9, 10])
-    assert NumericalSemigroup.from_json(H.to_json()) == H
-
-
 def test_construction_caps():
     # the generator cap is checked before the sieve; the Frobenius cap by a
     # sieve of at most cap + m bits, which F (49,715,390 here) is never sieved to

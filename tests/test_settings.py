@@ -91,3 +91,58 @@ def test_src_holds_no_code_that_only_tests_call():
         read |= _names_read(ast.parse(path.read_text(), str(path)))
     unread = [f"{where}: {name}" for name, where in defined if name not in read]
     assert not unread, unread
+
+
+def _functions(path):
+    """(name, node) of every function in the module at path, outermost first."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+
+
+def _term_sums(func) -> list[int]:
+    """Lines of func that call <x>.get(<key>, 0), directly or through a name
+    bound to <x>.get: a hand-written sum into a dict of terms."""
+    aliases = {
+        target.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr == "get"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    lines = []
+    for node in ast.walk(func):
+        if not (isinstance(node, ast.Call) and len(node.args) == 2):
+            continue
+        default = node.args[1]
+        if not (isinstance(default, ast.Constant) and default.value == 0 and type(default.value) is int):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "get") or (isinstance(f, ast.Name) and f.id in aliases):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_src_sums_terms_in_one_place():
+    # polyring.add_products is the one loop that adds products of terms into
+    # a term dict and drops zero sums; every other site calls it
+    found = set()
+    for path in sorted((ROOT / "src" / "ngtrace").glob("*.py")):
+        for name, func in _functions(path):
+            found |= {f"{path.name}:{line}: {name}" for line in _term_sums(func)}
+    assert [where.split(": ")[1] for where in found] == ["add_products"], sorted(found)
+
+
+def test_src_checks_rings_in_one_place():
+    # a polynomial over another ring is refused by polyring.check_ring alone:
+    # no other function compares a .ring with != or is not
+    found = []
+    for path in sorted((ROOT / "src" / "ngtrace").glob("*.py")):
+        for name, func in _functions(path):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Compare) and any(isinstance(op, (ast.NotEq, ast.IsNot)) for op in node.ops):
+                    operands = [node.left, *node.comparators]
+                    if any(isinstance(x, ast.Attribute) and x.attr == "ring" for x in operands):
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert {where.split(": ")[1] for where in found} == {"check_ring"}, found
