@@ -1,10 +1,11 @@
 """Buchberger Groebner bases, module syzygies, toric ideals by colons.
 
 One Buchberger serves ideals of a PolyRing and submodules of a FreeModule;
-the 2-minors of a 2-row matrix are first certified a Groebner basis by
-their three-column relations (minors_basis), with that pair loop as the
-fallback.  Toric ideals (a test oracle) saturate by repeated colons read
-off the module kernel, so every basis is taken in its ring's own order.
+the 2-minors of a validated cyclic matrix, base or deformed, are proved a
+Groebner basis (minors_basis), so no pair of them is ever settled, and
+S-polynomials are formed in that pair loop alone.  Toric ideals (a test
+oracle) saturate by repeated colons read off the module kernel, so every
+basis is taken in its ring's own order.
 Terms are the packed ints of ``polyring``: int comparison is the order,
 ``+`` multiplies, and divisibility is a guard-bit test on the exponent
 fields, so nothing here decodes a term.  Leads are indexed by position
@@ -23,9 +24,14 @@ import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .errors import ResourceLimit
 from .polyring import FreeModule, PolyRing, Polynomial, add_products, check_ring
+
+if TYPE_CHECKING:
+    from .determinantal import DeterminantalInstance
+    from .higher_dim import HigherDimInstance
 
 DEFAULT_MAX_BASIS = 5000
 DEGREE_CAP_FACTOR = 10
@@ -410,104 +416,75 @@ def two_minors(matrix: list[list[Polynomial]]) -> list[Polynomial]:
     return minors
 
 
-def minors_basis(matrix: list[list[Polynomial]]) -> GroebnerBasis:
-    """A Groebner basis of the 2-minors: the minors themselves once certified, else buchberger's.
+def minors_basis(inst: DeterminantalInstance | HigherDimInstance) -> GroebnerBasis:
+    """The monic 2-minors of a validated instance's matrix: a Groebner basis by the theorem below.
 
-    Buchberger's criterion in its lcm-representation form (Cox, Little and
-    O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9): the
-    nonzero minors are a Groebner basis iff the S-polynomial of each pair
-    is a sum of multiples a_k Delta_k with every lm(a_k Delta_k) below the
-    lcm of the pair's leads.  Each pair is settled in one of four ways.
+    ``inst`` is a DeterminantalInstance or a HigherDimInstance, whose
+    ``matrices[0]`` is the matrix D over its ``ring``; anything else raises
+    TypeError, as the theorem covers those matrices alone.  The minors are
+    returned as they are: monic, in the order of their column pairs, with
+    ``stats`` None.
 
-    * Coprime leads: the product criterion gives the representation.
-    * A shared column.  For columns p < q < s and either row r of the
-      matrix, r_p Delta_qs - r_q Delta_ps + r_s Delta_pq = 0 (the
-      Eagon-Northcott relation: it expands a 3x3 determinant with a
-      repeated row).  Write it x + y + z = 0 with x = +-r_x Delta_A and so
-      on.  Suppose lm(r_x) lm(Delta_A) = lm(r_y) lm(Delta_B) = P, lm(r_x)
-      and lm(r_y) are coprime, and lm(r_z Delta_C) < P (or r_z Delta_C is
-      zero).  Then lm(r_y) divides lm(Delta_A), so P is the lcm of the two
-      leads and lm(r_x), lm(r_y) are its cofactors: the S-polynomial of
-      (Delta_A, Delta_B) is a nonzero scalar times +-lt(r_x) Delta_A
-      +- lt(r_y) Delta_B, which the relation equals to -z minus the tail
-      parts +-tail(r_x) Delta_A +-tail(r_y) Delta_B, each led below P.
-      Nothing here asks the entries to be monomials.
-    * Chain: if lm(Delta_C) divides the lcm of (Delta_A, Delta_B) and the
-      pairs (A, C) and (B, C) were settled directly (by one of the other
-      three ways), S(A, B) is a sum of monomial multiples of S(A, C) and
-      S(B, C), each multiple led below the lcm.
-    * Otherwise the S-polynomial is reduced against the minors: a zero
-      remainder is a standard representation, and a nonzero one proves
-      the minors are no Groebner basis, so their pair loop is run,
-      buchberger(minors), and its result returned.
+    Theorem.  Let D have top entries V_r = X_r^m_r (+ Y_r when r is in I)
+    in column r - 1 and bottom entries U_r = X_r^l_r (+ Z_r when r is in J)
+    in column r (indices mod n, n >= 3), with positive exponents, degree
+    gap c != 0 and every column homogeneous (a validated instance, base or
+    deformed).  Its 2-minors are a Groebner basis of I_2 in the ring's
+    order: weighted degree, then reverse lexicographic with X_1 .. X_n, the
+    Y, the Z in that order.
 
-    A certified basis is returned as it is: the monic nonzero minors, in
-    the order of their column pairs, with ``stats`` None.  It need not be
-    reduced, and no caller needs it to be.  The remainder on division by
-    any Groebner basis of an ideal is the same (Cox, Little and O'Shea,
-    ch. 2 section 6), so normal_form, first_nonzero_column and the
-    residues HDResult.verify prints are those of the reduced basis.
-    _close asks two things of a basis it holds: each S(g, g') reduces
-    to zero over it, and each g lies in the ideal; any Groebner basis
-    gives both, so kernel_over_quotient still returns the reduced basis of
-    its kernel, each entry in normal form.  The reduced basis is
-    _interreduce of the result, which equals buchberger(minors).
+    Proof.
+    1. The terms of the minor Delta_ij (columns i < j) free of Y and Z are
+       those of the base minor X_(i+1)^m_(i+1) X_j^l_j - X_(j+1)^m_(j+1)
+       X_i^l_i: two terms of one degree with disjoint supports.  Any other
+       term holds a Y or a Z, and the reverse lexicographic order puts it
+       below every term of its degree that holds none.  So the lead is the
+       X-only term free of the highest variable present: X_(i+1)^m_(i+1)
+       X_j^l_j for j < n, and X_1^m_1 X_i^l_i for j = n.  The leads are
+       exactly X_k^m_k X_j^l_j for 1 <= k <= j <= n - 1, one per minor,
+       and the marks do not change them.
+    2. Let L be the ideal of these leads in k[X_1 .. X_(n-1)], and class
+       each monomial alpha outside L by the first p with alpha_p >= m_p
+       (p = n when there is none).  Then alpha_i < m_i for i < p,
+       m_p <= alpha_p < m_p + l_p, and alpha_j < l_j for p < j <= n - 1,
+       and every such alpha lies outside L.  So L has
+       sum_(p=1..n) m_1 ... m_(p-1) l_p ... l_(n-1) = d_n standard
+       monomials, d_n = remark_degrees(m, ell)[-1] (its d_i at i = n).
+    3. Modulo Y, Z and X_n, D is the base matrix with X_n = 0, so every X_j
+       is nilpotent there (step 2 of validate_defining_ideal), and I_2 has
+       the largest height a 2 x n matrix allows, n - 1.  By Eagon-Northcott
+       S/I_2 is then Cohen-Macaulay, and the homogeneous system of
+       parameters Z.., Y.., X_n is a regular sequence on it, in any order.
+       For the last variable h of the order and a homogeneous g, h divides
+       in(g) only if h divides g, so a nonzerodivisor h gives
+       in(I_2) : h = in(I_2) and in(I_2 + (h)) = in(I_2) + (h) (Bayer and
+       Stillman, A criterion for detecting m-regularity, 1987; Eisenbud,
+       Commutative Algebra, Prop. 15.12).  Taking the Z, the Y and X_n off
+       the end one at a time, in(I_2) is generated by monomials in
+       X_1 .. X_(n-1), and it leaves as many standard monomials there as
+       the length of S/(I_2 + (Y, Z, X_n)), the base's S/(I_2 + X_n): d_n
+       (step 3 of validate_defining_ideal).
+    4. The leads lie in in(I_2) and leave the same finite number of
+       standard monomials, so they generate it: the minors are a Groebner
+       basis.
+
+    The basis need not be reduced, and no caller needs it to be.  The
+    remainder on division by any Groebner basis of an ideal is the same
+    (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2
+    section 6), so normal_form, first_nonzero_column and the residues
+    HDResult.verify prints are those of the reduced basis.  _close asks
+    two things of a basis it holds: each S(g, g') reduces to zero over it,
+    and each g lies in the ideal; any Groebner basis gives both, so
+    kernel_over_quotient still returns the reduced basis of its kernel,
+    each entry in normal form.
     """
-    minors = two_minors(matrix)
-    if not minors:
-        return buchberger(minors, ring=matrix[0][0].ring if matrix[0] else None)
-    ring = minors[0].ring
-    mask, guards = ring.mask, ring.guards
-    n = len(matrix[0])
-    at = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
-    live = [k for k, g in enumerate(minors) if not g.is_zero()]
-    lm = [None if g.is_zero() else g.lm() for g in minors]
-    support = [0 if t is None else ring.support(t) for t in lm]
-    # bit b of settled[a] is set once the pair (a, b) is settled directly, so
-    # the minors settled directly with both a and b are one AND of two masks
-    settled = [0] * len(minors)
+    # the instance modules import this one, so their classes are read here
+    from .determinantal import DeterminantalInstance
+    from .higher_dim import HigherDimInstance
 
-    def settle(a: int, b: int):
-        settled[a] |= 1 << b
-        settled[b] |= 1 << a
-
-    for a, b in combinations(live, 2):
-        if not support[a] & support[b]:
-            settle(a, b)
-    leads = [[None if r.is_zero() else (r.lm(), ring.support(r.lm())) for r in row] for row in matrix]
-    for p, q, s in combinations(range(n), 3):
-        ks = (at[q, s], at[p, s], at[p, q])
-        for row in leads:
-            rs = (row[p], row[q], row[s])
-            prods = [None if r is None or lm[k] is None else r[0] + lm[k] for r, k in zip(rs, ks)]
-            for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                if (
-                    prods[x] is not None
-                    and prods[x] == prods[y]
-                    and (prods[z] is None or prods[z] < prods[x])
-                    and not rs[x][1] & rs[y][1]
-                ):
-                    settle(ks[x], ks[y])
-    exps = [0 if t is None else -t & mask for t in lm]
-    index = None
-    for a, b in combinations(live, 2):
-        if settled[a] >> b & 1:
-            continue
-        gamma = ring.lcm(lm[a], lm[b])
-        e = (-gamma & mask) | guards
-        both = settled[a] & settled[b]
-        while both:
-            c = both & -both
-            both ^= c
-            if (e - exps[c.bit_length() - 1]) & guards == guards:
-                break  # chain: that minor's lead divides the lcm
-        else:
-            if index is None:
-                index = _lead_index(ring, [minors[k] for k in live])
-            if not _reduce_terms(_spoly(minors[a], minors[b], gamma), index).is_zero():
-                return buchberger(minors)
-            settle(a, b)
-    return GroebnerBasis(ring, [minors[k].monic() for k in live])
+    if not isinstance(inst, (DeterminantalInstance, HigherDimInstance)):
+        raise TypeError(f"minors_basis takes a validated instance, not {type(inst).__name__}")
+    return GroebnerBasis(inst.ring, [g.monic() for g in two_minors(inst.matrices[0])])
 
 
 # -- toric ideals -----------------------------------------------------------

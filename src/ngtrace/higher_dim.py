@@ -112,8 +112,8 @@ class HDResult:
         basis, and the entries must cover the variables (_uncovered_variable).
         """
         hd = self.instance
-        D, M = build_matrices(hd)
-        gb = minors_basis(D)
+        _, M = hd.matrices
+        gb = minors_basis(hd)
         for ridx, row in enumerate(rows):
             if len(row) != hd.n - 1:
                 raise WitnessFailed(f"row {ridx + 1} has length {len(row)}, wanted {hd.n - 1}")
@@ -166,6 +166,11 @@ class HigherDimInstance:
             names.append(f"Z{j}")
             weights.append(self.base.ell[j - 1] * self.base.order[j - 1])
         return PolyRing(names, weights)
+
+    @cached_property
+    def matrices(self) -> tuple[list[list[Polynomial]], list[list[Polynomial]]]:
+        """The deformed matrix D and the presentation matrix M (build_matrices)."""
+        return build_matrices(self)
 
     def top_entry(self, r: int) -> Polynomial:
         """V_r = X_r^m_r, plus Y_r when r is marked."""

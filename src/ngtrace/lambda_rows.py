@@ -29,7 +29,11 @@ class LambdaRow:
     u: int
 
     def __post_init__(self):
-        bad = [e for e in self.entries if not self.instance.H.contains(e)]
+        es = self.entries
+        lo = max(min(es), 0)
+        # bit e - lo of window is bit e of H's mask, for every entry e >= 0
+        window = self.instance.H.mask >> lo & ((2 << max(max(es) - lo, 0)) - 1)
+        bad = [e for e in es if e < 0 or not window >> (e - lo) & 1]
         if bad:
             raise ValueError(f"row entries {bad} are not in {self.instance.H}")
 
@@ -185,18 +189,18 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
     ideal of the minors iff phi(f.col_k) = sum_i phi(f_i) phi(M_ik) is 0.
     phi(p) is the sum of p's coefficients at each weighted degree
     (_toric_image), so the check is a few sums of coefficient products.  The
-    images are read off M's own entries, so an M that is not the
-    presentation matrix of these minors still fails where it should.
+    images are read off M's own entries, once per distinct entry object
+    (_column_images), so an M that is not the presentation matrix of these
+    minors still fails where it should.
 
     The wrap column is the cheap one.  X_n is last in the reverse
     lexicographic order, so for a weighted-homogeneous g, X_n divides
     in(g) only if X_n divides g; X_n is not in the prime P, so g in P
     divisible by X_n is X_n g' with g' in P, and in(P) : X_n = in(P).  A
     minimal generator of in(P) is then free of X_n (Bayer and Stillman,
-    1987), and so is each lead of minors_basis that is one; on the corpus
-    every lead of the certified minors is one, and none involves X_n (a
-    test checks it).  A lead that did would cost only the skip below,
-    never the result.  Number
+    1987).  The leads of minors_basis are proved to be exactly those
+    minimal generators, X_k^m_k X_j^l_j with k <= j <= n - 1 (its theorem),
+    so none involves X_n.  Number
     the kernel's input rows 0..n-2 and its value positions 0..n-3: row
     i >= 1 has -U_n at position i - 1 and V_1 (or nothing) at position i,
     so under position over term it is led by X_n^ln e_(i-1).  Its ring
@@ -222,12 +226,12 @@ def trace_canonical_syzygy(inst: DeterminantalInstance) -> RelativeIdeal:
 
     So the returned rows give the whole trace.
     """
-    D, M = inst.matrices
+    _, M = inst.matrices
     n = inst.n
     H = inst.H
     wraps = [line[n - 1 :: n] for line in M]
-    others = [(k, _column_image(M, k)) for k in range(len(M[0])) if k % n != n - 1]
-    minors = minors_basis(D)
+    others = _column_images(M, [k for k in range(len(M[0])) if k % n != n - 1])
+    minors = minors_basis(inst)
     covered = 0  # U, as a mask: bit e set for the members e of H found
 
     def saturated(low: int, found) -> bool:
@@ -275,14 +279,28 @@ def _toric_image(p) -> dict[int, object]:
     return add_products({}, ((0, 1),), [(wdeg(m), c) for m, c in p.terms.items()])
 
 
-def _column_image(M, k: int) -> list[tuple[int, dict[int, object]]]:
-    """The pairs (i, image of M_ik) of the nonzero entries of column k of M."""
-    return [(i, _toric_image(line[k])) for i, line in enumerate(M) if not line[k].is_zero()]
+def _column_images(M, columns) -> list[tuple[int, list[tuple[int, dict[int, object]]]]]:
+    """For each k in columns, k and the pairs (i, image of M_ik) of the
+    nonzero entries of column k of M.  M's columns share their entry
+    objects, so each distinct object's image is computed once."""
+    images: dict[int, dict[int, object]] = {}  # id(entry) -> image; M holds every entry alive
+    out = []
+    for k in columns:
+        column = []
+        for i, line in enumerate(M):
+            p = line[k]
+            if p.terms:
+                image = images.get(id(p))
+                if image is None:
+                    image = images[id(p)] = _toric_image(p)
+                column.append((i, image))
+        out.append((k, column))
+    return out
 
 
 def _image_of_product(row: list[dict], column) -> dict[int, object]:
-    """The image of f.col from the images of f's entries and col's
-    _column_image, zero sums dropped."""
+    """The image of f.col from the images of f's entries and col's pairs
+    from _column_images, zero sums dropped."""
     total: dict[int, object] = {}
     for i, right in column:
         add_products(total, row[i].items(), right.items())

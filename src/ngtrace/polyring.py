@@ -322,13 +322,14 @@ class Polynomial:
     """Immutable by convention: the term dict is never mutated after creation,
     and it holds no zero coefficient."""
 
-    __slots__ = ("ring", "terms", "_lt", "_entry")
+    __slots__ = ("ring", "terms", "_lt", "_entry", "_wdeg")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._lt = None
         self._entry = None
+        self._wdeg = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -359,9 +360,12 @@ class Polynomial:
         return self.lt()[1]
 
     def wdeg(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(map(self.ring.wdeg, self.terms))
+        """The top weighted degree of the terms, computed once."""
+        if self._wdeg is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no degree")
+            self._wdeg = max(map(self.ring.wdeg, self.terms))
+        return self._wdeg
 
     def is_homogeneous(self) -> bool:
         if not self.terms:

@@ -10,6 +10,9 @@ package calls them.
 * ``is_nearly_gorenstein_oracle``: every generator in the oracle trace.
 * ``spolys_reduce_to_zero``: Buchberger's criterion, re-run on a finished
   basis, skipping the pairs ``skip_pair`` names.
+* ``certified_minors_basis``: a Groebner basis of the 2-minors of any
+  2-row matrix, certified pair by pair, with ``buchberger`` as the fallback;
+  the oracle of the theorem ``minors_basis`` rests on.
 * ``row_generates_canonical``: a monomial row against the canonical ideal.
 * ``lambda_membership_by_scan``: the slot search entry by entry, on
   ``contains``, independent of the row-start mask.
@@ -18,9 +21,10 @@ package calls them.
 import heapq
 import re
 from fractions import Fraction
+from itertools import combinations
 
 from ngtrace.errors import BaseMismatch
-from ngtrace.groebner import GroebnerBasis, _spoly
+from ngtrace.groebner import GroebnerBasis, _lead_index, _reduce_terms, _spoly, buchberger, two_minors
 from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle
 from ngtrace.lambda_rows import LambdaRow
 from ngtrace.polyring import FreeModule, Polynomial, _tighten
@@ -141,6 +145,98 @@ def spolys_reduce_to_zero(gb: GroebnerBasis, below: int | None = None) -> bool:
             if not gb.contains(_spoly(polys[i], polys[j], gamma)):
                 return False
     return True
+
+
+def certified_minors_basis(matrix) -> GroebnerBasis:
+    """A Groebner basis of the 2-minors: the minors themselves once certified, else buchberger's.
+
+    Buchberger's criterion in its lcm-representation form (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 9): the
+    nonzero minors are a Groebner basis iff the S-polynomial of each pair
+    is a sum of multiples a_k Delta_k with every lm(a_k Delta_k) below the
+    lcm of the pair's leads.  Each pair is settled in one of four ways.
+
+    * Coprime leads: the product criterion gives the representation.
+    * A shared column.  For columns p < q < s and either row r of the
+      matrix, r_p Delta_qs - r_q Delta_ps + r_s Delta_pq = 0 (the
+      Eagon-Northcott relation: it expands a 3x3 determinant with a
+      repeated row).  Write it x + y + z = 0 with x = +-r_x Delta_A and so
+      on.  Suppose lm(r_x) lm(Delta_A) = lm(r_y) lm(Delta_B) = P, lm(r_x)
+      and lm(r_y) are coprime, and lm(r_z Delta_C) < P (or r_z Delta_C is
+      zero).  Then lm(r_y) divides lm(Delta_A), so P is the lcm of the two
+      leads and lm(r_x), lm(r_y) are its cofactors: the S-polynomial of
+      (Delta_A, Delta_B) is a nonzero scalar times +-lt(r_x) Delta_A
+      +- lt(r_y) Delta_B, which the relation equals to -z minus the tail
+      parts +-tail(r_x) Delta_A +-tail(r_y) Delta_B, each led below P.
+      Nothing here asks the entries to be monomials.
+    * Chain: if lm(Delta_C) divides the lcm of (Delta_A, Delta_B) and the
+      pairs (A, C) and (B, C) were settled directly (by one of the other
+      three ways), S(A, B) is a sum of monomial multiples of S(A, C) and
+      S(B, C), each multiple led below the lcm.
+    * Otherwise the S-polynomial is reduced against the minors: a zero
+      remainder is a standard representation, and a nonzero one proves
+      the minors are no Groebner basis, so their pair loop is run,
+      buchberger(minors), and its result returned.
+
+    A certified basis is the monic nonzero minors, in the order of their
+    column pairs, with ``stats`` None; its interreduction is
+    buchberger(minors).
+    """
+    minors = two_minors(matrix)
+    if not minors:
+        return buchberger(minors, ring=matrix[0][0].ring if matrix[0] else None)
+    ring = minors[0].ring
+    mask, guards = ring.mask, ring.guards
+    n = len(matrix[0])
+    at = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    live = [k for k, g in enumerate(minors) if not g.is_zero()]
+    lm = [None if g.is_zero() else g.lm() for g in minors]
+    support = [0 if t is None else ring.support(t) for t in lm]
+    # bit b of settled[a] is set once the pair (a, b) is settled directly, so
+    # the minors settled directly with both a and b are one AND of two masks
+    settled = [0] * len(minors)
+
+    def settle(a: int, b: int):
+        settled[a] |= 1 << b
+        settled[b] |= 1 << a
+
+    for a, b in combinations(live, 2):
+        if not support[a] & support[b]:
+            settle(a, b)
+    leads = [[None if r.is_zero() else (r.lm(), ring.support(r.lm())) for r in row] for row in matrix]
+    for p, q, s in combinations(range(n), 3):
+        ks = (at[q, s], at[p, s], at[p, q])
+        for row in leads:
+            rs = (row[p], row[q], row[s])
+            prods = [None if r is None or lm[k] is None else r[0] + lm[k] for r, k in zip(rs, ks)]
+            for x, y, z in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                if (
+                    prods[x] is not None
+                    and prods[x] == prods[y]
+                    and (prods[z] is None or prods[z] < prods[x])
+                    and not rs[x][1] & rs[y][1]
+                ):
+                    settle(ks[x], ks[y])
+    exps = [0 if t is None else -t & mask for t in lm]
+    index = None
+    for a, b in combinations(live, 2):
+        if settled[a] >> b & 1:
+            continue
+        gamma = ring.lcm(lm[a], lm[b])
+        e = (-gamma & mask) | guards
+        both = settled[a] & settled[b]
+        while both:
+            c = both & -both
+            both ^= c
+            if (e - exps[c.bit_length() - 1]) & guards == guards:
+                break  # chain: that minor's lead divides the lcm
+        else:
+            if index is None:
+                index = _lead_index(ring, [minors[k] for k in live])
+            if not _reduce_terms(_spoly(minors[a], minors[b], gamma), index).is_zero():
+                return buchberger(minors)
+            settle(a, b)
+    return GroebnerBasis(ring, [minors[k].monic() for k in live])
 
 
 def row_generates_canonical(inst, row) -> bool:

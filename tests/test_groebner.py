@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from operator import add, mul
 
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngtrace import groebner
-from ngtrace.determinantal import search_instances
+from ngtrace.determinantal import remark_degrees, search_instances
 from ngtrace.errors import ResourceLimit
 from ngtrace.groebner import (
     _size_reduce,
@@ -24,7 +24,8 @@ from ngtrace.higher_dim import HigherDimInstance, build_matrices
 from ngtrace.polyring import FreeModule, PolyRing
 from conftest import by_n
 from held_basis import spread_basis
-from oracles import parse, skip_pair, spolys_reduce_to_zero
+import oracles
+from oracles import certified_minors_basis, parse, skip_pair, spolys_reduce_to_zero
 from test_lambda_rows import SYZYGY_SAMPLE
 
 
@@ -142,7 +143,7 @@ def test_two_minors_counts():
     assert len(two_minors(D)) == 6
 
 
-# -- the minors' basis certified without the pair loop ---------------------------
+# -- the minors' basis: a theorem, checked against its certificate ------------
 
 
 def _same_basis(got, want) -> bool:
@@ -151,7 +152,7 @@ def _same_basis(got, want) -> bool:
 
 
 def _assert_minors_basis(D, got, want):
-    """minors_basis's contract, for want = buchberger(two_minors(D)): a
+    """The certificate's contract, for want = buchberger(two_minors(D)): a
     certified result (stats None) is exactly the monic nonzero minors, a
     fallback is want itself; either is a Groebner basis, and its
     interreduction is want, the reduced basis."""
@@ -165,7 +166,7 @@ def _assert_minors_basis(D, got, want):
 
 
 def _no_pair_loop(*args, **kwargs):
-    raise AssertionError("minors_basis fell back to buchberger")
+    raise AssertionError("the certificate fell back to buchberger")
 
 
 def _markings(n: int, most: int):
@@ -178,33 +179,115 @@ MINORS_STRIDE = 50  # of the n = 5 corpus
 MINORS_MATRICES = 4588  # 444 + 2960 + 332 corpus matrices, 852 deformed
 
 
-def _corpus_matrices(acceptance_corpus, stride: int, most: int) -> list:
-    """D of every n = 3 and n = 4 instance and of a stride of the n = 5
-    ones, then the deformed D of every marking with |I|, |J| <= most of
-    the first and the middle base of each n."""
+def _corpus_instances(acceptance_corpus, stride: int, most: int) -> list:
+    """Every n = 3 and n = 4 instance and a stride of the n = 5 ones, then
+    the deformed instance of every marking with |I|, |J| <= most of the
+    first and the middle base of each n."""
     corpus, _ = acceptance_corpus
     corpora = [by_n(corpus, n) for n in (3, 4, 5)]
-    matrices = [inst.matrix for inst in corpora[0] + corpora[1] + corpora[2][::stride]]
+    instances = corpora[0] + corpora[1] + corpora[2][::stride]
     for part in corpora:
         for base in (part[0], part[len(part) // 2]):
-            matrices += [build_matrices(HigherDimInstance(base, I, J))[0] for I, J in _markings(base.n, most)]
-    return matrices
+            instances += [HigherDimInstance(base, I, J) for I, J in _markings(base.n, most)]
+    return instances
+
+
+def _lead_term(ring, base, k: int, j: int) -> int:
+    """X_k^m_k X_j^l_j, for 1-based k and j."""
+    exps = [0] * ring.nvars
+    exps[k - 1] += base.m[k - 1]
+    exps[j - 1] += base.ell[j - 1]
+    return ring.term(exps)
+
+
+def _assert_theorem(inst):
+    """minors_basis(inst) is the certificate's basis term for term, with
+    no fallback, and its leads are step 1's: the minor of columns i < j
+    (1-based) is led by X_(i+1)^m_(i+1) X_j^l_j for j < n and by
+    X_1^m_1 X_i^l_i for j = n, and so the leads are the
+    X_k^m_k X_j^l_j with 1 <= k <= j <= n - 1, one each."""
+    base = inst.base if isinstance(inst, HigherDimInstance) else inst
+    ring, n, D = inst.ring, base.n, inst.matrices[0]
+    got = minors_basis(inst)
+    certified = certified_minors_basis(D)
+    assert certified.stats is None and _same_basis(got, certified), inst
+    leads = [g.lm() for g in got]
+    pairs = combinations(range(1, n + 1), 2)
+    assert leads == [_lead_term(ring, base, i + 1, j) if j < n else _lead_term(ring, base, 1, i) for i, j in pairs], inst
+    assert sorted(leads) == sorted(_lead_term(ring, base, k, j) for k, j in combinations_with_replacement(range(1, n), 2))
+    return got
 
 
 def test_minors_basis_certifies_the_corpus_and_deformed_minors(monkeypatch, acceptance_corpus):
-    # the certificate alone proves the minors a Groebner basis, returned as
-    # they are, whose interreduction is buchberger's basis: on every n = 3
-    # and n = 4 instance, a stride of the n = 5 ones, and every marking with
-    # |I|, |J| <= 2 of the first and the middle base of each n; a fallback
-    # raises
-    matrices = _corpus_matrices(acceptance_corpus, MINORS_STRIDE, 2)
-    assert len(matrices) == MINORS_MATRICES
-    wants = [buchberger(two_minors(D)) for D in matrices]
-    monkeypatch.setattr(groebner, "buchberger", _no_pair_loop)
-    for D, want in zip(matrices, wants):
-        got = minors_basis(D)
-        assert got.stats is None, D
-        _assert_minors_basis(D, got, want)
+    # minors_basis returns the minors by a theorem; the certificate proves
+    # them a Groebner basis pair by pair with no fallback, its basis is
+    # minors_basis's term for term, the leads are step 1's, and their
+    # interreduction is buchberger's basis: on every n = 3 and n = 4
+    # instance, a stride of the n = 5 ones, and every marking with
+    # |I|, |J| <= 2 of the first and the middle base of each n
+    instances = _corpus_instances(acceptance_corpus, MINORS_STRIDE, 2)
+    assert len(instances) == MINORS_MATRICES
+    wants = [buchberger(two_minors(inst.matrices[0])) for inst in instances]
+    monkeypatch.setattr(oracles, "buchberger", _no_pair_loop)
+    for inst, want in zip(instances, wants):
+        _assert_minors_basis(inst.matrices[0], _assert_theorem(inst), want)
+
+
+# n: (largest exponent, draws, bases found); n = 6 and 7 are past the corpus
+BEYOND_GRID = {3: (8, 1500, 799), 4: (8, 1500, 271), 5: (5, 2000, 310), 6: (4, 2000, 94), 7: (3, 1500, 123)}
+
+
+@pytest.mark.parametrize("n", sorted(BEYOND_GRID))
+def test_minors_theorem_beyond_the_grid(monkeypatch, n):
+    # past the corpus: seeded draws of exponents with search bound 500, each
+    # base found and four markings of it, held to the certificate
+    monkeypatch.setattr(oracles, "buchberger", _no_pair_loop)
+    emax, draws, bases = BEYOND_GRID[n]
+    rng = random.Random(700 + n)
+    markings = [({1}, ()), ((), {n}), ({1}, {2}), ({1, 2}, {n})]
+    found = 0
+    for _ in range(draws):
+        m = tuple(rng.randint(1, emax) for _ in range(n))
+        ell = tuple(rng.randint(1, emax) for _ in range(n))
+        for base in search_instances(m, ell, 500):
+            found += 1
+            for inst in [base] + [HigherDimInstance(base, I, J) for I, J in markings]:
+                _assert_theorem(inst)
+    assert found == bases
+
+
+def _standard_monomials(m, ell) -> int:
+    """The monomials of k[X_1 .. X_(n-1)] divisible by no lead of step 1,
+    counted one by one in the box under the pure powers X_k^(m_k + l_k)."""
+    n = len(m)
+    leads = []
+    for k, j in combinations_with_replacement(range(n - 1), 2):
+        lead = [0] * (n - 1)
+        lead[k] += m[k]
+        lead[j] += ell[j]
+        leads.append(lead)
+    box = product(*(range(m[k] + ell[k]) for k in range(n - 1)))
+    return sum(not any(all(a >= b for a, b in zip(alpha, lead)) for lead in leads) for alpha in box)
+
+
+@pytest.mark.parametrize("n, emax, draws", [(3, 6, 300), (4, 4, 300), (5, 3, 200), (6, 2, 150), (7, 2, 60)])
+def test_standard_monomials_of_the_leads_are_d_n(n, emax, draws):
+    # step 2 of minors_basis's theorem: the leads leave d_n standard
+    # monomials, d_n the last entry of remark_degrees, for any exponents
+    rng = random.Random(100 + n)
+    for _ in range(draws):
+        m = tuple(rng.randint(1, emax) for _ in range(n))
+        ell = tuple(rng.randint(1, emax) for _ in range(n))
+        assert _standard_monomials(m, ell) == remark_degrees(m, ell)[-1], (m, ell)
+
+
+def test_minors_basis_takes_a_validated_instance():
+    # the theorem covers validated cyclic matrices alone, so a bare matrix,
+    # even that of an instance, is refused
+    inst = search_instances((2, 1, 1), (1, 1, 1), 150)[0]
+    with pytest.raises(TypeError, match="validated instance"):
+        minors_basis(inst.matrix)
+    assert _same_basis(minors_basis(inst), certified_minors_basis(inst.matrix))
 
 
 def test_two_minors_equal_the_product_formula(acceptance_corpus):
@@ -215,7 +298,7 @@ def test_two_minors_equal_the_product_formula(acceptance_corpus):
     R = PolyRing(["x", "y", "z"], [1, 2, 3])
     x, y, z = (R.var(i) for i in range(3))
     flat = [[x * y, x * y, R.zero(), z], [y, y, x - z, R.zero()]]
-    matrices = _corpus_matrices(acceptance_corpus, MINORS_STRIDE, 2) + [flat]
+    matrices = [inst.matrices[0] for inst in _corpus_instances(acceptance_corpus, MINORS_STRIDE, 2)] + [flat]
     assert len(matrices) == MINORS_MATRICES + 1
     zeros = 0
     for top, bottom in matrices:
@@ -268,8 +351,9 @@ def test_a_polynomial_over_another_ring_is_refused(site):
 
 
 def test_minors_basis_falls_back_when_the_minors_are_no_basis(monkeypatch):
-    # the minors x^2*z - y^2, x^3 - y*z, x*y - z^2 of this matrix are no
-    # Groebner basis: the basis adds x*z^3 - y^3 and z^5 - y^4
+    # the certificate's fallback: the minors x^2*z - y^2, x^3 - y*z,
+    # x*y - z^2 of this matrix (not cyclic, and in the standard grading)
+    # are no Groebner basis: the basis adds x*z^3 - y^3 and z^5 - y^4
     R = PolyRing(["x", "y", "z"], [1, 1, 1])
     D = [[parse(R, "x^2"), parse(R, "y"), parse(R, "z")], [parse(R, "y"), parse(R, "z"), parse(R, "x")]]
     want = buchberger(two_minors(D))
@@ -280,8 +364,8 @@ def test_minors_basis_falls_back_when_the_minors_are_no_basis(monkeypatch):
         calls.append(gens)
         return buchberger(gens, **kwargs)
 
-    monkeypatch.setattr(groebner, "buchberger", recorded)
-    got = minors_basis(D)
+    monkeypatch.setattr(oracles, "buchberger", recorded)
+    got = certified_minors_basis(D)
     assert calls == [two_minors(D)]
     assert _same_basis(got, want) and got.stats == want.stats
 
@@ -337,7 +421,8 @@ def _unit_minors():
 @example(_tied_products())
 @example(_unit_minors())
 def test_minors_basis_equals_buchberger(D):
-    _assert_minors_basis(D, minors_basis(D), buchberger(two_minors(D)))
+    # the certificate on any 2-row matrix, beyond the theorem's cyclic ones
+    _assert_minors_basis(D, certified_minors_basis(D), buchberger(two_minors(D)))
 
 
 def test_toric_plane_cusp():
@@ -457,7 +542,7 @@ def test_an_empty_basis_needs_its_ring():
     with pytest.raises(ValueError, match="no ring"):
         buchberger([])
     R = PolyRing(["X1", "X2"], [2, 3])
-    gb = minors_basis([[R.var(0)], [R.var(1)]])  # a 2x1 matrix has no minor
+    gb = certified_minors_basis([[R.var(0)], [R.var(1)]])  # a 2x1 matrix has no minor
     assert gb.ring == R and not gb.polys
     assert not gb.contains(R.var(0))
 

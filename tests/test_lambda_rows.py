@@ -41,6 +41,27 @@ def test_row_entries_and_validation():
         LambdaRow(inst_345(), 1)  # 1 and 2 are gaps
 
 
+def test_row_validation_reads_h_as_contains_does(small_corpus):
+    # a row reads its entries off one window of H's mask; the entries H does
+    # not contain, negative ones included, are those contains refuses, named
+    # in order in the ValueError.  Both signs of c, from rows of negative
+    # entries to rows past the Frobenius number
+    assert {inst.c > 0 for inst in small_corpus} == {True, False}
+    refused = 0
+    for inst in small_corpus:
+        span = (inst.n - 1) * abs(inst.c)
+        for u in range(-span, inst.H.frobenius() + span + 2):
+            bad = [e for e in (u + k * inst.c for k in range(inst.n - 1)) if not inst.H.contains(e)]
+            try:
+                LambdaRow(inst, u)
+            except ValueError as exc:
+                assert str(exc) == f"row entries {bad} are not in {inst.H}", (inst, u)
+                refused += 1
+            else:
+                assert not bad, (inst, u)
+    assert refused > 0
+
+
 def test_relations_fail_for_a_wrong_degree_gap():
     # the instances are assembled directly, not by build, so c is not checked
     # against the matrix: every column's gap is 1, so a step of 2 breaks f.N = 0
@@ -246,8 +267,8 @@ def test_syzygy_trace_n4_n5(m, ell, monkeypatch):
         checked.append(closed.ring)
         return closed
 
-    def minors_basis_and_check(matrix):
-        gb = real_minors_basis(matrix)
+    def minors_basis_and_check(inst):
+        gb = real_minors_basis(inst)
         assert spolys_reduce_to_zero(gb)
         checked.append("minors")
         return gb
@@ -320,14 +341,14 @@ def test_toric_image_verdict_matches_normal_forms(make):
     # every column of M, for every kernel row and for rows bent off the
     # kernel
     inst = make()
-    D, M = inst.matrices
-    gb = minors_basis(D)
-    columns = [lambda_rows._column_image(M, k) for k in range(len(M[0]))]
+    _, M = inst.matrices
+    gb = minors_basis(inst)
+    columns = lambda_rows._column_images(M, range(len(M[0])))
     verdicts = []
     for row in kernel_over_quotient(M, inst.minors):
         for bent in _bent_rows(row):
             images = [lambda_rows._toric_image(p) for p in bent]
-            for k, column in enumerate(columns):
+            for k, column in columns:
                 nonzero = bool(lambda_rows._image_of_product(images, column))
                 assert nonzero == (groebner.first_nonzero_column(bent, [[line[k]] for line in M], gb) is not None)
                 verdicts.append(nonzero)
@@ -384,7 +405,7 @@ def test_no_lead_of_the_minors_basis_involves_the_last_variable(acceptance_corpu
     assert len(instances) == 444 + 2960 + 830
     for inst in instances:
         ring = inst.ring
-        assert all(ring.exponents(g.lm())[-1] == 0 for g in minors_basis(inst.matrix)), inst
+        assert all(ring.exponents(g.lm())[-1] == 0 for g in minors_basis(inst)), inst
 
 
 def _pairs_popped(inst, monkeypatch, column=None):

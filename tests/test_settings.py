@@ -146,3 +146,16 @@ def test_src_checks_rings_in_one_place():
                     if any(isinstance(x, ast.Attribute) and x.attr == "ring" for x in operands):
                         found.append(f"{path.name}:{node.lineno}: {name}")
     assert {where.split(": ")[1] for where in found} == {"check_ring"}, found
+
+
+def test_src_forms_s_polynomials_in_one_place():
+    # the minors of a validated matrix are a Groebner basis by a theorem
+    # (groebner.minors_basis), so no pair of them is settled in src: the
+    # pair loop _close is the one function that forms an S-polynomial
+    found = set()
+    for path in sorted((ROOT / "src" / "ngtrace").glob("*.py")):
+        for name, func in _functions(path):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_spoly":
+                    found.add(f"{path.name}: {name}")
+    assert found == {"groebner.py: _close"}, sorted(found)
