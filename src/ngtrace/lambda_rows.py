@@ -30,11 +30,16 @@ class LambdaRow:
 
     def __post_init__(self):
         es = self.entries
-        lo = max(min(es), 0)
-        # bit e - lo of window is bit e of H's mask, for every entry e >= 0
-        window = self.instance.H.mask >> lo & ((2 << max(max(es) - lo, 0)) - 1)
-        bad = [e for e in es if e < 0 or not window >> (e - lo) & 1]
-        if bad:
+        lo = es[0] if es[0] < es[-1] else es[-1]  # the entries step by c
+        want = 0
+        for e in es:
+            want |= 1 << e - lo
+        # bit e - lo of window is bit e of H's mask, and 0 for e < 0; the
+        # shifts stay within the entries' span, however far u is from 0
+        mask = self.instance.H.mask
+        window = mask >> lo & want if lo >= 0 else (mask & want >> -lo) << -lo
+        if window != want:
+            bad = [e for e in es if not window >> e - lo & 1]
             raise ValueError(f"row entries {bad} are not in {self.instance.H}")
 
     @property

@@ -45,12 +45,13 @@ def test_row_validation_reads_h_as_contains_does(small_corpus):
     # a row reads its entries off one window of H's mask; the entries H does
     # not contain, negative ones included, are those contains refuses, named
     # in order in the ValueError.  Both signs of c, from rows of negative
-    # entries to rows past the Frobenius number
+    # entries to rows past the Frobenius number, and rows far from 0, whose
+    # shifts stay within the entries' span
     assert {inst.c > 0 for inst in small_corpus} == {True, False}
     refused = 0
     for inst in small_corpus:
         span = (inst.n - 1) * abs(inst.c)
-        for u in range(-span, inst.H.frobenius() + span + 2):
+        for u in [-(10**15), *range(-span, inst.H.frobenius() + span + 2), 10**15]:
             bad = [e for e in (u + k * inst.c for k in range(inst.n - 1)) if not inst.H.contains(e)]
             try:
                 LambdaRow(inst, u)
