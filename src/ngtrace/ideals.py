@@ -6,7 +6,11 @@ says whether lo + i is a member, so bit 0 is set, and the int is negative
 because every element more than one Frobenius number past lo is a member.
 The pair (lo, mask) is a normal form: two ideals are equal iff their pairs
 are, and translates share the mask.  Membership, sums and colons work on the
-masks; the minimal generators E & ~OR_a (E << a) are extracted on first use.
+masks.  The closure check of a mask E computes OR_a (E << a) over the
+generators a of H, and E & ~OR_a (E << a) is the mask of the minimal
+generators: the check keeps it, and the generators are read off its bits
+(an ideal built from a list of values passes no check and finds it on first
+use).
 These sets are the ground-truth route to the canonical trace ideal in
 dimension one: every homomorphism from a fractional ideal into the ring is
 multiplication by an element of the colon ideal, so the trace of the
@@ -39,16 +43,11 @@ def _reached(H: NumericalSemigroup, E: int) -> int:
     return reached
 
 
-def _minimal_generators(H: NumericalSemigroup, lo: int, E: int) -> tuple[int, ...]:
-    """Minimal generators E & ~OR_a (E << a) of the ideal with mask E from lo."""
-    return tuple(lo + i for i in bit_positions(E & ~_reached(H, E)))
-
-
 class RelativeIdeal:
     """Fractional ideal of a numerical semigroup, as its least member and
     member mask from there (see the module docstring)."""
 
-    __slots__ = ("base", "lo", "mask", "_generators")
+    __slots__ = ("base", "lo", "mask", "_minimal", "_generators")
 
     def __init__(self, base: NumericalSemigroup, generators):
         values = set(generators)
@@ -58,6 +57,7 @@ class RelativeIdeal:
         self.base = base
         self.lo = lo
         self.mask = _values_mask(base, lo, values)
+        self._minimal = None  # on first use: equality and membership need no closure pass
         self._generators = None
 
     @classmethod
@@ -67,23 +67,32 @@ class RelativeIdeal:
         The mask must hold the ideal at every i >= 0, so it is nonzero and
         closed under adding the generators of base (and hence a negative
         int); anything else raises ValueError.  Unset low bits are dropped:
-        the result's lo is the least member.
+        the result's lo is the least member.  The check's pass over the
+        generators also gives the mask of the minimal generators, which is
+        kept.
         """
-        if not mask or _reached(base, mask) & ~mask:
+        reached = _reached(base, mask)
+        if not mask or reached & ~mask:
             raise ValueError("not the mask of a nonempty relative ideal")
         low = (mask & -mask).bit_length() - 1
         ideal = cls.__new__(cls)
         ideal.base = base
         ideal.lo = lo + low
         ideal.mask = mask >> low
+        ideal._minimal = (mask & ~reached) >> low
         ideal._generators = None
         return ideal
 
     @property
     def generators(self) -> tuple[int, ...]:
-        """The minimal generators, increasing: no one lies in another's translate of H."""
+        """The minimal generators, increasing: no one lies in another's translate of H.
+
+        They are the members E & ~OR_a (E << a) that no generator a of H
+        reaches from another member."""
         if self._generators is None:
-            self._generators = _minimal_generators(self.base, self.lo, self.mask)
+            if self._minimal is None:
+                self._minimal = self.mask & ~_reached(self.base, self.mask)
+            self._generators = tuple(self.lo + i for i in bit_positions(self._minimal))
         return self._generators
 
     # -- membership and comparisons ---------------------------------------
@@ -116,34 +125,37 @@ class RelativeIdeal:
         return RelativeIdeal.from_mask(self.base, S, self.lo + low)
 
     def colon(self, other: "RelativeIdeal") -> "RelativeIdeal":
-        """The ideal {z : z + other is contained in self}.
-
-        Membership of z only requires checking the generators of ``other``,
-        so the colon's mask is the AND of self's mask shifted back by each of
-        them.  No z below min(self) - max(other gens) is a member; from there
-        the masks are exact.  Minimal generators live within one Frobenius
-        number of the colon's minimum, and every element past that range is
-        asserted to be a member as a sentinel.
-        """
+        """The ideal {z : z + other is contained in self}."""
         if self.base != other.base:
             raise BaseMismatch("cannot divide ideals over different semigroups")
-        H = self.base
-        E = self.mask
-        top = max(other.generators)
-        lo = self.lo - top
-        C = -1
-        for g in other.generators:
-            C &= E << (top - g)  # bit i: lo + i + g is in self
-        low = (C & -C).bit_length() - 1
-        if C >> (low + H.frobenius() + 1) != -1:  # sentinel: past the window is inside
-            raise AssertionError("colon window sentinel failed; bound reasoning broken")
-        return RelativeIdeal.from_mask(H, C, lo)
+        return _colon(self.base, self.lo, self.mask, other)
 
     def __repr__(self):
         return f"RelativeIdeal({self.base!r}, {list(self.generators)})"
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.generators) + ") + " + str(self.base)
+
+
+def _colon(H: NumericalSemigroup, lo: int, E: int, other: RelativeIdeal) -> RelativeIdeal:
+    """The ideal {z : z + other is contained in the ideal with mask E from lo}.
+
+    Membership of z only requires checking the generators of ``other``,
+    so the colon's mask is the AND of E shifted back by each of them.  No z
+    below lo - max(other gens) is a member; from there the masks are exact.
+    Minimal generators live within one Frobenius number of the colon's
+    minimum, and every element past that range is asserted to be a member
+    as a sentinel.
+    """
+    gens = other.generators
+    top = gens[-1]
+    C = -1
+    for g in gens:
+        C &= E << (top - g)  # bit i: lo - top + i + g is in E
+    low = (C & -C).bit_length() - 1
+    if C >> (low + H.frobenius() + 1) != -1:  # sentinel: past the window is inside
+        raise AssertionError("colon window sentinel failed; bound reasoning broken")
+    return RelativeIdeal.from_mask(H, C, lo - top)
 
 
 def unit_ideal(H: NumericalSemigroup) -> RelativeIdeal:
@@ -171,6 +183,7 @@ def canonical_ideal(H: NumericalSemigroup) -> RelativeIdeal:
 
 
 def trace_canonical_oracle(H: NumericalSemigroup) -> RelativeIdeal:
-    """Ground-truth canonical trace ideal: K + (H - K)."""
+    """Ground-truth canonical trace ideal: K + (H - K), with H - K taken
+    from H's own membership mask (H is the ideal with mask H.mask from 0)."""
     K = canonical_ideal(H)
-    return K.add(unit_ideal(H).colon(K))
+    return K.add(_colon(H, 0, H.mask, K))

@@ -11,41 +11,47 @@ a second, fully independent route to the canonical trace ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .determinantal import DeterminantalInstance, classify_nearly_gorenstein, degree_gaps
 from .errors import NotApplicable
 from .groebner import kernel_over_quotient, minors_basis
 from .ideals import RelativeIdeal
 from .polyring import add_products
-from .semigroup import sieve_mask
 
 
-@dataclass(frozen=True)
 class LambdaRow:
-    """Degrees (u, u+c, ..., u+(n-2)c) of a monomial row annihilating N."""
+    """Degrees (u, u+c, ..., u+(n-2)c) of a monomial row annihilating N.
 
-    instance: DeterminantalInstance
-    u: int
+    An immutable value, equal and hashed by (instance, u).  Its entries are
+    computed once, when it is built, and checked against H there."""
 
-    def __post_init__(self):
-        es = self.entries
+    __slots__ = ("instance", "u", "entries")
+
+    def __init__(self, instance: DeterminantalInstance, u: int):
+        c = instance.c
+        es = tuple(u + k * c for k in range(instance.n - 1))
         lo = es[0] if es[0] < es[-1] else es[-1]  # the entries step by c
         want = 0
         for e in es:
             want |= 1 << e - lo
         # bit e - lo of window is bit e of H's mask, and 0 for e < 0; the
         # shifts stay within the entries' span, however far u is from 0
-        mask = self.instance.H.mask
+        mask = instance.H.mask
         window = mask >> lo & want if lo >= 0 else (mask & want >> -lo) << -lo
         if window != want:
             bad = [e for e in es if not window >> e - lo & 1]
-            raise ValueError(f"row entries {bad} are not in {self.instance.H}")
+            raise ValueError(f"row entries {bad} are not in {instance.H}")
+        self.instance = instance
+        self.u = u
+        self.entries = es
 
-    @property
-    def entries(self) -> tuple[int, ...]:
-        c = self.instance.c
-        return tuple(self.u + k * c for k in range(self.instance.n - 1))
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LambdaRow) and self.u == other.u and self.instance == other.instance
+
+    def __hash__(self):
+        return hash((self.instance, self.u))
+
+    def __repr__(self):
+        return f"LambdaRow(instance={self.instance!r}, u={self.u!r})"
 
     def relations_hold(self) -> bool:
         """Re-check the defining identities u_j + m_[i+1] a_[i+1] = u_{j+1} + l_i a_i,
@@ -95,29 +101,51 @@ def _row_starts(inst: DeterminantalInstance, top: int) -> int:
     return starts
 
 
+def _trace_members(inst: DeterminantalInstance, W: int) -> int:
+    """The mask of the degrees 0..W that some row holds: OR_k (starts << k*c)."""
+    c = inst.c
+    # rows covering the window may start past it
+    starts = _row_starts(inst, W + (inst.n - 1) * abs(c))
+    members = 0
+    for k in range(inst.n - 1):
+        members |= _shift_down(starts, -k * c)
+    return members & (1 << (W + 1)) - 1
+
+
 def trace_canonical_lambda(inst: DeterminantalInstance) -> RelativeIdeal:
     """The canonical trace ideal collected from all monomial rows.
 
     The row starts v are AND_k (H >> k*c) and the members OR_k (starts << k*c),
-    over degrees up to a window past which membership is eventually
+    over degrees up to a window W past which membership is eventually
     constant; the window end doubles as a sentinel and is asserted.
+
+    The members need no closure under H, by two facts:
+
+    * they are closed under adding H inside the window.  If v + kc lies in
+      H for every k, so does v + h + kc for h in H, so the starts are
+      closed under H.  A member x = v + kc then has x + h = (v + h) + kc,
+      and for x + h <= W the start v + h is at most W + (n - 2)|c|, inside
+      the range of starts computed;
+    * the least member low is at most F + 1.  For z >= F + 1,
+      z + K lies in z + N, inside H, so z is in H - K, and since 0 is in K
+      it is in K + (H - K).  So F + 1 is in the trace, and the window
+      (W >= 2F + 2) covers [low, low + F].
+
+    The ideal's mask from low is therefore the members' bits low..low + F
+    with every bit past them set.  The second fact is asserted as a
+    sentinel (bit F + 1 of the members), and from_mask still checks that
+    the mask is closed under H.
     """
     H = inst.H
-    c, n = inst.c, inst.n
     W = trace_window(inst)
-    # rows covering the window may start past it
-    starts = _row_starts(inst, W + (n - 1) * abs(c))
-    members = 0
-    for k in range(n - 1):
-        members |= _shift_down(starts, -k * c)
-    members &= (1 << (W + 1)) - 1
+    members = _trace_members(inst, W)
     if not (members >> W) & 1:
         raise AssertionError("trace window sentinel failed; bound reasoning broken")
-    # the members generate the trace: close them under H from the least one,
-    # past which everything beyond one Frobenius number is a member
-    low = (members & -members).bit_length() - 1
     F = H.frobenius()
-    E = sieve_mask(H.generators, F, members >> low) | (-1 << (F + 1))
+    if not (members >> (F + 1)) & 1:
+        raise AssertionError("trace conductor sentinel failed: F + 1 is not in the trace")
+    low = (members & -members).bit_length() - 1
+    E = (members >> low) & ((1 << (F + 1)) - 1) | (-1 << (F + 1))
     return RelativeIdeal.from_mask(H, E, low)
 
 

@@ -324,7 +324,7 @@ class Polynomial:
 
     __slots__ = ("ring", "terms", "_lt", "_entry", "_wdeg")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: _Layout, terms: dict):  # a PolyRing, or a FreeModule for module elements
         self.ring = ring
         self.terms = terms
         self._lt = None

@@ -161,6 +161,8 @@ class NumericalSemigroup:
     # -- dunder glue --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         return isinstance(other, NumericalSemigroup) and self.generators == other.generators
 
     def __hash__(self):

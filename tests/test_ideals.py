@@ -211,6 +211,8 @@ def test_mask_normal_form_matches_member_sets(H, gens_e, gens_f, pad, offset):
     # unset low bits and an offset lo are normalised away
     again = RelativeIdeal.from_mask(H, E.mask << pad, E.lo - pad)
     assert again == E and (again.lo, again.mask) == (E.lo, E.mask)
+    # a from_mask copy keeps the generators' mask from its closure check
+    assert again.generators == set_oracle_minimal(H, members_e)
     # the old definition: the generators shifted by the gap of the minima
     d = E.lo - F.lo
     assert is_translate(E, F) == (E.generators == tuple(g + d for g in F.generators))
@@ -236,19 +238,36 @@ def test_from_mask_rejects_masks_that_are_not_closed(H, gens, cut):
 @pytest.mark.parametrize("m, ell", [((2, 1, 1), (1, 1, 1)), ((1, 1, 2), (1, 1, 3)), ((3, 1, 1, 1), (1, 1, 1, 2))])
 def test_check_instance_extracts_two_generator_lists(m, ell, monkeypatch):
     # K's, for its pseudo-Frobenius assertion and the colon, and H - K's,
-    # for the sum; every other step of the check works on member masks
+    # for the sum; every other step of the check works on member masks.  A
+    # generator list is decoded from its mask by bit_positions, and each
+    # ideal check_instance builds from a mask walks its closure once: the
+    # closure check in from_mask, which also gives the generators' mask
     inst = search_instances(m, ell, 150)[0]
-    calls = []
+    decoded, reached, built = [], [], []
 
-    def counted(H, lo, E):
-        calls.append(lo)
-        return extract(H, lo, E)
+    def counted_decode(x):
+        decoded.append(x)
+        return decode(x)
 
-    extract = ideals._minimal_generators
-    monkeypatch.setattr(ideals, "_minimal_generators", counted)
+    def counted_reach(H, E):
+        reached.append(E)
+        return reach(H, E)
+
+    def counted_build(base, mask, lo=0):
+        built.append(mask)
+        return build_from_mask(base, mask, lo)
+
+    decode, reach = ideals.bit_positions, ideals._reached
+    build_from_mask = RelativeIdeal.from_mask
+    monkeypatch.setattr(ideals, "bit_positions", counted_decode)
+    monkeypatch.setattr(ideals, "_reached", counted_reach)
+    monkeypatch.setattr(RelativeIdeal, "from_mask", staticmethod(counted_build))
     report = check_instance(inst)
     assert not report.violations()
-    assert len(calls) <= 2
+    assert len(decoded) <= 2
+    # K, H - K, K + (H - K) and the lambda trace; an ideal built from its
+    # generators (Herzog's, for n = 3) is compared by mask, not walked
+    assert reached == built and len(built) == 4
 
 
 def test_report_lists_an_almost_but_not_nearly_gorenstein_verdict():

@@ -11,6 +11,7 @@ from ngtrace.groebner import kernel_over_quotient, minors_basis
 from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle, unit_ideal
 from ngtrace.lambda_rows import (
     LambdaRow,
+    _trace_members,
     lambda_membership,
     theorem_if_witnesses,
     trace_canonical_lambda,
@@ -530,6 +531,39 @@ def test_kernel_closure_with_seed_product_criterion_is_complete(make, monkeypatc
     assert spolys_reduce_to_zero(_with_basis(closed, basis))
 
 
+def members_break_the_lemma(inst) -> list[str]:
+    """What fails of the two facts that spare the lambda trace its sieve:
+    inside the window its members are closed under each generator of H,
+    and they hold the conductor F + 1."""
+    W = trace_window(inst)
+    members = _trace_members(inst, W)
+    window = (1 << (W + 1)) - 1
+    broken = [f"not closed under {a}" for a in inst.H.generators if (members << a) & window & ~members]
+    if not members >> (inst.H.frobenius() + 1) & 1:
+        broken.append("F + 1 is not a member")
+    return broken
+
+
+def test_lambda_members_are_closed_and_hold_the_conductor(acceptance_corpus):
+    corpus, _ = acceptance_corpus
+    assert {inst.n for inst in corpus} == {3, 4, 5} and {inst.c > 0 for inst in corpus} == {True, False}
+    broken = [(inst.to_json(), why) for inst in corpus if (why := members_break_the_lemma(inst))]
+    assert not broken, broken[:10]
+
+
+@pytest.mark.parametrize("make", [inst_345, inst_7890, inst_six])
+def test_lambda_conductor_sentinel_trips(make, monkeypatch):
+    # row starts with every bit up to F + 1 + (n - 2)|c| cleared leave no
+    # row through F + 1 (nor below it), while the window end keeps its rows:
+    # the conductor sentinel must fire before any mask is built from them
+    inst = make()
+    span = inst.H.frobenius() + 2 + (inst.n - 2) * abs(inst.c)
+    real = lambda_rows._row_starts
+    monkeypatch.setattr(lambda_rows, "_row_starts", lambda inst, top: real(inst, top) & (-1 << span))
+    with pytest.raises(AssertionError, match="conductor sentinel"):
+        trace_canonical_lambda(inst)
+
+
 BEYOND_GRID = {3: 189, 4: 137, 5: 24}  # instances the seeded draws find, per n
 
 
@@ -537,7 +571,8 @@ BEYOND_GRID = {3: 189, 4: 137, 5: 24}  # instances the seeded draws find, per n
 def test_random_exponents_beyond_the_grid(n):
     # the corpus stops at exponent 3 and generator 150; 400 seeded draws of
     # exponents 1..6 with search bound 500 go past both.  Every instance
-    # found passes check_instance and its syzygy trace is the oracle's; a
+    # found passes check_instance, its lambda members keep the lemma of
+    # trace_canonical_lambda, and its syzygy trace is the oracle's; a
     # ResourceLimit fails the test, listed by its payload and reason
     rng = random.Random(1000 + n)
     found, failures = 0, []
@@ -552,6 +587,8 @@ def test_random_exponents_beyond_the_grid(n):
                 report = check_instance(inst)
                 if report.violations():
                     failures.append((payload, report.violations()))
+                if broken := members_break_the_lemma(inst):
+                    failures.append((payload, broken))
                 if trace_canonical_syzygy(inst) != report.trace_oracle:
                     failures.append((payload, "the syzygy trace differs from the oracle's"))
         except ResourceLimit as exc:
