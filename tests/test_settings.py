@@ -91,7 +91,9 @@ class _Types:
     def __init__(self, trees):
         classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
         self.names = {node.name for node in classes}
-        self.bases = {c.name: [b.id for b in c.bases if isinstance(b, ast.Name) and b.id in self.names] for c in classes}
+        self.bases = {
+            c.name: [b.id for b in c.bases if isinstance(b, ast.Name) and b.id in self.names] for c in classes
+        }
         self.methods, self.fields, self.returns = {}, {}, {}
         for node in classes:
             methods = self.methods[node.name] = {}
@@ -108,7 +110,7 @@ class _Types:
                         for sub in ast.walk(item):
                             if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Name):
                                 for t in sub.targets:
-                                    if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self":
+                                    if isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self":
                                         fields.setdefault(t.attr, params.get(sub.value.id))
         for tree in trees:
             for node in tree.body:
@@ -128,9 +130,8 @@ class _Types:
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
             named = {self.annotation(node.left), self.annotation(node.right)} - {None}
             return named.pop() if len(named) == 1 else None
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id in ("list", "tuple"):
-            items = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
-            item = self.annotation(items[0])
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) in ("list", "tuple"):
+            item = self.annotation(node.slice.elts[0] if isinstance(node.slice, ast.Tuple) else node.slice)
             return f"[{item}]" if item in self.names else None
         return node.id if isinstance(node, ast.Name) and node.id in self.names else None
 
@@ -145,9 +146,8 @@ class _Types:
             return []
         entries = getattr(self, table)
         found = [(c, entries[c][attr]) for c in self._mro(cls) if attr in entries[c]][:1]
-        return found + [
-            (c, entries[c][attr]) for c in self.names if c != cls and cls in self._mro(c) and attr in entries[c]
-        ]
+        overrides = [c for c in self.names if c != cls and cls in self._mro(c) and attr in entries[c]]
+        return found + [(c, entries[c][attr]) for c in overrides]
 
     def of(self, node, env) -> str | None:
         """The class of the value of expression node, "[C]" for a list of
@@ -156,7 +156,8 @@ class _Types:
             return node.id if node.id in self.names else env.get(node.id)
         if isinstance(node, ast.Subscript):
             seq = self.of(node.value, env)
-            return seq[1:-1] if seq and seq.startswith("[") and not isinstance(node.slice, ast.Slice) else None
+            is_item = seq and seq.startswith("[") and not isinstance(node.slice, ast.Slice)
+            return seq[1:-1] if is_item else None
         if isinstance(node, ast.Attribute):
             found = {cls for _, cls in self.lookup(self.of(node.value, env), node.attr, "fields")}
             return found.pop() if len(found) == 1 else None
@@ -165,7 +166,8 @@ class _Types:
             if isinstance(f, ast.Name):
                 return f.id if f.id in self.names else self.returns.get(f.id)
             if isinstance(f, ast.Attribute):
-                found = {self.annotation(m.returns) for _, m in self.lookup(self.of(f.value, env), f.attr, "methods")}
+                methods = self.lookup(self.of(f.value, env), f.attr, "methods")
+                found = {self.annotation(m.returns) for _, m in methods}
                 return found.pop() if len(found) == 1 else None
         return None
 
@@ -344,5 +346,6 @@ def test_src_sieves_membership_in_one_place():
                 if isinstance(node, ast.Call):
                     f = node.func
                     if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "sieve_mask":
-                        found.add(f"{path.name}: {cls + '.' if cls else ''}{getattr(scope, 'name', '<module>')}")
+                        name = getattr(scope, "name", "<module>")
+                        found.add(f"{path.name}: {cls + '.' + name if cls else name}")
     assert found == {"semigroup.py: NumericalSemigroup.__init__"}, sorted(found)
