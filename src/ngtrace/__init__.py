@@ -20,12 +20,13 @@ from .errors import (
     NoTabulatedWitness,
     NonMinimalGenerators,
     NotApplicable,
+    PropertyViolation,
     ResourceLimit,
     UnsupportedBaseCase,
     WitnessFailed,
 )
-from .groebner import GroebnerBasis, buchberger, kernel_over_quotient, minors_basis, toric_ideal, two_minors
-from .higher_dim import HigherDimInstance, build_matrices, classify, verify_witness, witness_rows
+from .groebner import GroebnerBasis, buchberger, kernel_over_quotient, toric_ideal, two_minors
+from .higher_dim import HigherDimInstance, build_matrices, classify, minors_basis, verify_witness, witness_rows
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,

@@ -3,7 +3,9 @@
 Subcommands: sgp, classify, trace, search, higher, corpus, verify.
 Exit codes: 0 success, 2 input validation or a resource cap hit,
 3 defining-ideal mismatch, 4 unsupported case, 5 property violation.
-The subcommands raise; main maps the exceptions to exit codes in one place.
+A subcommand prints its report, then raises on a failed check or returns
+nothing; main maps every exception to its exit code and error: line in one
+place.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     IdealMismatch,
     InhomogeneousMatrix,
     NoTabulatedWitness,
+    PropertyViolation,
     ResourceLimit,
     UnsupportedBaseCase,
     WitnessFailed,
@@ -89,15 +92,13 @@ def _emit(report: dict, fmt: str, out):
         print(f"{key}: {value}", file=out)
 
 
-def _exit_for(report: InstanceReport) -> int:
+def _raise_violations(report: InstanceReport) -> None:
     violations = report.violations()
     if violations:
-        print(f"error: property violations: {'; '.join(violations)}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+        raise PropertyViolation(f"property violations: {'; '.join(violations)}")
 
 
-def cmd_sgp(args, out) -> int:
+def cmd_sgp(args, out) -> None:
     H = NumericalSemigroup(_parse_gens(args.gens))
     report = {
         "generators": list(H.generators),
@@ -112,10 +113,9 @@ def cmd_sgp(args, out) -> int:
         "almost_symmetric": H.is_almost_symmetric(),
     }
     _emit(report, args.format, out)
-    return EXIT_OK
 
 
-def cmd_classify(args, out) -> int:
+def cmd_classify(args, out) -> None:
     inst = DeterminantalInstance.from_json(_load_payload(args.instance))
     checked = check_instance(inst)
     ng = checked.ng
@@ -135,10 +135,10 @@ def cmd_classify(args, out) -> int:
     if args.format == "table":
         report["instance"] = json.dumps(report["instance"], sort_keys=True)
     _emit(report, args.format, out)
-    return _exit_for(checked)
+    _raise_violations(checked)
 
 
-def cmd_trace(args, out) -> int:
+def cmd_trace(args, out) -> None:
     inst = DeterminantalInstance.from_json(_load_payload(args.instance))
     report: dict = {"instance": json.dumps(inst.to_json(), sort_keys=True)}
     results = {}
@@ -163,15 +163,12 @@ def cmd_trace(args, out) -> int:
         report["rows"] = rows
     _emit(report, args.format, out)
     if failed:
-        print(f"error: property violation: f.N != 0 for rows {', '.join(failed)}", file=sys.stderr)
-        return EXIT_VIOLATION
-    if len(set(map(tuple, (v for k, v in results.items())))) > 1:
-        print("error: trace methods disagree", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+        raise PropertyViolation(f"property violation: f.N != 0 for rows {', '.join(failed)}")
+    if len(set(map(tuple, results.values()))) > 1:
+        raise PropertyViolation("trace methods disagree")
 
 
-def cmd_search(args, out) -> int:
+def cmd_search(args, out) -> None:
     m = [int(x) for x in args.m.replace(",", " ").split()]
     ell = [int(x) for x in args.ell.replace(",", " ").split()]
     rows = []
@@ -192,10 +189,9 @@ def cmd_search(args, out) -> int:
         print(f"found: {len(rows)}", file=out)
         for row in rows:
             print(json.dumps(row, sort_keys=True), file=out)
-    return EXIT_OK
 
 
-def cmd_higher(args, out, payload: dict | None = None) -> int:
+def cmd_higher(args, out, payload: dict | None = None) -> None:
     if payload is None:
         payload = _load_payload(args.instance)
     hd = HigherDimInstance.from_json(payload)
@@ -222,12 +218,11 @@ def cmd_higher(args, out, payload: dict | None = None) -> int:
         except WitnessFailed as exc:
             report["witness"] = f"FAILED: {exc}"
             _emit(report, args.format, out)
-            return EXIT_VIOLATION
+            raise PropertyViolation(f"witness failed: {exc}")
     _emit(report, args.format, out)
-    return EXIT_OK
 
 
-def cmd_corpus(args, out) -> int:
+def cmd_corpus(args, out) -> None:
     ns = tuple(int(x) for x in args.ns.replace(",", " ").split())
     progress = None
     if args.format == "table":
@@ -246,16 +241,15 @@ def cmd_corpus(args, out) -> int:
     report = dict(result.counts)
     _emit(report, args.format, out)
     if result.violations:
-        print("error: property violations; minimal reproducer follows", file=sys.stderr)
         print(result.reproducer(), file=out)
-        return EXIT_VIOLATION
-    return EXIT_OK
+        raise PropertyViolation("property violations; minimal reproducer follows")
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args, out) -> None:
     payload = _load_payload(args.instance)
     if payload.get("I") or payload.get("J"):
-        return cmd_higher(args, out, payload)
+        cmd_higher(args, out, payload)
+        return
     inst = DeterminantalInstance.from_json(payload)
     checked = check_instance(inst)
     report = {
@@ -266,7 +260,7 @@ def cmd_verify(args, out) -> int:
     if checked.ng_theorem:
         report["witness_rows"] = [str(r) for r in theorem_if_witnesses(inst)]
     _emit(report, args.format, out)
-    return _exit_for(checked)
+    _raise_violations(checked)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -329,7 +323,10 @@ _parser = functools.cache(make_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args, sys.stdout)
+        args.handler(args, sys.stdout)
+        return EXIT_OK
+    except PropertyViolation as exc:
+        code, message = EXIT_VIOLATION, str(exc)
     except (InhomogeneousMatrix, IdealMismatch) as exc:
         code, message = EXIT_IDEAL, f"not a determinantal presentation: {exc}"
     except UnsupportedBaseCase as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
@@ -195,20 +195,8 @@ def build_corpus(
 
 @dataclass
 class CorpusResult:
-    reports: list[InstanceReport] = field(default_factory=list)
-    violations: list[InstanceReport] = field(default_factory=list)
-
-    @property
-    def counts(self) -> dict:
-        ng = sum(1 for r in self.reports if r.ng_theorem)
-        ag = sum(1 for r in self.reports if r.ag_theorem)
-        return {
-            "instances": len(self.reports),
-            "nearly_gorenstein": ng,
-            "almost_gorenstein": ag,
-            "ng_not_ag": sum(1 for r in self.reports if r.ng_theorem and not r.ag_theorem),
-            "violations": len(self.violations),
-        }
+    counts: dict[str, int]  # in the order the table output prints them
+    violations: list[InstanceReport]  # the only reports a run keeps
 
     def reproducer(self) -> str | None:
         if not self.violations:
@@ -224,13 +212,17 @@ def run_corpus(
     sample: int | None = None,
     progress=None,
 ) -> CorpusResult:
-    result = CorpusResult()
     corpus = build_corpus(ns, emax, bound, seed=seed, sample=sample)
+    counts = {"instances": len(corpus), "nearly_gorenstein": 0, "almost_gorenstein": 0, "ng_not_ag": 0}
+    violations = []
     for k, inst in enumerate(corpus):
         report = check_instance(inst)
-        result.reports.append(report)
+        counts["nearly_gorenstein"] += report.ng_theorem
+        counts["almost_gorenstein"] += report.ag_theorem
+        counts["ng_not_ag"] += report.ng_theorem and not report.ag_theorem
         if report.violations():
-            result.violations.append(report)
+            violations.append(report)
         if progress and (k + 1) % 500 == 0:
             progress(k + 1, len(corpus))
-    return result
+    counts["violations"] = len(violations)
+    return CorpusResult(counts, violations)

@@ -16,7 +16,6 @@ the reversal (which swaps the roles of m and ell).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -132,9 +131,7 @@ class DeterminantalInstance:
         }
 
     @classmethod
-    def from_json(cls, data) -> "DeterminantalInstance":
-        if isinstance(data, str):
-            data = json.loads(data)
+    def from_json(cls, data: dict) -> "DeterminantalInstance":
         H = NumericalSemigroup(data["generators"])
         order = data.get("order", data["generators"])
         return build(H, order, data["m"], data["ell"])

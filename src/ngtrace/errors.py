@@ -2,7 +2,9 @@
 
 Validation failures are ValueError subclasses so that CLI surfaces can map
 them onto exit codes uniformly; resource overruns are RuntimeErrors because
-they depend on configured caps, not on the input being malformed.
+they depend on configured caps, not on the input being malformed.  A
+property violation is neither: the input is valid, and a check of the
+paper's claims on it failed.
 """
 
 
@@ -67,3 +69,7 @@ class WitnessFailed(ValueError):
     def __init__(self, detail: str):
         self.detail = detail
         super().__init__(detail)
+
+
+class PropertyViolation(Exception):
+    """Routes that must agree disagree, or a witness failed its check."""

@@ -17,14 +17,14 @@ verdict and names its table: the explicit row vectors annihilating the
 canonical-module presentation matrix when the clause holds, read through
 the same shifted view of the indices as the clause; classify's result
 carries the table, so one decision serves verdict, rows and check.
-Verification reduces every product entry to zero against a Groebner basis
-of the minors and then checks that the linear parts of the row entries span
-the variables: the cover of the local ring k[[X]] by entries and minors.
+Verification reduces every product entry to zero against the minors,
+proved a Groebner basis (minors_basis), and then checks that the linear
+parts of the row entries span the variables: the cover of the local ring
+k[[X]] by entries and minors.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,7 +40,7 @@ from .determinantal import (
     wrap,
 )
 from .errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
-from .groebner import buchberger, first_nonzero_column, minors_basis
+from .groebner import GroebnerBasis, buchberger, first_nonzero_column, two_minors
 from .polyring import PolyRing, Polynomial
 
 ALL_ONES = "all-ones"
@@ -203,9 +203,7 @@ class HigherDimInstance:
         return data
 
     @classmethod
-    def from_json(cls, data) -> "HigherDimInstance":
-        if isinstance(data, str):
-            data = json.loads(data)
+    def from_json(cls, data: dict) -> "HigherDimInstance":
         base = DeterminantalInstance.from_json(data)
         return cls(base, frozenset(data.get("I", [])), frozenset(data.get("J", [])))
 
@@ -220,6 +218,73 @@ def build_matrices(hd: HigherDimInstance):
     """
     indices = range(1, hd.n + 1)
     return cyclic_matrices([hd.top_entry(r) for r in indices], [hd.bottom_entry(r) for r in indices])
+
+
+def minors_basis(inst: DeterminantalInstance | HigherDimInstance) -> GroebnerBasis:
+    """The monic 2-minors of a validated instance's matrix: a Groebner basis by the theorem below.
+
+    ``inst`` is a DeterminantalInstance or a HigherDimInstance, whose
+    ``matrices[0]`` is the matrix D over its ``ring``; anything else raises
+    TypeError, as the theorem covers those matrices alone.  The minors are
+    returned as they are: monic, in the order of their column pairs, with
+    ``stats`` None.
+
+    Theorem.  Let D have top entries V_r = X_r^m_r (+ Y_r when r is in I)
+    in column r - 1 and bottom entries U_r = X_r^l_r (+ Z_r when r is in J)
+    in column r (indices mod n, n >= 3), with positive exponents, degree
+    gap c != 0 and every column homogeneous (a validated instance, base or
+    deformed).  Its 2-minors are a Groebner basis of I_2 in the ring's
+    order: weighted degree, then reverse lexicographic with X_1 .. X_n, the
+    Y, the Z in that order.
+
+    Proof.
+    1. The terms of the minor Delta_ij (columns i < j) free of Y and Z are
+       those of the base minor X_(i+1)^m_(i+1) X_j^l_j - X_(j+1)^m_(j+1)
+       X_i^l_i: two terms of one degree with disjoint supports.  Any other
+       term holds a Y or a Z, and the reverse lexicographic order puts it
+       below every term of its degree that holds none.  So the lead is the
+       X-only term free of the highest variable present: X_(i+1)^m_(i+1)
+       X_j^l_j for j < n, and X_1^m_1 X_i^l_i for j = n.  The leads are
+       exactly X_k^m_k X_j^l_j for 1 <= k <= j <= n - 1, one per minor,
+       and the marks do not change them.
+    2. Let L be the ideal of these leads in k[X_1 .. X_(n-1)], and class
+       each monomial alpha outside L by the first p with alpha_p >= m_p
+       (p = n when there is none).  Then alpha_i < m_i for i < p,
+       m_p <= alpha_p < m_p + l_p, and alpha_j < l_j for p < j <= n - 1,
+       and every such alpha lies outside L.  So L has
+       sum_(p=1..n) m_1 ... m_(p-1) l_p ... l_(n-1) = d_n standard
+       monomials, d_n = remark_degrees(m, ell)[-1] (its d_i at i = n).
+    3. Modulo Y, Z and X_n, D is the base matrix with X_n = 0, so every X_j
+       is nilpotent there (step 2 of validate_defining_ideal), and I_2 has
+       the largest height a 2 x n matrix allows, n - 1.  By Eagon-Northcott
+       S/I_2 is then Cohen-Macaulay, and the homogeneous system of
+       parameters Z.., Y.., X_n is a regular sequence on it, in any order.
+       For the last variable h of the order and a homogeneous g, h divides
+       in(g) only if h divides g, so a nonzerodivisor h gives
+       in(I_2) : h = in(I_2) and in(I_2 + (h)) = in(I_2) + (h) (Bayer and
+       Stillman, A criterion for detecting m-regularity, 1987; Eisenbud,
+       Commutative Algebra, Prop. 15.12).  Taking the Z, the Y and X_n off
+       the end one at a time, in(I_2) is generated by monomials in
+       X_1 .. X_(n-1), and it leaves as many standard monomials there as
+       the length of S/(I_2 + (Y, Z, X_n)), the base's S/(I_2 + X_n): d_n
+       (step 3 of validate_defining_ideal).
+    4. The leads lie in in(I_2) and leave the same finite number of
+       standard monomials, so they generate it: the minors are a Groebner
+       basis.
+
+    The basis need not be reduced, and no caller needs it to be.  The
+    remainder on division by any Groebner basis of an ideal is the same
+    (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 2
+    section 6), so normal_form, first_nonzero_column and the residues
+    HDResult.verify prints are those of the reduced basis.  _close asks
+    two things of a basis it holds: each S(g, g') reduces to zero over it,
+    and each g lies in the ideal; any Groebner basis gives both, so
+    kernel_over_quotient still returns the reduced basis of its kernel,
+    each entry in normal form.
+    """
+    if not isinstance(inst, (DeterminantalInstance, HigherDimInstance)):
+        raise TypeError(f"minors_basis takes a validated instance, not {type(inst).__name__}")
+    return GroebnerBasis(inst.ring, [g.monic() for g in two_minors(inst.matrices[0])])
 
 
 # -- classification --------------------------------------------------------

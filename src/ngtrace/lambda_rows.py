@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .determinantal import DeterminantalInstance, classify_nearly_gorenstein, degree_gaps
 from .errors import NotApplicable
-from .groebner import kernel_over_quotient, minors_basis
+from .groebner import kernel_over_quotient
+from .higher_dim import minors_basis
 from .ideals import RelativeIdeal
 from .polyring import add_products
 

@@ -20,17 +20,16 @@ _GENERATOR_CAP = 10**5
 _FROBENIUS_CAP = 10**6
 
 
-def sieve_mask(gens, bound: int, seed: int = 1) -> int:
-    """Bit mask of seed + <gens> over 0..bound.
+def sieve_mask(gens, bound: int) -> int:
+    """Bit mask of <gens> over 0..bound.
 
-    Bit x (0 <= x <= bound) is set iff x = s + a nonnegative combination of
-    gens for some set bit s of seed; the default seed {0} gives the
-    semigroup generated by gens.  Adding all multiples of a generator a is
-    log2(bound / a) shift-ORs: after shifts a, 2a, ..., 2^j a every multiple
-    below 2^(j+1) a has been added.
+    Bit x (0 <= x <= bound) is set iff x is a nonnegative combination of
+    gens.  Adding all multiples of a generator a is log2(bound / a)
+    shift-ORs: after shifts a, 2a, ..., 2^j a every multiple below
+    2^(j+1) a has been added.
     """
     window = (1 << (bound + 1)) - 1
-    mask = seed & window
+    mask = 1 & window
     for a in gens:
         step = a
         while 0 < step <= bound:
@@ -73,10 +72,11 @@ class NumericalSemigroup:
     w (w - m outside H) is a sum of at most m - 1 generators: of m + 1
     partial sums of a longer sum two agree mod m, and dropping the terms
     between them, q m with q >= 1, leaves w - q m in H and so w - m.
-    Hence F = max Ap - m <= (m - 1) a_n - m.  F + 1 starts the first run of
-    m consecutive members, which ends at F + m, inside [0, top] iff
-    F <= cap.  Minimality reads [0, a_n], inside it as well: m a_n >= a_n
-    and a_n <= 10^5 < cap.
+    Hence F = max Ap - m <= (m - 1) a_n - m, and F + m <= top iff F <= cap.
+    F is read as the highest gap g in [0, top]: when g + m <= top, the m
+    members g + 1 .. g + m put every later integer in H, so g = F;
+    otherwise F > cap.  Minimality reads [0, a_n], inside [0, top] as well:
+    m a_n >= a_n and a_n <= 10^5 < cap.
     """
 
     __slots__ = ("generators", "multiplicity", "mask", "_frobenius", "_pf")
@@ -104,17 +104,12 @@ class NumericalSemigroup:
         for i, g in enumerate(ordered):
             if (sums >> g) & 1 or (i and ordered[i - 1] == g):
                 raise NonMinimalGenerators(g)
-        # bit x of run: x, ..., x + width - 1 are all members
-        run, width = sieve, 1
-        while width < m:
-            step = min(width, m - width)
-            run &= run >> step
-            width += step
-        if not run:
+        # the highest gap in [0, top], -1 for H = N; F once m members follow it
+        F = self._frobenius = (~sieve & ((1 << (top + 1)) - 1)).bit_length() - 1
+        if F + m > top:
             raise ResourceLimit(
                 f"Frobenius number exceeds cap {_FROBENIUS_CAP}: no {m} consecutive members up to {top}"
             )
-        F = self._frobenius = (run & -run).bit_length() - 2
         self.generators = ordered
         self.multiplicity = m
         self.mask = sieve | (-1 << (F + 1))

@@ -27,6 +27,13 @@ def run_json(capsys, *argv):
     return code, payload, err
 
 
+def one_error_line(err: str) -> str:
+    """The one line of err, an error: line with no traceback."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err, err
+    return lines[0]
+
+
 INST_7890 = json.dumps(
     {"generators": [7, 8, 9, 10], "order": [7, 8, 9, 10], "m": [3, 1, 1, 1], "ell": [1, 1, 1, 2]}
 )
@@ -159,7 +166,16 @@ def test_trace_rows_failing_relations_exit_5(capsys, monkeypatch):
     code, payload, err = run_json(capsys, "trace", INST_345, "--method", "lambda")
     assert code == 5
     assert payload["rows"] and all(r.endswith("f.N = 0 FAILED") for r in payload["rows"])
-    assert err.startswith("error: property violation:") and "Traceback" not in err
+    assert one_error_line(err).startswith("error: property violation: f.N != 0 for rows ")
+
+
+def test_trace_route_disagreement_exit_5(capsys, monkeypatch):
+    # a syzygy route answering the unit ideal disagrees with the other two
+    monkeypatch.setattr("ngtrace.cli.trace_canonical_syzygy", lambda inst: unit_ideal(inst.H))
+    code, payload, err = run_json(capsys, "trace", INST_7890)
+    assert code == 5
+    assert payload["syzygy"] == [0] and payload["oracle"] == payload["lambda"] != [0]
+    assert one_error_line(err) == "error: trace methods disagree"
 
 
 def test_search_finds_family(capsys):
@@ -549,7 +565,29 @@ def test_route_disagreement_exit_5(capsys, monkeypatch, command):
     code, payload, err = run_json(capsys, command, INST_7890)
     assert code == 5
     assert payload is not None  # the report is printed before the exit
+    assert one_error_line(err).startswith("error: property violations: ")
     assert "trace-methods-differ" in err
+
+
+@pytest.mark.parametrize("command", ["higher", "verify"])
+def test_failed_witness_exit_5(capsys, monkeypatch, command):
+    # a table row that f.M does not annihilate fails HDResult.verify
+    monkeypatch.setattr(higher_dim, "_f1", lambda b: tuple(b.x(1) for _ in range(1, b.n)))
+    code, payload, err = run_json(capsys, command, json.dumps(TAIL_2B))
+    assert code == 5
+    assert payload["witness"].startswith("FAILED: row 1, column 1: f.M has nonzero normal form ")
+    assert one_error_line(err) == "error: witness failed: " + payload["witness"].removeprefix("FAILED: ")
+
+
+def test_corpus_violation_exit_5(capsys, monkeypatch):
+    # the counts come first, then the reproducer of the first violation
+    monkeypatch.setattr("ngtrace.corpus.trace_canonical_lambda", lambda inst: unit_ideal(inst.H))
+    code, out, err = run(capsys, "--format", "json", "corpus", "--ns", "3", "--emax", "2", "--bound", "20")
+    assert code == 5
+    counts, reproducer = map(json.loads, out.splitlines())
+    assert counts["violations"] == counts["instances"] > 0
+    assert "trace-methods-differ" in reproducer["violations"]
+    assert one_error_line(err) == "error: property violations; minimal reproducer follows"
 
 
 # -- the exit-code contract over malformed payloads and flag combinations ------

@@ -16,11 +16,10 @@ from ngtrace.groebner import (
     buchberger,
     first_nonzero_column,
     kernel_over_quotient,
-    minors_basis,
     toric_ideal,
     two_minors,
 )
-from ngtrace.higher_dim import HigherDimInstance, build_matrices
+from ngtrace.higher_dim import HigherDimInstance, build_matrices, minors_basis
 from ngtrace.polyring import FreeModule, PolyRing
 from conftest import by_n
 from held_basis import spread_basis

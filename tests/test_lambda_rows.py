@@ -7,7 +7,8 @@ from ngtrace import groebner, lambda_rows
 from ngtrace.corpus import check_instance
 from ngtrace.determinantal import DeterminantalInstance, build, search_instances
 from ngtrace.errors import NotApplicable, ResourceLimit
-from ngtrace.groebner import kernel_over_quotient, minors_basis
+from ngtrace.groebner import kernel_over_quotient
+from ngtrace.higher_dim import minors_basis
 from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle, unit_ideal
 from ngtrace.lambda_rows import (
     LambdaRow,

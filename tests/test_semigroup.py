@@ -144,11 +144,6 @@ def test_sieve_mask_matches_sieve(gens, bound):
     assert bit_positions(sieve_mask(gens, bound)) == [x for x in range(bound + 1) if oracle[x]]
 
 
-def test_sieve_mask_seed():
-    # {1, 2} + <3, 5> over 0..12
-    assert bit_positions(sieve_mask((3, 5), 12, seed=0b110)) == [1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12]
-
-
 @given(
     st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=5, unique=True)
 )

@@ -349,3 +349,48 @@ def test_src_sieves_membership_in_one_place():
                         name = getattr(scope, "name", "<module>")
                         found.add(f"{path.name}: {cls + '.' + name if cls else name}")
     assert found == {"semigroup.py: NumericalSemigroup.__init__"}, sorted(found)
+
+
+def test_cli_decides_exit_codes_in_main():
+    # every subcommand prints its report and returns nothing, or raises:
+    # main alone maps an outcome to an exit code and writes the error: line
+    cli = ROOT / "src" / "ngtrace" / "cli.py"
+    found = []
+    for name, func in _functions(cli):
+        for node in ast.walk(func):
+            if name.startswith("cmd_") and isinstance(node, ast.Return) and node.value is not None:
+                found.append(f"{name}:{node.lineno}: returns a value")
+            # an f-string's leading text is a Constant of its own
+            if name != "main" and isinstance(node, ast.Constant) and str(node.value).startswith("error:"):
+                found.append(f"{name}:{node.lineno}: writes an error: line")
+    assert not found, found
+
+
+def test_src_parses_json_in_one_place():
+    # cli._load_payload is the one JSON reader; from_json takes its dict
+    found = set()
+    for path in sorted((ROOT / "src" / "ngtrace").glob("*.py")):
+        for scope, cls in _scopes(ast.parse(path.read_text(), str(path))):
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Attribute) and node.attr in ("loads", "load"):
+                    name = getattr(scope, "name", "<module>")
+                    found.add(f"{path.name}: {cls + '.' + name if cls else name}")
+    assert found == {"cli.py: _load_payload"}, sorted(found)
+
+
+def test_algebra_layer_imports_no_instance_module():
+    # groebner and polyring are the algebra layer: they import each other
+    # and errors, and no module of instances, ideals or traces, at any depth
+    allowed = {"groebner", "polyring", "errors"}
+    found = []
+    for name in ("groebner.py", "polyring.py"):
+        tree = ast.parse((ROOT / "src" / "ngtrace" / name).read_text(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                modules = [node.module] if node.module else [a.name for a in node.names]
+                found += [f"{name}:{node.lineno}: {m}" for m in modules if m not in allowed]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # the package imports itself by relative imports alone
+                modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+                found += [f"{name}:{node.lineno}: {m}" for m in modules if m.split(".")[0] == "ngtrace"]
+    assert not found, found
