@@ -367,12 +367,14 @@ def test_cli_decides_exit_codes_in_main():
 
 
 def test_src_parses_json_in_one_place():
-    # cli._load_payload is the one JSON reader; from_json takes its dict
+    # cli._load_payload is the one JSON reader; from_json takes its dict.
+    # json.loads, json.load, or either imported by name, is a reader
     found = set()
     for path in sorted((ROOT / "src" / "ngtrace").glob("*.py")):
         for scope, cls in _scopes(ast.parse(path.read_text(), str(path))):
             for node in ast.walk(scope):
-                if isinstance(node, ast.Attribute) and node.attr in ("loads", "load"):
+                read = node.attr if isinstance(node, ast.Attribute) else getattr(node, "name", None)
+                if isinstance(node, (ast.Attribute, ast.alias)) and read in ("loads", "load"):
                     name = getattr(scope, "name", "<module>")
                     found.add(f"{path.name}: {cls + '.' + name if cls else name}")
     assert found == {"cli.py: _load_payload"}, sorted(found)
