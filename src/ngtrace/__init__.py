@@ -22,7 +22,6 @@ from .errors import (
     NotApplicable,
     PropertyViolation,
     ResourceLimit,
-    UnsupportedBaseCase,
     WitnessFailed,
 )
 from .groebner import GroebnerBasis, buchberger, kernel_over_quotient, toric_ideal, two_minors

@@ -2,7 +2,7 @@
 
 Subcommands: sgp, classify, trace, search, higher, corpus, verify.
 Exit codes: 0 success, 2 input validation or a resource cap hit,
-3 defining-ideal mismatch, 4 unsupported case, 5 property violation.
+3 defining-ideal mismatch, 5 property violation.
 A subcommand prints its report, then raises on a failed check or returns
 nothing; main maps every exception to its exit code and error: line in one
 place.
@@ -29,7 +29,6 @@ from .errors import (
     NoTabulatedWitness,
     PropertyViolation,
     ResourceLimit,
-    UnsupportedBaseCase,
     WitnessFailed,
 )
 from .higher_dim import HigherDimInstance, classify as classify_hd
@@ -45,7 +44,6 @@ from .semigroup import NumericalSemigroup, _apery_by_residue
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IDEAL = 3
-EXIT_UNSUPPORTED = 4
 EXIT_VIOLATION = 5
 
 
@@ -329,8 +327,6 @@ def main(argv=None) -> int:
         code, message = EXIT_VIOLATION, str(exc)
     except (InhomogeneousMatrix, IdealMismatch) as exc:
         code, message = EXIT_IDEAL, f"not a determinantal presentation: {exc}"
-    except UnsupportedBaseCase as exc:
-        code, message = EXIT_UNSUPPORTED, f"unsupported base case: {exc}"
     except ResourceLimit as exc:
         # a cap leaves the question undecided: an input the tool cannot handle
         code, message = EXIT_INPUT, f"resource limit: {exc}"

@@ -149,12 +149,15 @@ def build_corpus(
     sample), and the instances found are filed under the images; a later
     tuple of the class reads its entry.  No tuple is met twice (the
     sample draws without replacement), so an entry is dropped once read.
-    A size named twice in ns raises ValueError, also before any work.
+    A size below 3, a size named twice in ns and a negative sample raise
+    ValueError, also before any work.
     """
     side, ns = max(emax, 0), tuple(ns)
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample = {sample}: a sample cannot be negative")
     for k, n in enumerate(ns):
-        if n < 0:
-            raise ValueError(f"n = {n}: a matrix cannot have a negative number of columns")
+        if n < 3:
+            raise ValueError(f"n = {n}: a cyclic matrix needs at least 3 columns")
         if n in ns[:k]:
             raise ValueError(f"n = {n} is repeated: each matrix size is searched once")
         if side > 1 and 2 * n >= GRID_CAP.bit_length() or side ** (2 * n) > GRID_CAP:

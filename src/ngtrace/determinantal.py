@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .errors import IdealMismatch, InhomogeneousMatrix
+from .errors import IdealMismatch, InhomogeneousMatrix, ResourceLimit
 from .groebner import two_minors
 from .polyring import PolyRing, Polynomial
 from .semigroup import NumericalSemigroup
@@ -299,7 +299,8 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
     Validation is arithmetic (validate_defining_ideal), so no Groebner basis
     is computed and every candidate is decided; it runs before the semigroup
     is built, and an accepted candidate has c = prod(m) - prod(ell), so it
-    is not validated again.  No error is read as "no instance".
+    is not validated again.  No error is read as "no instance", and a
+    bound over SEARCH_BOUND_CAP raises ResourceLimit.
 
     Validation proves minimality, so building the semigroup of an accepted
     candidate never raises NonMinimalGenerators.  Every minor lies in m^2,
@@ -309,7 +310,7 @@ def search_instances(m, ell, bound: int) -> list[DeterminantalInstance]:
     refused before validation, and order = d / gcd(d) has gcd 1.
     """
     if bound > SEARCH_BOUND_CAP:
-        raise ValueError(f"bound {bound} exceeds cap {SEARCH_BOUND_CAP}")
+        raise ResourceLimit(f"bound {bound} exceeds cap {SEARCH_BOUND_CAP}")
     m = tuple(int(x) for x in m)
     ell = tuple(int(x) for x in ell)
     n = len(m)

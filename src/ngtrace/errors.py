@@ -55,10 +55,6 @@ class NotApplicable(ValueError):
     """The requested construction does not apply to this instance."""
 
 
-class UnsupportedBaseCase(ValueError):
-    """Base exponents fit neither classified hypothesis block."""
-
-
 class NoTabulatedWitness(ValueError):
     """The case is nearly Gorenstein but no explicit row table covers it."""
 

@@ -11,12 +11,15 @@ the base exponents:
   tail:      m_1 >= 2, the other m_r = 1, l_1 .. l_{n-2} = 1 (and for n >= 4
              at least one of l_{n-1}, l_n >= 2, matching the classified range).
 
-A dihedral rearrangement gives an isomorphic ring, so classify picks an
-arrangement whose base fits a block.  One clause function gives each
-verdict and names its table: the explicit row vectors annihilating the
-canonical-module presentation matrix when the clause holds, read through
-the same shifted view of the indices as the clause; classify's result
-carries the table, so one decision serves verdict, rows and check.
+A base that is not nearly Gorenstein has no nearly Gorenstein deformation,
+so classify answers false for every marking of it (see classify).  Every
+other base fits a block in some arrangement, and a dihedral rearrangement
+gives an isomorphic ring, so classify picks an arrangement whose base fits
+a block.  One clause function gives each verdict and names its table: the
+explicit row vectors annihilating the canonical-module presentation matrix
+when the clause holds, read through the same shifted view of the indices
+as the clause; classify's result carries the table, so one decision serves
+verdict, rows and check.
 Verification reduces every product entry to zero against the minors,
 proved a Groebner basis (minors_basis), and then checks that the linear
 parts of the row entries span the variables: the cover of the local ring
@@ -39,7 +42,7 @@ from .determinantal import (
     symmetries,
     wrap,
 )
-from .errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
+from .errors import NoTabulatedWitness, WitnessFailed
 from .groebner import GroebnerBasis, buchberger, first_nonzero_column, two_minors
 from .polyring import PolyRing, Polynomial
 
@@ -293,18 +296,31 @@ def minors_basis(inst: DeterminantalInstance | HigherDimInstance) -> GroebnerBas
 def classify(hd: HigherDimInstance) -> HDResult:
     """Nearly Gorenstein or not, with the clause that decided it.
 
+    A base that is not nearly Gorenstein gives "base(not-ng)" for every
+    marking, in the given arrangement.  Let R be R^I_J in the local ring
+    k[[X, Y, Z]].  R is Cohen-Macaulay of dimension |I| + |J| + 1, and
+    R/(Y, Z) is the base, of dimension one, so the Y and Z form a regular
+    sequence on R.  For a regular x, omega_(R/xR) = omega_R / x omega_R,
+    and each map omega_R -> R induces one omega_R / x omega_R -> R/xR with
+    the image reduced mod x, so tr(omega_R) R/xR lies in tr(omega_(R/xR)).
+    So if R is nearly Gorenstein, so is R/xR (Herzog, Hibi and Stamate, The
+    trace of the canonical module, 2019, section 2).  Taking the Y and Z
+    off one at a time, a base that is not nearly Gorenstein has no nearly
+    Gorenstein deformation.
+
     A dihedral rearrangement gives an isomorphic ring, so the arrangement
-    is the classifier's to pick.  With I = J = empty the base theorem scans
-    the arrangements and the instance is the base in the one it names.
+    is the classifier's to pick.  With I = J = empty the base theorem's
+    scan names it, and the instance is the base in that arrangement.
     Otherwise the given arrangement is kept when its base fits a classified
     block, and else the first symmetry whose base fits is taken, with I and
-    J carried along; UnsupportedBaseCase when none fits.  The result
-    carries the clause's table, so its rows need no second decision.
+    J carried along; a nearly Gorenstein base fits one
+    (_fitting_arrangement).  The result carries the clause's table, so its
+    rows need no second decision.
     """
+    res = classify_nearly_gorenstein(hd.base)
+    if not res.is_ng:
+        return HDResult(False, "base(not-ng)", None, hd)
     if not hd.I and not hd.J:
-        res = classify_nearly_gorenstein(hd.base)
-        if not res.is_ng:
-            return HDResult(False, "base(not-ng)", None, hd)
         table = _rows_base if res.case == "B" else None
         return HDResult(True, f"base({res.case})", res.symmetry, hd.rearranged(res.symmetry), table)
     sym, hd = _fitting_arrangement(hd)
@@ -316,7 +332,14 @@ def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, Higher
     """The given arrangement if its base fits a block, else the first that does.
 
     The block is read off the rearranged exponents, so only the arrangement
-    that fits is built as an instance.
+    that fits is built as an instance.  Every nearly Gorenstein base fits
+    a block in some arrangement.  The base theorem names one where case A
+    holds, and then every m_r = 1: the all-ones block.  Or it names one
+    where case B holds and case A does not, so m_1 >= 2: the tail block,
+    unless n >= 4 and l_(n-1) = l_n = 1.  Then every l_r is 1 (case B has
+    l_1 .. l_(n-2) = 1), and the reversal makes ell the top row: the
+    all-ones block.  So the scan cannot fail on a base that classify lets
+    through.
     """
     if hd.base_case != OTHER:
         return None, hd
@@ -324,10 +347,7 @@ def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, Higher
         _, m, ell = sym.apply((), hd.base.m, hd.base.ell)
         if _block_of(m, ell) != OTHER:
             return sym, hd.rearranged(sym)
-    raise UnsupportedBaseCase(
-        f"exponents m={list(hd.base.m)} ell={list(hd.base.ell)} fit neither "
-        "classified block in any arrangement"
-    )
+    raise AssertionError(f"nearly Gorenstein base {hd.base} fits no block in any arrangement")
 
 
 def _clause(hd: HigherDimInstance) -> tuple[bool, str, Callable | None, int]:

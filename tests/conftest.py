@@ -1,7 +1,9 @@
 import time
+from pathlib import Path
 
 import pytest
 
+from ngtrace import cli
 from ngtrace.corpus import build_corpus
 
 pytest_plugins = ["pytester"]
@@ -43,3 +45,17 @@ def acceptance_corpus():
 def by_n(corpus, n: int) -> list:
     """The instances of one matrix size, in corpus order: build_corpus(ns=(n,))."""
     return [inst for inst in corpus if inst.n == n]
+
+
+def exit_code_lists() -> dict[str, set[int]]:
+    """The CLI's exit codes as each place lists them: README's exit table,
+    the EXIT_* constants of cli, and the sentence of cli's docstring that
+    starts "Exit codes:"."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("\nExit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    sentence = cli.__doc__.split("Exit codes:", 1)[1].split(".", 1)[0]
+    return {
+        "README": {int(row.split("|")[1]) for row in table.splitlines()[2:]},
+        "EXIT_*": {v for k, v in vars(cli).items() if k.startswith("EXIT_")},
+        "docstring": {int(part.split()[0]) for part in sentence.split(",")},
+    }

@@ -16,6 +16,8 @@ package calls them.
 * ``row_generates_canonical``: a monomial row against the canonical ideal.
 * ``lambda_membership_by_scan``: the slot search entry by entry, on
   ``contains``, independent of the row-start mask.
+* ``kernel_is_ng``: a deformed ring R^I_J decided by its own syzygy
+  kernel, independent of the clause rules of ``higher_dim.classify``.
 """
 
 import heapq
@@ -24,7 +26,17 @@ from fractions import Fraction
 from itertools import combinations
 
 from ngtrace.errors import BaseMismatch
-from ngtrace.groebner import GroebnerBasis, _lead_index, _reduce_terms, _spoly, buchberger, two_minors
+from ngtrace.groebner import (
+    GroebnerBasis,
+    _lead_index,
+    _reduce_terms,
+    _spoly,
+    buchberger,
+    first_nonzero_column,
+    kernel_over_quotient,
+    two_minors,
+)
+from ngtrace.higher_dim import _uncovered_variable, minors_basis
 from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle
 from ngtrace.lambda_rows import LambdaRow
 from ngtrace.polyring import FreeModule, Polynomial, _tighten
@@ -253,3 +265,29 @@ def lambda_membership_by_scan(inst, u: int):
         if all(H.contains(start + k * c) for k in range(n - 1)):
             return LambdaRow(inst, start), j
     return None
+
+
+def kernel_is_ng(hd) -> bool:
+    """Whether R^I_J is nearly Gorenstein, by the kernel of its presentation matrix M.
+
+    The trace of the canonical module is generated by the entries of the
+    rows f with f.M = 0 (Herzog, Hibi and Stamate, The trace of the
+    canonical module, 2019), so the ring is nearly Gorenstein iff those
+    entries and the minors hold every variable, which _uncovered_variable
+    decides from their linear parts.
+
+    * One column per block.  The deformed quotient is a domain, and U_n is
+      nonzero in it, so the lemma of trace_canonical_syzygy carries over
+      (though U_n = X_n^l_n + Z_n is no monomial when n is in J): the
+      kernel of the wrap columns is that of M.  f.M = 0 is asserted on
+      every column all the same.
+    * Degree stop.  A row not yet found has entries of degree at least
+      low, and a linear term of degree d is a variable of weight d, so
+      past the largest weight no new row adds a linear part.
+    """
+    _, M = hd.matrices
+    n, gb, top = hd.n, minors_basis(hd), max(hd.ring.weights)
+    rows = kernel_over_quotient([line[n - 1 :: n] for line in M], gb, stop=lambda low, found: low > top)
+    for f in rows:
+        assert first_nonzero_column(f, M, gb) is None, (str(hd), [str(p) for p in f])
+    return _uncovered_variable(hd.ring, [p for f in rows for p in f]) is None

@@ -6,6 +6,7 @@ session; criteria that aggregate over it reuse the cached reports.  Status
 lines are written past the capture plugin so they always appear.
 """
 
+import random
 import sys
 import time
 from itertools import combinations, product
@@ -20,11 +21,12 @@ from ngtrace.determinantal import (
     search_instances,
     symmetries,
 )
-from ngtrace.errors import UnsupportedBaseCase
 from ngtrace.higher_dim import (
     ALL_ONES,
     OTHER,
+    HDResult,
     HigherDimInstance,
+    _block_of,
     base_case_of,
     classify,
     verify_witness,
@@ -36,6 +38,7 @@ from ngtrace.lambda_rows import trace_canonical_lambda, trace_canonical_syzygy
 from carried_marks import arrangements, carried
 from conftest import ACCEPTANCE_SIZE
 from entry_ideal import trace_n3_decision
+from oracles import kernel_is_ng
 
 
 def announce(line: str):
@@ -230,11 +233,7 @@ def test_criterion_7_witness_table():
                 pert_base = search_instances(base.m, ell2, 500)
                 if not pert_base:
                     continue
-                pert = HigherDimInstance(pert_base[0], frozenset(I), frozenset(J))
-                try:
-                    pres = classify(pert)
-                except UnsupportedBaseCase:
-                    continue
+                pres = classify(HigherDimInstance(pert_base[0], frozenset(I), frozenset(J)))
                 assert not pres.is_ng, (str(pert_base[0]), I, J, "control-bump", pres)
                 controls += 1
     elapsed = time.time() - t0
@@ -408,4 +407,71 @@ def test_criterion_11_rearrangement_invariance(corpus_classes):
     announce(
         f"criterion-11 rearrangement-invariance ({classes} classes, {pairs} in-block "
         f"pairs, {elapsed:.1f}s): PASS"
+    )
+
+
+def _small_markings(n):
+    """Every marking with |I|, |J| <= 1, the empty one first."""
+    sides = [frozenset()] + [frozenset({p}) for p in range(1, n + 1)]
+    return [(I, J) for I in sides for J in sides]
+
+
+def test_criterion_12_non_ng_base_has_no_ng_deformation(acceptance_corpus, corpus_classes):
+    """A base that is not nearly Gorenstein has no nearly Gorenstein deformation.
+
+    classify gives "base(not-ng)" for every marking of such a base (the
+    argument is in its docstring), and it finds a block for every other
+    base (_fitting_arrangement).  Checked here: a corpus base fits a block
+    in some arrangement iff the base theorem calls it nearly Gorenstein;
+    every marking with |I|, |J| <= 1 of one base per dihedral class that
+    is not NG gives "base(not-ng)"; and the kernel of the deformed ring
+    (kernel_is_ng, which reads no clause) says false on a seeded sample of
+    such markings across n = 3, 4 and 5, and agrees with classify on every
+    size-1 marking of one base per NG class, true on the tabulated ones.
+    """
+    corpus, _ = acceptance_corpus
+    t0 = time.time()
+    for base in corpus:
+        images = (sym.apply((), base.m, base.ell) for sym in symmetries(base.n))
+        fits = any(_block_of(m, ell) != OTHER for _, m, ell in images)
+        assert fits == classify_nearly_gorenstein(base).is_ng, str(base)
+
+    markings = 0
+    for members in corpus_classes:
+        base = members[0].instance
+        if members[0].ng_theorem:
+            continue
+        for I, J in _small_markings(base.n):
+            hd = HigherDimInstance(base, I, J)
+            assert classify(hd) == HDResult(False, "base(not-ng)", None, hd), str(hd)
+            markings += 1
+
+    rng = random.Random(12)
+    kernel_false = 0
+    for n in (3, 4, 5):
+        pool = [b for b in corpus if b.n == n and not classify_nearly_gorenstein(b).is_ng]
+        marks = _small_markings(n)[1:]
+        for k in rng.sample(range(len(pool) * len(marks)), 1000):
+            hd = HigherDimInstance(pool[k // len(marks)], *marks[k % len(marks)])
+            assert not classify(hd).is_ng and not kernel_is_ng(hd), str(hd)
+            kernel_false += 1
+
+    kernel_true = 0
+    for members in corpus_classes:
+        base = members[0].instance
+        if not members[0].ng_theorem:
+            continue
+        for I, J in _small_markings(base.n)[1:]:
+            if I and J:
+                continue
+            hd = HigherDimInstance(base, I, J)
+            res = classify(hd)
+            assert kernel_is_ng(hd) == res.is_ng, (str(hd), res.rule)
+            kernel_true += res.is_ng and res.table is not None
+    elapsed = time.time() - t0
+    assert markings >= 50000 and kernel_false >= 3000 and kernel_true >= 100
+    assert elapsed < 15, f"non-NG bases took {elapsed:.1f}s, budget 15s"
+    announce(
+        f"criterion-12 non-ng-base ({len(corpus)} bases, {markings} markings, kernel false on "
+        f"{kernel_false}, true on {kernel_true} tabulated, {elapsed:.1f}s): PASS"
     )

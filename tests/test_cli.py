@@ -14,6 +14,10 @@ from ngtrace.errors import ResourceLimit
 from ngtrace.ideals import unit_ideal
 from ngtrace.lambda_rows import trace_canonical_syzygy
 
+from conftest import exit_code_lists
+
+DOCUMENTED_EXIT_CODES = exit_code_lists()["README"]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -192,8 +196,9 @@ def test_search_empty_is_ok(capsys):
 
 
 def test_search_bound_cap_exit_2(capsys):
-    code, _, _ = run(capsys, "search", "--m", "2,1,1", "--ell", "1,1,1", "--bound", "501")
-    assert code == 2
+    code, out, err = run(capsys, "search", "--m", "2,1,1", "--ell", "1,1,1", "--bound", "501")
+    assert code == 2 and out == ""
+    assert one_error_line(err) == "error: resource limit: bound 501 exceeds cap 500"
 
 
 TAIL_2B = {"generators": [6, 7, 8, 17], "order": [6, 7, 8, 17], "m": [3, 1, 1, 1], "ell": [1, 1, 2, 1],
@@ -219,7 +224,10 @@ def test_higher_clause_three(capsys):
     assert payload["rule"] == "tail(3)"
 
 
-def test_higher_unsupported_exit_4(capsys):
+@pytest.mark.parametrize("command", ["higher", "verify"])
+def test_higher_non_ng_base_is_false(capsys, command):
+    # no dihedral rearrangement of the base fits a classified block, as the
+    # base is not nearly Gorenstein: so no deformation of it is either
     data = {
         "generators": [3, 7, 8],
         "order": [8, 7, 3],
@@ -228,10 +236,10 @@ def test_higher_unsupported_exit_4(capsys):
         "I": [1],
         "J": [],
     }
-    code, out, err = run(capsys, "higher", json.dumps(data))
-    assert code == 4
-    # no dihedral rearrangement of the base fits a classified block either
-    assert "in any arrangement" in err and out == ""
+    code, payload, err = run_json(capsys, command, json.dumps(data))
+    assert code == 0 and err == ""
+    assert payload["nearly_gorenstein"] is False and payload["rule"] == "base(not-ng)"
+    assert payload["base_case"] == "other" and "rearranged_via" not in payload
 
 
 def test_corpus_small_run(capsys):
@@ -451,23 +459,23 @@ def test_higher_prints_the_pinned_rows(capsys, rule, order, m, ell, I, J, rows):
 
 def test_higher_decides_once_per_query(capsys, monkeypatch):
     # the verdict, the witness rows and their check share one decision: one
-    # clause for a marked payload, one base-theorem scan for an unmarked one
+    # base-theorem scan per query, then one clause for a marked payload
     calls = []
     for name in ("_clause", "classify_nearly_gorenstein"):
 
-        def counted(*args, real=getattr(higher_dim, name)):
-            calls.append(real)
+        def counted(*args, name=name, real=getattr(higher_dim, name)):
+            calls.append(name)
             return real(*args)
 
         monkeypatch.setattr(higher_dim, name, counted)
     tabulated = {**json.loads(INST_7890), "I": [1], "J": []}
     unmarked = {key: REARRANGED[0][0][key] for key in ("generators", "order", "m", "ell")}
-    for data in (tabulated, REARRANGED[1][0], unmarked):
+    for data, clauses in ((tabulated, ["_clause"]), (REARRANGED[1][0], ["_clause"]), (unmarked, [])):
         calls.clear()
         code, payload, err = run_json(capsys, "higher", json.dumps(data))
         assert code == 0, err
         assert payload["witness"] == "verified"
-        assert len(calls) == 1, data
+        assert calls == ["classify_nearly_gorenstein"] + clauses, data
 
 
 def test_parser_state_does_not_leak(capsys, monkeypatch):
@@ -524,6 +532,21 @@ def test_malformed_input_exit_2(capsys, argv):
     assert code == 2
     assert err.startswith("error: bad input:")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(("--ns", "5,2"), "n = 2"), (("--ns", "3", "--sample", "-2"), "sample = -2")],
+    ids=["size-below-3", "negative-sample"],
+)
+def test_corpus_refuses_before_any_search(capsys, monkeypatch, argv, named):
+    # refused before the n = 5 grid is walked, not by the first search of n = 2
+    calls = []
+    monkeypatch.setattr("ngtrace.corpus.search_instances", lambda *args: calls.append(args) or [])
+    code, out, err = run(capsys, "corpus", *argv)
+    assert code == 2 and out == "" and calls == []
+    line = one_error_line(err)
+    assert line.startswith("error: bad input:") and named in line, line
 
 
 @pytest.mark.parametrize("command", ["classify", "verify", "trace", "higher"])
@@ -661,7 +684,7 @@ def test_every_call_exits_with_a_documented_code(argv, stdin_text):
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the flags
             code = exc.code
-    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert code in DOCUMENTED_EXIT_CODES, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
 
 

@@ -350,7 +350,7 @@ def test_search_degenerate_empty():
 
 
 def test_search_bound_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimit, match="bound 501 exceeds cap 500"):
         search_instances((2, 1, 1), (1, 1, 1), 501)
 
 

@@ -3,12 +3,13 @@ from itertools import combinations
 import pytest
 
 from ngtrace.determinantal import Symmetry, build, search_instances, symmetries
-from ngtrace.errors import NoTabulatedWitness, UnsupportedBaseCase, WitnessFailed
+from ngtrace.errors import NoTabulatedWitness, WitnessFailed
 from ngtrace.groebner import buchberger, two_minors
 from ngtrace.higher_dim import (
     ALL_ONES,
     OTHER,
     TAIL,
+    HDResult,
     HigherDimInstance,
     _uncovered_variable,
     base_case_of,
@@ -129,12 +130,19 @@ def test_classify_n3_tail_rules():
     assert not classify(HigherDimInstance(base, frozenset({2}), frozenset({2}))).is_ng
 
 
-def test_classify_unsupported_base():
+def test_classify_non_ng_base_is_false_for_every_marking():
+    # the base fits no block in any arrangement and is not nearly
+    # Gorenstein, so every marking, the empty one too, is false in the
+    # given arrangement, with no witness
     other = search_instances((1, 1, 2), (1, 1, 3), 150)[0]
-    with pytest.raises(UnsupportedBaseCase):
-        classify(HigherDimInstance(other, frozenset({1}), frozenset()))
-    # with I = J = empty the base theorem applies regardless of block
-    assert not classify(HigherDimInstance(other)).is_ng
+    sides = [frozenset(c) for size in range(4) for c in combinations((1, 2, 3), size)]
+    for I in sides:
+        for J in sides:
+            hd = HigherDimInstance(other, I, J)
+            res = classify(hd)
+            assert res == HDResult(False, "base(not-ng)", None, hd)
+            with pytest.raises(NoTabulatedWitness, match="not nearly Gorenstein"):
+                res.witness_rows()
 
 
 def test_classify_scans_the_arrangements():

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+from conftest import exit_code_lists
+
 ROOT = Path(__file__).parent.parent
 
 
@@ -364,6 +366,13 @@ def test_cli_decides_exit_codes_in_main():
             if name != "main" and isinstance(node, ast.Constant) and str(node.value).startswith("error:"):
                 found.append(f"{name}:{node.lineno}: writes an error: line")
     assert not found, found
+
+
+def test_exit_codes_are_listed_alike():
+    # README's exit table, cli's EXIT_* constants and cli's docstring name
+    # one set of codes
+    lists = exit_code_lists()
+    assert len({frozenset(codes) for codes in lists.values()}) == 1, lists
 
 
 def test_src_parses_json_in_one_place():
