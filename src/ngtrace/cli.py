@@ -14,9 +14,10 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .corpus import InstanceReport, check_instance, run_corpus
+from .corpus import TRACE_ROUTES, InstanceReport, check_instance, run_corpus
 from .determinantal import (
     DeterminantalInstance,
     classify_almost_gorenstein,
@@ -32,13 +33,7 @@ from .errors import (
     WitnessFailed,
 )
 from .higher_dim import HigherDimInstance, classify as classify_hd
-from .ideals import trace_canonical_oracle
-from .lambda_rows import (
-    lambda_membership,
-    theorem_if_witnesses,
-    trace_canonical_lambda,
-    trace_canonical_syzygy,
-)
+from .lambda_rows import lambda_membership, theorem_if_witnesses
 from .semigroup import NumericalSemigroup, _apery_by_residue
 
 EXIT_OK = 0
@@ -138,17 +133,16 @@ def cmd_classify(args, out) -> None:
 
 def cmd_trace(args, out) -> None:
     inst = DeterminantalInstance.from_json(_load_payload(args.instance))
+    if args.method == "all":
+        # each route runs once: the engine runs two, and the syzygy trace joins its report
+        checked = replace(check_instance(inst), trace_syzygy=TRACE_ROUTES["syzygy"](inst))
+        traces = {name: getattr(checked, f"trace_{name}") for name in TRACE_ROUTES}
+    else:
+        checked, traces = None, {args.method: TRACE_ROUTES[args.method](inst)}
     report: dict = {"instance": json.dumps(inst.to_json(), sort_keys=True)}
-    results = {}
-    if args.method in ("oracle", "all"):
-        results["oracle"] = list(trace_canonical_oracle(inst.H).generators)
-    if args.method in ("lambda", "all"):
-        results["lambda"] = list(trace_canonical_lambda(inst).generators)
-    if args.method in ("syzygy", "all"):
-        results["syzygy"] = list(trace_canonical_syzygy(inst).generators)
-    report.update(results)
+    report.update((name, list(trace.generators)) for name, trace in traces.items())
     failed = []
-    if args.method in ("lambda", "all"):
+    if "lambda" in traces:
         rows = []
         for a in inst.H.generators:
             hit = lambda_membership(inst, a)
@@ -162,8 +156,8 @@ def cmd_trace(args, out) -> None:
     _emit(report, args.format, out)
     if failed:
         raise PropertyViolation(f"property violation: f.N != 0 for rows {', '.join(failed)}")
-    if len(set(map(tuple, results.values()))) > 1:
-        raise PropertyViolation("trace methods disagree")
+    if checked is not None:
+        _raise_violations(checked)
 
 
 def cmd_search(args, out) -> None:
@@ -282,7 +276,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="canonical trace ideal by one or all methods")
     p.add_argument("instance")
-    p.add_argument("--method", choices=("oracle", "lambda", "syzygy", "all"), default="all")
+    p.add_argument("--method", choices=(*TRACE_ROUTES, "all"), default="all")
     # a no-op: the syzygy route always runs under --method all or syzygy.  It
     # stays parseable because benchmark scripts still pass it.
     p.add_argument("--stretch-syzygy", action="store_true", help=argparse.SUPPRESS)

@@ -5,13 +5,16 @@ instances with generators under a bound, and runs the full battery per
 instance: theorem classification versus the set-arithmetic trace oracle
 versus the row-scan trace, plus the structural invariants (type count,
 closed trace form for three generators, arithmetic-progression shape).
-Any violation is reported with a minimal reproducer payload.
+Any violation is reported with a minimal reproducer payload.  This module
+is the one place that names the three trace routes (TRACE_ROUTES) and
+compares them (InstanceReport.violations).
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
@@ -27,7 +30,15 @@ from .determinantal import (
 )
 from .errors import ResourceLimit
 from .ideals import RelativeIdeal, trace_canonical_oracle
-from .lambda_rows import trace_canonical_lambda
+from .lambda_rows import trace_canonical_lambda, trace_canonical_syzygy
+
+# the routes to the trace of the canonical module, by the names the CLI's
+# --method takes
+TRACE_ROUTES: dict[str, Callable[[DeterminantalInstance], RelativeIdeal]] = {
+    "oracle": lambda inst: trace_canonical_oracle(inst.H),
+    "lambda": trace_canonical_lambda,
+    "syzygy": trace_canonical_syzygy,
+}
 
 
 @dataclass
@@ -43,6 +54,8 @@ class InstanceReport:
     type_ok: bool
     herzog_ok: bool | None  # three-generator closed form; None when n > 3
     ap_ok: bool | None  # checked when NG and not AG; None otherwise
+    # the syzygy route's trace, when a caller ran it; check_instance does not
+    trace_syzygy: RelativeIdeal | None = None
 
     @property
     def ng_theorem(self) -> bool:
@@ -67,6 +80,8 @@ class InstanceReport:
             out.append("ag-not-ng")
         if not self.traces_equal:
             out.append("trace-methods-differ")
+        if self.trace_syzygy is not None and self.trace_syzygy != self.trace_oracle:
+            out.append("syzygy-trace-differs")
         if not self.type_ok:
             out.append("type-not-n-minus-1")
         if self.herzog_ok is False:
@@ -84,8 +99,10 @@ class InstanceReport:
 def check_instance(inst: DeterminantalInstance) -> InstanceReport:
     """Run every per-instance agreement check.
 
-    The one agreement engine: the corpus run and the CLI's classify and
-    verify all decide their exit status from its violations().
+    The one agreement engine: the corpus run and the CLI's classify,
+    verify and trace all decide their exit status from its violations().
+    The syzygy route is the costliest, so it is left to the caller, who
+    attaches its trace as trace_syzygy (dataclasses.replace).
     """
     H = inst.H
     tr_oracle = trace_canonical_oracle(H)

@@ -312,10 +312,20 @@ def classify(hd: HigherDimInstance) -> HDResult:
     is the classifier's to pick.  With I = J = empty the base theorem's
     scan names it, and the instance is the base in that arrangement.
     Otherwise the given arrangement is kept when its base fits a classified
-    block, and else the first symmetry whose base fits is taken, with I and
-    J carried along; a nearly Gorenstein base fits one
-    (_fitting_arrangement).  The result carries the clause's table, so its
-    rows need no second decision.
+    block, and else the base theorem's scan names it, with I and J carried
+    along.  That arrangement fits a block, with one exception.  Where the
+    scan finds case A, every m_r = 1: the all-ones block.  Where it finds
+    case B, m_1 >= 2 (the scan tries case A first at each arrangement),
+    and l_1 .. l_(n-2) = 1: the tail block, unless n >= 4 and l_(n-1) =
+    l_n = 1.  Then every l_r is 1.  The scan cannot have reversed the
+    rows, for then the given m would be all ones and the given arrangement
+    would be case A, found first.  So the given ell is all ones, and the
+    reversal with shift 0 makes it the top row: the all-ones block.  A
+    block asks case A or B, so no arrangement before the scan's fits one,
+    nor does any shift in the exception (m is not all ones, ell is), and
+    the arrangement taken is the first in scan order whose base fits a
+    block.  The result carries the clause's table, so its rows need no
+    second decision.
     """
     res = classify_nearly_gorenstein(hd.base)
     if not res.is_ng:
@@ -323,31 +333,14 @@ def classify(hd: HigherDimInstance) -> HDResult:
     if not hd.I and not hd.J:
         table = _rows_base if res.case == "B" else None
         return HDResult(True, f"base({res.case})", res.symmetry, hd.rearranged(res.symmetry), table)
-    sym, hd = _fitting_arrangement(hd)
+    sym = None
+    if hd.base_case == OTHER:
+        sym = res.symmetry
+        if _block_of(*sym.apply((), hd.base.m, hd.base.ell)[1:]) == OTHER:
+            sym = symmetries(hd.n)[hd.n]  # the reversal, shift 0
+        hd = hd.rearranged(sym)
     is_ng, rule, table, shift = _clause(hd)
     return HDResult(is_ng, rule, sym, hd, table, shift)
-
-
-def _fitting_arrangement(hd: HigherDimInstance) -> tuple[Symmetry | None, HigherDimInstance]:
-    """The given arrangement if its base fits a block, else the first that does.
-
-    The block is read off the rearranged exponents, so only the arrangement
-    that fits is built as an instance.  Every nearly Gorenstein base fits
-    a block in some arrangement.  The base theorem names one where case A
-    holds, and then every m_r = 1: the all-ones block.  Or it names one
-    where case B holds and case A does not, so m_1 >= 2: the tail block,
-    unless n >= 4 and l_(n-1) = l_n = 1.  Then every l_r is 1 (case B has
-    l_1 .. l_(n-2) = 1), and the reversal makes ell the top row: the
-    all-ones block.  So the scan cannot fail on a base that classify lets
-    through.
-    """
-    if hd.base_case != OTHER:
-        return None, hd
-    for sym in symmetries(hd.n):
-        _, m, ell = sym.apply((), hd.base.m, hd.base.ell)
-        if _block_of(m, ell) != OTHER:
-            return sym, hd.rearranged(sym)
-    raise AssertionError(f"nearly Gorenstein base {hd.base} fits no block in any arrangement")
 
 
 def _clause(hd: HigherDimInstance) -> tuple[bool, str, Callable | None, int]:

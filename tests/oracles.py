@@ -18,6 +18,9 @@ package calls them.
   ``contains``, independent of the row-start mask.
 * ``kernel_is_ng``: a deformed ring R^I_J decided by its own syzygy
   kernel, independent of the clause rules of ``higher_dim.classify``.
+* ``first_fitting_arrangement``: the scan for an arrangement whose base
+  fits a classified block, which ``higher_dim.classify`` reads off the
+  base theorem's scan instead.
 """
 
 import heapq
@@ -25,6 +28,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
+from ngtrace.determinantal import symmetries
 from ngtrace.errors import BaseMismatch
 from ngtrace.groebner import (
     GroebnerBasis,
@@ -36,7 +40,7 @@ from ngtrace.groebner import (
     kernel_over_quotient,
     two_minors,
 )
-from ngtrace.higher_dim import _uncovered_variable, minors_basis
+from ngtrace.higher_dim import OTHER, _block_of, _uncovered_variable, minors_basis
 from ngtrace.ideals import RelativeIdeal, canonical_ideal, trace_canonical_oracle
 from ngtrace.lambda_rows import LambdaRow
 from ngtrace.polyring import FreeModule, Polynomial, _tighten
@@ -291,3 +295,16 @@ def kernel_is_ng(hd) -> bool:
     for f in rows:
         assert first_nonzero_column(f, M, gb) is None, (str(hd), [str(p) for p in f])
     return _uncovered_variable(hd.ring, [p for f in rows for p in f]) is None
+
+
+def first_fitting_arrangement(hd):
+    """None when the base of hd fits a classified block as given, else the
+    first symmetry in scan order under which it fits one; a base that fits
+    none in any arrangement raises AssertionError."""
+    if hd.base_case != OTHER:
+        return None
+    for sym in symmetries(hd.n):
+        _, m, ell = sym.apply((), hd.base.m, hd.base.ell)
+        if _block_of(m, ell) != OTHER:
+            return sym
+    raise AssertionError(f"base {hd.base} fits no block in any arrangement")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngtrace import cli, higher_dim
+from ngtrace import cli, corpus, higher_dim
 from ngtrace.cli import main
 from ngtrace.errors import ResourceLimit
 from ngtrace.ideals import unit_ideal
@@ -174,12 +174,24 @@ def test_trace_rows_failing_relations_exit_5(capsys, monkeypatch):
 
 
 def test_trace_route_disagreement_exit_5(capsys, monkeypatch):
-    # a syzygy route answering the unit ideal disagrees with the other two
-    monkeypatch.setattr("ngtrace.cli.trace_canonical_syzygy", lambda inst: unit_ideal(inst.H))
+    # a syzygy route answering the unit ideal disagrees with the other two;
+    # trace decides that in the agreement engine, as classify and verify do
+    monkeypatch.setitem(corpus.TRACE_ROUTES, "syzygy", lambda inst: unit_ideal(inst.H))
     code, payload, err = run_json(capsys, "trace", INST_7890)
     assert code == 5
     assert payload["syzygy"] == [0] and payload["oracle"] == payload["lambda"] != [0]
-    assert one_error_line(err) == "error: trace methods disagree"
+    assert one_error_line(err) == "error: property violations: syzygy-trace-differs"
+
+
+def test_trace_exits_5_on_any_engine_violation(capsys, monkeypatch):
+    # a violation that is no trace's: the almost Gorenstein theorem turned
+    # round disagrees with the pseudo-Frobenius test, and trace reports it
+    real = corpus.classify_almost_gorenstein
+    monkeypatch.setattr(corpus, "classify_almost_gorenstein", lambda inst: not real(inst))
+    code, payload, err = run_json(capsys, "trace", INST_7890)
+    assert code == 5
+    assert payload["oracle"] == payload["lambda"] == payload["syzygy"] == [7, 8, 9, 10]
+    assert one_error_line(err) == "error: property violations: ag-disagreement theorem=True nari=False"
 
 
 def test_search_finds_family(capsys):
@@ -485,7 +497,7 @@ def test_parser_state_does_not_leak(capsys, monkeypatch):
         seen.append(inst)
         return trace_canonical_syzygy(inst)
 
-    monkeypatch.setattr("ngtrace.cli.trace_canonical_syzygy", spy)
+    monkeypatch.setitem(corpus.TRACE_ROUTES, "syzygy", spy)
     code, payload, _ = run_json(capsys, "trace", INST_345, "--method", "lambda")
     assert code == 0 and "syzygy" not in payload
     code, out, _ = run(capsys, "trace", INST_345)

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from ngtrace.determinantal import Symmetry, build, search_instances, symmetries
+from ngtrace.determinantal import Symmetry, build, classify_nearly_gorenstein, search_instances, symmetries
 from ngtrace.errors import NoTabulatedWitness, WitnessFailed
 from ngtrace.groebner import buchberger, two_minors
 from ngtrace.higher_dim import (
@@ -24,6 +24,7 @@ from ngtrace.semigroup import NumericalSemigroup
 from carried_marks import arrangements, carried
 from conftest import ACCEPTANCE_SIZE
 from entry_ideal import trace_n3, trace_n3_decision
+from oracles import first_fitting_arrangement
 
 
 def tail_n4():
@@ -166,6 +167,25 @@ def test_classify_scans_the_arrangements():
     res = classify(HigherDimInstance(base, frozenset({2}), frozenset()))
     assert res.symmetry == Symmetry(0, True) and res.rule == "allones(1b)"
     assert res.instance.I == frozenset() and res.instance.J == frozenset({3})
+
+
+def test_arrangement_is_the_first_that_fits(acceptance_corpus):
+    # classify reads the arrangement off the base theorem's scan, taking
+    # the reversal where that scan names case B with every l_r = 1; on every
+    # nearly Gorenstein base of the corpus it is the first fitting one
+    corpus, _ = acceptance_corpus
+    counts = {"ng": 0, "moved": 0, "reversal": 0}
+    for base in corpus:
+        theorem = classify_nearly_gorenstein(base)
+        if not theorem.is_ng:
+            continue
+        hd = HigherDimInstance(base, frozenset({1}), frozenset())
+        sym = classify(hd).symmetry
+        assert sym == first_fitting_arrangement(hd), base
+        counts["ng"] += 1
+        counts["moved"] += sym is not None
+        counts["reversal"] += sym is not None and sym != theorem.symmetry
+    assert counts == {"ng": 750, "moved": 436, "reversal": 14}
 
 
 def test_rearranged_carries_every_marking():

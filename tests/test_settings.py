@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 from conftest import exit_code_lists
@@ -373,6 +374,50 @@ def test_exit_codes_are_listed_alike():
     # one set of codes
     lists = exit_code_lists()
     assert len({frozenset(codes) for codes in lists.values()}) == 1, lists
+
+
+def _violation_prefixes() -> set[str]:
+    """The error: line each PropertyViolation(...) in src starts with: its
+    message's leading literal, the whole of a plain string."""
+    found = set()
+    for path in sorted((ROOT / "src" / "ngtrace").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PropertyViolation":
+                message = node.args[0]
+                if isinstance(message, ast.JoinedStr):
+                    message = message.values[0]
+                assert isinstance(message, ast.Constant), f"{path.name}:{node.lineno}: no leading literal"
+                found.add("error: " + message.value.strip())
+    return found
+
+
+def test_exit_5_prefixes_are_listed_alike():
+    # README's exit-5 row lists in its stderr column the leading literal of
+    # every PropertyViolation message src raises, and nothing else
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("\nExit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    (row,) = [row for row in table.splitlines() if row.split("|")[1].strip() == "5"]
+    listed = set(re.findall(r"`([^`]*)`", row.split("|")[3]))
+    assert listed == _violation_prefixes(), (sorted(listed), sorted(_violation_prefixes()))
+
+
+ROUTES = {"trace_canonical_oracle", "trace_canonical_lambda", "trace_canonical_syzygy"}
+
+
+def test_routes_are_compared_in_one_place():
+    # corpus names the trace routes (TRACE_ROUTES) and compares them
+    # (InstanceReport.violations); no other src module reads a route by
+    # name, though each route's own module defines it and __init__
+    # re-exports it
+    found = []
+    for path in sorted((ROOT / "src" / "ngtrace").glob("*.py")):
+        if path.name in ("corpus.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            read = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and read in ROUTES:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {read}")
+    assert not found, found
 
 
 def test_src_parses_json_in_one_place():
